@@ -41,10 +41,13 @@ def _read_input(path):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = json.loads(text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         raise SystemExit(EX_IOERR)
+    if not isinstance(obj, dict):
+        raise DomainError("input must be a JSON object")
+    return obj
 
 
 def _as_poset(obj):
@@ -181,7 +184,7 @@ def _report_text(report):
 
 def _cmd_decompose(args):
     m = _as_subdivision(_read_input(args.input))
-    dec = sd.decompose_cd(m, jobs=args.jobs)
+    dec = sd.decompose_cd(m)
     lines = ["sigma  local_cd  upper_cd"]
     for row in dec.nonzero_rows():
         lines.append("%s  %s  %s" % (row.sigma, row.local_cd, row.upper_cd))
@@ -206,7 +209,7 @@ def _cmd_toric(args):
 
 def _cmd_localh(args):
     m = _as_subdivision(_read_input(args.input))
-    table = toric.local_h(m, jobs=args.jobs)
+    table = toric.local_h(m)
     lines = ["sigma  local_h"]
     for sigma, poly in table.rows:
         lines.append("%s  %s" % (sigma, poly))
@@ -261,12 +264,10 @@ def _build_parser():
                                  "posets and simplicial complexes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_jobs=False):
+    def common(p):
         p.add_argument("--input", default="-",
                        help="input file (default: stdin)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if with_jobs:
-            p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("compute", help="flag vectors and indexes")
     p.add_argument("--what", required=True,
@@ -286,7 +287,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("decompose", help="cd-index decomposition table")
-    common(p, with_jobs=True)
+    common(p)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("toric", help="toric g/h polynomials")
@@ -295,7 +296,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_toric)
 
     p = sub.add_parser("localh", help="local h decomposition table")
-    common(p, with_jobs=True)
+    common(p)
     p.set_defaults(fn=_cmd_localh)
 
     p = sub.add_parser("morphism", help="ab-polynomial to Z[x] morphisms")

@@ -95,7 +95,12 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(obj["facets"])
+        facets = obj.get("facets") if isinstance(obj, dict) else None
+        if not (isinstance(facets, list)
+                and all(isinstance(f, list) for f in facets)):
+            raise DomainError('a complex is an object with a "facets" list '
+                              'of vertex lists')
+        return cls(facets)
 
     @classmethod
     def from_json(cls, text):

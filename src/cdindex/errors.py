@@ -81,15 +81,6 @@ class NotLowerEulerian(CdindexError):
     """Some closed interval of the input is not Eulerian."""
 
 
-class IdentityViolated(CdindexError):
-    """An internal defining identity failed; indicates a bug or a
-    convention mismatch on the input."""
-
-
-class ConventionMismatch(CdindexError):
-    """Two independent routes to the same invariant disagreed."""
-
-
 class SearchCutoff(CdindexError):
     """Backtracking search exceeded its node budget (distinct from an
     exhausted search, which returns None)."""

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poset as ps
-from .errors import DomainError, ConventionMismatch, RankTooLarge
-from .ncpoly import AB_C, AbPolynomial, CdPolynomial, substitute, to_cd
+from .errors import DomainError, RankTooLarge
+from .ncpoly import AB_B, AB_C, AbPolynomial, CdPolynomial, substitute, to_cd
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,9 @@ def _degenerate_local(p):
 def local_index(p):
     """Local indexes of a near-Eulerian poset.
 
-    ab route:   l_P = Psi(semisuspension) - Psi(boundary) * (a + b)
-    flag route: l~_P = Upsilon(P) - Upsilon(boundary with a max adjoined)
-    Both are computed and must agree under a -> a+b.
+    The local ab-index is l_P = Psi(semisuspension) - Psi(boundary) * (a + b);
+    the local flag polynomial Upsilon(P) - Upsilon(boundary with a max
+    adjoined) is its image under a -> a + b.
     """
     p.require_graded()
     if len(p.elements) == 1:
@@ -193,11 +193,8 @@ def local_index(p):
     q, tau = ps._semisuspend(p)
     bd = ps.adjoin_max(q.induced(q.down_set(tau, strict=True)))
     ab = ab_index(q) - ab_index(bd) * AB_C
-    flag = flag_polynomial(p) - flag_polynomial(ps.adjoin_max(bd))
-    if flag != substitute(ab, AB_C, AbPolynomial.monomial("b")):
-        raise ConventionMismatch(
-            "local flag polynomial disagrees with the local ab-index")
-    return LocalIndex(source=p, ab=ab, cd=to_cd(ab), flag=flag)
+    return LocalIndex(source=p, ab=ab, cd=to_cd(ab),
+                      flag=substitute(ab, AB_C, AB_B))
 
 
 def cd_index(p):

@@ -398,7 +398,14 @@ class GradedPoset:
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(obj["elements"], [tuple(c) for c in obj["covers"]])
+        if not (isinstance(obj, dict) and isinstance(obj.get("elements"), list)
+                and isinstance(obj.get("covers"), list)):
+            raise DomainError('a poset is an object with "elements" and '
+                              '"covers" lists')
+        covers = obj["covers"]
+        if not all(isinstance(c, list) and len(c) == 2 for c in covers):
+            raise DomainError("each cover must be a [lower, upper] pair")
+        return cls(obj["elements"], [tuple(c) for c in covers])
 
     @classmethod
     def from_json(cls, text):

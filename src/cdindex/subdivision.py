@@ -9,7 +9,6 @@ decomposition identity is only a theorem under those hypotheses.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import poset as ps
@@ -78,6 +77,10 @@ class SubdivisionMap:
 
     @classmethod
     def from_json_obj(cls, obj):
+        if not (isinstance(obj, dict) and "source" in obj and "target" in obj
+                and isinstance(obj.get("carrier"), dict)):
+            raise DomainError('a subdivision is an object with "source", '
+                              '"target" and a "carrier" object')
         source = _poset_from_obj(obj["source"])
         target = _poset_from_obj(obj["target"])
         carrier = dict(obj["carrier"])
@@ -99,7 +102,7 @@ class SubdivisionMap:
 
 def _poset_from_obj(obj):
     from .complexes import SimplicialComplex, face_poset
-    if "facets" in obj:
+    if isinstance(obj, dict) and "facets" in obj:
         return face_poset(SimplicialComplex.from_json_obj(obj), with_max=True)
     return ps.GradedPoset.from_json_obj(obj)
 
@@ -430,7 +433,7 @@ def _sigma_hat(m, sigma):
     return ps.adjoin_max(m.preimage_ideal(sigma))
 
 
-def decompose_cd(m, jobs=1):
+def decompose_cd(m):
     """Itemized cd-index decomposition over the target elements.
 
     Each row holds the local cd-index of the capped preimage of sigma and
@@ -441,18 +444,11 @@ def decompose_cd(m, jobs=1):
     src, tgt = m.source, m.target
     if not (tgt.is_eulerian() and src.is_eulerian()):
         raise InvalidSubdivision("decomposition needs Eulerian posets")
-    sigmas = sorted(tgt.elements, key=lambda s: (tgt.rank(s), s))
-
-    def row(sigma):
+    rows = []
+    for sigma in sorted(tgt.elements, key=lambda s: (tgt.rank(s), s)):
         li = local_index(_sigma_hat(m, sigma))
         upper = cd_index(tgt.interval(sigma, tgt.max_elt))
-        return DecompositionRow(sigma, li.cd, upper)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, sigmas))
-    else:
-        rows = [row(s) for s in sigmas]
+        rows.append(DecompositionRow(sigma, li.cd, upper))
 
     top = next(r for r in rows if r.sigma == tgt.max_elt)
     if top.local_cd:

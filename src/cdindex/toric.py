@@ -1,23 +1,22 @@
 """Toric g/h-polynomials, local h-polynomials of strong formal subdivisions,
 and the coproduct morphisms from ab-polynomials to Z[x].
 
-Conventions pinned here (and enforced by always-on identity assertions):
-the g-polynomial is a function of a closed Eulerian interval, computed from
-the symmetric toric h of the interval minus its top by first differences up
-to half degree; the defining recursion for h sums g over closed lower
-intervals.  The anchors g(B_n) = 1, h(B_{d+1} minus top) = 1 + x + ... +
-x^d, and agreement with the classical simplicial h-vector all follow.
+Every toric polynomial is read off the ab-index Psi through the linear maps
+f and g of Bayer and Ehrenborg: toric h of a bounded graded poset P is
+f(Psi_P), and toric g of an Eulerian P is g(Psi_P).  The anchors
+g(B_n) = 1, h(B_{d+1} minus top) = 1 + x + ... + x^d, and agreement with
+the classical simplicial h-vector all follow.  The defining recursions over
+lower intervals are kept in the tests as the independent oracle.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import (ConventionMismatch, IdentityViolated, NotLowerEulerian,
-                     RequiresBounds)
+from .errors import NotLowerEulerian, RequiresBounds
+from .flagcd import ab_index, local_index
 from .ncpoly import UniPolynomial, coproduct, kappa, tensor_collapse
 from . import poset as ps
-from .subdivision import require_valid
+from .subdivision import _sigma_hat, require_valid
 
 _X_MINUS_1 = UniPolynomial((-1, 1))
 
@@ -29,117 +28,26 @@ def _require_lower_eulerian(p):
         raise NotLowerEulerian("some closed interval is not Eulerian")
 
 
-class _ToricMemo:
-    """g-polynomials of the closed intervals of one fixed poset."""
-
-    __slots__ = ("p", "g_memo")
-
-    def __init__(self, p):
-        self.p = p
-        self.g_memo = {}
-
-    def g(self, lo, hi):
-        key = (lo, hi)
-        if key in self.g_memo:
-            return self.g_memo[key]
-        r = self.p.rank(hi) - self.p.rank(lo)
-        if r == 0:
-            out = UniPolynomial.one()
-        else:
-            heavy = self.toric_h(lo, hi)
-            if not heavy.is_palindrome(r - 1):
-                raise IdentityViolated(
-                    "toric h of [%s, %s] is not symmetric; interval is not "
-                    "Eulerian" % (lo, hi))
-            half = (r - 1) // 2
-            coeffs = [heavy[i] - heavy[i - 1] for i in range(half + 1)]
-            out = UniPolynomial(coeffs)
-            # the defining identity, with the toric h of the open part
-            lhs = out.reverse(r) - out
-            rhs = _X_MINUS_1 * heavy.reverse(r - 1)
-            if lhs != rhs:
-                raise IdentityViolated(
-                    "g of [%s, %s] fails its defining identity" % (lo, hi))
-        self.g_memo[key] = out
-        return out
-
-    def toric_h(self, lo, hi):
-        """h of the half-open interval [lo, hi) as a rank r-1 poset."""
-        r = self.p.rank(hi) - self.p.rank(lo)
-        m = r - 1
-        acc = UniPolynomial.zero()
-        ilo, ihi = self.p.index(lo), self.p.index(hi)
-        inside = ((self.p._up[ilo] | 1 << ilo)
-                  & self.p._dn[ihi])
-        for i in ps.GradedPoset._bits(inside):
-            sigma = self.p.elements[i]
-            rel = self.p.rank(sigma) - self.p.rank(lo)
-            acc = acc + self.g(lo, sigma) * _X_MINUS_1 ** (m - rel)
-        return acc.reverse(m)
-
-
 def h_poly(p):
-    """Toric h-polynomial of a lower Eulerian poset (all elements count)."""
+    """Toric h-polynomial of a lower Eulerian poset (all elements count).
+
+    Read off the poset with a maximum adjoined, so the maximal elements
+    must share one rank (NotGraded otherwise).
+    """
     if not p.elements:
         return UniPolynomial.zero()
     _require_lower_eulerian(p)
-    memo = _ToricMemo(p)
-    n = p.top_rank
-    lo = p.min_elt
-    acc = UniPolynomial.zero()
-    for sigma in p.elements:
-        acc = acc + memo.g(lo, sigma) * _X_MINUS_1 ** (n - p.rank(sigma))
-    return acc.reverse(n)
+    return morphism_f(ab_index(ps.adjoin_max(p))).reverse(p.top_rank)
 
 
 def g_poly(p):
     """Toric g-polynomial of an Eulerian poset."""
     p.require_bounds()
-    _require_lower_eulerian(p)
     if not p.is_eulerian():
         raise NotLowerEulerian("g-polynomial needs an Eulerian poset")
-    memo = _ToricMemo(p)
-    return memo.g(p.min_elt, p.max_elt)
-
-
-class _GeneralToric:
-    """The h/g pair for arbitrary bounded graded posets.
-
-    Same recursion as the Eulerian case, except g is read off by truncating
-    (1 - x) h at half degree instead of by first differences; on Eulerian
-    input the two agree.  This is the poset-side mirror of the coproduct
-    morphisms, and is what makes f(Psi_P) = toric_h(P) hold with no
-    Eulerian hypothesis.
-    """
-
-    __slots__ = ("p", "h_memo")
-
-    def __init__(self, p):
-        self.p = p
-        self.h_memo = {}
-
-    def h(self, lo, hi):
-        key = (lo, hi)
-        if key in self.h_memo:
-            return self.h_memo[key]
-        r = self.p.rank(hi) - self.p.rank(lo)
-        acc = UniPolynomial.zero()
-        if r >= 1:
-            ilo, ihi = self.p.index(lo), self.p.index(hi)
-            inside = (self.p._up[ilo] | 1 << ilo) & self.p._dn[ihi]
-            for i in ps.GradedPoset._bits(inside):
-                sigma = self.p.elements[i]
-                rel = self.p.rank(sigma) - self.p.rank(lo)
-                acc = acc + self.g(lo, sigma) * _X_MINUS_1 ** (r - 1 - rel)
-        self.h_memo[key] = acc
-        return acc
-
-    def g(self, lo, hi):
-        r = self.p.rank(hi) - self.p.rank(lo)
-        if r == 0:
-            return UniPolynomial.one()
-        return ((UniPolynomial((1, -1)) * self.h(lo, hi))
-                .truncate((r - 1) // 2))
+    if p.top_rank == 0:
+        return UniPolynomial.one()  # Psi of a point is 0, its g is 1
+    return morphism_g(ab_index(p))
 
 
 def toric_h(p):
@@ -149,9 +57,7 @@ def toric_h(p):
     lower-Eulerian h of the poset minus its top whenever that applies.
     """
     p.require_bounds()
-    if len(p.elements) == 1:
-        return UniPolynomial.zero()
-    return _GeneralToric(p).h(p.min_elt, p.max_elt)
+    return morphism_f(ab_index(p))
 
 
 @dataclass(frozen=True)
@@ -189,12 +95,11 @@ class LocalHTable:
         return [(s, poly) for s, poly in self.rows if poly]
 
 
-def local_h(m, jobs=1):
-    """Local h-polynomials of every target face, two independent ways.
+def local_h(m):
+    """Local h-polynomials of every target face.
 
-    The explicit alternating sum with dual-interval g-polynomials is
-    computed per face and checked against solving the defining recursion
-    bottom-up; a disagreement raises ConventionMismatch.
+    Solves the defining recursion h(preimage of [0, sigma]) = sum over
+    tau <= sigma of l(tau) g([tau, sigma]) bottom-up in rank order.
     """
     require_valid(m, "strong_formal")
     src, tgt = m.source, m.target
@@ -203,38 +108,14 @@ def local_h(m, jobs=1):
     if not tgt.is_eulerian():
         raise NotLowerEulerian("local h needs an Eulerian target")
     _require_lower_eulerian(src)
-    tmemo = _ToricMemo(tgt)
     sigmas = sorted(tgt.elements, key=lambda s: (tgt.rank(s), s))
-
-    def restricted_h(sigma):
-        return sigma, h_poly(src.induced(m.preimage_ideal_ids(sigma)))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            h_of = dict(pool.map(restricted_h, sigmas))
-    else:
-        h_of = dict(restricted_h(s) for s in sigmas)
-
-    explicit = {}
-    for sigma in sigmas:
-        acc = UniPolynomial.zero()
-        for tau in tgt.down_set(sigma, strict=False):
-            sign = (-1) ** (tgt.rank(sigma) - tgt.rank(tau))
-            gdual = g_poly(ps.dual(tgt.interval(tau, sigma)))
-            acc = acc + h_of[tau] * gdual * sign
-        explicit[sigma] = acc
-
+    h_of = {s: h_poly(src.induced(m.preimage_ideal_ids(s))) for s in sigmas}
     solved = {}
     for sigma in sigmas:
         acc = h_of[sigma]
         for tau in tgt.down_set(sigma, strict=True):
-            acc = acc - solved[tau] * tmemo.g(tau, sigma)
+            acc = acc - solved[tau] * g_poly(tgt.interval(tau, sigma))
         solved[sigma] = acc
-        if solved[sigma] != explicit[sigma]:
-            raise ConventionMismatch(
-                "local h at %s: recursion gives %s, explicit form gives %s"
-                % (sigma, solved[sigma], explicit[sigma]))
-
     rows = tuple((s, solved[s]) for s in sigmas)
     return LocalHTable(rows=rows, total=h_of[tgt.max_elt])
 
@@ -319,17 +200,16 @@ def verify_local_correspondence(m):
     poset is bounded the summed decomposition identities are checked on
     both levels too (they need an ab-index of the source, hence a maximum).
     """
-    from .flagcd import ab_index, local_index
-    from .subdivision import _sigma_hat
     require_valid(m, "strong_eulerian")
     src, tgt = m.source, m.target
     table = local_h(m)
     formal_top = tgt.max_elt if src.max_elt is not None else None
+    local_ab = {sigma: local_index(_sigma_hat(m, sigma)).ab
+                for sigma, _ in table.rows}
     rows = []
     agree = True
     for sigma, ell in table.rows:
-        li = local_index(_sigma_hat(m, sigma))
-        image = morphism_f(li.ab)
+        image = morphism_f(local_ab[sigma])
         rows.append((sigma, image, ell))
         if sigma != formal_top:
             agree = agree and image == ell
@@ -338,12 +218,11 @@ def verify_local_correspondence(m):
     if src.max_elt is not None and src.min_elt is not None:
         psi_total = 0
         h_total = UniPolynomial.zero()
-        for sigma, _ in table.rows:
-            li = local_index(_sigma_hat(m, sigma))
+        for sigma, ell in table.rows:
             upper = tgt.interval(sigma, tgt.max_elt)
-            psi_total = li.ab * ab_index(upper) + psi_total
+            psi_total = local_ab[sigma] * ab_index(upper) + psi_total
             if sigma != tgt.max_elt:
-                h_total = h_total + table.row(sigma) * toric_h(upper)
+                h_total = h_total + ell * toric_h(upper)
         top = psi_total == ab_index(src)
         bottom = h_total == toric_h(src)
     return CorrespondenceReport(tuple(rows), agree, top, bottom)

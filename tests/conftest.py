@@ -7,12 +7,16 @@ import pytest
 from hypothesis import settings
 
 import cdindex as cd
+from cdindex.ncpoly import UniPolynomial
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
 # -- independent oracles ------------------------------------------------------
+
+
+X_MINUS_1 = UniPolynomial((-1, 1))
 
 
 def mobius_table(p):
@@ -39,6 +43,82 @@ def eulerian_by_mobius(p):
         if value != (-1) ** (p.rank(b) - p.rank(a)):
             return False
     return True
+
+
+class ToricRecursion:
+    """Toric h and g of the closed intervals of one graded poset, by the
+    defining recursion over lower intervals rather than through Psi.
+
+    h([lo, hi]) sums g([lo, s]) (x - 1)^(r - 1 - rank s) over lo <= s < hi,
+    and g([lo, hi]) truncates (1 - x) h([lo, hi]) at degree (r - 1) // 2,
+    where r is the rank of [lo, hi].  On Eulerian intervals this g equals
+    the first differences of h up to half degree.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.h_memo = {}
+
+    def h(self, lo, hi):
+        key = (lo, hi)
+        if key not in self.h_memo:
+            p = self.p
+            r = p.rank(hi) - p.rank(lo)
+            acc = UniPolynomial.zero()
+            for s in p.elements:
+                if p.le(lo, s) and p.lt(s, hi):
+                    rel = p.rank(s) - p.rank(lo)
+                    acc = acc + self.g(lo, s) * X_MINUS_1 ** (r - 1 - rel)
+            self.h_memo[key] = acc
+        return self.h_memo[key]
+
+    def g(self, lo, hi):
+        r = self.p.rank(hi) - self.p.rank(lo)
+        if r == 0:
+            return UniPolynomial.one()
+        return ((1 - UniPolynomial.x()) * self.h(lo, hi)).truncate(
+            (r - 1) // 2)
+
+
+def toric_h_by_recursion(p):
+    """Oracle for toric_h: h of a bounded graded poset minus its top."""
+    return ToricRecursion(p).h(p.min_elt, p.max_elt)
+
+
+def g_by_recursion(p):
+    """Oracle for g_poly on a bounded Eulerian poset."""
+    return ToricRecursion(p).g(p.min_elt, p.max_elt)
+
+
+def h_poly_by_recursion(p):
+    """Oracle for h_poly: toric h of a lower Eulerian poset, every element
+    counted."""
+    if not p.elements:
+        return UniPolynomial.zero()
+    rec = ToricRecursion(p)
+    n = p.top_rank
+    acc = UniPolynomial.zero()
+    for s in p.elements:
+        acc = acc + rec.g(p.min_elt, s) * X_MINUS_1 ** (n - p.rank(s))
+    return acc.reverse(n)
+
+
+def local_h_by_dual_intervals(m):
+    """Oracle for local_h rows: the explicit alternating sum
+    l(sigma) = sum over tau <= sigma of (-1)^(rank sigma - rank tau)
+    h(preimage of [0, tau]) g(dual of [tau, sigma])."""
+    src, tgt = m.source, m.target
+    sigmas = sorted(tgt.elements, key=lambda s: (tgt.rank(s), s))
+    h_of = {s: h_poly_by_recursion(m.preimage_ideal(s)) for s in sigmas}
+    rows = []
+    for sigma in sigmas:
+        acc = UniPolynomial.zero()
+        for tau in tgt.down_set(sigma, strict=False):
+            sign = (-1) ** (tgt.rank(sigma) - tgt.rank(tau))
+            gdual = g_by_recursion(cd.dual(tgt.interval(tau, sigma)))
+            acc = acc + h_of[tau] * gdual * sign
+        rows.append((sigma, acc))
+    return tuple(rows)
 
 
 def random_graded_poset(rng, max_levels=4, max_width=4):
@@ -193,6 +273,25 @@ def subdivision_pool():
                 cd.SimplicialComplex([["0", "1", "2"], ["0", "2", "3"]]))[1])]
 
 
+def near_eulerian_pool():
+    """Named near-Eulerian posets with more than two elements: P1 of every
+    Eulerian pool member, the capped preimage of every face of rank at
+    least 1 in the subdivision pool, and face posets of small discs."""
+    pool = [("P1 " + name, cd.adjoin_max(p)) for name, p in eulerian_pool()]
+    for name, m in subdivision_pool():
+        for sigma in m.target.elements:
+            if m.target.rank(sigma) >= 1:
+                pool.append(("%s %s" % (name, sigma),
+                             cd.adjoin_max(m.preimage_ideal(sigma))))
+    discs = [("path2", [["1", "2"], ["2", "3"]]),
+             ("half_triangle", [["1", "2", "4"], ["2", "3", "4"]]),
+             ("fan3", [["l", "b1", "t"], ["b1", "b2", "t"], ["b2", "r", "t"]])]
+    for name, facets in discs:
+        pool.append((name, cd.face_poset(cd.SimplicialComplex(facets),
+                                         with_max=True)))
+    return pool
+
+
 @pytest.fixture(scope="session")
 def eulerian_fixtures():
     return eulerian_pool()
@@ -201,6 +300,11 @@ def eulerian_fixtures():
 @pytest.fixture(scope="session")
 def subdivision_fixtures():
     return subdivision_pool()
+
+
+@pytest.fixture(scope="session")
+def near_eulerian_fixtures():
+    return near_eulerian_pool()
 
 
 @pytest.fixture

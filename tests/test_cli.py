@@ -1,5 +1,8 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -184,6 +187,11 @@ def test_exit_codes(capsys, tmp_path, square_file):
     code, _, _ = invoke(capsys, "compute", "--what", "cd",
                         "--input", str(bad))
     assert code == 1
+    # 1: bytes that are not UTF-8
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, _ = invoke(capsys, "compute", "--what", "cd",
+                        "--input", str(bad))
+    assert code == 1
     # 2: cd of a non-Eulerian poset
     chain = tmp_path / "chain.json"
     chain.write_text(cd.chain_poset(3).to_json())
@@ -196,6 +204,30 @@ def test_exit_codes(capsys, tmp_path, square_file):
     assert code == 64
     code, _, _ = invoke(capsys, "frobnicate")
     assert code == 64
+    code, _, _ = invoke(capsys, "localh", "--jobs", "2",
+                        "--input", square_file)
+    assert code == 64
+
+
+@pytest.mark.parametrize("command, text", [
+    ("compute", "5"),
+    ("compute", '{"elements": ["a"]}'),
+    ("compute", '{"facets": 5}'),
+    ("compute", '{"elements": ["a", "b"], "covers": [["a"]]}'),
+    ("decompose", '{"source": {}, "target": {}, "carrier": []}'),
+])
+def test_malformed_input_shape_exits_2(command, text):
+    # a real process, so an uncaught exception would show as a traceback
+    src = os.path.dirname(os.path.dirname(cd.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    argv = [sys.executable, "-m", "cdindex.cli", command]
+    if command == "compute":
+        argv += ["--what", "cd"]
+    proc = subprocess.run(argv, input=text, capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_report_determinism(capsys, tetra_file, square_file):
@@ -211,13 +243,6 @@ def test_report_determinism(capsys, tetra_file, square_file):
                            "--input", square_file, "--format", "json")
         outputs.add(out)
     assert len(outputs) == 1
-
-
-def test_jobs_flag(capsys, tetra_file):
-    _, seq, _ = invoke(capsys, "decompose", "--input", tetra_file)
-    _, par, _ = invoke(capsys, "decompose", "--input", tetra_file,
-                       "--jobs", "3")
-    assert seq == par
 
 
 def test_verify_gorenstein_reports_betti(capsys, tmp_path):

@@ -178,6 +178,13 @@ def test_local_flag_polynomial_disc():
     assert li.cd == CdPolynomial({"cd": 2})
 
 
+def test_local_flag_is_difference_of_flag_polynomials(near_eulerian_fixtures):
+    for name, p in near_eulerian_fixtures:
+        want = (cd.flag_polynomial(p)
+                - cd.flag_polynomial(cd.adjoin_max(cd.boundary(p))))
+        assert cd.local_index(p).flag == want, name
+
+
 def test_near_eulerian_cd_index_is_nonhomogeneous():
     disc = cd.SimplicialComplex(
         [["l", "b1", "t"], ["b1", "b2", "t"], ["b2", "r", "t"]])

@@ -157,11 +157,6 @@ def test_decompose_hexagon_over_triangle():
     assert dec.total == cd.polygon_cd(6)
 
 
-def test_decompose_jobs_param_matches():
-    m = tetra_subdivision()
-    assert cd.decompose_cd(m, jobs=3).total == cd.decompose_cd(m).total
-
-
 def test_decompose_refuses_unvalidated():
     sq = square_lattice()
     carrier = {e: e for e in sq.elements}

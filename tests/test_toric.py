@@ -3,11 +3,13 @@
 import pytest
 
 import cdindex as cd
-from cdindex.errors import NotLowerEulerian
+from cdindex.errors import NotGraded, NotLowerEulerian
 from cdindex.ncpoly import AbPolynomial, UniPolynomial, expand_cd, kappa
 from cdindex.toric import morphism_f_by_coproduct
 from conftest import (barycentric_solid_triangle, edge_with_points,
-                      square_lattice, tetra_subdivision)
+                      g_by_recursion, h_poly_by_recursion,
+                      local_h_by_dual_intervals, square_lattice,
+                      toric_h_by_recursion)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -33,9 +35,22 @@ def test_h_matches_classical_h_on_complexes(rng):
         for _ in range(rng.randint(1, 6)):
             facets.add(frozenset(rng.sample(verts, dim + 1)))
         k = cd.SimplicialComplex(facets)
-        got = cd.h_poly(cd.face_poset(k))
+        faces = cd.face_poset(k)
+        got = cd.h_poly(faces)
         want = cd.h_vector(k).polynomial()
         assert got == want, sorted(facets)
+        assert got == h_poly_by_recursion(faces), sorted(facets)
+        bounded = cd.face_poset(k, with_max=True)
+        assert cd.toric_h(bounded) == toric_h_by_recursion(bounded), \
+            sorted(facets)
+
+
+def test_h_poly_needs_one_top_rank():
+    # non-pure: with a maximum adjoined the poset is not graded
+    p = cd.face_poset(cd.SimplicialComplex([["1", "2", "3"], ["3", "4"]]))
+    assert p.is_lower_eulerian()
+    with pytest.raises(NotGraded):
+        cd.h_poly(p)
 
 
 def test_toric_h_small():
@@ -92,6 +107,16 @@ def test_local_h_edge_with_interior_points():
         assert table.total == ONE + X * t
 
 
+def test_local_h_matches_dual_interval_sum(subdivision_fixtures):
+    checked = 0
+    for name, m in subdivision_fixtures:
+        if m.target.max_elt is None or not m.target.is_eulerian():
+            continue
+        assert cd.local_h(m).rows == local_h_by_dual_intervals(m), name
+        checked += 1
+    assert checked >= 5
+
+
 def test_local_h_symmetry(subdivision_fixtures):
     for name, m in subdivision_fixtures:
         if m.target.max_elt is None or not m.target.is_eulerian():
@@ -120,18 +145,24 @@ def test_morphism_f_square_cd_expansion():
 
 
 def test_morphism_matches_toric_on_fixtures(eulerian_fixtures):
+    # toric_h, g_poly and h_poly go through Psi; the oracle recurses over
+    # lower intervals instead
     assert len(eulerian_fixtures) >= 15
     for name, p in eulerian_fixtures:
         psi = cd.ab_index(p)
-        assert cd.morphism_f(psi) == cd.toric_h(p), name
-        assert cd.morphism_g(psi) == cd.g_poly(p), name
+        assert cd.morphism_f(psi) == cd.toric_h(p) \
+            == toric_h_by_recursion(p), name
+        assert cd.morphism_g(psi) == cd.g_poly(p) == g_by_recursion(p), name
+        for q in (p, p.without_max()):
+            assert cd.h_poly(q) == h_poly_by_recursion(q), name
 
 
 def test_morphism_f_on_graded_non_eulerian():
     # the correspondence holds for any bounded graded poset
     for p in (cd.chain_poset(3), cd.chain_poset(4),
               cd.adjoin_max(cd.face_poset(cd.make_simplex(2)))):
-        assert cd.morphism_f(cd.ab_index(p)) == cd.toric_h(p)
+        assert cd.morphism_f(cd.ab_index(p)) == cd.toric_h(p) \
+            == toric_h_by_recursion(p)
 
 
 def test_morphism_tensor_route_agrees(eulerian_fixtures):
@@ -195,11 +226,6 @@ def test_toric_pair():
     assert pair.h == UniPolynomial((1, 5, 5, 1))
     assert pair.g == UniPolynomial((1, 4))
     assert pair.g.degree < pair.rank / 2
-
-
-def test_local_h_jobs_param():
-    m = tetra_subdivision()
-    assert cd.local_h(m, jobs=2).rows == cd.local_h(m).rows
 
 
 def test_correspondence_barycentric_sphere_formal_top():
