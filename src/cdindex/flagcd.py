@@ -63,7 +63,8 @@ def _proper_levels(p):
 def flag_f(p):
     """Chain counts per rank set, by DP over consecutive selected levels."""
     n, levels = _proper_levels(p)
-    dn = p._dn
+    dn, bits = p._dn, p._bits
+    level_mask = {r: sum(1 << i for i in ids) for r, ids in levels.items()}
     # vec[mask] = per-element chain counts ending at the top rank of mask
     vec_memo = {}
 
@@ -76,10 +77,10 @@ def flag_f(p):
             out = {i: 1 for i in levels[top]}
         else:
             prev = vec(rest)
+            below_mask = level_mask[rest.bit_length()]
             out = {}
             for i in levels[top]:
-                below = dn[i]
-                out[i] = sum(c for j, c in prev.items() if below >> j & 1)
+                out[i] = sum(prev[j] for j in bits(dn[i] & below_mask))
         vec_memo[mask] = out
         return out
 

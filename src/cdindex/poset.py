@@ -2,10 +2,11 @@
 
 A poset is stored as a cover DAG over opaque string ids.  The full order
 relation is cached as one bitmask row per element (elements of the strict
-up-set / down-set), which makes comparability queries and interval
-extraction cheap; chain counting downstream is a popcount loop over these
-rows.  Values are immutable after construction: every operator builds a
-fresh poset.
+up-set / down-set).  Comparability is one bit test; sub-posets, intervals,
+the Eulerian scan and chain counting downstream visit only the set bits of
+these rows, by lowbit iteration (``low = m & -m``), and count with
+popcounts.  Values are immutable after construction: every operator builds
+a fresh poset.
 
 Gradedness is verified eagerly but a failure is recorded, not raised;
 non-graded posets stay usable for order-only operations and reject
@@ -132,7 +133,8 @@ class GradedPoset:
 
     def covers(self, a, b):
         """b covers a."""
-        return (self.index(a), self.index(b)) in set(self.cover_pairs)
+        ia, ib = self.index(a), self.index(b)
+        return bool(self._up[ia] >> ib & 1 and not self._up[ia] & self._dn[ib])
 
     def up_set(self, a, strict=True):
         """Elements above a, as ids."""
@@ -148,14 +150,7 @@ class GradedPoset:
         return self._ids(mask)
 
     def _ids(self, mask):
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(self.elements[i])
-            mask >>= 1
-            i += 1
-        return out
+        return [self.elements[i] for i in self._bits(mask)]
 
     def rank(self, e):
         self._need_ranked()
@@ -204,23 +199,20 @@ class GradedPoset:
     # -- subposets ---------------------------------------------------------
 
     def induced(self, ids):
-        """Induced subposet; covers are recomputed from the order closure."""
-        wanted = set(ids)
-        ids = [e for e in self.elements if e in wanted]
-        keep = 0
-        for e in ids:
-            keep |= 1 << self.index(e)
+        """Induced subposet in element order (ids not in the poset are
+        ignored); b covers a when b is above a but outside the up-rows of
+        the kept elements above a."""
+        idx, els, up, bits = self._idx, self.elements, self._up, self._bits
+        keep = sum(1 << idx[e] for e in set(ids) if e in idx)
         covers = []
-        for a in ids:
-            ia = self.index(a)
-            for b in ids:
-                ib = self.index(b)
-                if not (self._up[ia] >> ib & 1):
-                    continue
-                if self._up[ia] & self._dn[ib] & keep:
-                    continue
-                covers.append((a, b))
-        return GradedPoset(ids, covers)
+        for a in bits(keep):
+            above = up[a] & keep
+            beyond = 0
+            for c in bits(above):
+                beyond |= up[c]
+            ea = els[a]
+            covers.extend((ea, els[b]) for b in bits(above & ~beyond))
+        return GradedPoset([els[i] for i in bits(keep)], covers)
 
     def interval(self, lo, hi):
         """The closed interval [lo, hi] as a fresh poset."""
@@ -323,12 +315,10 @@ class GradedPoset:
             if self._ranks[i] % 2 == 0:
                 even |= 1 << i
         odd = ((1 << n) - 1) ^ even
+        up, dn = self._up, self._dn
         for s in range(n):
-            above = self._up[s]
-            for t in range(n):
-                if not (above >> t & 1):
-                    continue
-                mask = ((self._up[s] | 1 << s) & (self._dn[t] | 1 << t))
+            for t in self._bits(up[s]):
+                mask = ((up[s] | 1 << s) & (dn[t] | 1 << t))
                 e = (mask & even).bit_count()
                 o = (mask & odd).bit_count()
                 if e != o:
@@ -361,12 +351,11 @@ class GradedPoset:
 
     @staticmethod
     def _bits(mask):
-        i = 0
+        """Indexes of the set bits of mask, lowest first."""
         while mask:
-            if mask & 1:
-                yield i
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
 
     def lattice_join(self, x, y):
         """Least upper bound, or NotALattice if it is not unique."""
@@ -572,13 +561,19 @@ def interior_elements(p):
 # -- isomorphism (small instances) -------------------------------------------
 
 
-def _refine_colors(p):
+def _cover_lists(p):
     n = len(p.elements)
     up_adj = [[] for _ in range(n)]
     dn_adj = [[] for _ in range(n)]
     for lo, hi in p.cover_pairs:
         up_adj[lo].append(hi)
         dn_adj[hi].append(lo)
+    return up_adj, dn_adj
+
+
+def _refine_colors(p):
+    n = len(p.elements)
+    up_adj, dn_adj = _cover_lists(p)
     colors = [(len(up_adj[i]), len(dn_adj[i]),
                p._up[i].bit_count(), p._dn[i].bit_count())
               for i in range(n)]
@@ -598,7 +593,12 @@ def _refine_colors(p):
 
 
 def is_isomorphic(p, q):
-    """Backtracking poset isomorphism with color refinement pruning."""
+    """Backtracking isomorphism of the cover DAGs, pruned by colour refinement.
+
+    The vertex placed next is the one with the most mapped cover neighbours,
+    ties going to the rarest colour class, and a candidate image is checked
+    against that vertex's own mapped cover neighbours only.
+    """
     if len(p.elements) != len(q.elements):
         return False
     if len(p.cover_pairs) != len(q.cover_pairs):
@@ -611,41 +611,52 @@ def is_isomorphic(p, q):
     q_by_color = {}
     for j in range(n):
         q_by_color.setdefault(qc[j], []).append(j)
-    order = sorted(range(n), key=lambda i: (len(q_by_color[pc[i]]), i))
+    p_up, p_dn = _cover_lists(p)
+    q_covers = set(q.cover_pairs)
+
+    order = []
+    links = [0] * n
+    left = set(range(n))
+    while left:
+        i = min(left, key=lambda k: (-links[k], len(q_by_color[pc[k]]), k))
+        left.remove(i)
+        order.append(i)
+        for k in p_up[i] + p_dn[i]:
+            links[k] += 1
     mapping = [-1] * n
     used = [False] * n
 
     def ok(i, j):
-        # all covers between already-mapped vertices must transfer
-        for lo, hi in p.cover_pairs:
-            if lo == i and mapping[hi] != -1:
-                if (j, mapping[hi]) not in q_covers:
-                    return False
-            if hi == i and mapping[lo] != -1:
-                if (mapping[lo], j) not in q_covers:
-                    return False
+        # every cover between i and an already-mapped vertex must transfer
+        for hi in p_up[i]:
+            if mapping[hi] != -1 and (j, mapping[hi]) not in q_covers:
+                return False
+        for lo in p_dn[i]:
+            if mapping[lo] != -1 and (mapping[lo], j) not in q_covers:
+                return False
         return True
 
-    q_covers = set(q.cover_pairs)
-
-    def backtrack(k):
-        if k == n:
-            return True
+    # depth-first search with one candidate iterator per placed vertex, so
+    # the depth is not bounded by the interpreter's recursion limit
+    tries = [iter(q_by_color[pc[order[0]]])] if n else []
+    k = 0
+    while 0 <= k < n:
         i = order[k]
-        for j in q_by_color.get(pc[i], []):
-            if used[j]:
-                continue
-            if not ok(i, j):
-                continue
-            mapping[i] = j
-            used[j] = True
-            if backtrack(k + 1):
-                return True
-            mapping[i] = -1
-            used[j] = False
-        return False
-
-    return backtrack(0)
+        for j in tries[k]:
+            if not used[j] and ok(i, j):
+                mapping[i] = j
+                used[j] = True
+                k += 1
+                if k < n:
+                    tries.append(iter(q_by_color[pc[order[k]]]))
+                break
+        else:
+            tries.pop()
+            k -= 1
+            if k >= 0:
+                used[mapping[order[k]]] = False
+                mapping[order[k]] = -1
+    return k == n
 
 
 # -- standard small posets ----------------------------------------------------

@@ -225,24 +225,29 @@ def validate_strong_formal(m):
             if src.rank(z) > tgt.rank(m(z)):
                 failures.append((z, "carrier lowers rank"))
     if not failures:
-        idx = src._idx
-        ranks = {e: src.rank(e) for e in src.elements}
-        for x in tgt.elements:
+        # carried[t]: source elements whose carrier is target element t;
+        # rank_mask[r]: source elements of rank r (never above the target's)
+        carried = [0] * len(tgt.elements)
+        rank_mask = [0] * (tgt.top_rank + 1)
+        for i, z in enumerate(src.elements):
+            carried[tgt.index(m(z))] |= 1 << i
+            rank_mask[src._ranks[i]] |= 1 << i
+        parity = (sum(rank_mask[0::2]), sum(rank_mask[1::2]))
+        bits, up = ps.GradedPoset._bits, src._up
+        for ix, x in enumerate(tgt.elements):
             rx = tgt.rank(x)
-            inside = m.preimage_ideal_ids(x)
+            # y counts +1 when rank y has the parity of rx, else -1
+            same, other = parity[rx % 2], parity[1 - rx % 2]
+            # the source elements z with carrier(z) <= x
             inside_mask = 0
-            for e in inside:
-                inside_mask |= 1 << idx[e]
-            for z in src.elements:
-                if not tgt.le(m(z), x):
-                    continue
-                ys_mask = (src._up[idx[z]] | 1 << idx[z]) & inside_mask
-                total = 0
-                strong = False
-                for i in ps.GradedPoset._bits(ys_mask):
-                    y = src.elements[i]
-                    total += (-1) ** (rx - ranks[y])
-                    strong = strong or ranks[y] == rx
+            for t in bits(tgt._dn[ix] | 1 << ix):
+                inside_mask |= carried[t]
+            for iz in bits(inside_mask):
+                z = src.elements[iz]
+                ys_mask = (up[iz] | 1 << iz) & inside_mask
+                total = ((ys_mask & same).bit_count()
+                         - (ys_mask & other).bit_count())
+                strong = bool(ys_mask & rank_mask[rx])
                 want = 1 if m(z) == x else 0
                 if total != want:
                     failures.append(((z, x), "alternating sum %d, want %d"

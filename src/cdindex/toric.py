@@ -19,6 +19,8 @@ from . import poset as ps
 from .subdivision import _sigma_hat, require_valid
 
 _X_MINUS_1 = UniPolynomial((-1, 1))
+# _X_MINUS_1_POWERS[k] = (x - 1)^k, extended on demand by kappa_word
+_X_MINUS_1_POWERS = [UniPolynomial.one()]
 
 
 def _require_lower_eulerian(p):
@@ -148,7 +150,10 @@ def _g_word(word):
 def kappa_word(word):
     if "b" in word:
         return UniPolynomial.zero()
-    return _X_MINUS_1 ** len(word)
+    powers = _X_MINUS_1_POWERS
+    while len(powers) <= len(word):
+        powers.append(powers[-1] * _X_MINUS_1)
+    return powers[len(word)]
 
 
 def morphism_f(p):

@@ -1,11 +1,15 @@
 """Poset construction, predicates, and the constructive operators."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cdindex as cd
 from cdindex.errors import (CycleDetected, NotALattice, NotGraded,
                             NotNearEulerian, RequiresBounds, RequiresMin)
-from conftest import eulerian_by_mobius, random_graded_poset
+from conftest import (eulerian_by_mobius, eulerian_pool, random_eulerian,
+                      random_graded_poset)
+
+EULERIAN_POOL = [p for _, p in eulerian_pool() if len(p.elements) <= 32]
 
 
 def test_build_two_step_chain():
@@ -232,12 +236,21 @@ def test_eulerian_matches_mobius_oracle_on_fixtures(eulerian_fixtures):
     for name, p in eulerian_fixtures:
         assert p.is_eulerian(), name
         assert eulerian_by_mobius(p), name
+        if p.top_rank >= 2 and len(p.elements) <= 32:
+            # without an atom the poset is no longer Eulerian
+            broken = p.induced([e for e in p.elements if e != p.atoms()[0]])
+            assert not broken.is_eulerian(), name
+            assert not eulerian_by_mobius(broken), name
 
 
 def test_eulerian_matches_mobius_oracle_randomized(rng):
-    for _ in range(200):
-        p = random_graded_poset(rng)
+    for k in range(200):
+        p = random_graded_poset(rng) if k % 2 else random_eulerian(
+            rng, EULERIAN_POOL)
         assert p.is_eulerian() == eulerian_by_mobius(p)
+        # the ideal below a random element, by the lower Eulerian scan
+        ideal = p.induced(p.down_set(rng.choice(p.elements), strict=False))
+        assert ideal.is_lower_eulerian() == eulerian_by_mobius(ideal)
 
 
 def test_join_associative_up_to_isomorphism(rng):
@@ -275,3 +288,134 @@ def test_near_eulerian_boundary_complement_law():
         expected = cd.adjoin_max(
             base.induced(base.down_set(coatom, strict=True)))
         assert cd.is_isomorphic(bd, expected)
+
+
+# -- differential checks of the bitmask kernels against their definitions -----
+
+
+def random_poset(rng):
+    """A random bounded graded poset, Eulerian about half the time."""
+    if rng.random() < 0.5:
+        return random_eulerian(rng, EULERIAN_POOL)
+    return random_graded_poset(rng, max_levels=5)
+
+
+def cover_names(p):
+    return {(p.elements[lo], p.elements[hi]) for lo, hi in p.cover_pairs}
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_induced_matches_brute_force_covers(rng):
+    p = random_poset(rng)
+    kept = set(rng.sample(p.elements, rng.randint(0, len(p.elements))))
+    q = p.induced(sorted(kept))
+    assert q.elements == tuple(e for e in p.elements if e in kept)
+    want = {(a, b) for a in kept for b in kept
+            if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b)
+                                      for c in kept)}
+    assert cover_names(q) == want
+
+
+def test_covers_matches_cover_pairs(eulerian_fixtures):
+    for name, p in eulerian_fixtures:
+        pairs = cover_names(p)
+        for a in p.elements:
+            for b in p.elements:
+                assert p.covers(a, b) == ((a, b) in pairs), (name, a, b)
+
+
+def relabelled(p, rng):
+    """An isomorphic copy with fresh ids and shuffled element order."""
+    name = {e: "v%d" % k for k, e in enumerate(rng.sample(p.elements,
+                                                          len(p.elements)))}
+    elements = rng.sample([name[e] for e in p.elements], len(p.elements))
+    covers = [(name[a], name[b]) for a, b in cover_names(p)]
+    return cd.build_poset(elements, rng.sample(covers, len(covers)))
+
+
+def moved_cover(p, rng):
+    """A copy with one cover replaced by a new one between adjacent ranks."""
+    covers = sorted(cover_names(p))
+    fresh = [(a, b) for a in p.elements for b in p.elements
+             if p.rank(b) == p.rank(a) + 1 and (a, b) not in covers]
+    if not fresh:
+        return None
+    covers.remove(rng.choice(covers))
+    covers.append(rng.choice(fresh))
+    return cd.build_poset(p.elements, covers)
+
+
+def networkx_isomorphic(p, q):
+    """Isomorphism of the cover DAGs by networkx's VF2 matcher."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    def digraph(poset):
+        g = nx.DiGraph()
+        g.add_nodes_from(poset.elements)
+        g.add_edges_from(cover_names(poset))
+        return g
+
+    return DiGraphMatcher(digraph(p), digraph(q)).is_isomorphic()
+
+
+def cycle_union_poset(parts):
+    """Rank-3 bounded poset whose atoms and coatoms form disjoint cycles,
+    with k atoms and k coatoms in a cycle for each k in parts.  Colour
+    refinement cannot tell apart two such posets with the same sum of
+    parts, so only the search decides."""
+    atoms, coatoms, covers = [], [], []
+    for k in parts:
+        first = len(atoms)
+        for i in range(first, first + k):
+            nxt = first + (i - first + 1) % k
+            atoms.append("a%d" % i)
+            coatoms.append("c%d" % i)
+            covers += [("0", "a%d" % i), ("a%d" % i, "c%d" % i),
+                       ("a%d" % i, "c%d" % nxt), ("c%d" % i, "1")]
+    return cd.build_poset(["0"] + atoms + coatoms + ["1"], covers)
+
+
+def random_parts(rng, total):
+    """Random parts, each at least 2, summing to total."""
+    parts = []
+    while total:
+        k = rng.randint(2, total)
+        if total - k == 1:
+            k = total
+        parts.append(k)
+        total -= k
+    return parts
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_is_isomorphic_matches_networkx(rng):
+    p = random_poset(rng)
+    copy = relabelled(p, rng)
+    assert cd.is_isomorphic(p, copy)
+    assert cd.is_isomorphic(copy, p)
+    near = moved_cover(p, rng)
+    if near is not None:
+        want = networkx_isomorphic(p, near)
+        assert cd.is_isomorphic(p, near) == want
+        assert cd.is_isomorphic(near, copy) == want
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_is_isomorphic_matches_networkx_on_equal_colours(rng):
+    total = rng.randint(4, 9)
+    p = cycle_union_poset(random_parts(rng, total))
+    q = relabelled(cycle_union_poset(random_parts(rng, total)), rng)
+    want = networkx_isomorphic(p, q)
+    assert cd.is_isomorphic(p, q) == want
+    assert cd.is_isomorphic(q, p) == want
+
+
+def test_is_isomorphic_past_the_recursion_limit(rng):
+    # B_10 has 1024 elements, more than the default recursion limit
+    b10 = cd.boolean_poset(10)
+    assert cd.is_isomorphic(b10, relabelled(b10, rng))
+    assert cd.is_isomorphic(b10, cd.dual(b10))

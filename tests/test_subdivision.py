@@ -5,6 +5,7 @@ import pytest
 import cdindex as cd
 from cdindex.errors import InvalidChain
 from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
+from cdindex.subdivision import _basic_failures
 from conftest import (hexagon_over_triangle, square_lattice,
                       tetra_subdivision)
 
@@ -48,6 +49,51 @@ def test_strong_formal_catches_broken_carrier():
     carrier["{5}"] = "{1,2,3}"
     broken = cd.SubdivisionMap(m.source, m.target, carrier)
     assert not cd.validate_strong_formal(broken).ok
+
+
+def strong_formal_failures_by_loop(m):
+    """The strong formal conditions summed element by element, with the
+    failures in the order validate_strong_formal reports them."""
+    src, tgt = m.source, m.target
+    failures = list(_basic_failures(m))
+    if not failures:
+        failures = [(z, "carrier lowers rank") for z in src.elements
+                    if src.rank(z) > tgt.rank(m(z))]
+    if failures:
+        return failures
+    for x in tgt.elements:
+        rx = tgt.rank(x)
+        inside = set(m.preimage_ideal_ids(x))
+        for z in src.elements:
+            if not tgt.le(m(z), x):
+                continue
+            ys = [y for y in src.up_set(z, strict=False) if y in inside]
+            total = sum((-1) ** (rx - src.rank(y)) for y in ys)
+            want = 1 if m(z) == x else 0
+            if total != want:
+                failures.append(((z, x), "alternating sum %d, want %d"
+                                 % (total, want)))
+            if not any(src.rank(y) == rx for y in ys):
+                failures.append(((z, x), "no element above witnesses the "
+                                         "rank of the carrier"))
+    return failures
+
+
+def test_strong_formal_failures_match_elementwise_sums(subdivision_fixtures):
+    # move the carrier of one source element at a time to every other
+    # target element; the bitmask sums must report the same failures
+    reached = 0
+    for name, m in subdivision_fixtures:
+        for z in m.source.elements:
+            for x in m.target.elements:
+                carrier = dict(m.carrier)
+                carrier[z] = x
+                moved = cd.SubdivisionMap(m.source, m.target, carrier)
+                want = strong_formal_failures_by_loop(moved)
+                got = cd.validate_strong_formal(moved).failures
+                assert list(got) == want, (name, z, x)
+                reached += any(isinstance(f[0], tuple) for f in want)
+    assert reached >= 10
 
 
 def test_restrict_to_edge_is_path():

@@ -5,7 +5,7 @@ import pytest
 import cdindex as cd
 from cdindex.errors import NotGraded, NotLowerEulerian
 from cdindex.ncpoly import AbPolynomial, UniPolynomial, expand_cd, kappa
-from cdindex.toric import morphism_f_by_coproduct
+from cdindex.toric import kappa_word, morphism_f_by_coproduct
 from conftest import (barycentric_solid_triangle, edge_with_points,
                       g_by_recursion, h_poly_by_recursion,
                       local_h_by_dual_intervals, square_lattice,
@@ -245,3 +245,10 @@ def test_correspondence_barycentric_sphere_formal_top():
     f_top, ell_top = rows["TOP"]
     assert f_top == UniPolynomial.zero()
     assert ell_top == UniPolynomial((0, 0, -4))
+
+
+def test_kappa_word_powers_in_any_order():
+    # the cached powers of (x - 1) must not depend on the order of requests
+    for k in (3, 0, 5, 1, 4, 2, 5):
+        assert kappa_word("a" * k) == UniPolynomial((-1, 1)) ** k, k
+        assert kappa_word("a" * k + "b") == UniPolynomial.zero(), k
