@@ -11,9 +11,8 @@ from .poset import (GradedPoset, adjoin_max, boolean_poset, boundary,
                     build_poset, chain_poset, dual, interior_elements,
                     is_isomorphic, is_near_eulerian, join, pyramid,
                     semisuspension, suspension)
-from .flagcd import (FlagVector, LocalIndex, ab_index, ab_index_by_chains,
-                     cd_index, flag_f, flag_h, flag_polynomial,
-                     flag_polynomial_by_chains, local_index, polygon_cd,
+from .flagcd import (FlagVector, LocalIndex, ab_index, cd_index, flag_f,
+                     flag_h, flag_polynomial, local_index, polygon_cd,
                      three_polytope_cd)
 from .complexes import (HVector, SimplicialComplex, StackedPolytope,
                         barycentric_subdivision, f_vector, face_poset,

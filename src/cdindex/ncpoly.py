@@ -9,6 +9,8 @@ commutative side is a dense integer polynomial in x.
 from __future__ import annotations
 
 import re
+from heapq import heapify, heappop, heappush
+from itertools import product
 
 from .errors import DegreeTooHigh, DomainError, NotCdExpressible
 
@@ -23,7 +25,7 @@ class _WordPolynomial:
         data = {}
         if terms:
             for word, coeff in terms.items():
-                if any(ch not in self.alphabet for ch in word):
+                if word.strip(self.alphabet):
                     raise DomainError(
                         "word %r not over alphabet %r" % (word, self.alphabet))
                 if coeff:
@@ -193,17 +195,24 @@ def substitute(p, image_of_a, image_of_b):
     return p.map_words({"a": image_of_a, "b": image_of_b})
 
 
-AB_A = AbPolynomial.monomial("a")
 AB_B = AbPolynomial.monomial("b")
-AB_C = AB_A + AB_B                       # a + b, the image of c
-AB_D = AbPolynomial({"ab": 1, "ba": 1})  # ab + ba, the image of d
+AB_C = AbPolynomial({"a": 1, "b": 1})  # a + b, the image of c
+_LETTER_WORDS = {"c": ("a", "b"), "d": ("ab", "ba")}
+
+
+def _expansion(cd_word):
+    """The ab-words of a cd-word's expansion.  Each letter fills a block at
+    a fixed place, so the words are distinct, each with coefficient 1."""
+    return map("".join, product(*map(_LETTER_WORDS.__getitem__, cd_word)))
 
 
 def expand_cd(p):
     """Expand a cd-polynomial into ab-letters via c -> a+b, d -> ab+ba."""
-    if not p.terms:
-        return AbPolynomial.zero()
-    return p.map_words({"c": AB_C, "d": AB_D})
+    data = {}
+    for cd_word, coeff in p.terms.items():
+        for word in _expansion(cd_word):
+            data[word] = data.get(word, 0) + coeff
+    return AbPolynomial(data)
 
 
 def _parse_least_word(word):
@@ -230,18 +239,33 @@ def _parse_least_word(word):
 def to_cd(p):
     """Rewrite an ab-polynomial in c = a+b, d = ab+ba.
 
-    Triangular reduction on the lex-least surviving word.  Raises
-    NotCdExpressible with the offending residual when no rewriting exists.
+    One sweep over the ab-words in canonical (degree, lex) order: a word
+    with a nonzero residual at its turn must be the least word of some
+    cd-word's expansion, and that expansion times the coefficient leaves
+    the residual.  Its other words have the same degree and are lex-greater,
+    so no word changes after its turn, and the sweep equals triangular
+    reduction on the least surviving word.  Raises NotCdExpressible with
+    the residual left at the first word that parses as no cd-word.
     """
-    residual = AbPolynomial(dict(p.terms))
+    residual = AbPolynomial(p.terms).terms
+    pending = [(len(w), w) for w in residual]
+    heapify(pending)
     out = {}
-    while residual.terms:
-        word, coeff = residual.sorted_terms()[0]
+    while pending:
+        word = heappop(pending)[1]
+        coeff = residual.get(word)
+        if not coeff:
+            continue
         cd_word = _parse_least_word(word)
         if cd_word is None:
-            raise NotCdExpressible(residual)
-        out[cd_word] = out.get(cd_word, 0) + coeff
-        residual = residual - expand_cd(CdPolynomial.monomial(cd_word)) * coeff
+            raise NotCdExpressible(AbPolynomial(residual))
+        out[cd_word] = coeff
+        for w in _expansion(cd_word):
+            old = residual.pop(w, 0)
+            if not old:
+                heappush(pending, (len(w), w))
+            if old != coeff:
+                residual[w] = old - coeff
     return CdPolynomial(out)
 
 

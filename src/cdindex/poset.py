@@ -199,11 +199,11 @@ class GradedPoset:
     # -- subposets ---------------------------------------------------------
 
     def induced(self, ids):
-        """Induced subposet in element order (ids not in the poset are
-        ignored); b covers a when b is above a but outside the up-rows of
-        the kept elements above a."""
-        idx, els, up, bits = self._idx, self.elements, self._up, self._bits
-        keep = sum(1 << idx[e] for e in set(ids) if e in idx)
+        """Induced subposet in element order; b covers a when b is above a
+        but outside the up-rows of the kept elements above a.  An id not in
+        the poset raises DomainError."""
+        els, up, bits = self.elements, self._up, self._bits
+        keep = sum(1 << i for i in {self.index(e) for e in ids})
         covers = []
         for a in bits(keep):
             above = up[a] & keep

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NotLowerEulerian, RequiresBounds
 from .flagcd import ab_index, local_index
-from .ncpoly import UniPolynomial, coproduct, kappa, tensor_collapse
+from .ncpoly import UniPolynomial
 from . import poset as ps
 from .subdivision import _sigma_hat, require_valid
 
@@ -39,6 +39,11 @@ def h_poly(p):
     if not p.elements:
         return UniPolynomial.zero()
     _require_lower_eulerian(p)
+    return _h_poly(p)
+
+
+def _h_poly(p):
+    """h_poly of a nonempty poset already known to be lower Eulerian."""
     return morphism_f(ab_index(ps.adjoin_max(p))).reverse(p.top_rank)
 
 
@@ -111,7 +116,9 @@ def local_h(m):
         raise NotLowerEulerian("local h needs an Eulerian target")
     _require_lower_eulerian(src)
     sigmas = sorted(tgt.elements, key=lambda s: (tgt.rank(s), s))
-    h_of = {s: h_poly(src.induced(m.preimage_ideal_ids(s))) for s in sigmas}
+    # each preimage ideal is a nonempty down-set of src, so it inherits
+    # the minimum and lower Eulerian-ness checked above
+    h_of = {s: _h_poly(src.induced(m.preimage_ideal_ids(s))) for s in sigmas}
     solved = {}
     for sigma in sigmas:
         acc = h_of[sigma]
@@ -170,12 +177,6 @@ def morphism_g(p):
     for word, coeff in p.terms.items():
         out = out + _g_word(word) * coeff
     return out
-
-
-def morphism_f_by_coproduct(p):
-    """Oracle form of morphism_f written through the tensor machinery."""
-    return kappa(p) + tensor_collapse(
-        coproduct(p), lambda w: _g_word(w), kappa_word)
 
 
 # -- correspondence with the cd decomposition ------------------------------------

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import settings
 
 import cdindex as cd
-from cdindex.ncpoly import UniPolynomial
+from cdindex.errors import NotCdExpressible
+from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
+                            _parse_least_word, coproduct, kappa,
+                            tensor_collapse)
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -119,6 +122,71 @@ def local_h_by_dual_intervals(m):
             acc = acc + h_of[tau] * gdual * sign
         rows.append((sigma, acc))
     return tuple(rows)
+
+
+def flag_polynomial_by_chains(p):
+    """Oracle for flag_polynomial: sum of alpha^C over listed chains."""
+    p.require_bounds()
+    n = p.top_rank - 1
+    if n < 0:
+        return AbPolynomial.zero()
+    out = {}
+    for chain in p.enumerate_chains():
+        ranks = {p.rank(e) for e in chain}
+        word = "".join("b" if r in ranks else "a" for r in range(1, n + 1))
+        out[word] = out.get(word, 0) + 1
+    return AbPolynomial(out)
+
+
+def ab_index_by_chains(p):
+    """Oracle for ab_index: sum of beta^C over listed chains, with letters
+    b at chain ranks and (a-b) elsewhere."""
+    p.require_bounds()
+    n = p.top_rank - 1
+    if n < 0:
+        return AbPolynomial.zero()
+    a_minus_b = AbPolynomial({"a": 1, "b": -1})
+    b = AbPolynomial.monomial("b")
+    out = AbPolynomial.zero()
+    for chain in p.enumerate_chains():
+        ranks = {p.rank(e) for e in chain}
+        prod = AbPolynomial.one()
+        for r in range(1, n + 1):
+            prod = prod * (b if r in ranks else a_minus_b)
+        out = out + prod
+    return out
+
+
+def morphism_f_by_coproduct(p):
+    """Oracle for morphism_f through the tensor machinery:
+    f = kappa + (g (x) kappa) applied to the coproduct."""
+    def g_of(word):
+        return cd.morphism_g(AbPolynomial.monomial(word))
+
+    def kappa_of(word):
+        return kappa(AbPolynomial.monomial(word))
+
+    return kappa(p) + tensor_collapse(coproduct(p), g_of, kappa_of)
+
+
+CD_IMAGES = {"c": AbPolynomial({"a": 1, "b": 1}),
+             "d": AbPolynomial({"ab": 1, "ba": 1})}
+
+
+def to_cd_by_reduction(p):
+    """Oracle for to_cd: triangular reduction on the least surviving word,
+    subtracting the map_words expansion of each parsed cd-word."""
+    residual = AbPolynomial(dict(p.terms))
+    out = {}
+    while residual.terms:
+        word, coeff = residual.sorted_terms()[0]
+        cd_word = _parse_least_word(word)
+        if cd_word is None:
+            raise NotCdExpressible(residual)
+        out[cd_word] = out.get(cd_word, 0) + coeff
+        image = CdPolynomial.monomial(cd_word).map_words(CD_IMAGES)
+        residual = residual - image * coeff
+    return CdPolynomial(out)
 
 
 def random_graded_poset(rng, max_levels=4, max_width=4):

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdindex as cd
-from cdindex.errors import DegreeTooHigh, NotCdExpressible
+from cdindex.errors import DegreeTooHigh, DomainError, NotCdExpressible
 from cdindex.ncpoly import (AbPolynomial, CdPolynomial, TensorSum,
                             UniPolynomial, ab_words, cd_words,
                             coefficientwise_leq, coproduct, expand_cd,
                             kappa, parse_unipoly, parse_word_poly,
                             substitute, tensor_collapse, to_cd)
+from conftest import CD_IMAGES, to_cd_by_reduction
 
 A = AbPolynomial.monomial("a")
 B = AbPolynomial.monomial("b")
@@ -65,6 +66,36 @@ def test_expand_cd():
     assert expand_cd(CdPolynomial.zero()) == AbPolynomial.zero()
     got = expand_cd(C * C + D * 2)
     assert got == AbPolynomial({"aa": 1, "ab": 3, "ba": 3, "bb": 1})
+
+
+def test_expand_cd_matches_map_words():
+    for degree in range(11):
+        for word in cd_words(degree):
+            mono = CdPolynomial.monomial(word)
+            assert expand_cd(mono) == mono.map_words(CD_IMAGES), word
+
+
+def test_words_outside_the_alphabet_raise():
+    for cls, word in ((AbPolynomial, "acb"), (AbPolynomial, "c"),
+                      (CdPolynomial, "cad"), (CdPolynomial, "dd ")):
+        with pytest.raises(DomainError, match="not over alphabet"):
+            cls({word: 1})
+
+
+def to_cd_outcome(to_cd_route, p):
+    try:
+        return to_cd_route(p)
+    except NotCdExpressible as exc:
+        return exc.residual, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ab_polys(max_len=7),
+                 cd_polys(max_deg=8).map(expand_cd),
+                 st.tuples(ab_polys(max_len=7), cd_polys(max_deg=8)).map(
+                     lambda pair: pair[0] + expand_cd(pair[1]))))
+def test_to_cd_matches_triangular_reduction(p):
+    assert to_cd_outcome(to_cd, p) == to_cd_outcome(to_cd_by_reduction, p)
 
 
 def test_to_cd_square():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdindex as cd
-from cdindex.errors import (CycleDetected, NotALattice, NotGraded,
-                            NotNearEulerian, RequiresBounds, RequiresMin)
+from cdindex.errors import (CycleDetected, DomainError, NotALattice,
+                            NotGraded, NotNearEulerian, RequiresBounds,
+                            RequiresMin)
 from conftest import (eulerian_by_mobius, eulerian_pool, random_eulerian,
                       random_graded_poset)
 
@@ -315,6 +316,12 @@ def test_induced_matches_brute_force_covers(rng):
             if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b)
                                       for c in kept)}
     assert cover_names(q) == want
+
+
+def test_induced_rejects_unknown_ids():
+    p = cd.boolean_poset(2)
+    with pytest.raises(DomainError, match="unknown element 'nope'"):
+        p.induced(["{}", "nope"])
 
 
 def test_covers_matches_cover_pairs(eulerian_fixtures):

@@ -5,11 +5,11 @@ import pytest
 import cdindex as cd
 from cdindex.errors import NotGraded, NotLowerEulerian
 from cdindex.ncpoly import AbPolynomial, UniPolynomial, expand_cd, kappa
-from cdindex.toric import kappa_word, morphism_f_by_coproduct
+from cdindex.toric import kappa_word
 from conftest import (barycentric_solid_triangle, edge_with_points,
                       g_by_recursion, h_poly_by_recursion,
-                      local_h_by_dual_intervals, square_lattice,
-                      toric_h_by_recursion)
+                      local_h_by_dual_intervals, morphism_f_by_coproduct,
+                      square_lattice, toric_h_by_recursion)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -51,6 +51,16 @@ def test_h_poly_needs_one_top_rank():
     assert p.is_lower_eulerian()
     with pytest.raises(NotGraded):
         cd.h_poly(p)
+
+
+def test_h_poly_rejects_non_eulerian_ideal():
+    # the face poset minus a vertex leaves edges with one vertex below
+    src = barycentric_solid_triangle().source
+    vertex = next(e for e in src.elements if src.rank(e) == 1)
+    broken = src.induced([e for e in src.elements if e != vertex])
+    assert cd.h_poly(src) == h_poly_by_recursion(src)
+    with pytest.raises(NotLowerEulerian):
+        cd.h_poly(broken)
 
 
 def test_toric_h_small():
@@ -112,7 +122,10 @@ def test_local_h_matches_dual_interval_sum(subdivision_fixtures):
     for name, m in subdivision_fixtures:
         if m.target.max_elt is None or not m.target.is_eulerian():
             continue
-        assert cd.local_h(m).rows == local_h_by_dual_intervals(m), name
+        table = cd.local_h(m)
+        assert table.rows == local_h_by_dual_intervals(m), name
+        top_ideal = m.preimage_ideal(m.target.max_elt)
+        assert table.total == h_poly_by_recursion(top_ideal), name
         checked += 1
     assert checked >= 5
 
