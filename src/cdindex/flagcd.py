@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poset as ps
-from .errors import DomainError, RankTooLarge
+from .errors import DomainError, NotNearEulerian, RankTooLarge
 from .ncpoly import AB_B, AB_C, AbPolynomial, CdPolynomial, substitute, to_cd
 
 
@@ -136,18 +136,6 @@ class LocalIndex:
     flag: AbPolynomial
 
 
-def _degenerate_local(p):
-    """The one-element poset and the two-chain both carry local index 1.
-
-    These are the restrictions of a subdivision over the minimal element;
-    the semisuspension route degenerates there, and the value 1 is what
-    makes the decomposition identity close (the bottom row contributes the
-    base cd-index exactly once).
-    """
-    one_ab = AbPolynomial.one()
-    return LocalIndex(source=p, ab=one_ab, cd=CdPolynomial.one(), flag=one_ab)
-
-
 def local_index(p):
     """Local indexes of a near-Eulerian poset.
 
@@ -156,15 +144,24 @@ def local_index(p):
     adjoined) is its image under a -> a + b.
     """
     p.require_graded()
-    if len(p.elements) == 1:
-        return _degenerate_local(p)
-    if len(p.elements) == 2 and p.top_rank == 1 and p.min_elt is not None:
-        return _degenerate_local(p)
-    q, tau = ps._semisuspend(p)
-    bd = ps.adjoin_max(q.induced(q.down_set(tau, strict=True)))
-    ab = ab_index(q) - ab_index(bd) * AB_C
-    return LocalIndex(source=p, ab=ab, cd=to_cd(ab),
-                      flag=substitute(ab, AB_C, AB_B))
+    if len(p.elements) in (1, 2) and p.top_rank == len(p.elements) - 1:
+        # a point or a two-chain, the capped preimage of a minimal element:
+        # the semisuspension route degenerates there, and local index 1
+        # makes the decomposition identity close (the bottom row
+        # contributes the base cd-index exactly once)
+        one = AbPolynomial.one()
+        return LocalIndex(source=p, ab=one, cd=CdPolynomial.one(), flag=one)
+    return _local_from_semisuspension(p, *ps._semisuspend(p))[0]
+
+
+def _local_from_semisuspension(p, q, tau):
+    """(local index of p, Psi of its capped boundary [0, tau] of q), given
+    the semisuspension q of p and its restored coatom tau."""
+    bd_ab = ab_index(q.interval(q.min_elt, tau))
+    ab = ab_index(q) - bd_ab * AB_C
+    li = LocalIndex(source=p, ab=ab, cd=to_cd(ab),
+                    flag=substitute(ab, AB_C, AB_B))
+    return li, bd_ab
 
 
 def cd_index(p):
@@ -175,11 +172,14 @@ def cd_index(p):
         return CdPolynomial.zero()
     if p.is_eulerian():
         return to_cd(ab_index(p))
-    if ps.is_near_eulerian(p):
-        li = local_index(p)
-        return li.cd + cd_index(ps.boundary(p))
-    # neither; let the rewriting fail and report the residual
-    return to_cd(ab_index(p))
+    try:
+        semi = ps._semisuspend(p)
+    except NotNearEulerian:
+        # neither; let the rewriting fail and report the residual
+        return to_cd(ab_index(p))
+    # the boundary is an interval of the Eulerian q, so Eulerian itself
+    li, bd_ab = _local_from_semisuspension(p, *semi)
+    return li.cd + to_cd(bd_ab)
 
 
 def polygon_cd(n):

@@ -631,15 +631,24 @@ def parse_unipoly(text):
     return UniPolynomial([coeffs.get(i, 0) for i in range(size)])
 
 
+# _X_MINUS_1_POWERS[k] = (x - 1)^k, extended on demand by kappa_word
+_X_MINUS_1_POWERS = [UniPolynomial.one()]
+
+
+def kappa_word(word):
+    """kappa of one ab-word: (x - 1)^len(word), or 0 if it has a b."""
+    if "b" in word:
+        return UniPolynomial.zero()
+    powers = _X_MINUS_1_POWERS
+    while len(powers) <= len(word):
+        powers.append(powers[-1] * UniPolynomial((-1, 1)))
+    return powers[len(word)]
+
+
 def kappa(p):
     """The algebra map with kappa(a) = x - 1, kappa(b) = 0."""
-    out = UniPolynomial.zero()
-    xm1 = UniPolynomial((-1, 1))
-    for word, coeff in p.terms.items():
-        if "b" in word:
-            continue
-        out = out + xm1 ** len(word) * coeff
-    return out
+    return sum((kappa_word(w) * c for w, c in p.terms.items()),
+               UniPolynomial.zero())
 
 
 def ab_words(degree):

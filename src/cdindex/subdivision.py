@@ -5,6 +5,9 @@ A subdivision map carries each element of the source poset to the minimal
 target element containing it.  Validation is eager and cached on the map;
 the decomposition refuses to run on an unvalidated map because the
 decomposition identity is only a theorem under those hypotheses.
+Strong Eulerian validation keeps the capped preimage of each target face
+and its semisuspension on the map; the decomposition, the telescoping check
+and the local-h correspondence read the faces' local indexes from them.
 """
 from __future__ import annotations
 
@@ -14,8 +17,9 @@ from dataclasses import dataclass, field
 from . import poset as ps
 from .errors import (DomainError, FaceNotFound, InvalidChain,
                      InvalidSubdivision, NotNearEulerian, ValidationRequired)
-from .flagcd import cd_index, flag_polynomial, local_index
-from .ncpoly import CdPolynomial
+from .flagcd import (_local_from_semisuspension, ab_index, flag_polynomial,
+                     local_index)
+from .ncpoly import CdPolynomial, to_cd
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,7 @@ def validate_strong_eulerian(m):
         return m._cache["strong_eulerian"]
     failures = list(_basic_failures(m))
     src, tgt = m.source, m.target
+    faces = {}  # sigma -> (capped preimage, (semisuspension, coatom) or None)
     if not failures:
         if src.top_rank != tgt.top_rank:
             failures.append(("*", "source rank %d != target rank %d"
@@ -182,15 +187,26 @@ def validate_strong_eulerian(m):
                 continue
             hat = ps.adjoin_max(ideal)
             if len(hat.elements) == 2 and hat.top_rank == 1:
-                continue  # preimage of the minimum; nothing to check
+                faces[sigma] = (hat, None)  # preimage of the minimum
+                continue
             try:
-                ps._semisuspend(hat)
+                faces[sigma] = (hat, ps._semisuspend(hat))
             except NotNearEulerian as exc:
                 failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
                                  % exc))
     report = ValidationReport("strong_eulerian", not failures, tuple(failures))
     m._cache["strong_eulerian"] = report
+    m._cache["faces"] = faces
     return report
+
+
+def _face_local_index(m, sigma):
+    """Local index of the capped preimage of sigma, from the pieces strong
+    Eulerian validation kept; the map must have passed it."""
+    hat, semi = m._cache["faces"][sigma]
+    if semi is None:
+        return local_index(hat)
+    return _local_from_semisuspension(hat, *semi)[0]
 
 
 def _basic_failures(m):
@@ -352,19 +368,13 @@ def _skeletal_poset(m, i, carrier_rank):
     old = [e for e in tgt.elements if tgt.rank(e) >= i + 1]
     new = [e for e in src.elements if carrier_rank[e] <= i]
     elements = [_tag(NEW, e) for e in new] + [_tag(OLD, e) for e in old]
-    relation = {}
-    for e in new:
-        up_new = {_tag(NEW, f) for f in src.up_set(e) if carrier_rank[f] <= i}
-        up_old = {_tag(OLD, f) for f in old if tgt.le(m(e), f)}
-        relation[_tag(NEW, e)] = up_new | up_old
-    for e in old:
-        relation[_tag(OLD, e)] = {_tag(OLD, f) for f in old if tgt.lt(e, f)}
-    covers = []
-    for e, ups in relation.items():
-        for f in ups:
-            if not any(g != f and f in relation[g] for g in ups):
-                covers.append((e, f))
-    p = ps.GradedPoset(elements, covers)
+    # the strict order; induced keeps only its covers
+    order = [(_tag(NEW, e), _tag(NEW, f)) for e in new
+             for f in src.up_set(e) if carrier_rank[f] <= i]
+    order += [(_tag(NEW, e), _tag(OLD, f)) for e in new for f in old
+              if tgt.le(m(e), f)]
+    order += [(_tag(OLD, e), _tag(OLD, f)) for e in old for f in tgt.up_set(e)]
+    p = ps.GradedPoset(elements, order).induced(elements)
     if not p.is_graded or p.top_rank != tgt.top_rank:
         raise InvalidSubdivision("skeletal poset at level %d is not graded "
                                  "of full rank" % i)
@@ -434,10 +444,6 @@ class CdDecomposition:
         return [r for r in self.rows if r.local_cd]
 
 
-def _sigma_hat(m, sigma):
-    return ps.adjoin_max(m.preimage_ideal(sigma))
-
-
 def decompose_cd(m):
     """Itemized cd-index decomposition over the target elements.
 
@@ -449,23 +455,23 @@ def decompose_cd(m):
     src, tgt = m.source, m.target
     if not (tgt.is_eulerian() and src.is_eulerian()):
         raise InvalidSubdivision("decomposition needs Eulerian posets")
+    # every interval of the Eulerian target is Eulerian: no second scan
     rows = []
     for sigma in sorted(tgt.elements, key=lambda s: (tgt.rank(s), s)):
-        li = local_index(_sigma_hat(m, sigma))
-        upper = cd_index(tgt.interval(sigma, tgt.max_elt))
-        rows.append(DecompositionRow(sigma, li.cd, upper))
+        upper = to_cd(ab_index(tgt.interval(sigma, tgt.max_elt)))
+        rows.append(DecompositionRow(sigma, _face_local_index(m, sigma).cd,
+                                     upper))
 
     top = next(r for r in rows if r.sigma == tgt.max_elt)
     if top.local_cd:
         raise InvalidSubdivision("local cd-index of the top element must "
                                  "vanish, got %s" % top.local_cd)
-    total = CdPolynomial.zero()
-    for r in rows:
-        total = total + r.contribution()
-    if total != cd_index(src):
+    total = sum((r.contribution() for r in rows), CdPolynomial.zero())
+    source_cd = to_cd(ab_index(src))
+    if total != source_cd:
         raise InvalidSubdivision(
             "decomposition total %s differs from the source cd-index %s"
-            % (total, cd_index(src)))
+            % (total, source_cd))
     return CdDecomposition(tuple(rows), total)
 
 
@@ -474,23 +480,18 @@ def verify_rank_telescoping(fam, i):
 
     The new chains of posets[i] relative to posets[i-1] must be counted by
     the local flag polynomials of the rank-i faces times the flag
-    polynomials of their upper intervals.
+    polynomials of their upper intervals.  A map that fails strong Eulerian
+    validation falsifies the hypotheses, which is a verdict, not an error.
     """
     if not 1 <= i <= fam.n:
         raise DomainError("telescoping index %d outside 1..%d" % (i, fam.n))
     m = fam.subdivision
+    if not validate_strong_eulerian(m).ok:
+        return False
     tgt = m.target
     lhs = flag_polynomial(fam.posets[i]) - flag_polynomial(fam.posets[i - 1])
     rhs = 0
-    for sigma in tgt.elements:
-        if tgt.rank(sigma) != i:
-            continue
-        try:
-            li = local_index(_sigma_hat(m, sigma))
-        except NotNearEulerian:
-            # a face whose preimage cannot even be capped falsifies the
-            # decomposition hypotheses, which is a verdict, not an error
-            return False
+    for sigma in tgt.level(i):
         upper = flag_polynomial(tgt.interval(sigma, tgt.max_elt))
-        rhs = li.flag * upper + rhs
+        rhs = _face_local_index(m, sigma).flag * upper + rhs
     return lhs == rhs

@@ -13,14 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotLowerEulerian, RequiresBounds
-from .flagcd import ab_index, local_index
-from .ncpoly import UniPolynomial
+from .flagcd import ab_index
+from .ncpoly import UniPolynomial, kappa_word
 from . import poset as ps
-from .subdivision import _sigma_hat, require_valid
-
-_X_MINUS_1 = UniPolynomial((-1, 1))
-# _X_MINUS_1_POWERS[k] = (x - 1)^k, extended on demand by kappa_word
-_X_MINUS_1_POWERS = [UniPolynomial.one()]
+from .subdivision import _face_local_index, require_valid
 
 
 def _require_lower_eulerian(p):
@@ -154,15 +150,6 @@ def _g_word(word):
     return out
 
 
-def kappa_word(word):
-    if "b" in word:
-        return UniPolynomial.zero()
-    powers = _X_MINUS_1_POWERS
-    while len(powers) <= len(word):
-        powers.append(powers[-1] * _X_MINUS_1)
-    return powers[len(word)]
-
-
 def morphism_f(p):
     """Linear map with f(Psi_P) = toric h of P, via the coproduct recursion."""
     out = UniPolynomial.zero()
@@ -210,7 +197,7 @@ def verify_local_correspondence(m):
     src, tgt = m.source, m.target
     table = local_h(m)
     formal_top = tgt.max_elt if src.max_elt is not None else None
-    local_ab = {sigma: local_index(_sigma_hat(m, sigma)).ab
+    local_ab = {sigma: _face_local_index(m, sigma).ab
                 for sigma, _ in table.rows}
     rows = []
     agree = True
@@ -225,10 +212,11 @@ def verify_local_correspondence(m):
         psi_total = 0
         h_total = UniPolynomial.zero()
         for sigma, ell in table.rows:
-            upper = tgt.interval(sigma, tgt.max_elt)
-            psi_total = local_ab[sigma] * ab_index(upper) + psi_total
+            psi_upper = ab_index(tgt.interval(sigma, tgt.max_elt))
+            psi_total = local_ab[sigma] * psi_upper + psi_total
             if sigma != tgt.max_elt:
-                h_total = h_total + ell * toric_h(upper)
-        top = psi_total == ab_index(src)
-        bottom = h_total == toric_h(src)
+                h_total = h_total + ell * morphism_f(psi_upper)
+        psi_src = ab_index(src)
+        top = psi_total == psi_src
+        bottom = h_total == morphism_f(psi_src)  # toric h of the source
     return CorrespondenceReport(tuple(rows), agree, top, bottom)

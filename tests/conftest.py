@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 import cdindex as cd
+from cdindex.subdivision import DecompositionRow
 from cdindex.errors import NotCdExpressible
 from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
                             _parse_least_word, coproduct, kappa,
@@ -187,6 +188,65 @@ def to_cd_by_reduction(p):
         image = CdPolynomial.monomial(cd_word).map_words(CD_IMAGES)
         residual = residual - image * coeff
     return CdPolynomial(out)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type, message and residual of what it raised, so
+    that two routes can be compared on failing inputs too."""
+    try:
+        return ("value", fn(*args))
+    except cd.CdindexError as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "residual", None))
+
+
+def local_index_by_rebuild(m, sigma):
+    """Oracle for the faces' local indexes that subdivision code reads off
+    validation: rebuild the capped preimage of sigma from scratch."""
+    return cd.local_index(cd.adjoin_max(m.preimage_ideal(sigma)))
+
+
+def decompose_rows_by_rebuild(m):
+    """Oracle for decompose_cd rows: rebuilt local index and a checked
+    cd_index of each upper interval."""
+    tgt = m.target
+    return tuple(DecompositionRow(
+        sigma, local_index_by_rebuild(m, sigma).cd,
+        cd.cd_index(tgt.interval(sigma, tgt.max_elt)))
+        for sigma in sorted(tgt.elements, key=lambda s: (tgt.rank(s), s)))
+
+
+def telescoping_by_rebuild(fam, i):
+    """Oracle for verify_rank_telescoping on a validated map."""
+    m = fam.subdivision
+    tgt = m.target
+    lhs = (cd.flag_polynomial(fam.posets[i])
+           - cd.flag_polynomial(fam.posets[i - 1]))
+    rhs = AbPolynomial.zero()
+    for sigma in tgt.level(i):
+        upper = cd.flag_polynomial(tgt.interval(sigma, tgt.max_elt))
+        rhs = rhs + local_index_by_rebuild(m, sigma).flag * upper
+    return lhs == rhs
+
+
+def correspondence_rows_by_rebuild(m):
+    """Oracle for verify_local_correspondence rows: (sigma, f(rebuilt local
+    ab-index), local h)."""
+    return tuple((sigma, cd.morphism_f(local_index_by_rebuild(m, sigma).ab),
+                  ell) for sigma, ell in cd.local_h(m).rows)
+
+
+def cd_index_by_old_route(p):
+    """Oracle for cd_index: test near-Eulerian-ness, then add the cd-index
+    of poset.boundary to the local cd-index, each step building its own
+    semisuspension."""
+    p.require_bounds()
+    if p.top_rank == 0:
+        return CdPolynomial.zero()
+    if p.is_eulerian():
+        return cd.to_cd(cd.ab_index(p))
+    if cd.is_near_eulerian(p):
+        return cd.local_index(p).cd + cd.cd_index(cd.boundary(p))
+    return cd.to_cd(cd.ab_index(p))
 
 
 def random_graded_poset(rng, max_levels=4, max_width=4):

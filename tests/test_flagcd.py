@@ -6,8 +6,9 @@ from cdindex.errors import NotCdExpressible
 from cdindex.ncpoly import (AbPolynomial, CdPolynomial, coefficientwise_leq,
                             is_nonnegative, substitute)
 from conftest import (ab_index_by_chains, bipyramid_lattice,
-                      flag_polynomial_by_chains, polygon_lattice,
-                      random_graded_poset, square_lattice, tetra_lattice)
+                      cd_index_by_old_route, flag_polynomial_by_chains,
+                      outcome, polygon_lattice, random_graded_poset,
+                      square_lattice, tetra_lattice)
 
 
 def test_flag_f_square():
@@ -187,6 +188,32 @@ def test_local_flag_is_difference_of_flag_polynomials(near_eulerian_fixtures):
         want = (cd.flag_polynomial(p)
                 - cd.flag_polynomial(cd.adjoin_max(cd.boundary(p))))
         assert cd.local_index(p).flag == want, name
+
+
+def test_boundary_is_the_interval_below_the_restored_coatom(
+        near_eulerian_fixtures):
+    # local_index reads the capped boundary as [0, tau] of the
+    # semisuspension; the old route capped the ideal below tau afresh
+    for name, p in near_eulerian_fixtures:
+        q, tau = cd.poset._semisuspend(p)
+        interval = q.interval(q.min_elt, tau)
+        capped = cd.adjoin_max(q.induced(q.down_set(tau, strict=True)))
+        assert cd.is_isomorphic(interval, capped), name
+        assert cd.ab_index(interval) == cd.ab_index(capped), name
+
+
+def test_cd_index_matches_old_route(near_eulerian_fixtures,
+                                    eulerian_fixtures, rng):
+    # the old route semisuspended three times; neither-posets must still
+    # raise with the same residual and message
+    neither = [("chain3", cd.chain_poset(3))]
+    neither += [("random%d" % k, random_graded_poset(rng)) for k in range(40)]
+    raised = 0
+    for name, p in near_eulerian_fixtures + eulerian_fixtures + neither:
+        got = outcome(cd.cd_index, p)
+        assert got == outcome(cd_index_by_old_route, p), name
+        raised += got[0] == "raised"
+    assert raised >= 10
 
 
 def test_near_eulerian_cd_index_is_nonhomogeneous():

@@ -6,7 +6,8 @@ import cdindex as cd
 from cdindex.errors import InvalidChain
 from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
 from cdindex.subdivision import _basic_failures
-from conftest import (hexagon_over_triangle, square_lattice,
+from conftest import (decompose_rows_by_rebuild, hexagon_over_triangle,
+                      outcome, square_lattice, telescoping_by_rebuild,
                       tetra_subdivision)
 
 
@@ -140,10 +141,38 @@ def test_skeletal_family_hexagon():
     assert len(lvl2.level(1)) == 6
 
 
+def skeletal_covers_by_definition(m, i):
+    """Elements and covers of skeletal poset i: new source elements carried
+    to rank <= i and old target elements of rank > i, ordered as in the
+    source, by carrier, and as in the target; a cover is a pair with no
+    element in between."""
+    src, tgt = m.source, m.target
+    new = ["new:" + e for e in src.elements if tgt.rank(m(e)) <= i]
+    old = ["old:" + e for e in tgt.elements if tgt.rank(e) > i]
+
+    def lt(x, y):
+        (kx, _, x), (ky, _, y) = x.partition(":"), y.partition(":")
+        if kx == "new" and ky == "new":
+            return src.lt(x, y)
+        if kx == "new":
+            return tgt.le(m(x), y)
+        return kx == ky == "old" and tgt.lt(x, y)
+
+    elements = new + old
+    covers = {(x, y) for x in elements for y in elements
+              if lt(x, y) and not any(lt(x, z) and lt(z, y)
+                                      for z in elements)}
+    return set(elements), covers
+
+
 def test_skeletal_composition_is_carrier(subdivision_fixtures):
     for name, m in subdivision_fixtures:
         fam = cd.skeletal_family(m)
         assert fam.composed_carrier() == m.carrier, name
+        for i, p in enumerate(fam.posets):
+            els = p.elements
+            got = (set(els), {(els[lo], els[hi]) for lo, hi in p.cover_pairs})
+            assert got == skeletal_covers_by_definition(m, i), (name, i)
 
 
 def test_classify_flags_example():
@@ -232,6 +261,42 @@ def test_rank_telescoping_detects_mutation():
     fam.posets = good.posets
     fam.maps = good.maps
     assert not cd.verify_rank_telescoping(fam, 2)
+
+
+def test_decompose_rows_match_rebuilt_faces(subdivision_fixtures):
+    decomposed = 0
+    for name, m in subdivision_fixtures:
+        got = outcome(cd.decompose_cd, m)
+        if got[0] == "raised":
+            # neither route gets past the Eulerian check of an unbounded poset
+            assert "needs both bounds" in got[2], (name, got)
+            continue
+        assert got[1].rows == decompose_rows_by_rebuild(m), name
+        decomposed += 1
+    assert decomposed >= 3
+
+
+def test_telescoping_matches_rebuilt_faces(subdivision_fixtures):
+    for name, m in subdivision_fixtures:
+        fam = cd.skeletal_family(m)
+        for i in range(1, fam.n + 1):
+            got = outcome(cd.verify_rank_telescoping, fam, i)
+            assert got == outcome(telescoping_by_rebuild, fam, i), (name, i)
+
+
+def test_telescoping_is_false_for_invalid_maps():
+    # a map that fails strong Eulerian validation gets a verdict at every
+    # rank, never an exception
+    sq = square_lattice()
+    carrier = {e: e for e in sq.elements}
+    carrier["{0,1}"] = "{0}"
+    broken = cd.SubdivisionMap(sq, sq, carrier)
+    assert not cd.validate_strong_eulerian(broken).ok
+    fam = cd.SkeletalFamily(broken)
+    good = cd.skeletal_family(cd.identity_subdivision(sq))
+    fam.posets, fam.maps = good.posets, good.maps
+    for i in range(1, fam.n + 1):
+        assert cd.verify_rank_telescoping(fam, i) is False, i
 
 
 def test_telescoping_sums_to_total_difference():

@@ -4,12 +4,13 @@ import pytest
 
 import cdindex as cd
 from cdindex.errors import NotGraded, NotLowerEulerian
-from cdindex.ncpoly import AbPolynomial, UniPolynomial, expand_cd, kappa
-from cdindex.toric import kappa_word
-from conftest import (barycentric_solid_triangle, edge_with_points,
+from cdindex.ncpoly import (AbPolynomial, UniPolynomial, expand_cd, kappa,
+                            kappa_word)
+from conftest import (barycentric_solid_triangle,
+                      correspondence_rows_by_rebuild, edge_with_points,
                       g_by_recursion, h_poly_by_recursion,
                       local_h_by_dual_intervals, morphism_f_by_coproduct,
-                      square_lattice, toric_h_by_recursion)
+                      outcome, square_lattice, toric_h_by_recursion)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -214,6 +215,12 @@ def test_verify_local_correspondence(subdivision_fixtures):
             assert report.bottom_identity is True, name
             checked_totals += 1
     assert checked_totals >= 3
+
+
+def test_correspondence_rows_match_rebuilt_faces(subdivision_fixtures):
+    for name, m in subdivision_fixtures:
+        got = outcome(lambda m: cd.verify_local_correspondence(m).rows, m)
+        assert got == outcome(correspondence_rows_by_rebuild, m), name
 
 
 def test_correspondence_identity_subdivision():
