@@ -123,30 +123,6 @@ def face_poset(k, with_max=False):
     return p
 
 
-def poset_face(eid):
-    """Inverse of face_id for ids produced by this module."""
-    if not (eid.startswith("{") and eid.endswith("}")):
-        raise FaceNotFound("id %r is not a face id" % eid)
-    body = eid[1:-1]
-    if not body:
-        return frozenset()
-    out, cur, i = [], [], 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            cur.append(body[i + 1])
-            i += 2
-        elif ch == ",":
-            out.append("".join(cur))
-            cur = []
-            i += 1
-        else:
-            cur.append(ch)
-            i += 1
-    out.append("".join(cur))
-    return frozenset(out)
-
-
 def order_complex(p):
     """The complex of nondegenerate chains of a bounded graded poset."""
     p.require_graded()
@@ -525,10 +501,8 @@ def barycentric_subdivision(k):
     """
     from .subdivision import SubdivisionMap
     base = face_poset(k, with_max=False)
-    oc = order_complex(ps.adjoin_max(face_poset(k)))
+    oc = order_complex(ps.adjoin_max(base))
     sub = face_poset(oc, with_max=False)
-    carrier = {}
-    for f in oc.faces():
-        names = sorted(f, key=lambda eid: len(poset_face(eid)))
-        carrier[face_id(f)] = names[-1] if names else face_id(frozenset())
+    carrier = {face_id(f): max(f, key=base.rank, default=base.min_elt)
+               for f in oc.faces()}
     return oc, SubdivisionMap(sub, base, carrier)

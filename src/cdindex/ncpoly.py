@@ -131,10 +131,6 @@ class _WordPolynomial:
     def coefficient(self, word):
         return self.terms.get(word, 0)
 
-    def homogeneous_part(self, degree):
-        return type(self)({w: c for w, c in self.terms.items()
-                           if self.word_degree(w) == degree})
-
     def is_homogeneous(self):
         degrees = {self.word_degree(w) for w in self.terms}
         return len(degrees) <= 1
@@ -365,10 +361,6 @@ class UniPolynomial:
     @classmethod
     def x(cls):
         return cls((0, 1))
-
-    @classmethod
-    def x_power(cls, k, coeff=1):
-        return cls((0,) * k + (coeff,))
 
     @property
     def degree(self):

@@ -128,9 +128,6 @@ class GradedPoset:
     def lt(self, a, b):
         return a != b and self.le(a, b)
 
-    def comparable(self, a, b):
-        return self.le(a, b) or self.le(b, a)
-
     def covers(self, a, b):
         """b covers a."""
         ia, ib = self.index(a), self.index(b)
@@ -191,10 +188,6 @@ class GradedPoset:
     def maximal_elements(self):
         up = self._up
         return [e for i, e in enumerate(self.elements) if not up[i]]
-
-    def minimal_elements(self):
-        dn = self._dn
-        return [e for i, e in enumerate(self.elements) if not dn[i]]
 
     # -- subposets ---------------------------------------------------------
 
@@ -454,10 +447,11 @@ def join(p, q):
         a, b = q.elements[lo], q.elements[hi]
         if a != q.min_elt and b != q.min_elt:
             covers.append((q_name(a), q_name(b)))
-    p_top = [e for e in p_els
-             if all(f == p.max_elt or not p.lt(e, f) for f in p.elements)]
-    q_bot = [e for e in q_els
-             if all(f == q.min_elt or not q.lt(f, e) for f in q.elements)]
+    # the coatoms of P: strictly below the maximum alone; dually in Q
+    p_top_bit = 1 << p.index(p.max_elt)
+    q_bot_bit = 1 << q.index(q.min_elt)
+    p_top = [e for i, e in enumerate(p.elements) if p._up[i] == p_top_bit]
+    q_bot = [e for i, e in enumerate(q.elements) if q._dn[i] == q_bot_bit]
     covers += [(p_name(a), q_name(b)) for a in p_top for b in q_bot]
     return GradedPoset([p_name(e) for e in p_els] + [q_name(e) for e in q_els],
                        covers)

@@ -5,9 +5,15 @@ A subdivision map carries each element of the source poset to the minimal
 target element containing it.  Validation is eager and cached on the map;
 the decomposition refuses to run on an unvalidated map because the
 decomposition identity is only a theorem under those hypotheses.
-Strong Eulerian validation keeps the capped preimage of each target face
-and its semisuspension on the map; the decomposition, the telescoping check
-and the local-h correspondence read the faces' local indexes from them.
+
+The map keeps one bitmask per target element, of the source elements
+carried to it; the preimage of a target face is the OR of these masks over
+its closed down-set, and both validations, restriction and the image check
+read it.  Each capped preimage (the preimage ideal with a maximum adjoined)
+is built once per map: strong Eulerian validation and toric.local_h share
+it.  Validation also keeps each face's semisuspension; the decomposition,
+the telescoping check and the local-h correspondence read the faces' local
+indexes from them.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ class ValidationReport:
 class SubdivisionMap:
     """Order-preserving surjection source -> target with carrier data."""
 
-    __slots__ = ("source", "target", "carrier", "_cache")
+    __slots__ = ("source", "target", "carrier", "_carried", "_cache")
 
     def __init__(self, source, target, carrier):
         self.source = source
@@ -51,6 +57,10 @@ class SubdivisionMap:
         if unknown:
             raise DomainError("carrier hits unknown target id %r" % unknown[0])
         self.carrier = {e: carrier[e] for e in source.elements}
+        # _carried[t]: bitmask of the source elements carried to target t
+        self._carried = [0] * len(target.elements)
+        for i, e in enumerate(source.elements):
+            self._carried[target.index(self.carrier[e])] |= 1 << i
         self._cache = {}
 
     def __call__(self, e):
@@ -59,13 +69,27 @@ class SubdivisionMap:
         except KeyError:
             raise FaceNotFound("element %r not in source" % (e,))
 
+    def _preimage_mask(self, ix):
+        """Bitmask of the source elements carried into [0, target[ix]]."""
+        tgt = self.target
+        mask = 0
+        for t in tgt._bits(tgt._dn[ix] | 1 << ix):
+            mask |= self._carried[t]
+        return mask
+
     def preimage_ideal_ids(self, sigma):
         """Source elements carried into the closed lower interval [0, sigma]."""
-        below = set(self.target.down_set(sigma, strict=False))
-        return [e for e in self.source.elements if self.carrier[e] in below]
+        return self.source._ids(self._preimage_mask(self.target.index(sigma)))
 
     def preimage_ideal(self, sigma):
         return self.source.induced(self.preimage_ideal_ids(sigma))
+
+    def _capped_preimage(self, sigma):
+        """The preimage ideal of sigma with a maximum adjoined, built once."""
+        capped = self._cache.setdefault("capped", {})
+        if sigma not in capped:
+            capped[sigma] = ps.adjoin_max(self.preimage_ideal(sigma))
+        return capped[sigma]
 
     # -- serialization ------------------------------------------------------
 
@@ -167,7 +191,7 @@ def validate_strong_eulerian(m):
         return m._cache["strong_eulerian"]
     failures = list(_basic_failures(m))
     src, tgt = m.source, m.target
-    faces = {}  # sigma -> (capped preimage, (semisuspension, coatom) or None)
+    faces = {}  # sigma -> (semisuspension, coatom) of its capped preimage
     if not failures:
         if src.top_rank != tgt.top_rank:
             failures.append(("*", "source rank %d != target rank %d"
@@ -180,17 +204,17 @@ def validate_strong_eulerian(m):
     if not failures:
         for sigma in sorted(tgt.elements,
                             key=lambda s: (tgt.rank(s), s)):
-            ideal = m.preimage_ideal(sigma)
-            if ideal.top_rank != tgt.rank(sigma):
+            hat = m._capped_preimage(sigma)
+            rank = hat._ranks[-1] - 1  # the adjoined maximum sits on top
+            if rank != tgt.rank(sigma):
                 failures.append((sigma, "preimage ideal has rank %d, want %d"
-                                 % (ideal.top_rank, tgt.rank(sigma))))
+                                 % (rank, tgt.rank(sigma))))
                 continue
-            hat = ps.adjoin_max(ideal)
             if len(hat.elements) == 2 and hat.top_rank == 1:
-                faces[sigma] = (hat, None)  # preimage of the minimum
+                faces[sigma] = None  # preimage of the minimum
                 continue
             try:
-                faces[sigma] = (hat, ps._semisuspend(hat))
+                faces[sigma] = ps._semisuspend(hat)
             except NotNearEulerian as exc:
                 failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
                                  % exc))
@@ -203,7 +227,7 @@ def validate_strong_eulerian(m):
 def _face_local_index(m, sigma):
     """Local index of the capped preimage of sigma, from the pieces strong
     Eulerian validation kept; the map must have passed it."""
-    hat, semi = m._cache["faces"][sigma]
+    hat, semi = m._capped_preimage(sigma), m._cache["faces"][sigma]
     if semi is None:
         return local_index(hat)
     return _local_from_semisuspension(hat, *semi)[0]
@@ -214,9 +238,8 @@ def _basic_failures(m):
     if not src.is_ranked or not tgt.is_ranked:
         yield ("*", "both posets must be ranked")
         return
-    hit = set(m.carrier.values())
-    for sigma in tgt.elements:
-        if sigma not in hit:
+    for sigma, carried in zip(tgt.elements, m._carried):
+        if not carried:
             yield (sigma, "not in the image of the carrier map")
     for lo, hi in src.cover_pairs:
         a, b = src.elements[lo], src.elements[hi]
@@ -241,13 +264,10 @@ def validate_strong_formal(m):
             if src.rank(z) > tgt.rank(m(z)):
                 failures.append((z, "carrier lowers rank"))
     if not failures:
-        # carried[t]: source elements whose carrier is target element t;
         # rank_mask[r]: source elements of rank r (never above the target's)
-        carried = [0] * len(tgt.elements)
         rank_mask = [0] * (tgt.top_rank + 1)
-        for i, z in enumerate(src.elements):
-            carried[tgt.index(m(z))] |= 1 << i
-            rank_mask[src._ranks[i]] |= 1 << i
+        for i, r in enumerate(src._ranks):
+            rank_mask[r] |= 1 << i
         parity = (sum(rank_mask[0::2]), sum(rank_mask[1::2]))
         bits, up = ps.GradedPoset._bits, src._up
         for ix, x in enumerate(tgt.elements):
@@ -255,16 +275,14 @@ def validate_strong_formal(m):
             # y counts +1 when rank y has the parity of rx, else -1
             same, other = parity[rx % 2], parity[1 - rx % 2]
             # the source elements z with carrier(z) <= x
-            inside_mask = 0
-            for t in bits(tgt._dn[ix] | 1 << ix):
-                inside_mask |= carried[t]
+            inside_mask = m._preimage_mask(ix)
             for iz in bits(inside_mask):
                 z = src.elements[iz]
                 ys_mask = (up[iz] | 1 << iz) & inside_mask
                 total = ((ys_mask & same).bit_count()
                          - (ys_mask & other).bit_count())
                 strong = bool(ys_mask & rank_mask[rx])
-                want = 1 if m(z) == x else 0
+                want = m._carried[ix] >> iz & 1
                 if total != want:
                     failures.append(((z, x), "alternating sum %d, want %d"
                                      % (total, want)))
@@ -325,10 +343,6 @@ class SkeletalFamily:
     @property
     def n(self):
         return len(self.posets) - 1
-
-    def source_id(self, e):
-        """Id of a source element inside posets[n]."""
-        return _tag(NEW, e)
 
     def composed_carrier(self):
         """Compose all skeletal maps, expressed on raw source/target ids."""

@@ -107,13 +107,20 @@ def h_poly_by_recursion(p):
     return acc.reverse(n)
 
 
+def preimage_ids_by_definition(m, sigma):
+    """Oracle for SubdivisionMap.preimage_ideal_ids: the source elements,
+    in source order, whose carrier lies at or below sigma."""
+    return [e for e in m.source.elements if m.target.le(m.carrier[e], sigma)]
+
+
 def local_h_by_dual_intervals(m):
     """Oracle for local_h rows: the explicit alternating sum
     l(sigma) = sum over tau <= sigma of (-1)^(rank sigma - rank tau)
     h(preimage of [0, tau]) g(dual of [tau, sigma])."""
     src, tgt = m.source, m.target
     sigmas = sorted(tgt.elements, key=lambda s: (tgt.rank(s), s))
-    h_of = {s: h_poly_by_recursion(m.preimage_ideal(s)) for s in sigmas}
+    h_of = {s: h_poly_by_recursion(
+        src.induced(preimage_ids_by_definition(m, s))) for s in sigmas}
     rows = []
     for sigma in sigmas:
         acc = UniPolynomial.zero()
@@ -202,7 +209,8 @@ def outcome(fn, *args):
 def local_index_by_rebuild(m, sigma):
     """Oracle for the faces' local indexes that subdivision code reads off
     validation: rebuild the capped preimage of sigma from scratch."""
-    return cd.local_index(cd.adjoin_max(m.preimage_ideal(sigma)))
+    ideal = m.source.induced(preimage_ids_by_definition(m, sigma))
+    return cd.local_index(cd.adjoin_max(ideal))
 
 
 def decompose_rows_by_rebuild(m):
@@ -409,8 +417,8 @@ def near_eulerian_pool():
     for name, m in subdivision_pool():
         for sigma in m.target.elements:
             if m.target.rank(sigma) >= 1:
-                pool.append(("%s %s" % (name, sigma),
-                             cd.adjoin_max(m.preimage_ideal(sigma))))
+                ideal = m.source.induced(preimage_ids_by_definition(m, sigma))
+                pool.append(("%s %s" % (name, sigma), cd.adjoin_max(ideal)))
     discs = [("path2", [["1", "2"], ["2", "3"]]),
              ("half_triangle", [["1", "2", "4"], ["2", "3", "4"]]),
              ("fan3", [["l", "b1", "t"], ["b1", "b2", "t"], ["b2", "r", "t"]])]

@@ -103,12 +103,39 @@ def test_join_b3_b2_shape():
     assert len(j.elements) == 7 + 3
 
 
-def test_suspension_is_join_with_b2():
+def join_covers_by_definition(p, q):
+    """Elements and covers of P * Q: P minus its maximum below Q minus its
+    minimum, ids prefixed L:/R: when the two sides share one; a cover is a
+    pair with no element in between."""
+    left = [e for e in p.elements if e != p.max_elt]
+    right = [e for e in q.elements if e != q.min_elt]
+    pre = ("L:", "R:") if set(left) & set(right) else ("", "")
+    side = {pre[0] + e: (0, e) for e in left}
+    side.update({pre[1] + e: (1, e) for e in right})
+
+    def lt(x, y):
+        (sx, x), (sy, y) = side[x], side[y]
+        if sx != sy:
+            return sx < sy
+        return (p if sx == 0 else q).lt(x, y)
+
+    covers = {(x, y) for x in side for y in side
+              if lt(x, y) and not any(lt(x, z) and lt(z, y) for z in side)}
+    return set(side), covers
+
+
+def test_suspension_is_join_with_b2(eulerian_fixtures):
     sq = cd.face_poset(cd.make_polygon(4), with_max=True)
     s = cd.suspension(sq)
     assert s.is_eulerian()
     assert s.top_rank == sq.top_rank + 1
     assert cd.is_isomorphic(s, cd.join(sq, cd.boolean_poset(2)))
+    b2 = cd.boolean_poset(2)
+    for name, p in eulerian_fixtures:
+        for q in (b2, p):
+            j = cd.join(p, q)
+            got = (set(j.elements), cover_names(j))
+            assert got == join_covers_by_definition(p, q), name
 
 
 def test_pyramid_of_boolean_is_boolean():

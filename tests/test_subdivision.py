@@ -7,8 +7,8 @@ from cdindex.errors import InvalidChain
 from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
 from cdindex.subdivision import _basic_failures
 from conftest import (decompose_rows_by_rebuild, hexagon_over_triangle,
-                      outcome, square_lattice, telescoping_by_rebuild,
-                      tetra_subdivision)
+                      outcome, preimage_ids_by_definition, square_lattice,
+                      telescoping_by_rebuild, tetra_subdivision)
 
 
 def test_validate_strong_eulerian_fixtures(subdivision_fixtures):
@@ -64,7 +64,7 @@ def strong_formal_failures_by_loop(m):
         return failures
     for x in tgt.elements:
         rx = tgt.rank(x)
-        inside = set(m.preimage_ideal_ids(x))
+        inside = set(preimage_ids_by_definition(m, x))
         for z in src.elements:
             if not tgt.le(m(z), x):
                 continue
@@ -95,6 +95,28 @@ def test_strong_formal_failures_match_elementwise_sums(subdivision_fixtures):
                 assert list(got) == want, (name, z, x)
                 reached += any(isinstance(f[0], tuple) for f in want)
     assert reached >= 10
+
+
+def one_element_moves(m):
+    """The map itself, then every map that moves the carrier of one source
+    element to another target element."""
+    yield m
+    for z in m.source.elements:
+        for x in m.target.elements:
+            if x != m(z):
+                yield cd.SubdivisionMap(m.source, m.target,
+                                        {**m.carrier, z: x})
+
+
+def test_preimage_ideal_ids_match_definition(subdivision_fixtures):
+    maps = 0
+    for name, m in subdivision_fixtures:
+        for moved in one_element_moves(m):
+            for sigma in moved.target.elements:
+                assert moved.preimage_ideal_ids(sigma) == \
+                    preimage_ids_by_definition(moved, sigma), (name, sigma)
+            maps += 1
+    assert maps > 500
 
 
 def test_restrict_to_edge_is_path():

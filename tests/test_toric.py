@@ -3,6 +3,7 @@
 import pytest
 
 import cdindex as cd
+from cdindex import poset as ps
 from cdindex.errors import NotGraded, NotLowerEulerian
 from cdindex.ncpoly import (AbPolynomial, UniPolynomial, expand_cd, kappa,
                             kappa_word)
@@ -129,6 +130,33 @@ def test_local_h_matches_dual_interval_sum(subdivision_fixtures):
         assert table.total == h_poly_by_recursion(top_ideal), name
         checked += 1
     assert checked >= 5
+
+
+def test_local_h_reuses_validated_faces(monkeypatch):
+    # after strong Eulerian validation, local_h reads the capped preimages
+    # the map already holds and relies on the target's own Eulerian check
+    # for the intervals [tau, sigma]
+    _, m = cd.barycentric_subdivision(cd.make_boundary_simplex(3))
+    mt = cd.with_adjoined_tops(m)
+    assert cd.validate_strong_eulerian(mt).ok
+    calls = {"adjoin_max": 0, "eulerian_scan": 0}
+    adjoin_max, scan = ps.adjoin_max, ps.GradedPoset._intervals_eulerian
+
+    def counted_adjoin_max(p):
+        calls["adjoin_max"] += 1
+        return adjoin_max(p)
+
+    def counted_scan(p):
+        calls["eulerian_scan"] += 1
+        return scan(p)
+
+    monkeypatch.setattr(ps, "adjoin_max", counted_adjoin_max)
+    monkeypatch.setattr(ps.GradedPoset, "_intervals_eulerian", counted_scan)
+    rows = cd.local_h(mt).rows
+    assert calls["adjoin_max"] == 0
+    assert calls["eulerian_scan"] <= 2  # the target and the source
+    monkeypatch.undo()
+    assert rows == local_h_by_dual_intervals(mt)
 
 
 def test_local_h_symmetry(subdivision_fixtures):
