@@ -347,48 +347,53 @@ def find_shelling(k, max_nodes=10 ** 6):
 
     Returns a facet order, or None when the search space is exhausted.
     Raises SearchCutoff when the node budget runs out, so an aborted search
-    is never mistaken for a proof that no shelling exists.
+    is never mistaken for a proof that no shelling exists.  The search keeps
+    its own stack, one candidate iterator per chosen facet, so its depth
+    (the number of facets) is not bounded by the interpreter's recursion
+    limit.
     """
     if not k.is_pure():
         raise NotPure("shelling is defined for pure complexes")
     facets = list(k.facets)
     if len(facets) <= 1:
         return facets
-    d = k.dim
-    budget = [max_nodes]
+    budget = max_nodes
 
     def ridge_count(f, used_faces):
         return sum(1 for v in f if (f - {v}) in used_faces)
 
-    def backtrack(chosen, used, faces):
-        if budget[0] <= 0:
-            raise SearchCutoff("shelling search exceeded %d nodes" % max_nodes)
-        budget[0] -= 1
-        if len(chosen) == len(facets):
-            return list(chosen)
-        ranked = sorted(
-            (f for f in facets if f not in used),
-            key=lambda f: (-ridge_count(f, faces), sorted(f)))
-        for f in ranked:
-            if not _shelling_step_ok(faces, f):
-                continue
-            added = [x for x in _closure_of(f) if x not in faces]
+    for first in facets:
+        chosen, used, faces = [first], {first}, set(_closure_of(first))
+        added = []   # faces new with each facet after the first
+        tries = []   # candidate iterator of each node entered
+        while True:
+            # enter the node for the partial order `chosen`
+            if budget <= 0:
+                raise SearchCutoff("shelling search exceeded %d nodes"
+                                   % max_nodes)
+            budget -= 1
+            if len(chosen) == len(facets):
+                return chosen
+            tries.append(iter(sorted(
+                (f for f in facets if f not in used),
+                key=lambda f: (-ridge_count(f, faces), sorted(f)))))
+            # advance to the next admissible candidate, backtracking out of
+            # nodes whose candidates are spent
+            while tries:
+                f = next((f for f in tries[-1]
+                          if _shelling_step_ok(faces, f)), None)
+                if f is not None:
+                    break
+                tries.pop()
+                if added:
+                    faces.difference_update(added.pop())
+                    used.remove(chosen.pop())
+            else:
+                break  # no order starts with `first`
+            added.append([x for x in _closure_of(f) if x not in faces])
             chosen.append(f)
             used.add(f)
-            faces.update(added)
-            out = backtrack(chosen, used, faces)
-            if out is not None:
-                return out
-            chosen.pop()
-            used.remove(f)
-            faces.difference_update(added)
-        return None
-
-    for first in facets:
-        faces = set(_closure_of(first))
-        out = backtrack([first], {first}, faces)
-        if out is not None:
-            return out
+            faces.update(added[-1])
     return None
 
 

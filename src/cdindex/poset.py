@@ -5,8 +5,11 @@ relation is cached as one bitmask row per element (elements of the strict
 up-set / down-set).  Comparability is one bit test; sub-posets, intervals,
 the Eulerian scan and chain counting downstream visit only the set bits of
 these rows, by lowbit iteration (``low = m & -m``), and count with
-popcounts.  Values are immutable after construction: every operator builds
-a fresh poset.
+popcounts.  The order is immutable after construction: every operator
+builds a fresh poset.  Two memo slots keep what a poset has proven:
+``_balanced``, the verdict of the Eulerian interval scan, which ``interval``
+passes on when True (an interval's intervals are intervals of its parent),
+and ``_semi``, the semisuspension once its construction has succeeded.
 
 Gradedness is verified eagerly but a failure is recorded, not raised;
 non-graded posets stay usable for order-only operations and reject
@@ -24,7 +27,8 @@ class GradedPoset:
     """Finite poset with cached reachability and (when possible) ranks."""
 
     __slots__ = ("elements", "_idx", "cover_pairs", "_up", "_dn",
-                 "_ranks", "is_ranked", "is_graded", "min_elt", "max_elt")
+                 "_ranks", "is_ranked", "is_graded", "min_elt", "max_elt",
+                 "_balanced", "_semi")
 
     def __init__(self, elements, covers):
         elements = tuple(str(e) for e in elements)
@@ -86,6 +90,8 @@ class GradedPoset:
                           and len({ranks[i] for i in maximal}) <= 1)
         self.min_elt = elements[minimal[0]] if len(minimal) == 1 else None
         self.max_elt = elements[maximal[0]] if len(maximal) == 1 else None
+        self._balanced = None  # _intervals_eulerian verdict, once scanned
+        self._semi = None      # (semisuspension, coatom), once it succeeded
 
     def _topo_order(self, up_adj, dn_adj):
         n = len(self.elements)
@@ -214,7 +220,10 @@ class GradedPoset:
             raise DomainError("%s is not below %s" % (lo, hi))
         mask = ((self._up[ilo] | 1 << ilo)
                 & (self._dn[ihi] | 1 << ihi))
-        return self.induced(self._ids(mask))
+        q = self.induced(self._ids(mask))
+        if self._balanced:
+            q._balanced = True
+        return q
 
     def proper_part(self):
         """The poset minus its bounds."""
@@ -228,32 +237,6 @@ class GradedPoset:
         return self.induced([e for e in self.elements if e != self.max_elt])
 
     # -- chains ------------------------------------------------------------
-
-    def enumerate_chains(self):
-        """Yield every nondegenerate chain (as an id tuple), empty chain first.
-
-        Requires a graded poset with both bounds; the bounds never appear in
-        the chains.
-        """
-        self.require_bounds()
-        proper = [e for e in self.elements
-                  if e not in (self.min_elt, self.max_elt)]
-        proper.sort(key=lambda e: (self._ranks[self.index(e)], e))
-        up = self._up
-        idx = self._idx
-
-        def extend(chain, above_mask, start):
-            yield tuple(chain)
-            for k in range(start, len(proper)):
-                e = proper[k]
-                i = idx[e]
-                if chain and not (above_mask >> i & 1):
-                    continue
-                chain.append(e)
-                yield from extend(chain, up[i], k + 1)
-                chain.pop()
-
-        yield from extend([], 0, 0)
 
     def maximal_chains(self):
         """Inclusion-maximal chains of the proper part (graded, bounded)."""
@@ -292,14 +275,18 @@ class GradedPoset:
         self.require_graded()
         if self.min_elt is None or self.max_elt is None:
             raise RequiresBounds("Eulerian test needs both bounds")
-        return self._intervals_eulerian()
+        if self._balanced is None:
+            self._balanced = self._intervals_eulerian()
+        return self._balanced
 
     def is_lower_eulerian(self):
         """All closed intervals are Eulerian and a minimum exists."""
         if self.min_elt is None:
             raise RequiresMin("lower Eulerian test needs a minimum")
         self._need_ranked()
-        return self._intervals_eulerian()
+        if self._balanced is None:
+            self._balanced = self._intervals_eulerian()
+        return self._balanced
 
     def _intervals_eulerian(self):
         n = len(self.elements)
@@ -497,8 +484,11 @@ def _semisuspend(p):
 
     The new coatom covers exactly the elements y whose upper interval
     [y, 1] has three elements, and is covered by the maximum.  Raises
-    NotNearEulerian unless the result is an Eulerian poset.
+    NotNearEulerian unless the result is an Eulerian poset.  A success is
+    kept on p, so every later call returns the same pair.
     """
+    if p._semi is not None:
+        return p._semi
     if p.max_elt is None or p.min_elt is None:
         raise NotNearEulerian("semisuspension needs both bounds")
     if not p.is_graded:
@@ -514,7 +504,8 @@ def _semisuspend(p):
     if not (q.is_graded and q.min_elt is not None and q.max_elt is not None
             and q.is_eulerian()):
         raise NotNearEulerian("adjoining the missing coatom is not Eulerian")
-    return q, tau
+    p._semi = q, tau
+    return p._semi
 
 
 def semisuspension(p):
@@ -533,7 +524,7 @@ def is_near_eulerian(p):
 
 def boundary(p):
     """Boundary poset: P minus its maximum when P is Eulerian, else the
-    ideal below the restored coatom with a fresh maximum adjoined."""
+    interval [0, tau] of the semisuspension below its restored coatom tau."""
     try:
         eulerian = p.is_eulerian()
     except (RequiresBounds, NotGraded):
@@ -541,8 +532,7 @@ def boundary(p):
     if eulerian:
         return p.without_max()
     q, tau = _semisuspend(p)
-    below = q.down_set(tau, strict=True)
-    return adjoin_max(q.induced(below))
+    return q.interval(q.min_elt, tau)
 
 
 def interior_elements(p):

@@ -11,9 +11,10 @@ carried to it; the preimage of a target face is the OR of these masks over
 its closed down-set, and both validations, restriction and the image check
 read it.  Each capped preimage (the preimage ideal with a maximum adjoined)
 is built once per map: strong Eulerian validation and toric.local_h share
-it.  Validation also keeps each face's semisuspension; the decomposition,
-the telescoping check and the local-h correspondence read the faces' local
-indexes from them.
+it.  The capped preimage keeps the semisuspension that validation built, so
+the local index the decomposition, the telescoping check and the local-h
+correspondence take of it does not build that again, and the intervals of
+an Eulerian target inherit its verdict instead of being scanned again.
 """
 from __future__ import annotations
 
@@ -22,10 +23,10 @@ from dataclasses import dataclass, field
 
 from . import poset as ps
 from .errors import (DomainError, FaceNotFound, InvalidChain,
-                     InvalidSubdivision, NotNearEulerian, ValidationRequired)
-from .flagcd import (_local_from_semisuspension, ab_index, flag_polynomial,
-                     local_index)
-from .ncpoly import CdPolynomial, to_cd
+                     InvalidSubdivision, NotNearEulerian, RequiresBounds,
+                     ValidationRequired)
+from .flagcd import cd_index, flag_polynomial, local_index
+from .ncpoly import CdPolynomial
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,6 @@ def validate_strong_eulerian(m):
         return m._cache["strong_eulerian"]
     failures = list(_basic_failures(m))
     src, tgt = m.source, m.target
-    faces = {}  # sigma -> (semisuspension, coatom) of its capped preimage
     if not failures:
         if src.top_rank != tgt.top_rank:
             failures.append(("*", "source rank %d != target rank %d"
@@ -211,26 +211,15 @@ def validate_strong_eulerian(m):
                                  % (rank, tgt.rank(sigma))))
                 continue
             if len(hat.elements) == 2 and hat.top_rank == 1:
-                faces[sigma] = None  # preimage of the minimum
-                continue
+                continue  # preimage of the minimum
             try:
-                faces[sigma] = ps._semisuspend(hat)
+                ps._semisuspend(hat)
             except NotNearEulerian as exc:
                 failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
                                  % exc))
     report = ValidationReport("strong_eulerian", not failures, tuple(failures))
     m._cache["strong_eulerian"] = report
-    m._cache["faces"] = faces
     return report
-
-
-def _face_local_index(m, sigma):
-    """Local index of the capped preimage of sigma, from the pieces strong
-    Eulerian validation kept; the map must have passed it."""
-    hat, semi = m._capped_preimage(sigma), m._cache["faces"][sigma]
-    if semi is None:
-        return local_index(hat)
-    return _local_from_semisuspension(hat, *semi)[0]
 
 
 def _basic_failures(m):
@@ -463,25 +452,32 @@ def decompose_cd(m):
 
     Each row holds the local cd-index of the capped preimage of sigma and
     the cd-index of the upper interval [sigma, 1]; the weighted sum must
-    reproduce the cd-index of the source, which is asserted.
+    reproduce the cd-index of the source, which is asserted.  A source or
+    target without both bounds raises RequiresBounds naming it.
     """
     require_valid(m, "strong_eulerian")
     src, tgt = m.source, m.target
+    for side, p in (("target", tgt), ("source", src)):
+        missing = [b for b, e in (("minimum", p.min_elt),
+                                  ("maximum", p.max_elt)) if e is None]
+        if missing:
+            raise RequiresBounds(
+                "decomposition needs Eulerian posets, but the %s has no %s; "
+                "with_adjoined_tops adjoins formal maxima to both sides of a "
+                "sphere's subdivision"
+                % (side, " and no ".join(missing)))
     if not (tgt.is_eulerian() and src.is_eulerian()):
         raise InvalidSubdivision("decomposition needs Eulerian posets")
-    # every interval of the Eulerian target is Eulerian: no second scan
-    rows = []
-    for sigma in sorted(tgt.elements, key=lambda s: (tgt.rank(s), s)):
-        upper = to_cd(ab_index(tgt.interval(sigma, tgt.max_elt)))
-        rows.append(DecompositionRow(sigma, _face_local_index(m, sigma).cd,
-                                     upper))
+    rows = [DecompositionRow(sigma, local_index(m._capped_preimage(sigma)).cd,
+                             cd_index(tgt.interval(sigma, tgt.max_elt)))
+            for sigma in sorted(tgt.elements, key=lambda s: (tgt.rank(s), s))]
 
     top = next(r for r in rows if r.sigma == tgt.max_elt)
     if top.local_cd:
         raise InvalidSubdivision("local cd-index of the top element must "
                                  "vanish, got %s" % top.local_cd)
     total = sum((r.contribution() for r in rows), CdPolynomial.zero())
-    source_cd = to_cd(ab_index(src))
+    source_cd = cd_index(src)
     if total != source_cd:
         raise InvalidSubdivision(
             "decomposition total %s differs from the source cd-index %s"
@@ -507,5 +503,5 @@ def verify_rank_telescoping(fam, i):
     rhs = 0
     for sigma in tgt.level(i):
         upper = flag_polynomial(tgt.interval(sigma, tgt.max_elt))
-        rhs = _face_local_index(m, sigma).flag * upper + rhs
+        rhs = local_index(m._capped_preimage(sigma)).flag * upper + rhs
     return lhs == rhs

@@ -9,19 +9,19 @@ the classical simplicial h-vector all follow.  The defining recursions over
 lower intervals are kept in the tests as the independent oracle.
 
 local_h reads each face's capped preimage from the subdivision map, which
-builds it once and shares it with strong Eulerian validation, and it takes
-g of the intervals [tau, sigma] without re-scanning them: the target's own
-Eulerian check covers every interval.
+builds it once and shares it with strong Eulerian validation.  It takes
+g_poly of the intervals [tau, sigma], which inherit the target's Eulerian
+verdict and so are not scanned again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import NotLowerEulerian, RequiresBounds
-from .flagcd import ab_index
+from .flagcd import ab_index, local_index
 from .ncpoly import UniPolynomial, kappa_word
 from . import poset as ps
-from .subdivision import _face_local_index, require_valid
+from .subdivision import require_valid
 
 
 def _require_lower_eulerian(p):
@@ -54,11 +54,6 @@ def g_poly(p):
     p.require_bounds()
     if not p.is_eulerian():
         raise NotLowerEulerian("g-polynomial needs an Eulerian poset")
-    return _g_poly(p)
-
-
-def _g_poly(p):
-    """g_poly of a poset already known to be Eulerian."""
     if p.top_rank == 0:
         return UniPolynomial.one()  # Psi of a point is 0, its g is 1
     return morphism_g(ab_index(p))
@@ -129,9 +124,8 @@ def local_h(m):
     solved = {}
     for sigma in sigmas:
         acc = h_of[sigma]
-        # every interval of the Eulerian target is Eulerian: no re-scan
         for tau in tgt.down_set(sigma, strict=True):
-            acc = acc - solved[tau] * _g_poly(tgt.interval(tau, sigma))
+            acc = acc - solved[tau] * g_poly(tgt.interval(tau, sigma))
         solved[sigma] = acc
     rows = tuple((s, solved[s]) for s in sigmas)
     return LocalHTable(rows=rows, total=h_of[tgt.max_elt])
@@ -209,7 +203,7 @@ def verify_local_correspondence(m):
     src, tgt = m.source, m.target
     table = local_h(m)
     formal_top = tgt.max_elt if src.max_elt is not None else None
-    local_ab = {sigma: _face_local_index(m, sigma).ab
+    local_ab = {sigma: local_index(m._capped_preimage(sigma)).ab
                 for sigma, _ in table.rows}
     rows = []
     agree = True

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import settings
 
 import cdindex as cd
+from cdindex.complexes import _closure_of, _shelling_step_ok
 from cdindex.subdivision import DecompositionRow
-from cdindex.errors import NotCdExpressible
+from cdindex.errors import NotCdExpressible, NotPure, SearchCutoff
 from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
                             _parse_least_word, coproduct, kappa,
                             tensor_collapse)
@@ -132,6 +133,26 @@ def local_h_by_dual_intervals(m):
     return tuple(rows)
 
 
+def enumerate_chains(p):
+    """Yield every nondegenerate chain of a bounded graded poset (as an id
+    tuple, in (rank, id) order), empty chain first; the bounds never appear
+    in the chains."""
+    p.require_bounds()
+    proper = sorted((e for e in p.elements if e not in (p.min_elt, p.max_elt)),
+                    key=lambda e: (p.rank(e), e))
+
+    def extend(chain, start):
+        yield tuple(chain)
+        for k in range(start, len(proper)):
+            if chain and not p.lt(chain[-1], proper[k]):
+                continue
+            chain.append(proper[k])
+            yield from extend(chain, k + 1)
+            chain.pop()
+
+    yield from extend([], 0)
+
+
 def flag_polynomial_by_chains(p):
     """Oracle for flag_polynomial: sum of alpha^C over listed chains."""
     p.require_bounds()
@@ -139,7 +160,7 @@ def flag_polynomial_by_chains(p):
     if n < 0:
         return AbPolynomial.zero()
     out = {}
-    for chain in p.enumerate_chains():
+    for chain in enumerate_chains(p):
         ranks = {p.rank(e) for e in chain}
         word = "".join("b" if r in ranks else "a" for r in range(1, n + 1))
         out[word] = out.get(word, 0) + 1
@@ -156,7 +177,7 @@ def ab_index_by_chains(p):
     a_minus_b = AbPolynomial({"a": 1, "b": -1})
     b = AbPolynomial.monomial("b")
     out = AbPolynomial.zero()
-    for chain in p.enumerate_chains():
+    for chain in enumerate_chains(p):
         ranks = {p.rank(e) for e in chain}
         prod = AbPolynomial.one()
         for r in range(1, n + 1):
@@ -255,6 +276,52 @@ def cd_index_by_old_route(p):
     if cd.is_near_eulerian(p):
         return cd.local_index(p).cd + cd.cd_index(cd.boundary(p))
     return cd.to_cd(cd.ab_index(p))
+
+
+def find_shelling_by_recursion(k, max_nodes=10 ** 6):
+    """Oracle for find_shelling: the same backtracking search written as a
+    recursion, with the same candidate order and one budget unit per node.
+    Its depth is the number of facets."""
+    if not k.is_pure():
+        raise NotPure("shelling is defined for pure complexes")
+    facets = list(k.facets)
+    if len(facets) <= 1:
+        return facets
+    budget = [max_nodes]
+
+    def ridge_count(f, used_faces):
+        return sum(1 for v in f if (f - {v}) in used_faces)
+
+    def backtrack(chosen, used, faces):
+        if budget[0] <= 0:
+            raise SearchCutoff("shelling search exceeded %d nodes" % max_nodes)
+        budget[0] -= 1
+        if len(chosen) == len(facets):
+            return list(chosen)
+        ranked = sorted(
+            (f for f in facets if f not in used),
+            key=lambda f: (-ridge_count(f, faces), sorted(f)))
+        for f in ranked:
+            if not _shelling_step_ok(faces, f):
+                continue
+            added = [x for x in _closure_of(f) if x not in faces]
+            chosen.append(f)
+            used.add(f)
+            faces.update(added)
+            out = backtrack(chosen, used, faces)
+            if out is not None:
+                return out
+            chosen.pop()
+            used.remove(f)
+            faces.difference_update(added)
+        return None
+
+    for first in facets:
+        faces = set(_closure_of(first))
+        out = backtrack([first], {first}, faces)
+        if out is not None:
+            return out
+    return None
 
 
 def random_graded_poset(rng, max_levels=4, max_width=4):

@@ -1,12 +1,15 @@
 """Simplicial complexes: face posets, homology, shellings, generators."""
+import json
 import random
 
 import pytest
 
 import cdindex as cd
-from cdindex.errors import FaceNotFound, NotPure
+from cdindex.cli import run
+from cdindex.errors import FaceNotFound, NotPure, SearchCutoff
 from cdindex.ncpoly import UniPolynomial, coefficientwise_leq
-from conftest import octahedron_complex, polygon_lattice, square_lattice
+from conftest import (find_shelling_by_recursion, octahedron_complex, outcome,
+                      polygon_lattice, square_lattice)
 
 
 def test_face_poset_triangle_is_b3():
@@ -318,3 +321,69 @@ def test_find_shelling_cutoff_is_distinct_from_exhausted():
     k = cd.make_stacked(3, 5, seed=3).boundary
     with pytest.raises(SearchCutoff):
         cd.find_shelling(k, max_nodes=2)
+
+
+def shelling_pool():
+    """Every complex the tests search for a shelling, plus searches that
+    must backtrack (two disconnected parts, a bowtie) and a non-pure
+    complex."""
+    strip = [["1", "2", "3"], ["2", "3", "4"], ["3", "4", "5"]]
+    return [
+        ("tetra", cd.make_boundary_simplex(3)),
+        ("hexagon", cd.make_polygon(6)),
+        ("pentagon", cd.make_polygon(5)),
+        ("octahedron", octahedron_complex()),
+        ("stacked34", cd.make_stacked(3, 4).boundary),
+        ("stacked34s2", cd.make_stacked(3, 4, seed=2).boundary),
+        ("stacked34s7", cd.make_stacked(3, 4, seed=7).boundary),
+        ("stacked35s3", cd.make_stacked(3, 5, seed=3).boundary),
+        ("ball3", cd.SimplicialComplex([["1", "2", "3", "4"],
+                                        ["1", "2", "3", "5"],
+                                        ["1", "2", "4", "5"]])),
+        ("ball4", cd.SimplicialComplex([["1", "-1", "2", "3"],
+                                        ["1", "-1", "3", "-2"],
+                                        ["1", "-1", "-2", "-3"],
+                                        ["1", "-1", "-3", "2"]])),
+        ("two_triangles", cd.SimplicialComplex([["a", "b", "c"],
+                                                ["d", "e", "f"]])),
+        ("strip_and_triangle", cd.SimplicialComplex(strip
+                                                    + [["a", "b", "c"]])),
+        ("bowtie", cd.SimplicialComplex([["1", "2", "3"], ["3", "4", "5"]])),
+        ("single", cd.make_simplex(2)),
+        ("not_pure", cd.SimplicialComplex([["1", "2", "3"], ["3", "4"]])),
+    ]
+
+
+def test_find_shelling_matches_recursive_search():
+    """Equal orders, None results and SearchCutoff points: at every budget
+    up to the one the search needs, both searches answer alike."""
+    needed = {}
+    for name, k in shelling_pool():
+        budget = 0
+        while True:
+            got = outcome(cd.find_shelling, k, budget)
+            assert got == outcome(find_shelling_by_recursion, k, budget), \
+                (name, budget)
+            if got[0] == "value" or got[1] is not SearchCutoff:
+                break
+            budget += 1
+        assert outcome(cd.find_shelling, k) == got, name
+        needed[name] = budget
+    # the strip is searched from each of its facets before it fails
+    assert needed["strip_and_triangle"] == 12
+
+
+def test_find_shelling_of_1202_facets(capsys, tmp_path):
+    """The search depth equals the number of facets; a recursive search
+    overflowed the interpreter's stack here."""
+    assert run(["generate", "--shape", "stacked", "--dim", "3",
+                "--k", "600"]) == 0
+    path = tmp_path / "stacked600.json"
+    path.write_text(capsys.readouterr().out)
+    k = cd.SimplicialComplex.from_json(path.read_text())
+    assert len(k.facets) == 1202
+    assert run(["verify", "--property", "shelling", "--format", "json",
+                "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    order = [f.split(",") for f in report["shelling"].split(";")]
+    assert report["ok"] and cd.verify_shelling(k, order)

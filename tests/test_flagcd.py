@@ -192,7 +192,7 @@ def test_local_flag_is_difference_of_flag_polynomials(near_eulerian_fixtures):
 
 def test_boundary_is_the_interval_below_the_restored_coatom(
         near_eulerian_fixtures):
-    # local_index reads the capped boundary as [0, tau] of the
+    # local_index and boundary read the capped boundary as [0, tau] of the
     # semisuspension; the old route capped the ideal below tau afresh
     for name, p in near_eulerian_fixtures:
         q, tau = cd.poset._semisuspend(p)
@@ -200,6 +200,10 @@ def test_boundary_is_the_interval_below_the_restored_coatom(
         capped = cd.adjoin_max(q.induced(q.down_set(tau, strict=True)))
         assert cd.is_isomorphic(interval, capped), name
         assert cd.ab_index(interval) == cd.ab_index(capped), name
+        bd = cd.boundary(p)
+        assert bd.max_elt == tau and bd.elements == interval.elements, name
+        assert cd.is_isomorphic(bd, capped), name
+        assert cd.cd_index(bd) == cd.cd_index(capped), name
 
 
 def test_cd_index_matches_old_route(near_eulerian_fixtures,

@@ -7,8 +7,8 @@ import cdindex as cd
 from cdindex.errors import (CycleDetected, DomainError, NotALattice,
                             NotGraded, NotNearEulerian, RequiresBounds,
                             RequiresMin)
-from conftest import (eulerian_by_mobius, eulerian_pool, random_eulerian,
-                      random_graded_poset)
+from conftest import (enumerate_chains, eulerian_by_mobius, eulerian_pool,
+                      random_eulerian, random_graded_poset)
 
 EULERIAN_POOL = [p for _, p in eulerian_pool() if len(p.elements) <= 32]
 
@@ -70,7 +70,7 @@ def test_lower_eulerian():
 
 def test_enumerate_chains_square():
     sq = cd.face_poset(cd.make_polygon(4), with_max=True)
-    chains = list(sq.enumerate_chains())
+    chains = list(enumerate_chains(sq))
     assert chains[0] == ()
     by_size = {}
     for c in chains:
@@ -81,10 +81,10 @@ def test_enumerate_chains_square():
 
 def test_enumerate_chains_two_step_chain_and_b3():
     p = cd.build_poset(["0", "1"], [("0", "1")])
-    assert list(p.enumerate_chains()) == [()]
+    assert list(enumerate_chains(p)) == [()]
     b3 = cd.boolean_poset(3)
     by_size = {}
-    for c in b3.enumerate_chains():
+    for c in enumerate_chains(b3):
         by_size[len(c)] = by_size.get(len(c), 0) + 1
     assert by_size == {0: 1, 1: 6, 2: 6}
 
@@ -453,3 +453,86 @@ def test_is_isomorphic_past_the_recursion_limit(rng):
     b10 = cd.boolean_poset(10)
     assert cd.is_isomorphic(b10, relabelled(b10, rng))
     assert cd.is_isomorphic(b10, cd.dual(b10))
+
+
+# -- what a poset remembers: the Eulerian verdict and the semisuspension -----
+
+
+def intervals_inherit_the_verdict(p):
+    """Every closed interval of a poset scanned balanced carries the True
+    verdict, and a fresh scan of the interval agrees."""
+    for s in p.elements:
+        for t in p.up_set(s, strict=False):
+            q = p.interval(s, t)
+            assert q._balanced is True, (s, t)
+            assert q._intervals_eulerian() is True, (s, t)
+
+
+def test_intervals_inherit_the_eulerian_verdict(eulerian_fixtures):
+    for name, p in eulerian_fixtures:
+        fresh = cd.build_poset(p.elements, [(p.elements[lo], p.elements[hi])
+                                            for lo, hi in p.cover_pairs])
+        # no verdict before the scan, so nothing to pass on
+        assert fresh.interval(fresh.min_elt, fresh.max_elt)._balanced is None
+        assert fresh.is_eulerian()
+        intervals_inherit_the_verdict(fresh)
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_intervals_of_random_eulerian_inherit_the_verdict(rng):
+    p = random_eulerian(rng, EULERIAN_POOL)
+    assert p.is_eulerian()
+    intervals_inherit_the_verdict(p)
+
+
+def test_intervals_of_lower_eulerian_down_sets_inherit_the_verdict(
+        eulerian_fixtures):
+    downs = [p.without_max() for _, p in eulerian_fixtures]
+    downs += [cd.face_poset(cd.make_simplex(3)),
+              cd.face_poset(cd.make_polygon(5))]
+    for p in downs:
+        assert p._balanced is None
+        assert p.is_lower_eulerian()
+        intervals_inherit_the_verdict(p)
+
+
+def test_intervals_of_non_eulerian_posets_stay_unknown(rng):
+    posets = [cd.chain_poset(3), cd.adjoin_max(cd.boolean_poset(3))]
+    posets += [random_graded_poset(rng) for _ in range(20)]
+    for p in posets:
+        if p.is_eulerian():
+            continue
+        for s in p.elements:
+            for t in p.up_set(s, strict=False):
+                q = p.interval(s, t)
+                assert q._balanced is None, (s, t)
+                # the interval is scanned on its own when asked
+                assert q.is_eulerian() == eulerian_by_mobius(q), (s, t)
+
+
+def test_induced_does_not_inherit_the_verdict():
+    b3 = cd.boolean_poset(3)
+    assert b3.is_eulerian()
+    # B3 with one atom left out: [0, {1,2}] has three elements
+    q = b3.induced([e for e in b3.elements if e != "{1}"])
+    assert q._balanced is None
+    assert not q.is_eulerian()
+    assert b3.without_max()._balanced is None
+    assert b3.proper_part()._balanced is None
+
+
+def test_semisuspend_is_kept_on_success_only(near_eulerian_fixtures):
+    for name, p in near_eulerian_fixtures:
+        first = cd.poset._semisuspend(p)
+        assert cd.poset._semisuspend(p) is first, name
+        assert cd.semisuspension(p) is first[0], name
+    no_max = cd.build_poset(["0", "a", "b"], [("0", "a"), ("0", "b")])
+    for p in (cd.boolean_poset(3), cd.chain_poset(3), no_max):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(NotNearEulerian) as info:
+                cd.poset._semisuspend(p)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert p._semi is None

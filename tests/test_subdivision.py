@@ -3,11 +3,13 @@ the cd-index decomposition."""
 import pytest
 
 import cdindex as cd
-from cdindex.errors import InvalidChain
+from cdindex.cli import run
+from cdindex.errors import InvalidChain, RequiresBounds
 from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
 from cdindex.subdivision import _basic_failures
-from conftest import (decompose_rows_by_rebuild, hexagon_over_triangle,
-                      outcome, preimage_ids_by_definition, square_lattice,
+from conftest import (decompose_rows_by_rebuild, enumerate_chains,
+                      hexagon_over_triangle, outcome,
+                      preimage_ids_by_definition, square_lattice,
                       telescoping_by_rebuild, tetra_subdivision)
 
 
@@ -220,7 +222,7 @@ def test_mixed_flags_switch_at_most_i(subdivision_fixtures):
             if i > fam.n:
                 continue
             p = fam.posets[i]
-            for chain in p.enumerate_chains():
+            for chain in enumerate_chains(p):
                 if not chain:
                     continue
                 kind, switch = cd.classify_flag(fam, i, list(chain))
@@ -290,12 +292,37 @@ def test_decompose_rows_match_rebuilt_faces(subdivision_fixtures):
     for name, m in subdivision_fixtures:
         got = outcome(cd.decompose_cd, m)
         if got[0] == "raised":
-            # neither route gets past the Eulerian check of an unbounded poset
-            assert "needs both bounds" in got[2], (name, got)
+            # an unbounded side is refused before any row is computed
+            assert got[1] is RequiresBounds, (name, got)
             continue
         assert got[1].rows == decompose_rows_by_rebuild(m), name
         decomposed += 1
     assert decomposed >= 3
+
+
+def test_decompose_names_the_missing_bound(subdivision_fixtures, capsys,
+                                           tmp_path):
+    maps = dict(subdivision_fixtures)
+    want = {"bary_triangle": "source has no maximum",
+            "half_triangle": "source has no maximum",
+            "edge1": "source has no maximum",
+            "edge3": "source has no maximum",
+            "bary_square": "target has no maximum"}
+    for name, phrase in want.items():
+        with pytest.raises(RequiresBounds) as info:
+            cd.decompose_cd(maps[name])
+        assert phrase in str(info.value), name
+        assert "with_adjoined_tops" in str(info.value), name
+        path = tmp_path / (name + ".json")
+        path.write_text(maps[name].to_json())
+        assert run(["decompose", "--input", str(path)]) == 2
+        assert phrase in capsys.readouterr().err, name
+    # an antichain mapped to itself is valid and lacks both bounds
+    antichain = cd.identity_subdivision(cd.build_poset(["a", "b"], []))
+    assert cd.validate_strong_eulerian(antichain).ok
+    with pytest.raises(RequiresBounds,
+                       match="target has no minimum and no maximum"):
+        cd.decompose_cd(antichain)
 
 
 def test_telescoping_matches_rebuilt_faces(subdivision_fixtures):
