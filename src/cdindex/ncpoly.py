@@ -142,13 +142,14 @@ class _WordPolynomial:
         built in the class of the image polynomials.
         """
         target = type(next(iter(images.values())))
-        out = target.zero()
+        data = {}
         for word, coeff in self.terms.items():
             prod = target.one()
             for letter in word:
                 prod = prod * images[letter]
-            out = out + prod * coeff
-        return out
+            for w, c in prod.terms.items():
+                data[w] = data.get(w, 0) + c * coeff
+        return target(data)
 
     # -- text ------------------------------------------------------------
 
@@ -544,7 +545,31 @@ def format_unipoly(p):
     return _join_terms(bits)
 
 
-_TERM_RE = re.compile(r"^(\d+)?(?:\s*\*\s*)?([a-zA-Z^0-9]*)$")
+_TERM_RE = re.compile(r"(\d+)?(\*)?([^\d*].*)?")
+
+
+def _parse_terms(text, parse_word):
+    """Sum polynomial text into a {parse_word(word text): coefficient} dict.
+
+    Terms are joined by + or -, and the first may carry a sign too.  A term
+    is a coefficient, a word, or a coefficient and a word, optionally joined
+    by "*"; a constant's word text is "".  parse_word returns None, or
+    raises DomainError, for text that is no word.
+    """
+    chunks = re.split(r"(?=[+-])", text.strip().replace(" ", ""))
+    if not chunks[0]:
+        chunks.pop(0)  # the text is empty or opens with a sign
+    out = {}
+    for chunk in chunks:
+        sign = -1 if chunk[0] == "-" else 1
+        term = chunk[1:] if chunk[0] in "+-" else chunk
+        m = _TERM_RE.fullmatch(term)
+        ok = m and (m[3] or m[1] and not m[2])  # a "*" needs a word
+        key = parse_word(m[3] or "") if ok else None
+        if key is None:
+            raise DomainError("cannot parse term %r" % term)
+        out[key] = out.get(key, 0) + sign * int(m[1] or 1)
+    return out
 
 
 def _parse_word(body, alphabet):
@@ -572,69 +597,28 @@ def _parse_word(body, alphabet):
 
 def parse_word_poly(text, cls):
     """Parse the text format back into an Ab/CdPolynomial."""
-    text = text.strip()
-    if not text or text == "0":
-        return cls.zero()
-    chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
-    terms = {}
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:]
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise DomainError("cannot parse term %r" % chunk)
-        coeff_text, body = m.groups()
-        if body == "1" and coeff_text is None:
-            coeff, word = 1, ""
-        else:
-            coeff = int(coeff_text) if coeff_text else 1
-            word = _parse_word(body, cls.alphabet)
-        terms[word] = terms.get(word, 0) + sign * coeff
-    return cls(terms)
+    return cls(_parse_terms(text,
+                            lambda body: _parse_word(body, cls.alphabet)))
+
+
+def _parse_power(body):
+    """The power of "x^k" or "x" text, 0 for a constant, else None."""
+    m = re.fullmatch(r"x(?:\^(\d+))?", body or "x^0")
+    return int(m[1] or 1) if m else None
 
 
 def parse_unipoly(text):
     """Parse "1 + 4*x + x^2" style text into a UniPolynomial."""
-    text = text.strip()
-    if not text or text == "0":
-        return UniPolynomial.zero()
-    chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
-    coeffs = {}
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:]
-        m = re.match(r"^(\d+)?(?:\*)?(?:x(?:\^(\d+))?)?$", chunk)
-        if not m or not chunk:
-            raise DomainError("cannot parse term %r" % chunk)
-        coeff_text, pow_text = m.groups()
-        has_x = "x" in chunk
-        coeff = int(coeff_text) if coeff_text else 1
-        power = 0 if not has_x else (int(pow_text) if pow_text else 1)
-        coeffs[power] = coeffs.get(power, 0) + sign * coeff
-    size = max(coeffs) + 1 if coeffs else 0
-    return UniPolynomial([coeffs.get(i, 0) for i in range(size)])
-
-
-# _X_MINUS_1_POWERS[k] = (x - 1)^k, extended on demand by kappa_word
-_X_MINUS_1_POWERS = [UniPolynomial.one()]
+    coeffs = _parse_terms(text, _parse_power)
+    return UniPolynomial([coeffs.get(i, 0)
+                          for i in range(max(coeffs, default=-1) + 1)])
 
 
 def kappa_word(word):
     """kappa of one ab-word: (x - 1)^len(word), or 0 if it has a b."""
     if "b" in word:
         return UniPolynomial.zero()
-    powers = _X_MINUS_1_POWERS
-    while len(powers) <= len(word):
-        powers.append(powers[-1] * UniPolynomial((-1, 1)))
-    return powers[len(word)]
+    return UniPolynomial((-1, 1)) ** len(word)
 
 
 def kappa(p):

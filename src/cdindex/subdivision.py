@@ -196,6 +196,8 @@ def validate_strong_eulerian(m):
         if src.top_rank != tgt.top_rank:
             failures.append(("*", "source rank %d != target rank %d"
                              % (src.top_rank, tgt.top_rank)))
+        if tgt.min_elt is None:
+            failures.append(("*", "target has no minimum"))
     if not failures and tgt.max_elt is not None and src.max_elt is not None:
         for e in src.elements:
             if (m(e) == tgt.max_elt) != (e == src.max_elt):

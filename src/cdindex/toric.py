@@ -5,8 +5,13 @@ Every toric polynomial is read off the ab-index Psi through the linear maps
 f and g of Bayer and Ehrenborg: toric h of a bounded graded poset P is
 f(Psi_P), and toric g of an Eulerian P is g(Psi_P).  The anchors
 g(B_n) = 1, h(B_{d+1} minus top) = 1 + x + ... + x^d, and agreement with
-the classical simplicial h-vector all follow.  The defining recursions over
-lower intervals are kept in the tests as the independent oracle.
+the classical simplicial h-vector all follow.  The coproduct definition
+f = kappa + (g (x) kappa) Delta collapses, as kappa kills every word with
+a b, to two letter rules: f(ub) = g(u) and f(ua) = (x - 1) f(u) + g(u),
+where g(u) is (1 - x) f(u) truncated at degree |u|/2; so g(w) = f(wb), and
+one memo of f over the prefixes walked serves both maps.  The coproduct
+definition and the recursions over lower intervals are kept in the tests
+as independent oracles.
 
 local_h reads each face's capped preimage from the subdivision map, which
 builds it once and shares it with strong Eulerian validation.  It takes
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import NotLowerEulerian, RequiresBounds
 from .flagcd import ab_index, local_index
-from .ncpoly import UniPolynomial, kappa_word
+from .ncpoly import UniPolynomial
 from . import poset as ps
 from .subdivision import require_valid
 
@@ -134,42 +139,34 @@ def local_h(m):
 # -- the ab -> Z[x] morphisms ---------------------------------------------------
 
 
-_F_MEMO = {"": UniPolynomial.one()}
-_G_MEMO = {"": UniPolynomial.one()}
+# f of every word walked so far and of each of its prefixes
+_F = {"": UniPolynomial.one()}
+_X_MINUS_1 = UniPolynomial((-1, 1))
+_ONE_MINUS_X = UniPolynomial((1, -1))
 
 
 def _f_word(word):
-    if word in _F_MEMO:
-        return _F_MEMO[word]
-    out = kappa_word(word)
-    for i in range(len(word)):
-        out = out + _g_word(word[:i]) * kappa_word(word[i + 1:])
-    _F_MEMO[word] = out
-    return out
-
-
-def _g_word(word):
-    if word in _G_MEMO:
-        return _G_MEMO[word]
-    out = ((1 - UniPolynomial.x()) * _f_word(word)).truncate(len(word) // 2)
-    _G_MEMO[word] = out
-    return out
+    """f(word), stepped letter by letter from its longest prefix in _F."""
+    k = len(word)
+    while (f := _F.get(word[:k])) is None:
+        k -= 1
+    for i in range(k, len(word)):
+        g = (_ONE_MINUS_X * f).truncate(i // 2)
+        f = g if word[i] == "b" else _X_MINUS_1 * f + g
+        _F[word[:i + 1]] = f
+    return f
 
 
 def morphism_f(p):
-    """Linear map with f(Psi_P) = toric h of P, via the coproduct recursion."""
-    out = UniPolynomial.zero()
-    for word, coeff in p.terms.items():
-        out = out + _f_word(word) * coeff
-    return out
+    """Linear map with f(Psi_P) = toric h of P."""
+    return sum((_f_word(w) * c for w, c in p.terms.items()),
+               UniPolynomial.zero())
 
 
 def morphism_g(p):
-    """Companion map with g(Psi_P) = toric g of P."""
-    out = UniPolynomial.zero()
-    for word, coeff in p.terms.items():
-        out = out + _g_word(word) * coeff
-    return out
+    """Companion map with g(Psi_P) = toric g of P, by g(w) = f(wb)."""
+    return sum((_f_word(w + "b") * c for w, c in p.terms.items()),
+               UniPolynomial.zero())
 
 
 # -- correspondence with the cd decomposition ------------------------------------

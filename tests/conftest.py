@@ -186,15 +186,47 @@ def ab_index_by_chains(p):
     return out
 
 
+def kappa_of(word):
+    return kappa(AbPolynomial.monomial(word))
+
+
+class MorphismsByCoproduct:
+    """Oracle for morphism_f and morphism_g by their coproduct definition,
+    f(w) = kappa(w) + sum over i of g(w[:i]) kappa(w[i + 1:]) and
+    g(w) = (1 - x) f(w) truncated at degree |w| // 2, memoized per oracle."""
+
+    def __init__(self):
+        self.f_memo = {}
+        self.g_memo = {}
+
+    def f_word(self, word):
+        if word not in self.f_memo:
+            out = kappa_of(word)
+            for i in range(len(word)):
+                out = out + self.g_word(word[:i]) * kappa_of(word[i + 1:])
+            self.f_memo[word] = out
+        return self.f_memo[word]
+
+    def g_word(self, word):
+        if word not in self.g_memo:
+            self.g_memo[word] = ((1 - UniPolynomial.x())
+                                 * self.f_word(word)).truncate(len(word) // 2)
+        return self.g_memo[word]
+
+    def f(self, p):
+        return sum((self.f_word(w) * c for w, c in p.terms.items()),
+                   UniPolynomial.zero())
+
+    def g(self, p):
+        return sum((self.g_word(w) * c for w, c in p.terms.items()),
+                   UniPolynomial.zero())
+
+
 def morphism_f_by_coproduct(p):
     """Oracle for morphism_f through the tensor machinery:
-    f = kappa + (g (x) kappa) applied to the coproduct."""
-    def g_of(word):
-        return cd.morphism_g(AbPolynomial.monomial(word))
-
-    def kappa_of(word):
-        return kappa(AbPolynomial.monomial(word))
-
+    f = kappa + (g (x) kappa) applied to the coproduct, with the prefix g's
+    from the definitional recursion."""
+    g_of = MorphismsByCoproduct().g_word
     return kappa(p) + tensor_collapse(coproduct(p), g_of, kappa_of)
 
 

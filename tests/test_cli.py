@@ -146,6 +146,8 @@ def test_morphism_from_text(capsys):
                           "--poly", "aa + 3*ab + 3*ba + bb")
     assert code == 0
     assert out.strip() == "1 + 2*x + x^2"
+    code, out, err = invoke(capsys, "morphism", "--what", "f", "--poly", "a+")
+    assert (code, out) == (2, "") and "cannot parse term" in err
 
 
 def test_morphism_from_poset(capsys, square_file):

@@ -3,8 +3,8 @@ import pytest
 
 import cdindex as cd
 from cdindex.errors import NotCdExpressible
-from cdindex.ncpoly import (AbPolynomial, CdPolynomial, coefficientwise_leq,
-                            is_nonnegative, substitute)
+from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
+                            coefficientwise_leq, is_nonnegative, substitute)
 from conftest import (ab_index_by_chains, bipyramid_lattice,
                       cd_index_by_old_route, flag_polynomial_by_chains,
                       outcome, polygon_lattice, random_graded_poset,
@@ -188,6 +188,11 @@ def test_local_flag_is_difference_of_flag_polynomials(near_eulerian_fixtures):
         want = (cd.flag_polynomial(p)
                 - cd.flag_polynomial(cd.adjoin_max(cd.boundary(p))))
         assert cd.local_index(p).flag == want, name
+    # local_index reaches the flag polynomial by the substitution a -> a + b
+    for n in range(9):
+        b_n = cd.boolean_poset(n)
+        assert (substitute(cd.ab_index(b_n), AB_C, AB_B)
+                == cd.flag_polynomial(b_n)), n
 
 
 def test_boundary_is_the_interval_below_the_restored_coatom(

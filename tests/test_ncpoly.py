@@ -285,3 +285,9 @@ def test_parse_rejects_garbage():
     for bad in ("c+q", "2**d", "d^^2"):
         with pytest.raises(DomainError):
             parse_word_poly(bad, CdPolynomial)
+    # every term has a coefficient or a word, and every "*" a word after it
+    for bad in ("a+", "+", "-", "a++b", "*", "2*"):
+        with pytest.raises(DomainError):
+            parse_word_poly(bad, AbPolynomial)
+        with pytest.raises(DomainError):
+            parse_unipoly(bad.replace("a", "x").replace("b", "x"))

@@ -4,7 +4,7 @@ import pytest
 
 import cdindex as cd
 from cdindex.cli import run
-from cdindex.errors import InvalidChain, RequiresBounds
+from cdindex.errors import InvalidChain, RequiresBounds, ValidationRequired
 from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
 from cdindex.subdivision import _basic_failures
 from conftest import (decompose_rows_by_rebuild, enumerate_chains,
@@ -317,11 +317,12 @@ def test_decompose_names_the_missing_bound(subdivision_fixtures, capsys,
         path.write_text(maps[name].to_json())
         assert run(["decompose", "--input", str(path)]) == 2
         assert phrase in capsys.readouterr().err, name
-    # an antichain mapped to itself is valid and lacks both bounds
+    # an antichain mapped to itself lacks both bounds, so it is not valid
     antichain = cd.identity_subdivision(cd.build_poset(["a", "b"], []))
-    assert cd.validate_strong_eulerian(antichain).ok
-    with pytest.raises(RequiresBounds,
-                       match="target has no minimum and no maximum"):
+    report = cd.validate_strong_eulerian(antichain)
+    assert not report.ok
+    assert report.failures == (("*", "target has no minimum"),)
+    with pytest.raises(ValidationRequired, match="target has no minimum"):
         cd.decompose_cd(antichain)
 
 

@@ -1,13 +1,14 @@
 """Toric g/h-polynomials, local h-polynomials, and the ab -> Z[x] morphisms."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cdindex as cd
 from cdindex import poset as ps
 from cdindex.errors import NotGraded, NotLowerEulerian
-from cdindex.ncpoly import (AbPolynomial, UniPolynomial, expand_cd, kappa,
-                            kappa_word)
-from conftest import (barycentric_solid_triangle,
+from cdindex.ncpoly import (AbPolynomial, UniPolynomial, ab_words, expand_cd,
+                            kappa, kappa_word)
+from conftest import (MorphismsByCoproduct, barycentric_solid_triangle,
                       correspondence_rows_by_rebuild, edge_with_points,
                       g_by_recursion, h_poly_by_recursion,
                       local_h_by_dual_intervals, morphism_f_by_coproduct,
@@ -213,6 +214,32 @@ def test_morphism_tensor_route_agrees(eulerian_fixtures):
         assert morphism_f_by_coproduct(psi) == cd.morphism_f(psi), name
 
 
+def test_morphisms_match_coproduct_definition_on_words():
+    oracle = MorphismsByCoproduct()
+    words = [w for n in range(11) for w in ab_words(n)]
+    assert len(words) == 2047
+    for word in words:
+        w = AbPolynomial.monomial(word)
+        assert cd.morphism_f(w) == oracle.f_word(word), word
+        assert cd.morphism_g(w) == oracle.g_word(word), word
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(alphabet="ab", max_size=8),
+                       st.integers(-9, 9), max_size=5).map(AbPolynomial))
+@example(AbPolynomial({"": -3, "a": 2, "bab": -1, "aabb": 4}))
+def test_morphisms_match_coproduct_definition_on_polynomials(p):
+    oracle = MorphismsByCoproduct()
+    assert cd.morphism_f(p) == oracle.f(p)
+    assert cd.morphism_g(p) == oracle.g(p)
+
+
+def test_morphism_f_of_a_long_word_does_not_recurse():
+    f = cd.morphism_f(AbPolynomial.monomial("a" * 1200))
+    # the a rule keeps the leading term of (x - 1) f; g stays below it
+    assert f.degree == 1200 and f[1200] == 1
+
+
 def test_morphism_well_defined_on_cd_subalgebra():
     # f factors through the cd expansion of any cd-polynomial
     for poly in (cd.polygon_cd(5), cd.three_polytope_cd(8, 6),
@@ -296,7 +323,7 @@ def test_correspondence_barycentric_sphere_formal_top():
 
 
 def test_kappa_word_powers_in_any_order():
-    # the cached powers of (x - 1) must not depend on the order of requests
+    # (x - 1)^k whatever the order of requests; zero once a b appears
     for k in (3, 0, 5, 1, 4, 2, 5):
         assert kappa_word("a" * k) == UniPolynomial((-1, 1)) ** k, k
         assert kappa_word("a" * k + "b") == UniPolynomial.zero(), k
