@@ -17,6 +17,7 @@ from itertools import combinations
 from . import poset as ps
 from .errors import (DomainError, FaceNotFound, NotPure, RequiresBounds,
                      SearchCutoff)
+from .flagcd import flag_h
 from .ncpoly import UniPolynomial
 
 
@@ -184,7 +185,6 @@ def h_vector(k):
 
 def flag_to_h(p):
     """h-vector of the order complex from the flag h-vector of the poset."""
-    from .flagcd import flag_h
     p.require_bounds()
     d = p.top_rank - 1
     if d < 0:
@@ -308,13 +308,10 @@ def is_near_gorenstein(k, bd):
 
 def _shelling_step_ok(prev_faces, facet):
     """The new facet must meet the old complex in a nonempty union of its
-    boundary facets; any such union is a star of a face of the simplex."""
-    d = len(facet) - 1
-    inter = [f for f in _closure_of(facet) if f in prev_faces]
-    ridges = {f for f in inter if len(f) == d}
-    if not ridges:
-        return False
-    return all(any(f <= r for r in ridges) for f in inter if f)
+    boundary facets: exactly when its restriction face, the vertices whose
+    removal leaves an old face, is not old itself (the empty face is)."""
+    return frozenset(v for v in facet
+                     if facet - {v} in prev_faces) not in prev_faces
 
 
 def _closure_of(facet):
@@ -358,9 +355,8 @@ def find_shelling(k, max_nodes=10 ** 6):
     if len(facets) <= 1:
         return facets
     budget = max_nodes
-
-    def ridge_count(f, used_faces):
-        return sum(1 for v in f if (f - {v}) in used_faces)
+    ridges = {f: [f - {v} for v in f] for f in facets}
+    names = {f: sorted(f) for f in facets}
 
     for first in facets:
         chosen, used, faces = [first], {first}, set(_closure_of(first))
@@ -376,7 +372,8 @@ def find_shelling(k, max_nodes=10 ** 6):
                 return chosen
             tries.append(iter(sorted(
                 (f for f in facets if f not in used),
-                key=lambda f: (-ridge_count(f, faces), sorted(f)))))
+                key=lambda f: (-sum(r in faces for r in ridges[f]),
+                               names[f]))))
             # advance to the next admissible candidate, backtracking out of
             # nodes whose candidates are spent
             while tries:

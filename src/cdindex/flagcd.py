@@ -104,26 +104,26 @@ def flag_h(p):
     return FlagVector(fv.n, beta)
 
 
-def _word(mask, n):
-    return "".join("b" if mask >> i & 1 else "a" for i in range(n))
+def _ab_sum(p, vector):
+    """Sum of vector(p)[S] u_S; doubling spells each u_S at index S."""
+    p.require_bounds()
+    if p.top_rank == 0:
+        return AbPolynomial.zero()
+    fv = vector(p)
+    words = [""]
+    for _ in range(fv.n):
+        words = [w + "a" for w in words] + [w + "b" for w in words]
+    return AbPolynomial({words[m]: c for m, c in fv.values.items()})
 
 
 def flag_polynomial(p):
     """Upsilon_P: sum of alpha(S) u_S over rank sets S."""
-    p.require_bounds()
-    if p.top_rank == 0:
-        return AbPolynomial.zero()
-    fv = flag_f(p)
-    return AbPolynomial({_word(m, fv.n): c for m, c in fv.values.items()})
+    return _ab_sum(p, flag_f)
 
 
 def ab_index(p):
     """Psi_P: sum of beta(S) u_S over rank sets S."""
-    p.require_bounds()
-    if p.top_rank == 0:
-        return AbPolynomial.zero()
-    fv = flag_h(p)
-    return AbPolynomial({_word(m, fv.n): c for m, c in fv.values.items()})
+    return _ab_sum(p, flag_h)
 
 
 @dataclass(frozen=True)

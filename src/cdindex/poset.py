@@ -2,14 +2,16 @@
 
 A poset is stored as a cover DAG over opaque string ids.  The full order
 relation is cached as one bitmask row per element (elements of the strict
-up-set / down-set).  Comparability is one bit test; sub-posets, intervals,
-the Eulerian scan and chain counting downstream visit only the set bits of
-these rows, by lowbit iteration (``low = m & -m``), and count with
-popcounts.  The order is immutable after construction: every operator
-builds a fresh poset.  Two memo slots keep what a poset has proven:
-``_balanced``, the verdict of the Eulerian interval scan, which ``interval``
-passes on when True (an interval's intervals are intervals of its parent),
-and ``_semi``, the semisuspension once its construction has succeeded.
+up-set / down-set), built in one topological sweep of the covers that also
+settles the ranks; the up rows follow in reverse sweep order.
+Comparability is one bit test; sub-posets, intervals, the Eulerian scan and
+chain counting downstream visit only the set bits of these rows, by lowbit
+iteration (``low = m & -m``), and count with popcounts.  The order is
+immutable after construction: every operator builds a fresh poset.  Two
+memo slots keep what a poset has proven: ``_balanced``, the verdict of the
+Eulerian interval scan, which ``interval`` passes on when True (an
+interval's intervals are intervals of its parent), and ``_semi``, the
+semisuspension once its construction has succeeded.
 
 Gradedness is verified eagerly but a failure is recorded, not raised;
 non-graded posets stay usable for order-only operations and reject
@@ -38,76 +40,54 @@ class GradedPoset:
         self._idx = {e: i for i, e in enumerate(elements)}
         n = len(elements)
 
-        up_adj = [[] for _ in range(n)]
-        dn_adj = [[] for _ in range(n)]
-        seen = set()
-        pairs = []
+        pairs = set()
         for lo, hi in covers:
             lo, hi = str(lo), str(hi)
             if lo not in self._idx or hi not in self._idx:
                 raise DomainError("cover (%s, %s) references unknown id" % (lo, hi))
             if lo == hi:
                 raise CycleDetected("cover loop at %s" % lo)
-            key = (self._idx[lo], self._idx[hi])
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append(key)
-            up_adj[key[0]].append(key[1])
-            dn_adj[key[1]].append(key[0])
-        self.cover_pairs = tuple(sorted(pairs))
+            pairs.add((self._idx[lo], self._idx[hi]))
+        self.cover_pairs = pairs = tuple(sorted(pairs))
 
-        order = self._topo_order(up_adj, dn_adj)
-
-        # strict up/down closures as bitmasks, filled in topological order
+        # one topological sweep (Kahn): an element is reached once all its
+        # lower covers are, so its strict down row and its rank (the longest
+        # chain from a minimal element) are final and pass to its upper covers
+        up_adj = [[] for _ in range(n)]
+        waiting = [0] * n
+        for lo, hi in pairs:
+            up_adj[lo].append(hi)
+            waiting[hi] += 1
+        order = [i for i in range(n) if not waiting[i]]
+        dn, ranks = [0] * n, [0] * n
+        for i in order:
+            row, rank = dn[i] | 1 << i, ranks[i] + 1
+            for j in up_adj[i]:
+                dn[j] |= row
+                if ranks[j] < rank:
+                    ranks[j] = rank
+                waiting[j] -= 1
+                if not waiting[j]:
+                    order.append(j)
+        if len(order) != n:
+            raise CycleDetected("cover relation contains a cycle")
         up = [0] * n
         for i in reversed(order):
-            mask = 0
             for j in up_adj[i]:
-                mask |= up[j] | (1 << j)
-            up[i] = mask
-        dn = [0] * n
-        for i in order:
-            mask = 0
-            for j in dn_adj[i]:
-                mask |= dn[j] | (1 << j)
-            dn[i] = mask
-        self._up = up
-        self._dn = dn
-
-        # rank = longest chain from a minimal element; this is the unique
-        # candidate rank function, valid when every cover raises it by one
-        ranks = [0] * n
-        for i in order:
-            if dn_adj[i]:
-                ranks[i] = 1 + max(ranks[j] for j in dn_adj[i])
+                up[i] |= up[j] | 1 << j
+        self._up, self._dn = up, dn
+        # the swept ranks are the unique candidate rank function, valid
+        # when every cover raises it by one
         self._ranks = tuple(ranks)
-        self.is_ranked = all(ranks[hi] == ranks[lo] + 1
-                             for lo, hi in self.cover_pairs)
-        maximal = [i for i in range(n) if not up_adj[i]]
-        minimal = [i for i in range(n) if not dn_adj[i]]
+        self.is_ranked = all(ranks[hi] == ranks[lo] + 1 for lo, hi in pairs)
+        maximal = [i for i in range(n) if not up[i]]
+        minimal = [i for i in range(n) if not dn[i]]
         self.is_graded = (self.is_ranked
                           and len({ranks[i] for i in maximal}) <= 1)
         self.min_elt = elements[minimal[0]] if len(minimal) == 1 else None
         self.max_elt = elements[maximal[0]] if len(maximal) == 1 else None
         self._balanced = None  # _intervals_eulerian verdict, once scanned
         self._semi = None      # (semisuspension, coatom), once it succeeded
-
-    def _topo_order(self, up_adj, dn_adj):
-        n = len(self.elements)
-        indeg = [len(dn_adj[i]) for i in range(n)]
-        stack = [i for i in range(n) if not indeg[i]]
-        order = []
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            for j in up_adj[i]:
-                indeg[j] -= 1
-                if not indeg[j]:
-                    stack.append(j)
-        if len(order) != n:
-            raise CycleDetected("cover relation contains a cycle")
-        return order
 
     # -- basic queries ---------------------------------------------------
 
@@ -239,33 +219,21 @@ class GradedPoset:
     # -- chains ------------------------------------------------------------
 
     def maximal_chains(self):
-        """Inclusion-maximal chains of the proper part (graded, bounded)."""
+        """Inclusion-maximal chains of the proper part (graded, bounded),
+        walked up the cover lists from the minimum on an explicit stack."""
         self.require_bounds()
-        bounds = {self.min_elt, self.max_elt}
-        up_adj = {e: [] for e in self.elements}
-        for lo, hi in self.cover_pairs:
-            a, b = self.elements[lo], self.elements[hi]
-            if a not in bounds and b not in bounds:
-                up_adj[a].append(b)
+        up_adj = _cover_lists(self)[0]
+        els, top = self.elements, self._idx[self.max_elt]
         out = []
-
-        def walk(e, chain):
-            if not up_adj[e]:
-                out.append(tuple(chain))
-                return
-            for f in up_adj[e]:
-                chain.append(f)
-                walk(f, chain)
-                chain.pop()
-
-        starts = [e for e in self.elements
-                  if e not in bounds
-                  and all(f in bounds for f in self.down_set(e))]
-        for e in starts:
-            walk(e, [e])
-        if not starts:
-            out.append(())
-        return out
+        stack = [(j,) for j in up_adj[self._idx[self.min_elt]] if j != top]
+        while stack:
+            chain = stack.pop()
+            above = [j for j in up_adj[chain[-1]] if j != top]
+            if above:
+                stack.extend(chain + (j,) for j in above)
+            else:
+                out.append(tuple(els[i] for i in chain))
+        return out or [()]
 
     # -- predicates ----------------------------------------------------------
 

@@ -105,9 +105,6 @@ class LocalHTable:
                 return poly
         raise KeyError(sigma)
 
-    def nonzero_rows(self):
-        return [(s, poly) for s, poly in self.rows if poly]
-
 
 def local_h(m):
     """Local h-polynomials of every target face.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 import cdindex as cd
-from cdindex.complexes import _closure_of, _shelling_step_ok
+from cdindex.complexes import _closure_of
 from cdindex.subdivision import DecompositionRow
 from cdindex.errors import NotCdExpressible, NotPure, SearchCutoff
 from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
@@ -310,6 +310,17 @@ def cd_index_by_old_route(p):
     return cd.to_cd(cd.ab_index(p))
 
 
+def shelling_step_by_closure(prev_faces, facet):
+    """Oracle for the shelling step test: list the faces of facet already in
+    prev_faces and check that they are a nonempty union of its ridges."""
+    d = len(facet) - 1
+    inter = [f for f in _closure_of(facet) if f in prev_faces]
+    ridges = {f for f in inter if len(f) == d}
+    if not ridges:
+        return False
+    return all(any(f <= r for r in ridges) for f in inter if f)
+
+
 def find_shelling_by_recursion(k, max_nodes=10 ** 6):
     """Oracle for find_shelling: the same backtracking search written as a
     recursion, with the same candidate order and one budget unit per node.
@@ -334,7 +345,7 @@ def find_shelling_by_recursion(k, max_nodes=10 ** 6):
             (f for f in facets if f not in used),
             key=lambda f: (-ridge_count(f, faces), sorted(f)))
         for f in ranked:
-            if not _shelling_step_ok(faces, f):
+            if not shelling_step_by_closure(faces, f):
                 continue
             added = [x for x in _closure_of(f) if x not in faces]
             chosen.append(f)
@@ -354,6 +365,58 @@ def find_shelling_by_recursion(k, max_nodes=10 ** 6):
         if out is not None:
             return out
     return None
+
+
+def poset_fields_by_dfs(elements, covers):
+    """Oracle for the GradedPoset constructor on given (lower, upper) id
+    pairs, which may repeat or include non-cover pairs.  The strict up row
+    of each element is found by depth-first search over the pairs, the down
+    rows are read off the up rows, and ranks are longest paths from the
+    minimal elements, relaxed once per element.  Returns the constructor's
+    fields by name."""
+    idx = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    pairs = sorted({(idx[a], idx[b]) for a, b in covers})
+    above = [[hi for lo, hi in pairs if lo == i] for i in range(n)]
+    up = []
+    for i in range(n):
+        seen, todo = set(), list(above[i])
+        while todo:
+            j = todo.pop()
+            if j not in seen:
+                seen.add(j)
+                todo.extend(above[j])
+        up.append(sum(1 << j for j in seen))
+    dn = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    ranks = [0] * n
+    for _ in range(n):
+        for lo, hi in pairs:
+            ranks[hi] = max(ranks[hi], ranks[lo] + 1)
+    ranked = all(ranks[hi] == ranks[lo] + 1 for lo, hi in pairs)
+    maximal = [i for i in range(n) if not up[i]]
+    minimal = [i for i in range(n) if not dn[i]]
+    return {"cover_pairs": tuple(pairs), "_up": up, "_dn": dn,
+            "_ranks": tuple(ranks), "is_ranked": ranked,
+            "is_graded": ranked and len({ranks[i] for i in maximal}) <= 1,
+            "min_elt": elements[minimal[0]] if len(minimal) == 1 else None,
+            "max_elt": elements[maximal[0]] if len(maximal) == 1 else None}
+
+
+def random_relation(rng, max_size=12):
+    """Random acyclic (elements, pairs): pairs go up a hidden level order,
+    mostly between consecutive levels, with repeated pairs and pairs
+    implied by two others mixed in; elements come in shuffled order."""
+    levels = [rng.randint(0, 4) for _ in range(rng.randint(0, max_size))]
+    elements = ["v%d" % i for i in range(len(levels))]
+    pairs = [(a, b) for a, la in zip(elements, levels)
+             for b, lb in zip(elements, levels)
+             if la < lb and rng.random() < (0.6 if lb == la + 1 else 0.1)]
+    pairs += [(a, d) for a, b in pairs for c, d in pairs
+              if b == c and rng.random() < 0.3]
+    pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
+    rng.shuffle(pairs)
+    rng.shuffle(elements)
+    return elements, pairs
 
 
 def random_graded_poset(rng, max_levels=4, max_width=4):

@@ -6,10 +6,12 @@ import pytest
 
 import cdindex as cd
 from cdindex.cli import run
+from cdindex.complexes import _closure_of, _shelling_step_ok
 from cdindex.errors import FaceNotFound, NotPure, SearchCutoff
 from cdindex.ncpoly import UniPolynomial, coefficientwise_leq
 from conftest import (find_shelling_by_recursion, octahedron_complex, outcome,
-                      polygon_lattice, square_lattice)
+                      polygon_lattice, shelling_step_by_closure,
+                      square_lattice)
 
 
 def test_face_poset_triangle_is_b3():
@@ -199,6 +201,25 @@ def test_find_shelling():
         assert cd.verify_shelling(k, order)
     two_triangles = cd.SimplicialComplex([["a", "b", "c"], ["d", "e", "f"]])
     assert cd.find_shelling(two_triangles) is None
+
+
+def test_shelling_step_matches_closure_oracle(rng):
+    complexes = [cd.make_stacked(3, k, seed=k).boundary for k in (1, 3, 6)]
+    complexes += [cd.make_stacked(2, 5, seed=2).boundary,
+                  cd.make_boundary_simplex(5), cd.make_polygon(5),
+                  cd.make_polygon(8)]
+    verdicts = set()
+    for k in complexes:
+        for _ in range(10):
+            order = list(k.facets)
+            rng.shuffle(order)
+            cut = rng.randint(1, len(order) - 1)
+            prev = {x for f in order[:cut] for x in _closure_of(f)}
+            for f in order[cut:]:
+                ok = _shelling_step_ok(prev, f)
+                assert ok == shelling_step_by_closure(prev, f), (order, f)
+                verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_generators():

@@ -8,7 +8,8 @@ from cdindex.errors import (CycleDetected, DomainError, NotALattice,
                             NotGraded, NotNearEulerian, RequiresBounds,
                             RequiresMin)
 from conftest import (enumerate_chains, eulerian_by_mobius, eulerian_pool,
-                      random_eulerian, random_graded_poset)
+                      poset_fields_by_dfs, random_eulerian,
+                      random_graded_poset, random_relation)
 
 EULERIAN_POOL = [p for _, p in eulerian_pool() if len(p.elements) <= 32]
 
@@ -536,3 +537,77 @@ def test_semisuspend_is_kept_on_success_only(near_eulerian_fixtures):
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert p._semi is None
+
+
+# -- the constructor's sweep and the maximal-chain walk against oracles ------
+
+
+FIELDS = ("cover_pairs", "_up", "_dn", "_ranks", "is_ranked", "is_graded",
+          "min_elt", "max_elt")
+
+
+def test_constructor_matches_dfs_oracle_on_random_relations(rng):
+    graded = 0
+    for _ in range(300):
+        elements, pairs = random_relation(rng)
+        p = cd.build_poset(elements, pairs)
+        want = poset_fields_by_dfs(elements, pairs)
+        assert p.elements == tuple(elements)
+        assert {f: getattr(p, f) for f in FIELDS} == want, (elements, pairs)
+        graded += p.is_graded and len(elements) > 2
+    assert graded >= 20
+
+
+def test_constructor_matches_dfs_oracle_on_graded_posets(rng):
+    for _ in range(40):
+        q = random_graded_poset(rng, max_levels=5)
+        pairs = sorted(cover_names(q))
+        pairs += rng.sample(pairs, min(3, len(pairs)))
+        # one pair implied by two covers: kept, and it breaks the ranking
+        a, b = next((a, b) for a, b in pairs if b != q.max_elt)
+        pairs.append((a, q.max_elt))
+        elements = list(q.elements)
+        rng.shuffle(elements)
+        p = cd.build_poset(elements, pairs)
+        assert {f: getattr(p, f) for f in FIELDS} \
+            == poset_fields_by_dfs(elements, pairs)
+        assert not p.is_ranked
+
+
+@pytest.mark.parametrize("elements, pairs, error, message", [
+    (["a", "b"], [("a", "b"), ("b", "a")], CycleDetected,
+     "cover relation contains a cycle"),
+    (["a", "b", "c", "d"], [("d", "a"), ("a", "b"), ("b", "c"), ("c", "a")],
+     CycleDetected, "cover relation contains a cycle"),
+    (["a", "b"], [("a", "b"), ("b", "b")], CycleDetected, "cover loop at b"),
+    (["a", "b"], [("a", "b"), ("a", "z")], DomainError,
+     "cover (a, z) references unknown id"),
+    (["a", "b", "a"], [("a", "b")], DomainError, "element ids are not unique"),
+])
+def test_constructor_errors(elements, pairs, error, message):
+    with pytest.raises(error) as info:
+        cd.build_poset(elements, pairs)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def maximal_chains_by_enumeration(p):
+    """The listed chains that no proper element outside them extends."""
+    proper = [e for e in p.elements if e not in (p.min_elt, p.max_elt)]
+    return {c for c in enumerate_chains(p)
+            if not any(e not in c and all(p.lt(e, x) or p.lt(x, e) for x in c)
+                       for e in proper)}
+
+
+def test_maximal_chains_match_enumeration(eulerian_fixtures, rng):
+    posets = [p for _, p in eulerian_fixtures]
+    posets += [random_graded_poset(rng, max_levels=5) for _ in range(30)]
+    posets += [cd.boolean_poset(0), cd.boolean_poset(1), cd.chain_poset(1)]
+    for p in posets:
+        chains = p.maximal_chains()
+        assert len(chains) == len(set(chains))
+        assert set(chains) == maximal_chains_by_enumeration(p)
+
+
+def test_maximal_chains_past_the_recursion_limit():
+    chains = cd.chain_poset(1200).maximal_chains()
+    assert chains == [tuple("c%d" % i for i in range(1, 1200))]
