@@ -109,14 +109,12 @@ def _cmd_compute(args):
         poly = cd_index(p)
         return _emit(args, [str(poly)], {"what": what,
                                          "cd": poly.to_json_obj()})
-    if what == "local":
-        li = local_index(p)
-        lines = ["ab: %s" % li.ab, "cd: %s" % li.cd, "flag: %s" % li.flag]
-        return _emit(args, lines, {"what": what,
-                                   "ab": li.ab.to_json_obj(),
-                                   "cd": li.cd.to_json_obj(),
-                                   "flag": li.flag.to_json_obj()})
-    raise DomainError("unknown computation %r" % what)
+    li = local_index(p)  # "local", the last choice
+    lines = ["ab: %s" % li.ab, "cd: %s" % li.cd, "flag: %s" % li.flag]
+    return _emit(args, lines, {"what": what,
+                               "ab": li.ab.to_json_obj(),
+                               "cd": li.cd.to_json_obj(),
+                               "flag": li.flag.to_json_obj()})
 
 
 def _cmd_verify(args):
@@ -169,10 +167,8 @@ def _verify(prop, obj, args):
     if prop == "strong-eulerian":
         report = sd.validate_strong_eulerian(_as_subdivision(obj))
         return report.ok, _report_text(report), {}
-    if prop == "strong-formal":
-        report = sd.validate_strong_formal(_as_subdivision(obj))
-        return report.ok, _report_text(report), {}
-    raise DomainError("unknown property %r" % prop)
+    report = sd.validate_strong_formal(_as_subdivision(obj))  # the last choice
+    return report.ok, _report_text(report), {}
 
 
 def _report_text(report):
@@ -246,15 +242,13 @@ def _cmd_generate(args):
     elif shape == "stacked":
         out = cx.make_stacked(args.dim, args.k, seed=args.seed) \
                 .boundary.to_json_obj()
-    elif shape == "barycentric":
+    else:  # "barycentric", the last choice
         if args.input:
             base = _as_complex(_read_input(args.input))
         else:
             base = cx.make_simplex(args.dim)
         _, m = cx.barycentric_subdivision(base)
         out = m.to_json_obj()
-    else:
-        raise DomainError("unknown shape %r" % shape)
     print(json.dumps(out, sort_keys=True, separators=(",", ": ")))
 
 

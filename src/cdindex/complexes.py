@@ -45,16 +45,16 @@ class SimplicialComplex:
     __slots__ = ("facets", "vertices", "_faces")
 
     def __init__(self, facets):
-        norm = {frozenset(str(v) for v in f) for f in facets}
-        norm.discard(frozenset())
-        # drop faces contained in other facets
-        norm = {f for f in norm if not any(f < g for g in norm)}
-        self.facets = tuple(sorted(norm, key=lambda f: (len(f), sorted(f))))
-        faces = {frozenset()}
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                faces.update(frozenset(c) for c in combinations(sorted(f), k))
-        self._faces = frozenset(faces)
+        given = {frozenset(str(v) for v in f) for f in facets}
+        # the strict subfaces of given sets; the given sets not among them
+        # are the facets
+        below = {frozenset()}
+        for f in given:
+            for k in range(1, len(f)):
+                below.update(map(frozenset, combinations(f, k)))
+        self.facets = tuple(sorted(given - below,
+                                   key=lambda f: (len(f), sorted(f))))
+        self._faces = frozenset(below | given)
         self.vertices = tuple(sorted({v for f in self.facets for v in f}))
 
     @property

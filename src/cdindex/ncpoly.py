@@ -1,38 +1,100 @@
 """Exact-integer polynomial kernels.
 
-Noncommutative polynomials over the alphabets {a,b} and {c,d} are stored as
-word -> coefficient dicts with arbitrary-precision integers.  The canonical
-term order used everywhere (printing, equality of output, reduction pivots)
-is total degree ascending, then lexicographic with a < b and c < d.  The
-commutative side is a dense integer polynomial in x.
+Noncommutative polynomials over the alphabets {a,b} and {c,d}, and the
+tensors of the letter-deletion coproduct, are stored as key -> coefficient
+dicts with arbitrary-precision integers; one constructor (``_Terms``)
+normalises every such dict.  The canonical term order used everywhere
+(printing, equality of output, reduction pivots) is total degree ascending,
+then lexicographic with a < b and c < d.  The commutative side is a dense
+integer polynomial in x.
 """
 from __future__ import annotations
 
 import re
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import product, zip_longest
 
 from .errors import DegreeTooHigh, DomainError, NotCdExpressible
 
 
-class _WordPolynomial:
+class _Terms:
+    """Integer combination of keys, stored as a key -> nonzero coefficient
+    dict.  The constructor, given a mapping or (key, coefficient) pairs, is
+    the only code that merges like terms, drops zeros and checks keys."""
+
+    __slots__ = ("terms",)
+    _unit = ""  # the key of the constant term
+
+    def __init__(self, terms=None):
+        if hasattr(terms, "items"):
+            data = dict(terms)
+        else:
+            data = {}
+            get = data.get
+            for key, coeff in terms or ():
+                data[key] = get(key, 0) + coeff
+        self._check(data)
+        if 0 in data.values():
+            data = {key: coeff for key, coeff in data.items() if coeff}
+        self.terms = data
+
+    def _check(self, keys):
+        """Raise DomainError on a key outside the class's domain."""
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return type(self)([*self.terms.items(), *other.terms.items()])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, int):
+            return type(self)({self._unit: other})
+        raise TypeError("cannot combine %r with %r" % (type(self), type(other)))
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.terms == ({self._unit: other} if other else {})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash((type(self).__name__, tuple(self.sorted_terms())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _key(self, key):
+        return key
+
+    def sorted_terms(self):
+        """Terms in canonical order (see ``_key``)."""
+        return sorted(self.terms.items(), key=lambda it: self._key(it[0]))
+
+
+class _WordPolynomial(_Terms):
     """Shared arithmetic for word-indexed integer polynomials."""
 
     alphabet = ""
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for word, coeff in terms.items():
-                if word.strip(self.alphabet):
-                    raise DomainError(
-                        "word %r not over alphabet %r" % (word, self.alphabet))
-                if coeff:
-                    data[word] = data.get(word, 0) + coeff
-                    if not data[word]:
-                        del data[word]
-        self.terms = data
+    def _check(self, words):
+        if "".join(words).strip(self.alphabet):
+            bad = next(w for w in words if w.strip(self.alphabet))
+            raise DomainError(
+                "word %r not over alphabet %r" % (bad, self.alphabet))
 
     # -- constructors -------------------------------------------------
 
@@ -50,63 +112,18 @@ class _WordPolynomial:
 
     # -- ring structure ------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        data = dict(self.terms)
-        for word, coeff in other.terms.items():
-            new = data.get(word, 0) + coeff
-            if new:
-                data[word] = new
-            else:
-                data.pop(word, None)
-        return type(self)(data)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, int):
             return type(self)({w: c * other for w, c in self.terms.items()})
         other = self._coerce(other)
-        data = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                data[word] = data.get(word, 0) + c1 * c2
-        return type(self)(data)
+        return type(self)([(w1 + w2, c1 * c2)
+                           for w1, c1 in self.terms.items()
+                           for w2, c2 in other.terms.items()])
 
     def __rmul__(self, other):
         if isinstance(other, int):
             return self * other
         return self._coerce(other) * self
-
-    def _coerce(self, other):
-        if isinstance(other, type(self)):
-            return other
-        if isinstance(other, int):
-            return type(self)({"": other})
-        raise TypeError("cannot combine %r with %r" % (type(self), type(other)))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({"": other} if other else {})
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((type(self).__name__, tuple(self.sorted_terms())))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- inspection ----------------------------------------------------
 
@@ -115,11 +132,8 @@ class _WordPolynomial:
         return len(word)
 
     def _key(self, word):
+        """Canonical order: degree ascending, then lex."""
         return (self.word_degree(word), word)
-
-    def sorted_terms(self):
-        """Terms in canonical order: degree ascending, then lex."""
-        return sorted(self.terms.items(), key=lambda it: self._key(it[0]))
 
     @property
     def degree(self):
@@ -142,14 +156,13 @@ class _WordPolynomial:
         built in the class of the image polynomials.
         """
         target = type(next(iter(images.values())))
-        data = {}
+        pairs = []
         for word, coeff in self.terms.items():
             prod = target.one()
             for letter in word:
                 prod = prod * images[letter]
-            for w, c in prod.terms.items():
-                data[w] = data.get(w, 0) + c * coeff
-        return target(data)
+            pairs += [(w, c * coeff) for w, c in prod.terms.items()]
+        return target(pairs)
 
     # -- text ------------------------------------------------------------
 
@@ -205,11 +218,8 @@ def _expansion(cd_word):
 
 def expand_cd(p):
     """Expand a cd-polynomial into ab-letters via c -> a+b, d -> ab+ba."""
-    data = {}
-    for cd_word, coeff in p.terms.items():
-        for word in _expansion(cd_word):
-            data[word] = data.get(word, 0) + coeff
-    return AbPolynomial(data)
+    return AbPolynomial([(word, coeff) for cd_word, coeff in p.terms.items()
+                         for word in _expansion(cd_word)])
 
 
 def _parse_least_word(word):
@@ -266,42 +276,11 @@ def to_cd(p):
     return CdPolynomial(out)
 
 
-class TensorSum:
+class TensorSum(_Terms):
     """Integer combination of word (x) word tensors in normal form."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for pair, coeff in terms.items():
-                if coeff:
-                    data[pair] = data.get(pair, 0) + coeff
-                    if not data[pair]:
-                        del data[pair]
-        self.terms = data
-
-    def __add__(self, other):
-        data = dict(self.terms)
-        for pair, coeff in other.terms.items():
-            new = data.get(pair, 0) + coeff
-            if new:
-                data[pair] = new
-            else:
-                data.pop(pair, None)
-        return TensorSum(data)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSum) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    __slots__ = ()
+    _unit = ("", "")
 
     def __repr__(self):
         if not self.terms:
@@ -319,14 +298,9 @@ def coproduct(p):
 
     C(w_1...w_n) = sum_i w_1...w_{i-1} (x) w_{i+1}...w_n; C(1) = 0.
     """
-    data = {}
-    for word, coeff in p.terms.items():
-        for i in range(len(word)):
-            pair = (word[:i], word[i + 1:])
-            data[pair] = data.get(pair, 0) + coeff
-            if not data[pair]:
-                del data[pair]
-    return TensorSum(data)
+    return TensorSum([((word[:i], word[i + 1:]), coeff)
+                      for word, coeff in p.terms.items()
+                      for i in range(len(word))])
 
 
 def tensor_collapse(t, left, right):
@@ -374,8 +348,8 @@ class UniPolynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPolynomial([self[i] + other[i] for i in range(n)])
+        return UniPolynomial([a + b for a, b in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -473,11 +447,7 @@ def coefficientwise_leq(p, q):
     Works for word polynomials of the same class and for UniPolynomials;
     missing terms count as zero.
     """
-    if isinstance(p, UniPolynomial):
-        n = max(len(p.coeffs), len(q.coeffs))
-        return all(p[i] <= q[i] for i in range(n))
-    words = set(p.terms) | set(q.terms)
-    return all(p.coefficient(w) <= q.coefficient(w) for w in words)
+    return is_nonnegative(q - p)
 
 
 def is_nonnegative(p):
@@ -505,51 +475,35 @@ def _format_word(word):
     return "".join(out)
 
 
-def _join_terms(bits):
-    if not bits:
-        return "0"
-    head, *rest = bits
-    text = head if not head.startswith("+") else head[1:].lstrip()
-    for bit in rest:
-        text += " " + bit[0] + " " + bit[1:].lstrip()
-    return text
+def _format_terms(terms):
+    """Text of (word, coefficient) pairs, in the order given."""
+    text = ""
+    for word, coeff in terms:
+        body = _format_word(word)
+        mag = abs(coeff)
+        piece = (str(mag) if body == "1" else body if mag == 1
+                 else "%d*%s" % (mag, body))
+        if text:
+            text += (" - " if coeff < 0 else " + ") + piece
+        else:
+            text = ("-" if coeff < 0 else "") + piece
+    return text or "0"
 
 
 def format_word_poly(p):
-    bits = []
-    for word, coeff in p.sorted_terms():
-        mag = abs(coeff)
-        body = _format_word(word)
-        if body == "1":
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = "%d*%s" % (mag, body)
-        bits.append(("-" if coeff < 0 else "+") + piece)
-    return _join_terms(bits)
+    return _format_terms(p.sorted_terms())
 
 
 def format_unipoly(p):
-    bits = []
-    for k, coeff in enumerate(p.coeffs):
-        if not coeff:
-            continue
-        mag = abs(coeff)
-        if k == 0:
-            piece = str(mag)
-        else:
-            xpow = "x" if k == 1 else "x^%d" % k
-            piece = xpow if mag == 1 else "%d*%s" % (mag, xpow)
-        bits.append(("-" if coeff < 0 else "+") + piece)
-    return _join_terms(bits)
+    """Terms by ascending power; x^k is spelled as the word "x" * k."""
+    return _format_terms(("x" * k, c) for k, c in enumerate(p.coeffs) if c)
 
 
 _TERM_RE = re.compile(r"(\d+)?(\*)?([^\d*].*)?")
 
 
 def _parse_terms(text, parse_word):
-    """Sum polynomial text into a {parse_word(word text): coefficient} dict.
+    """Polynomial text as (parse_word(word text), coefficient) pairs.
 
     Terms are joined by + or -, and the first may carry a sign too.  A term
     is a coefficient, a word, or a coefficient and a word, optionally joined
@@ -559,7 +513,7 @@ def _parse_terms(text, parse_word):
     chunks = re.split(r"(?=[+-])", text.strip().replace(" ", ""))
     if not chunks[0]:
         chunks.pop(0)  # the text is empty or opens with a sign
-    out = {}
+    out = []
     for chunk in chunks:
         sign = -1 if chunk[0] == "-" else 1
         term = chunk[1:] if chunk[0] in "+-" else chunk
@@ -568,7 +522,7 @@ def _parse_terms(text, parse_word):
         key = parse_word(m[3] or "") if ok else None
         if key is None:
             raise DomainError("cannot parse term %r" % term)
-        out[key] = out.get(key, 0) + sign * int(m[1] or 1)
+        out.append((key, sign * int(m[1] or 1)))
     return out
 
 
@@ -609,7 +563,7 @@ def _parse_power(body):
 
 def parse_unipoly(text):
     """Parse "1 + 4*x + x^2" style text into a UniPolynomial."""
-    coeffs = _parse_terms(text, _parse_power)
+    coeffs = _Terms(_parse_terms(text, _parse_power)).terms
     return UniPolynomial([coeffs.get(i, 0)
                           for i in range(max(coeffs, default=-1) + 1)])
 
@@ -631,10 +585,7 @@ def ab_words(degree):
     """All ab-words of the given length, lex order."""
     if degree < 0:
         return []
-    words = [""]
-    for _ in range(degree):
-        words = [w + letter for w in words for letter in "ab"]
-    return sorted(words)
+    return list(map("".join, product("ab", repeat=degree)))
 
 
 def cd_words(degree):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import settings
@@ -250,6 +251,45 @@ def to_cd_by_reduction(p):
     return CdPolynomial(out)
 
 
+# Plain-dict reference for the polynomial kernels: a word polynomial or a
+# tensor is a {key: coefficient} dict with no zero coefficient.
+
+
+def dict_collect(pairs):
+    """Sum (key, coefficient) pairs into a dict, dropping zero sums."""
+    out = defaultdict(int)
+    for key, coeff in pairs:
+        out[key] += coeff
+    return {key: coeff for key, coeff in out.items() if coeff != 0}
+
+
+def dict_add(p, q, sign=1):
+    return dict_collect([*p.items(), *((k, sign * c) for k, c in q.items())])
+
+
+def dict_mul(p, q):
+    """Words concatenate and coefficients multiply."""
+    return dict_collect((u + v, a * b) for u, a in p.items()
+                        for v, b in q.items())
+
+
+def dict_map_words(p, images):
+    """The algebra map sending each letter to the dict images[letter]."""
+    pairs = []
+    for word, coeff in p.items():
+        prod = {"": 1}
+        for letter in word:
+            prod = dict_mul(prod, images[letter])
+        pairs += [(w, c * coeff) for w, c in prod.items()]
+    return dict_collect(pairs)
+
+
+def dict_coproduct(p):
+    """Delete one letter of each word in every place."""
+    return dict_collect(((w[:i], w[i + 1:]), c) for w, c in p.items()
+                        for i in range(len(w)))
+
+
 def outcome(fn, *args):
     """fn(*args), or the type, message and residual of what it raised, so
     that two routes can be compared on failing inputs too."""
@@ -308,6 +348,14 @@ def cd_index_by_old_route(p):
     if cd.is_near_eulerian(p):
         return cd.local_index(p).cd + cd.cd_index(cd.boundary(p))
     return cd.to_cd(cd.ab_index(p))
+
+
+def facets_by_pairwise_filter(facets):
+    """Oracle for SimplicialComplex's facets: the nonempty given sets, less
+    each one strictly inside another, by pairwise subset tests."""
+    norm = {frozenset(str(v) for v in f) for f in facets}
+    norm.discard(frozenset())
+    return {f for f in norm if not any(f < g for g in norm)}
 
 
 def shelling_step_by_closure(prev_faces, facet):

@@ -204,6 +204,14 @@ def test_exit_codes(capsys, tmp_path, square_file):
     code, _, _ = invoke(capsys, "compute", "--what", "nonsense",
                         "--input", square_file)
     assert code == 64
+    # argparse refuses a bad choice before dispatch, with the usage line
+    for command, flag in (("verify", "--property"), ("generate", "--shape")):
+        code, out, err = invoke(capsys, command, flag, "nonsense",
+                                "--input", square_file)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage: cdindex %s [-h] %s" % (command, flag))
+        assert ("\nerror: argument %s: invalid choice: 'nonsense'" % flag
+                in err)
     code, _, _ = invoke(capsys, "frobnicate")
     assert code == 64
     code, _, _ = invoke(capsys, "localh", "--jobs", "2",

@@ -1,6 +1,7 @@
 """Simplicial complexes: face posets, homology, shellings, generators."""
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,9 +10,9 @@ from cdindex.cli import run
 from cdindex.complexes import _closure_of, _shelling_step_ok
 from cdindex.errors import FaceNotFound, NotPure, SearchCutoff
 from cdindex.ncpoly import UniPolynomial, coefficientwise_leq
-from conftest import (find_shelling_by_recursion, octahedron_complex, outcome,
-                      polygon_lattice, shelling_step_by_closure,
-                      square_lattice)
+from conftest import (facets_by_pairwise_filter, find_shelling_by_recursion,
+                      octahedron_complex, outcome, polygon_lattice,
+                      shelling_step_by_closure, square_lattice)
 
 
 def test_face_poset_triangle_is_b3():
@@ -27,6 +28,31 @@ def test_face_poset_square_boundary():
 def test_face_poset_empty_complex():
     p = cd.face_poset(cd.SimplicialComplex([]))
     assert len(p.elements) == 1
+
+
+def test_facets_match_pairwise_filter(rng):
+    # duplicates, nested sets, the empty set and single vertices, with
+    # vertex names given as ints and as strings
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        given = [rng.sample(range(n), rng.randint(0, n))
+                 for _ in range(rng.randint(0, 8))]
+        for f in list(given):
+            roll = rng.random()
+            if roll < 0.3:
+                given.append(list(reversed(f)))
+            elif roll < 0.6:
+                given.append(f[:rng.randint(0, len(f))])
+        given += rng.choice(([], [[]], [[rng.randrange(n)]], [["0", 0]]))
+        rng.shuffle(given)
+        k = cd.SimplicialComplex(given)
+        want = facets_by_pairwise_filter(given)
+        assert k.facets == tuple(sorted(want, key=lambda f: (len(f),
+                                                             sorted(f))))
+        assert k.faces() == {frozenset(c) for f in want | {frozenset()}
+                             for r in range(len(f) + 1)
+                             for c in combinations(f, r)}
+        assert k.vertices == tuple(sorted(set().union(*want)))
 
 
 def test_order_complex_b3_is_hexagon():

@@ -9,7 +9,8 @@ from cdindex.ncpoly import (AbPolynomial, CdPolynomial, TensorSum,
                             coefficientwise_leq, coproduct, expand_cd,
                             kappa, parse_unipoly, parse_word_poly,
                             substitute, tensor_collapse, to_cd)
-from conftest import CD_IMAGES, to_cd_by_reduction
+from conftest import (CD_IMAGES, dict_add, dict_collect, dict_coproduct,
+                      dict_map_words, dict_mul, to_cd_by_reduction)
 
 A = AbPolynomial.monomial("a")
 B = AbPolynomial.monomial("b")
@@ -31,6 +32,18 @@ def cd_polys(max_deg=10, max_terms=4, max_coeff=9):
     return st.dictionaries(words,
                            st.integers(-max_coeff, max_coeff),
                            max_size=max_terms).map(CdPolynomial)
+
+
+def term_pairs(keys, max_terms=8, max_coeff=5):
+    """(key, coefficient) lists; short keys make repeats and cancelling
+    terms likely."""
+    return st.lists(st.tuples(keys, st.integers(-max_coeff, max_coeff)),
+                    max_size=max_terms)
+
+
+AB_KEYS = st.text(alphabet="ab", max_size=3)
+CD_KEYS = st.text(alphabet="cd", max_size=3)
+TENSOR_KEYS = st.tuples(AB_KEYS, AB_KEYS)
 
 
 def test_ring_basics():
@@ -291,3 +304,148 @@ def test_parse_rejects_garbage():
             parse_word_poly(bad, AbPolynomial)
         with pytest.raises(DomainError):
             parse_unipoly(bad.replace("a", "x").replace("b", "x"))
+
+
+# -- the term kernel against the plain-dict reference ---------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_pairs(AB_KEYS), term_pairs(CD_KEYS), term_pairs(TENSOR_KEYS))
+def test_constructor_matches_dict_reference(ab, cd_, tensor):
+    for cls, pairs in ((AbPolynomial, ab), (CdPolynomial, cd_),
+                       (TensorSum, tensor)):
+        want = dict_collect(pairs)
+        assert cls(pairs).terms == want
+        assert cls(iter(pairs)).terms == want
+        assert cls(dict(pairs)).terms == dict_collect(dict(pairs).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(ab_polys(), ab_polys()),
+                 st.tuples(cd_polys(), cd_polys())),
+       st.integers(-4, 4))
+def test_ring_operations_match_dict_reference(pair, k):
+    p, q = pair
+    assert (p + q).terms == dict_add(p.terms, q.terms)
+    assert (p - q).terms == dict_add(p.terms, q.terms, -1)
+    assert (-p).terms == dict_collect((w, -c) for w, c in p.terms.items())
+    assert (p * q).terms == dict_mul(p.terms, q.terms)
+    scaled = dict_collect((w, k * c) for w, c in p.terms.items())
+    assert (k * p).terms == (p * k).terms == scaled
+    assert (p + k).terms == (k + p).terms == dict_add(p.terms, {"": k})
+    assert (k - p).terms == dict_add({"": k}, p.terms, -1)
+    assert (p == q) == (dict_add(p.terms, q.terms, -1) == {})
+    assert (p == k) == (p.terms == dict_collect([("", k)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ab_polys(max_len=4), ab_polys(max_len=2, max_terms=3),
+       ab_polys(max_len=2, max_terms=3), cd_polys(max_deg=6))
+def test_substitution_and_expansion_match_dict_reference(p, img_a, img_b, q):
+    images = {"a": img_a.terms, "b": img_b.terms}
+    want = dict_map_words(p.terms, images)
+    assert substitute(p, img_a, img_b).terms == want
+    assert p.map_words({"a": img_a, "b": img_b}).terms == want
+    cd_images = {w: image.terms for w, image in CD_IMAGES.items()}
+    assert expand_cd(q).terms == dict_map_words(q.terms, cd_images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ab_polys(), cd_polys()),
+       term_pairs(TENSOR_KEYS), term_pairs(TENSOR_KEYS))
+def test_coproduct_and_tensor_sums_match_dict_reference(p, t_pairs, u_pairs):
+    assert coproduct(p).terms == dict_coproduct(p.terms)
+    t, u = TensorSum(t_pairs), TensorSum(u_pairs)
+    assert (t + u).terms == dict_add(t.terms, u.terms)
+    assert (t - u).terms == dict_add(t.terms, u.terms, -1)
+    assert (-t).terms == dict_collect((k, -c) for k, c in t.terms.items())
+    assert (t == u) == (t.terms == u.terms)
+    assert (t + 3).terms == dict_add(t.terms, {("", ""): 3})
+    assert (t == 0) == (not t.terms)
+    assert bool(t) == bool(t.terms)
+    assert hash(t) == hash(TensorSum(dict(t.terms)))
+    assert t.sorted_terms() == sorted(t.terms.items())
+
+
+BIG = st.integers(-10 ** 45, 10 ** 45)
+COEFFS = st.lists(st.one_of(BIG, st.integers(-2, 2)), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(COEFFS, COEFFS)
+def test_unipoly_sum_matches_padded_lists(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    want = UniPolynomial([x + y for x, y in zip(a, b)])
+    assert UniPolynomial(a) + UniPolynomial(b) == want
+    assert UniPolynomial(a) - UniPolynomial(b) == want - 2 * UniPolynomial(b)
+
+
+# -- text ----------------------------------------------------------------
+
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(alphabet="ab", max_size=6), BIG, max_size=5),
+       st.dictionaries(st.text(alphabet="cd", max_size=5), BIG, max_size=5),
+       COEFFS)
+def test_text_round_trips(ab, cd_, coeffs):
+    for p, cls in ((AbPolynomial(ab), AbPolynomial),
+                   (CdPolynomial(cd_), CdPolynomial)):
+        assert parse_word_poly(str(p), cls) == p
+    u = UniPolynomial(coeffs)
+    assert parse_unipoly(str(u)) == u
+
+
+def test_text_edge_cases():
+    big = 10 ** 40
+    cases = [
+        (AbPolynomial.zero(), "0"),
+        (CdPolynomial.zero(), "0"),
+        (UniPolynomial.zero(), "0"),
+        (CdPolynomial.one() * 7, "7"),
+        (UniPolynomial((-7,)), "-7"),
+        (AbPolynomial({"ab": 1, "b": -2}), "-2*b + ab"),
+        (AbPolynomial({"ab": -1}), "-ab"),
+        (CdPolynomial({"dc": -1, "ccc": -3}), "-3*c^3 - dc"),
+        (UniPolynomial((0, -1, 3)), "-x + 3*x^2"),
+        (UniPolynomial.x(), "x"),
+        (UniPolynomial((0, 1, 0, 1)), "x + x^3"),
+        (AbPolynomial({"": big, "ab": -big}),
+         "10000000000000000000000000000000000000000"
+         " - 10000000000000000000000000000000000000000*ab"),
+        (UniPolynomial((0, -big)),
+         "-10000000000000000000000000000000000000000*x"),
+    ]
+    for poly, text in cases:
+        assert str(poly) == text
+    assert repr(UniPolynomial.x()) == "UniPolynomial(x)"
+    assert repr(CdPolynomial.zero()) == "CdPolynomial(0)"
+    assert repr(TensorSum()) == "TensorSum(0)"
+    assert repr(coproduct(AbPolynomial({"ab": -2}))) == \
+        "TensorSum(-2*1(x)b -2*a(x)1)"
+
+
+def test_ab_words():
+    assert ab_words(-1) == []
+    assert ab_words(0) == [""]
+    assert ab_words(2) == ["aa", "ab", "ba", "bb"]
+    assert ab_words(6) == sorted(ab_words(6))
+
+
+def test_bad_words_raise_from_every_construction():
+    message = "word 'ac' not over alphabet 'ab'"
+    for make in (lambda: AbPolynomial({"a": 1, "ac": 0}),
+                 lambda: AbPolynomial([("a", 1), ("ac", 2), ("ac", -2)]),
+                 lambda: AbPolynomial.from_json_obj({"ac": "1"}),
+                 lambda: AbPolynomial.monomial("ac")):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert str(err.value) == message
+    with pytest.raises(DomainError) as err:
+        parse_word_poly("a + 2*ac", AbPolynomial)
+    assert str(err.value) == "unexpected letter 'c' in 'ac'"
+    with pytest.raises(DomainError) as err:
+        parse_word_poly("c + a", CdPolynomial)
+    assert str(err.value) == "unexpected letter 'a' in 'a'"
