@@ -257,6 +257,13 @@ class GradedPoset:
         return self._balanced
 
     def _intervals_eulerian(self):
+        # Only intervals of even length are scanned.  Let [s, t] have odd
+        # length n, and let its proper subintervals be balanced, so that
+        # mu(x, y) = (-1)^(rank y - rank x) on them.  With
+        # E = sum of (-1)^(rank z - rank s) over z in [s, t], mu(s, t) is
+        # -(E - (-1)^n) from the bottom and -(-1)^n (E - 1) from the top;
+        # equating gives E (1 - (-1)^n) = 0, so E = 0.  By induction on the
+        # length, every interval is balanced once the even ones are.
         n = len(self.elements)
         even = 0
         for i in range(n):
@@ -265,7 +272,7 @@ class GradedPoset:
         odd = ((1 << n) - 1) ^ even
         up, dn = self._up, self._dn
         for s in range(n):
-            for t in self._bits(up[s]):
+            for t in self._bits(up[s] & (even if even >> s & 1 else odd)):
                 mask = ((up[s] | 1 << s) & (dn[t] | 1 << t))
                 e = (mask & even).bit_count()
                 o = (mask & odd).bit_count()

@@ -350,6 +350,30 @@ def cd_index_by_old_route(p):
     return cd.to_cd(cd.ab_index(p))
 
 
+PYRAMID_D = {"c": {"d": 2}, "d": {"cd": 1, "dc": 1}}
+
+
+def boolean_cd_by_pyramid(n):
+    """cd-index of B_n by the Ehrenborg-Readdy pyramid rule iterated from
+    B_1 ("Coproducts and the cd-index", J. Algebraic Combin. 1998):
+    Phi(Pyr P) = (c Phi + Phi c + D(Phi)) / 2, where the derivation D has
+    D(c) = 2d and D(d) = cd + dc.  Plain word dicts, no flagcd."""
+    if n < 1:
+        raise ValueError("B_0 has no cd-index")
+    phi = {"": 1}
+    for _ in range(n - 1):
+        out = defaultdict(int)
+        for w, k in phi.items():
+            out["c" + w] += k
+            out[w + "c"] += k
+            for i, letter in enumerate(w):
+                for image, m in PYRAMID_D[letter].items():
+                    out[w[:i] + image + w[i + 1:]] += k * m
+        assert all(k % 2 == 0 for k in out.values())
+        phi = {w: k // 2 for w, k in out.items() if k}
+    return CdPolynomial(phi)
+
+
 def facets_by_pairwise_filter(facets):
     """Oracle for SimplicialComplex's facets: the nonempty given sets, less
     each one strictly inside another, by pairwise subset tests."""

@@ -3,12 +3,15 @@ import pytest
 
 import cdindex as cd
 from cdindex.errors import NotCdExpressible
+from cdindex.flagcd import _chain_counts, _peel_cd
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
-                            coefficientwise_leq, is_nonnegative, substitute)
+                            cd_words, coefficientwise_leq, expand_cd,
+                            is_nonnegative, substitute)
 from conftest import (ab_index_by_chains, bipyramid_lattice,
-                      cd_index_by_old_route, flag_polynomial_by_chains,
-                      outcome, polygon_lattice, random_graded_poset,
-                      square_lattice, tetra_lattice)
+                      boolean_cd_by_pyramid, cd_index_by_old_route,
+                      flag_polynomial_by_chains, outcome, polygon_lattice,
+                      random_eulerian, random_graded_poset, square_lattice,
+                      tetra_lattice)
 
 
 def test_flag_f_square():
@@ -213,16 +216,79 @@ def test_boundary_is_the_interval_below_the_restored_coatom(
 
 def test_cd_index_matches_old_route(near_eulerian_fixtures,
                                     eulerian_fixtures, rng):
-    # the old route semisuspended three times; neither-posets must still
-    # raise with the same residual and message
+    # the old route semisuspended three times and rewrote the full ab-index
+    # of an Eulerian poset with to_cd; neither-posets must still raise with
+    # the same residual and message
     neither = [("chain3", cd.chain_poset(3))]
     neither += [("random%d" % k, random_graded_poset(rng)) for k in range(40)]
+    pool = [p for _, p in eulerian_fixtures if len(p.elements) <= 32]
+    eulerian = [("B%d" % n, cd.boolean_poset(n)) for n in range(1, 10)]
+    eulerian += [("eulerian%d" % k, random_eulerian(rng, pool))
+                 for k in range(60)]
     raised = 0
-    for name, p in near_eulerian_fixtures + eulerian_fixtures + neither:
+    for name, p in (near_eulerian_fixtures + eulerian_fixtures + eulerian
+                    + neither):
         got = outcome(cd.cd_index, p)
         assert got == outcome(cd_index_by_old_route, p), name
         raised += got[0] == "raised"
     assert raised >= 10
+    assert all(p.is_eulerian() for _, p in eulerian)
+
+
+def is_sparse(mask):
+    """No two consecutive ranks."""
+    return not mask & mask >> 1
+
+
+def test_sparse_chain_counts_are_flag_f_on_sparse_sets(eulerian_fixtures,
+                                                       rng):
+    posets = [p for _, p in eulerian_fixtures] + [cd.boolean_poset(8)]
+    posets += [random_graded_poset(rng, max_levels=6, max_width=4)
+               for _ in range(40)]
+    fib = [1, 2]  # the sparse subsets of {1..n} number F(n + 2)
+    for p in posets:
+        n, sparse = _chain_counts(p, sparse=True)
+        dense = cd.flag_f(p)
+        assert n == dense.n
+        want = {m: v for m, v in dense.values.items() if is_sparse(m)}
+        assert sparse == want
+        while len(fib) <= n:
+            fib.append(fib[-1] + fib[-2])
+        assert len(sparse) == fib[n]
+
+
+def sparse_flag_f(psi, n):
+    """f_S = sum of [u_T] Psi over T in S, on the sparse S of {1..n}."""
+    out = {}
+    for mask in range(1 << n):
+        if is_sparse(mask):
+            out[mask] = sum(c for w, c in psi.terms.items()
+                            if all(mask >> i & 1 for i, x in enumerate(w)
+                                   if x == "b"))
+    return out
+
+
+def test_peel_inverts_sparse_flag_f(rng):
+    # every cd-polynomial, realised by a poset or not, peels back to itself
+    cases = 0
+    for n in range(11):
+        words = cd_words(n)
+        for _ in range(12 if n < 8 else 3):
+            phi = CdPolynomial({w: rng.randint(-9, 9) for w in words
+                                if rng.random() < 0.6})
+            values = sparse_flag_f(expand_cd(phi), n)
+            assert _peel_cd(n, values) == phi, (n, phi)
+            cases += bool(phi)
+    assert cases >= 80
+    # the zero vector and a single word
+    assert _peel_cd(5, sparse_flag_f(AbPolynomial.zero(), 5)) == 0
+    dcd = CdPolynomial({"dcd": -3})
+    assert _peel_cd(5, sparse_flag_f(expand_cd(dcd), 5)) == dcd
+
+
+def test_boolean_cd_index_matches_pyramid_rule():
+    for n in range(1, 12):
+        assert cd.cd_index(cd.boolean_poset(n)) == boolean_cd_by_pyramid(n), n
 
 
 def test_near_eulerian_cd_index_is_nonhomogeneous():

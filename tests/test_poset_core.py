@@ -8,7 +8,7 @@ from cdindex.errors import (CycleDetected, DomainError, NotALattice,
                             NotGraded, NotNearEulerian, RequiresBounds,
                             RequiresMin)
 from conftest import (enumerate_chains, eulerian_by_mobius, eulerian_pool,
-                      poset_fields_by_dfs, random_eulerian,
+                      mobius_table, poset_fields_by_dfs, random_eulerian,
                       random_graded_poset, random_relation)
 
 EULERIAN_POOL = [p for _, p in eulerian_pool() if len(p.elements) <= 32]
@@ -272,6 +272,40 @@ def test_eulerian_matches_mobius_oracle_on_fixtures(eulerian_fixtures):
             assert not eulerian_by_mobius(broken), name
 
 
+def first_unbalanced_length(p):
+    """Length of a shortest interval whose Mobius value is not
+    (-1)^length, which is a shortest unbalanced one; None if there is
+    none."""
+    lengths = [p.rank(b) - p.rank(a)
+               for (a, b), value in mobius_table(p).items()
+               if value != (-1) ** (p.rank(b) - p.rank(a))]
+    return min(lengths, default=None)
+
+
+def without_middle_element(rng, p):
+    """p less one element strictly between its bounds: in an Eulerian p the
+    length-2 intervals around it are left with one middle element."""
+    middle = [e for e in p.elements if e not in (p.min_elt, p.max_elt)]
+    gone = rng.choice(middle)
+    return p.induced([e for e in p.elements if e != gone])
+
+
+def glued_proper_parts(p, q):
+    """The proper parts of p and q side by side between one new bottom and
+    one new top.  Every proper interval is one of p or of q; for p and q
+    Eulerian of even rank r the whole, of length r, is unbalanced, and for
+    odd r it is balanced."""
+    elements, covers = ["bot", "top"], []
+    for tag, r in (("p", p), ("q", q)):
+        name = {e: tag + e for e in r.elements}
+        name[r.min_elt], name[r.max_elt] = "bot", "top"
+        elements += [tag + e for e in r.elements
+                     if e not in (r.min_elt, r.max_elt)]
+        covers += [(name[r.elements[lo]], name[r.elements[hi]])
+                   for lo, hi in r.cover_pairs]
+    return cd.build_poset(elements, covers)
+
+
 def test_eulerian_matches_mobius_oracle_randomized(rng):
     for k in range(200):
         p = random_graded_poset(rng) if k % 2 else random_eulerian(
@@ -280,6 +314,23 @@ def test_eulerian_matches_mobius_oracle_randomized(rng):
         # the ideal below a random element, by the lower Eulerian scan
         ideal = p.induced(p.down_set(rng.choice(p.elements), strict=False))
         assert ideal.is_lower_eulerian() == eulerian_by_mobius(ideal)
+    # the scan reads only even-length intervals: broken posets whose first
+    # unbalanced interval has length 2, and length 4 or more
+    seen = {}
+    for k in range(240):
+        p = random_eulerian(rng, EULERIAN_POOL)
+        if p.top_rank < 2 or len(p.elements) > 40:
+            continue
+        if k % 2:
+            broken, want = without_middle_element(rng, p), 2
+        else:
+            broken = glued_proper_parts(p, rng.choice([p, cd.dual(p)]))
+            want = None if p.top_rank % 2 else p.top_rank
+        assert first_unbalanced_length(broken) == want
+        assert broken.is_eulerian() == (want is None)
+        seen[want] = seen.get(want, 0) + 1
+    assert seen[2] >= 40 and seen[4] >= 10 and seen[None] >= 10
+    assert sum(n for length, n in seen.items() if length and length >= 6) >= 3
 
 
 def test_join_associative_up_to_isomorphism(rng):
