@@ -10,9 +10,10 @@ flag f-vector on the sparse rank sets, those with no two consecutive ranks
 (Bayer-Billera, Invent. Math. 1985; Stanley, "Flag f-vectors and the
 cd-index", Math. Z. 1994).  The DP runs over the F(n+2) sparse subsets of
 {1..n} only (89 against 2^9 = 512 at n = 9), and Phi is read off them by
-peeling its last cd-letter (``_peel_cd``), with integers only.  The dense
-ab-index and its rewriting by ``to_cd`` serve the local index, the
-near-Eulerian boundary and the non-Eulerian error path.
+peeling its last cd-letter (``_peel_cd``), with integers only.  The local
+cd-index of a near-Eulerian poset, Phi(Q) - Phi([0, tau]) c for its
+semisuspension Q and restored coatom tau, takes two such peels; ``to_cd``
+serves only the posets that are neither Eulerian nor near-Eulerian.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 from . import poset as ps
 from .errors import DomainError, NotNearEulerian, RankTooLarge
-from .ncpoly import AB_B, AB_C, AbPolynomial, CdPolynomial, substitute, to_cd
+from .ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, expand_cd,
+                     substitute, to_cd)
 
 
 @dataclass(frozen=True)
@@ -163,29 +165,31 @@ class LocalIndex:
 def local_index(p):
     """Local indexes of a near-Eulerian poset.
 
-    The local ab-index is l_P = Psi(semisuspension) - Psi(boundary) * (a + b);
-    the local flag polynomial Upsilon(P) - Upsilon(boundary with a max
-    adjoined) is its image under a -> a + b.
+    The local cd-index is l_P = Phi(Q) - Phi(boundary) * c, where Q is the
+    semisuspension and the boundary its interval [0, tau] below the
+    restored coatom.  The local ab-index is the image of l_P under
+    c -> a + b, d -> ab + ba; the local flag polynomial Upsilon(P) -
+    Upsilon(boundary with a max adjoined) is its image under a -> a + b.
     """
     p.require_graded()
     if len(p.elements) in (1, 2) and p.top_rank == len(p.elements) - 1:
-        # a point or a two-chain, the capped preimage of a minimal element:
-        # the semisuspension route degenerates there, and local index 1
-        # makes the decomposition identity close (the bottom row
-        # contributes the base cd-index exactly once)
+        # a point or a two-chain, the capped preimage of a minimal element,
+        # has no semisuspension; local index 1 closes the decomposition
+        # identity (the bottom row counts the base cd-index once)
         one = AbPolynomial.one()
         return LocalIndex(source=p, ab=one, cd=CdPolynomial.one(), flag=one)
     return _local_from_semisuspension(p, *ps._semisuspend(p))[0]
 
 
 def _local_from_semisuspension(p, q, tau):
-    """(local index of p, Psi of its capped boundary [0, tau] of q), given
-    the semisuspension q of p and its restored coatom tau."""
-    bd_ab = ab_index(q.interval(q.min_elt, tau))
-    ab = ab_index(q) - bd_ab * AB_C
-    li = LocalIndex(source=p, ab=ab, cd=to_cd(ab),
-                    flag=substitute(ab, AB_C, AB_B))
-    return li, bd_ab
+    """(local index of p, Phi of its capped boundary [0, tau] of q), given
+    the semisuspension q of p and its restored coatom tau; both carry q's
+    Eulerian verdict, so cd_index peels each."""
+    bd_cd = cd_index(q.interval(q.min_elt, tau))
+    cd = cd_index(q) - bd_cd * CdPolynomial.monomial("c")
+    ab = expand_cd(cd)
+    li = LocalIndex(source=p, ab=ab, cd=cd, flag=substitute(ab, AB_C, AB_B))
+    return li, bd_cd
 
 
 def _peel_cd(n, values):
@@ -230,9 +234,8 @@ def cd_index(p):
     except NotNearEulerian:
         # neither; let the rewriting fail and report the residual
         return to_cd(ab_index(p))
-    # the boundary is an interval of the Eulerian q, so Eulerian itself
-    li, bd_ab = _local_from_semisuspension(p, *semi)
-    return li.cd + to_cd(bd_ab)
+    li, bd_cd = _local_from_semisuspension(p, *semi)
+    return li.cd + bd_cd
 
 
 def polygon_cd(n):

@@ -455,19 +455,17 @@ def decompose_cd(m):
     Each row holds the local cd-index of the capped preimage of sigma and
     the cd-index of the upper interval [sigma, 1]; the weighted sum must
     reproduce the cd-index of the source, which is asserted.  A source or
-    target without both bounds raises RequiresBounds naming it.
+    target without a maximum raises RequiresBounds naming it; validation
+    has already failed one without a minimum.
     """
     require_valid(m, "strong_eulerian")
     src, tgt = m.source, m.target
     for side, p in (("target", tgt), ("source", src)):
-        missing = [b for b, e in (("minimum", p.min_elt),
-                                  ("maximum", p.max_elt)) if e is None]
-        if missing:
+        if p.max_elt is None:
             raise RequiresBounds(
-                "decomposition needs Eulerian posets, but the %s has no %s; "
-                "with_adjoined_tops adjoins formal maxima to both sides of a "
-                "sphere's subdivision"
-                % (side, " and no ".join(missing)))
+                "decomposition needs Eulerian posets, but the %s has no "
+                "maximum; with_adjoined_tops adjoins formal maxima to both "
+                "sides of a sphere's subdivision" % side)
     if not (tgt.is_eulerian() and src.is_eulerian()):
         raise InvalidSubdivision("decomposition needs Eulerian posets")
     rows = [DecompositionRow(sigma, local_index(m._capped_preimage(sigma)).cd,

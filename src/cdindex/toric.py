@@ -45,13 +45,8 @@ def h_poly(p):
     if not p.elements:
         return UniPolynomial.zero()
     _require_lower_eulerian(p)
-    return _h_poly(ps.adjoin_max(p))
-
-
-def _h_poly(hat):
-    """h_poly of a nonempty lower Eulerian poset, given with a maximum
-    adjoined."""
-    return morphism_f(ab_index(hat)).reverse(hat.top_rank - 1)
+    hat = ps.adjoin_max(p)
+    return toric_h(hat).reverse(hat.top_rank - 1)
 
 
 def g_poly(p):
@@ -122,7 +117,10 @@ def local_h(m):
     sigmas = sorted(tgt.elements, key=lambda s: (tgt.rank(s), s))
     # each preimage ideal is a nonempty down-set of src, so it inherits
     # the minimum and lower Eulerian-ness checked above
-    h_of = {s: _h_poly(m._capped_preimage(s)) for s in sigmas}
+    h_of = {}
+    for s in sigmas:
+        hat = m._capped_preimage(s)
+        h_of[s] = toric_h(hat).reverse(hat.top_rank - 1)
     solved = {}
     for sigma in sigmas:
         acc = h_of[sigma]

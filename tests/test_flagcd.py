@@ -2,16 +2,17 @@
 import pytest
 
 import cdindex as cd
-from cdindex.errors import NotCdExpressible
+from cdindex.errors import NotCdExpressible, NotNearEulerian
 from cdindex.flagcd import _chain_counts, _peel_cd
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
                             cd_words, coefficientwise_leq, expand_cd,
                             is_nonnegative, substitute)
 from conftest import (ab_index_by_chains, bipyramid_lattice,
                       boolean_cd_by_pyramid, cd_index_by_old_route,
-                      flag_polynomial_by_chains, outcome, polygon_lattice,
-                      random_eulerian, random_graded_poset, square_lattice,
-                      tetra_lattice)
+                      flag_polynomial_by_chains, local_index_by_ab_route,
+                      outcome, polygon_lattice, random_eulerian,
+                      random_graded_poset, random_near_eulerian,
+                      square_lattice, tetra_lattice)
 
 
 def test_flag_f_square():
@@ -225,14 +226,58 @@ def test_cd_index_matches_old_route(near_eulerian_fixtures,
     eulerian = [("B%d" % n, cd.boolean_poset(n)) for n in range(1, 10)]
     eulerian += [("eulerian%d" % k, random_eulerian(rng, pool))
                  for k in range(60)]
+    near = [("near%d" % k, random_near_eulerian(rng)) for k in range(60)]
     raised = 0
     for name, p in (near_eulerian_fixtures + eulerian_fixtures + eulerian
-                    + neither):
+                    + near + neither):
         got = outcome(cd.cd_index, p)
         assert got == outcome(cd_index_by_old_route, p), name
         raised += got[0] == "raised"
     assert raised >= 10
     assert all(p.is_eulerian() for _, p in eulerian)
+    assert all(cd.is_near_eulerian(p) for _, p in near)
+
+
+def test_local_index_matches_ab_route(near_eulerian_fixtures,
+                                      subdivision_fixtures, rng):
+    # the two peels of Phi(Q) - Phi([0, tau]) c against to_cd of the dense
+    # Psi(Q) - Psi([0, tau]) (a + b); the capped preimages include the
+    # two-chains of the minimal elements
+    cases = list(near_eulerian_fixtures)
+    for name, m in subdivision_fixtures:
+        cases += [("%s %s" % (name, sigma), m._capped_preimage(sigma))
+                  for sigma in m.target.elements]
+    cases += [("random%d" % k, random_near_eulerian(rng)) for k in range(160)]
+    for name, p in cases:
+        got, want = cd.local_index(p), local_index_by_ab_route(p)
+        assert (got.ab, got.cd, got.flag) == (want.ab, want.cd, want.flag), name
+        assert cd.cd_index(p) == cd_index_by_old_route(p), name
+
+
+def test_eulerian_paths_do_not_rewrite_an_ab_index(
+        monkeypatch, eulerian_fixtures, near_eulerian_fixtures,
+        subdivision_fixtures):
+    # the sparse peels serve every Eulerian and near-Eulerian poset, so the
+    # ab-to-cd rewriting runs only for posets that are neither
+    def refuse(p):
+        raise AssertionError("to_cd rewrote an ab-index")
+
+    monkeypatch.setattr("cdindex.flagcd.to_cd", refuse)
+    with pytest.raises(AssertionError):
+        cd.cd_index(cd.chain_poset(3))
+    for name, p in eulerian_fixtures:
+        assert cd.cd_index(p) == cd_index_by_old_route(p), name
+        # B1 is a two-chain, with local index 1; the rest are not
+        # near-Eulerian
+        got = outcome(cd.local_index, p)
+        assert got[0] == "value" or got[1] is NotNearEulerian, name
+    for name, p in near_eulerian_fixtures:
+        assert cd.local_index(p).cd == local_index_by_ab_route(p).cd, name
+        assert cd.cd_index(p) == cd_index_by_old_route(p), name
+    decomposed = 0
+    for name, m in subdivision_fixtures:
+        decomposed += outcome(cd.decompose_cd, m)[0] == "value"
+    assert decomposed >= 3
 
 
 def is_sparse(mask):

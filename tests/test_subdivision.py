@@ -326,6 +326,30 @@ def test_decompose_names_the_missing_bound(subdivision_fixtures, capsys,
         cd.decompose_cd(antichain)
 
 
+def test_decompose_without_a_minimum_fails_validation():
+    # a square lattice with a second bottom z under its atoms: as its own
+    # target it has no minimum; carried to the square's minimum, z joins
+    # the square's bottom in the capped preimage of every face, which so
+    # has no minimum and is not near-Eulerian
+    sq = square_lattice()
+    covers = [(sq.elements[lo], sq.elements[hi]) for lo, hi in sq.cover_pairs]
+    covers += [("z", a) for a in sq.atoms()]
+    extra = cd.build_poset(list(sq.elements) + ["z"], covers)
+    assert extra.min_elt is None and extra.is_graded
+    carrier = {e: e for e in sq.elements}
+    carrier["z"] = sq.min_elt
+    into_square = cd.SubdivisionMap(extra, sq, carrier)
+    cases = [(cd.identity_subdivision(extra), "target has no minimum"),
+             (into_square, "not near-Eulerian")]
+    for m, phrase in cases:
+        assert not cd.validate_strong_eulerian(m).ok
+        with pytest.raises(ValidationRequired, match=phrase):
+            cd.decompose_cd(m)
+    failed = {sigma for sigma, _ in
+              cd.validate_strong_eulerian(into_square).failures}
+    assert failed == set(sq.elements)
+
+
 def test_telescoping_matches_rebuilt_faces(subdivision_fixtures):
     for name, m in subdivision_fixtures:
         fam = cd.skeletal_family(m)
