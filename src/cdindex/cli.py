@@ -155,8 +155,9 @@ def _verify(prop, obj, args):
                                   "sphere", extra)
     if prop == "shelling":
         k = _as_complex(obj)
-        if args.order:
-            order = [part.split(",") for part in args.order.split(";")]
+        if args.order is not None:
+            parts = args.order.split(";") if args.order else []
+            order = [part.split(",") for part in parts]
             ok = cx.verify_shelling(k, order)
             return ok, "" if ok else "a facet meets the prior complex badly", {}
         found = cx.find_shelling(k)

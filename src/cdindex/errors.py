@@ -40,8 +40,9 @@ class RankTooLarge(CdindexError):
 class NotCdExpressible(CdindexError):
     """No integer cd-polynomial expands to the given ab-polynomial.
 
-    Carries the first unparsable residual; seeing this usually means a
-    non-Eulerian poset was fed into a cd-index computation.
+    Carries the residual p - expand_cd(Phi) of the Phi peeled off the
+    sparse flag f-vector of p (see ``ncpoly.to_cd``); seeing this usually
+    means a non-Eulerian poset was fed into a cd-index computation.
     """
 
     def __init__(self, residual):

@@ -9,11 +9,12 @@ The cd-index of an Eulerian poset of proper rank n is determined by its
 flag f-vector on the sparse rank sets, those with no two consecutive ranks
 (Bayer-Billera, Invent. Math. 1985; Stanley, "Flag f-vectors and the
 cd-index", Math. Z. 1994).  The DP runs over the F(n+2) sparse subsets of
-{1..n} only (89 against 2^9 = 512 at n = 9), and Phi is read off them by
-peeling its last cd-letter (``_peel_cd``), with integers only.  The local
-cd-index of a near-Eulerian poset, Phi(Q) - Phi([0, tau]) c for its
-semisuspension Q and restored coatom tau, takes two such peels; ``to_cd``
-serves only the posets that are neither Eulerian nor near-Eulerian.
+{1..n} only (89 against 2^9 = 512 at n = 9), and ``ncpoly._peel_cd`` reads
+Phi off them, with integers only.  The local cd-index of a near-Eulerian
+poset, Phi(Q) - Phi([0, tau]) c for its semisuspension Q and restored
+coatom tau, takes two such peels, and a local index stores only it;
+``to_cd`` serves only the posets that are neither Eulerian nor
+near-Eulerian.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 from . import poset as ps
 from .errors import DomainError, NotNearEulerian, RankTooLarge
-from .ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, expand_cd,
-                     substitute, to_cd)
+from .ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _peel_cd,
+                     _sparse_masks, expand_cd, substitute, to_cd)
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,7 @@ def _chain_counts(p, sparse=False):
                  for s in range(1, r - 1 if sparse else r)}
              for r in levels}
     if sparse:
-        masks, shorter = [0], [0]  # the sparse masks of {1..r}, {1..r-1}
-        for r in range(1, n + 1):
-            masks, shorter = masks + [m | 1 << (r - 1) for m in shorter], masks
+        masks = _sparse_masks(n)
         vec = {}
     else:
         masks = range(1 << n)
@@ -154,12 +153,19 @@ def ab_index(p):
 
 @dataclass(frozen=True)
 class LocalIndex:
-    """Local ab/cd-index and local flag polynomial of a near-Eulerian poset."""
+    """Local cd-index of a near-Eulerian poset; ab and flag are its images
+    (see ``local_index``)."""
 
     source: object
-    ab: AbPolynomial
     cd: CdPolynomial
-    flag: AbPolynomial
+
+    @property
+    def ab(self):
+        return expand_cd(self.cd)
+
+    @property
+    def flag(self):
+        return substitute(self.ab, AB_C, AB_B)
 
 
 def local_index(p):
@@ -167,17 +173,17 @@ def local_index(p):
 
     The local cd-index is l_P = Phi(Q) - Phi(boundary) * c, where Q is the
     semisuspension and the boundary its interval [0, tau] below the
-    restored coatom.  The local ab-index is the image of l_P under
-    c -> a + b, d -> ab + ba; the local flag polynomial Upsilon(P) -
-    Upsilon(boundary with a max adjoined) is its image under a -> a + b.
+    restored coatom.  Only l_P is stored: the local ab-index is its image
+    under c -> a + b, d -> ab + ba, and the local flag polynomial
+    Upsilon(P) - Upsilon(boundary with a max adjoined) that of the ab-index
+    under a -> a + b.
     """
     p.require_graded()
     if len(p.elements) in (1, 2) and p.top_rank == len(p.elements) - 1:
         # a point or a two-chain, the capped preimage of a minimal element,
         # has no semisuspension; local index 1 closes the decomposition
         # identity (the bottom row counts the base cd-index once)
-        one = AbPolynomial.one()
-        return LocalIndex(source=p, ab=one, cd=CdPolynomial.one(), flag=one)
+        return LocalIndex(source=p, cd=CdPolynomial.one())
     return _local_from_semisuspension(p, *ps._semisuspend(p))[0]
 
 
@@ -187,38 +193,7 @@ def _local_from_semisuspension(p, q, tau):
     Eulerian verdict, so cd_index peels each."""
     bd_cd = cd_index(q.interval(q.min_elt, tau))
     cd = cd_index(q) - bd_cd * CdPolynomial.monomial("c")
-    ab = expand_cd(cd)
-    li = LocalIndex(source=p, ab=ab, cd=cd, flag=substitute(ab, AB_C, AB_B))
-    return li, bd_cd
-
-
-def _peel_cd(n, values):
-    """The degree-n cd-polynomial whose flag f-vector on the sparse subsets
-    of {1..n} is values, by peeling the last cd-letter.
-
-    f_S of a cd-word is a product over its letters: c at rank i counts
-    1 + [i in S], d at ranks i, i+1 counts [i in S] + [i+1 in S].  So for
-    Phi = Phi_c c + Phi_d d of degree m, with F, F_c, F_d the sparse
-    f-vectors of Phi, Phi_c, Phi_d and S sparse in {1..m-2}:
-    F_d(S) = F(S + {m}) - 2 F(S), F_c(S) = F(S) and
-    F_c(S + {m-1}) = F(S + {m-1}) - F_d(S).  At degree 0 or 1 the
-    coefficient is F(empty set).  A vector of zeros peels to zero.
-    """
-    terms = {}
-    stack = [(n, values, "")]
-    while stack:
-        m, f, word = stack.pop()
-        if m <= 1:
-            terms["c" * m + word] = f[0]
-            continue
-        top, second = 1 << (m - 1), 1 << (m - 2)
-        fd = {s: f[s | top] - 2 * v for s, v in f.items() if s < second}
-        fc = {s: v - fd[s ^ second] if s & second else v
-              for s, v in f.items() if s < top}
-        for g, k, letter in ((fc, m - 1, "c"), (fd, m - 2, "d")):
-            if any(g.values()):
-                stack.append((k, g, letter + word))
-    return CdPolynomial(terms)
+    return LocalIndex(source=p, cd=cd), bd_cd
 
 
 def cd_index(p):

@@ -4,14 +4,15 @@ Noncommutative polynomials over the alphabets {a,b} and {c,d}, and the
 tensors of the letter-deletion coproduct, are stored as key -> coefficient
 dicts with arbitrary-precision integers; one constructor (``_Terms``)
 normalises every such dict.  The canonical term order used everywhere
-(printing, equality of output, reduction pivots) is total degree ascending,
-then lexicographic with a < b and c < d.  The commutative side is a dense
-integer polynomial in x.
+(printing and equality of output) is total degree ascending, then
+lexicographic with a < b and c < d.  The change of basis between a, b and
+c = a+b, d = ab+ba lives here: ``expand_cd``, and the sparse peel
+(``_peel_cd``) that serves ``to_cd`` and the cd-index of a poset alike.
+The commutative side is a dense integer polynomial in x.
 """
 from __future__ import annotations
 
 import re
-from heapq import heapify, heappop, heappush
 from itertools import product, zip_longest
 
 from .errors import DegreeTooHigh, DomainError, NotCdExpressible
@@ -210,70 +211,89 @@ AB_C = AbPolynomial({"a": 1, "b": 1})  # a + b, the image of c
 _LETTER_WORDS = {"c": ("a", "b"), "d": ("ab", "ba")}
 
 
-def _expansion(cd_word):
-    """The ab-words of a cd-word's expansion.  Each letter fills a block at
-    a fixed place, so the words are distinct, each with coefficient 1."""
-    return map("".join, product(*map(_LETTER_WORDS.__getitem__, cd_word)))
-
-
 def expand_cd(p):
-    """Expand a cd-polynomial into ab-letters via c -> a+b, d -> ab+ba."""
-    return AbPolynomial([(word, coeff) for cd_word, coeff in p.terms.items()
-                         for word in _expansion(cd_word)])
+    """Expand a cd-polynomial into ab-letters via c -> a+b, d -> ab+ba.
 
-
-def _parse_least_word(word):
-    """Parse an ab-word as the lex-least expansion of a cd-word.
-
-    c expands lex-least to "a" and d to "ab", so reading left to right an
-    "a" followed by "b" came from d and any other "a" from c.  A bare "b"
-    cannot occur; returns None in that case.
+    From the left, a letter at a time: pending maps each unread cd-suffix
+    to the expansion of what came before it, so words that share a suffix
+    expand it once (word by word, a dense Phi of degree n lists ~2.7^n
+    terms for its 2^n ab-words).
     """
-    out = []
-    i = 0
-    while i < len(word):
-        if word[i] == "b":
-            return None
-        if i + 1 < len(word) and word[i + 1] == "b":
-            out.append("d")
-            i += 2
-        else:
-            out.append("c")
-            i += 1
-    return "".join(out)
+    pending = [{} for _ in range(max(p.degree, 0) + 1)]  # by suffix degree
+    for w, c in p.terms.items():
+        pending[p.word_degree(w)][w] = {"": c}
+    for degree in range(p.degree, 0, -1):
+        for suffix, prefixes in pending[degree].items():
+            for block in _LETTER_WORDS[suffix[0]]:
+                rest = pending[degree - len(block)].setdefault(suffix[1:], {})
+                for word, coeff in prefixes.items():
+                    rest[word + block] = rest.get(word + block, 0) + coeff
+    return AbPolynomial(pending[0].get("", {}))
+
+
+def _sparse_masks(n):
+    """The sparse subsets of {1..n}, those with no two consecutive ranks,
+    as bitmasks with rank r at bit r - 1.  There are F(n+2) of them, and
+    each comes after the set left by dropping its top rank."""
+    masks, shorter = [0], [0]  # the sparse masks of {1..r}, {1..r-1}
+    for r in range(n):
+        masks, shorter = masks + [m | 1 << r for m in shorter], masks
+    return masks
+
+
+def _peel_cd(n, values):
+    """The degree-n cd-polynomial whose flag f-vector on the sparse subsets
+    of {1..n} is values, by peeling the last cd-letter.
+
+    f_S of a cd-word is a product over its letters: c at rank i counts
+    1 + [i in S], d at ranks i, i+1 counts [i in S] + [i+1 in S].  So for
+    Phi = Phi_c c + Phi_d d of degree m, with F, F_c, F_d the sparse
+    f-vectors of Phi, Phi_c, Phi_d and S sparse in {1..m-2}:
+    F_d(S) = F(S + {m}) - 2 F(S), F_c(S) = F(S) and
+    F_c(S + {m-1}) = F(S + {m-1}) - F_d(S).  At degree 0 or 1 the
+    coefficient is F(empty set).  A vector of zeros peels to zero.  Only
+    the F(n+1) sets without rank 1 are read, one per cd-word of degree n.
+    """
+    terms = {}
+    stack = [(n, values, "")]
+    while stack:
+        m, f, word = stack.pop()
+        if m <= 1:
+            terms["c" * m + word] = f[0]
+            continue
+        top, second = 1 << (m - 1), 1 << (m - 2)
+        fd = {s: f[s | top] - 2 * v for s, v in f.items() if s < second}
+        fc = {s: v - fd[s ^ second] if s & second else v
+              for s, v in f.items() if s < top}
+        for g, k, letter in ((fc, m - 1, "c"), (fd, m - 2, "d")):
+            if any(g.values()):
+                stack.append((k, g, letter + word))
+    return CdPolynomial(terms)
 
 
 def to_cd(p):
     """Rewrite an ab-polynomial in c = a+b, d = ab+ba.
 
-    One sweep over the ab-words in canonical (degree, lex) order: a word
-    with a nonzero residual at its turn must be the least word of some
-    cd-word's expansion, and that expansion times the coefficient leaves
-    the residual.  Its other words have the same degree and are lex-greater,
-    so no word changes after its turn, and the sweep equals triangular
-    reduction on the least surviving word.  Raises NotCdExpressible with
-    the residual left at the first word that parses as no cd-word.
+    Each degree n of p is read as a flag f-vector on the sparse subsets S
+    of {1..n}: f_S is the sum of [u_T]p over T in S, where u_T has b at the
+    places in T, by one subset-sum pass.  ``_peel_cd`` reads Phi off f, and
+    p is cd-expressible exactly when p = expand_cd(Phi).  Otherwise raises
+    NotCdExpressible with the residual p - expand_cd(Phi), which is nonzero
+    and whose f vanishes on the sparse sets without rank 1.
     """
-    residual = AbPolynomial(p.terms).terms
-    pending = [(len(w), w) for w in residual]
-    heapify(pending)
-    out = {}
-    while pending:
-        word = heappop(pending)[1]
-        coeff = residual.get(word)
-        if not coeff:
-            continue
-        cd_word = _parse_least_word(word)
-        if cd_word is None:
-            raise NotCdExpressible(AbPolynomial(residual))
-        out[cd_word] = coeff
-        for w in _expansion(cd_word):
-            old = residual.pop(w, 0)
-            if not old:
-                heappush(pending, (len(w), w))
-            if old != coeff:
-                residual[w] = old - coeff
-    return CdPolynomial(out)
+    phi = CdPolynomial()
+    for n in {len(word) for word in p.terms}:
+        f = {m: p.coefficient("".join("ab"[m >> i & 1] for i in range(n)))
+             for m in _sparse_masks(n)}
+        for i in range(n):
+            for m in f:
+                if m >> i & 1:
+                    f[m] += f[m ^ (1 << i)]
+        phi += _peel_cd(n, f)
+    residual = p - expand_cd(phi)
+    if residual:
+        raise NotCdExpressible(residual)
+    return phi
 
 
 class TensorSum(_Terms):

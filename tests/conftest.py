@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 import pytest
 from hypothesis import settings
@@ -12,8 +12,8 @@ from cdindex.complexes import _closure_of
 from cdindex.subdivision import DecompositionRow
 from cdindex.errors import NotCdExpressible, NotPure, SearchCutoff
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
-                            UniPolynomial, _parse_least_word, coproduct,
-                            kappa, substitute, tensor_collapse)
+                            UniPolynomial, coproduct, kappa, substitute,
+                            tensor_collapse)
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -235,9 +235,32 @@ CD_IMAGES = {"c": AbPolynomial({"a": 1, "b": 1}),
              "d": AbPolynomial({"ab": 1, "ba": 1})}
 
 
+def _parse_least_word(word):
+    """Parse an ab-word as the lex-least expansion of a cd-word.
+
+    c expands lex-least to "a" and d to "ab", so reading left to right an
+    "a" followed by "b" came from d and any other "a" from c.  A bare "b"
+    cannot occur; returns None in that case.
+    """
+    out = []
+    i = 0
+    while i < len(word):
+        if word[i] == "b":
+            return None
+        if i + 1 < len(word) and word[i + 1] == "b":
+            out.append("d")
+            i += 2
+        else:
+            out.append("c")
+            i += 1
+    return "".join(out)
+
+
 def to_cd_by_reduction(p):
     """Oracle for to_cd: triangular reduction on the least surviving word,
-    subtracting the map_words expansion of each parsed cd-word."""
+    subtracting the map_words expansion of each parsed cd-word.  Raises
+    NotCdExpressible with the residual left at the first word that parses
+    as no cd-word."""
     residual = AbPolynomial(dict(p.terms))
     out = {}
     while residual.terms:
@@ -249,6 +272,37 @@ def to_cd_by_reduction(p):
         image = CdPolynomial.monomial(cd_word).map_words(CD_IMAGES)
         residual = residual - image * coeff
     return CdPolynomial(out)
+
+
+def is_sparse(mask):
+    """No two consecutive ranks."""
+    return not mask & mask >> 1
+
+
+def sparse_flag_f(psi, n):
+    """f_S = sum of [u_T] psi over T in S, on the sparse S of {1..n}, for
+    the degree-n words of psi; by brute force over all masks."""
+    out = {}
+    for mask in range(1 << n):
+        if is_sparse(mask):
+            out[mask] = sum(c for w, c in psi.terms.items() if len(w) == n
+                            and all(mask >> i & 1 for i, x in enumerate(w)
+                                    if x == "b"))
+    return out
+
+
+def assert_cd_residual(p, residual, message):
+    """The residual of a failed to_cd(p) is the one r with p - r
+    cd-expressible and, in every degree n, a flag f-vector that vanishes on
+    the sparse subsets of {2..n}.  There are F(n+1) of those, one per
+    cd-word of degree n, and they determine a cd-polynomial; so two such r
+    differ by a cd-expressible polynomial that is zero."""
+    assert residual
+    to_cd_by_reduction(p - residual)
+    for n in {len(w) for w in residual.terms}:
+        f = sparse_flag_f(residual, n)
+        assert not any(v for mask, v in f.items() if not mask & 1), n
+    assert message == "not expressible in c, d; residual %s" % residual
 
 
 # Plain-dict reference for the polynomial kernels: a word polynomial or a
@@ -336,17 +390,22 @@ def correspondence_rows_by_rebuild(m):
                   ell) for sigma, ell in cd.local_h(m).rows)
 
 
+AbRouteLocalIndex = namedtuple("AbRouteLocalIndex", "source ab cd flag")
+
+
 def local_index_by_ab_route(p):
     """Oracle for local_index by the dense route: the local ab-index
     Psi(Q) - Psi([0, tau]) (a + b) of the semisuspension Q and its restored
-    coatom tau, rewritten by to_cd, and its image under a -> a + b."""
+    coatom tau, rewritten by triangular reduction, and its image under
+    a -> a + b."""
     p.require_graded()
     if len(p.elements) in (1, 2) and p.top_rank == len(p.elements) - 1:
         one = AbPolynomial.one()
-        return cd.LocalIndex(p, one, CdPolynomial.one(), one)
+        return AbRouteLocalIndex(p, one, CdPolynomial.one(), one)
     q, tau = cd.poset._semisuspend(p)
     ab = cd.ab_index(q) - cd.ab_index(q.interval(q.min_elt, tau)) * AB_C
-    return cd.LocalIndex(p, ab, cd.to_cd(ab), substitute(ab, AB_C, AB_B))
+    return AbRouteLocalIndex(p, ab, to_cd_by_reduction(ab),
+                             substitute(ab, AB_C, AB_B))
 
 
 def cd_index_by_old_route(p):
@@ -359,8 +418,8 @@ def cd_index_by_old_route(p):
         return CdPolynomial.zero()
     if not p.is_eulerian() and cd.is_near_eulerian(p):
         return (local_index_by_ab_route(p).cd
-                + cd.to_cd(cd.ab_index(cd.boundary(p))))
-    return cd.to_cd(cd.ab_index(p))
+                + to_cd_by_reduction(cd.ab_index(cd.boundary(p))))
+    return to_cd_by_reduction(cd.ab_index(p))
 
 
 PYRAMID_D = {"c": {"d": 2}, "d": {"cd": 1, "dc": 1}}

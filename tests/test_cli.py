@@ -100,6 +100,22 @@ def test_verify_shelling_with_order(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_shelling_with_empty_order(capsys, tmp_path):
+    # an empty --order is the empty facet order, not a request to search
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"facets": [["a", "b"], ["b", "c"]]}))
+    code, out, err = invoke(capsys, "verify", "--property", "shelling",
+                            "--input", str(path), "--order", "")
+    assert code == 2
+    assert out == ""
+    assert "order is not a permutation of the facets" in err
+    path.write_text(json.dumps({"facets": []}))
+    code, out, _ = invoke(capsys, "verify", "--property", "shelling",
+                          "--input", str(path), "--order", "")
+    assert code == 0
+    assert out == "shelling: ok\n"
+
+
 def test_verify_strong_eulerian(capsys, tetra_file):
     code, out, _ = invoke(capsys, "verify", "--property", "strong-eulerian",
                           "--input", tetra_file)
