@@ -311,7 +311,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--input", default=None,
                    help="base complex for barycentric subdivision")
-    p.add_argument("--format", choices=("text", "json"), default="json")
+    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=_cmd_generate)
     return parser
 

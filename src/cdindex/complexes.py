@@ -2,16 +2,16 @@
 f/h-vectors, rational reduced homology, Gorenstein predicates, shelling
 verification, and the standard generators.
 
-Homology is computed over the exact rationals (Fraction-based elimination);
-the Gorenstein definitions are about real homology, so torsion never
-matters here and floats would only add noise.
+Homology is rational: the boundary ranks over Q come from a sparse
+elimination of the +-1 boundary rows that stays in the integers.  The
+Gorenstein definitions are about real homology, so torsion never matters
+here and floats would only add noise.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import poset as ps
@@ -201,42 +201,40 @@ def flag_to_h(p):
 # -- rational homology -------------------------------------------------------
 
 
-def _rank_rational(rows, width):
-    """Rank of an integer matrix, by exact fraction elimination."""
-    mat = [list(map(Fraction, row)) for row in rows if any(row)]
-    rank = 0
-    col = 0
-    while mat and col < width:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                factor = mat[r][col] / pv
-                for c in range(col, width):
-                    mat[r][c] -= factor * mat[rank][c]
-        rank += 1
-        col += 1
-    return rank
+def _boundary_rank(upper, lower):
+    """Rank over Q of the boundary map from the faces ``upper`` to ``lower``.
 
-
-def _boundary_rank(k, i, faces_by_dim):
-    """Rank of the reduced boundary map C_i -> C_{i-1}."""
-    lower = {f: j for j, f in enumerate(faces_by_dim.get(i - 1, []))}
-    upper = faces_by_dim.get(i, [])
-    if not upper or not lower:
-        return 0
-    rows = []
+    Each boundary is a sparse row {column: +-1}.  Kept rows are keyed by
+    their lowest column; a new row is reduced by row <- a*row - b*pivot,
+    with a and b the pivot's and the row's entries there, until it is zero
+    or starts a new kept row.  Every step is invertible over Q and the kept
+    rows have distinct lowest columns, so their count is the rank, and
+    every entry stays an integer.
+    """
+    column = {f: j for j, f in enumerate(lower)}
+    kept = {}
     for f in upper:
-        row = [0] * len(lower)
-        verts = sorted(f)
-        for j, v in enumerate(verts):
-            row[lower[frozenset(verts) - {v}]] = (-1) ** j
-        rows.append(row)
-    return _rank_rational(rows, len(lower))
+        row = {column[f - {v}]: (-1) ** j for j, v in enumerate(sorted(f))}
+        while row:
+            col = min(row)
+            pivot = kept.get(col)
+            if pivot is None:
+                # a lead of 1 lets later rows be reduced in place
+                lead = row[col]
+                if lead != 1 and all(v % lead == 0 for v in row.values()):
+                    row = {c: v // lead for c, v in row.items()}
+                kept[col] = row
+                break
+            a, b = pivot[col], row[col]
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                v = row.get(c, 0) - b * v
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+    return len(kept)
 
 
 def _reduced_betti_all(k):
@@ -244,7 +242,8 @@ def _reduced_betti_all(k):
     d = k.dim
     faces_by_dim = {i: sorted(k.faces(i), key=sorted)
                     for i in range(-1, d + 1)}
-    ranks = {i: _boundary_rank(k, i, faces_by_dim) for i in range(0, d + 1)}
+    ranks = {i: _boundary_rank(faces_by_dim[i], faces_by_dim[i - 1])
+             for i in range(0, d + 1)}
     ranks[d + 1] = 0
     betti = {}
     for i in range(-1, d + 1):

@@ -2,9 +2,9 @@
 decomposition, and the constructive cd-index decomposition.
 
 A subdivision map carries each element of the source poset to the minimal
-target element containing it.  Validation is eager and cached on the map;
-the decomposition refuses to run on an unvalidated map because the
-decomposition identity is only a theorem under those hypotheses.
+target element containing it.  Validation runs on first use, is cached on
+the map, and decompose_cd and local_h run it themselves: their identities
+are theorems only for maps that pass it.
 
 The map keeps one bitmask per target element, of the source elements
 carried to it; the preimage of a target face is the OR of these masks over

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict, namedtuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -511,6 +512,67 @@ def find_shelling_by_recursion(k, max_nodes=10 ** 6):
     return None
 
 
+def boundary_matrices(k):
+    """Dense reduced boundary matrices of k, as (rows, width) for each
+    dimension i = 0..dim: the rows are the i-faces, the columns the
+    (i-1)-faces, both sorted by their sorted vertex lists, and dropping the
+    j-th vertex has sign (-1)^j.  Also returns the faces by dimension."""
+    faces = {i: sorted(k.faces(i), key=sorted) for i in range(-1, k.dim + 1)}
+    mats = {}
+    for i in range(0, k.dim + 1):
+        column = {f: j for j, f in enumerate(faces[i - 1])}
+        rows = []
+        for f in faces[i]:
+            row = [0] * len(column)
+            for j, v in enumerate(sorted(f)):
+                row[column[f - {v}]] = (-1) ** j
+            rows.append(row)
+        mats[i] = (rows, len(column))
+    return faces, mats
+
+
+def rank_by_fractions(rows, width):
+    """Rank of an integer matrix, by dense exact fraction elimination."""
+    mat = [list(map(Fraction, row)) for row in rows if any(row)]
+    rank = 0
+    col = 0
+    while mat and col < width:
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col]:
+                factor = mat[r][col] / pv
+                for c in range(col, width):
+                    mat[r][c] -= factor * mat[rank][c]
+        rank += 1
+        col += 1
+    return rank
+
+
+def betti_from_ranks(k, rank):
+    """Reduced Betti numbers of k in dimensions 0..dim, from rank(rows,
+    width) of each boundary matrix."""
+    faces, mats = boundary_matrices(k)
+    ranks = {i: rank(*mats[i]) for i in mats}
+    return [len(faces[i]) - ranks[i] - ranks.get(i + 1, 0)
+            for i in range(0, k.dim + 1)]
+
+
+def betti_by_fractions(k):
+    """Oracle for reduced_betti: dense elimination over the rationals."""
+    return betti_from_ranks(k, rank_by_fractions)
+
+
+def betti_by_sympy(k):
+    """Second oracle for reduced_betti: sympy's rank of the same matrices."""
+    import sympy
+    return betti_from_ranks(k, lambda rows, width: sympy.Matrix(rows).rank())
+
+
 def poset_fields_by_dfs(elements, covers):
     """Oracle for the GradedPoset constructor on given (lower, upper) id
     pairs, which may repeat or include non-cover pairs.  The strict up row
@@ -608,6 +670,27 @@ def octahedron_complex():
         for s2 in ("2", "-2"):
             for s3 in ("3", "-3"):
                 facets.append([s1, s2, s3])
+    return cd.SimplicialComplex(facets)
+
+
+def rp2_complex():
+    """The 6-vertex real projective plane.  Its integral H_1 is Z/2, so its
+    rational reduced Betti numbers are 0, 0, 0 but 0, 1, 1 mod 2."""
+    return cd.SimplicialComplex(
+        [f.split() for f in ("1 2 3", "1 3 4", "1 4 5", "1 5 6", "1 2 6",
+                             "2 3 5", "3 4 6", "2 4 5", "3 5 6", "2 4 6")])
+
+
+def torus_complex():
+    """The 9-vertex torus: the 3 x 3 grid on Z/3 x Z/3, each square cut by
+    its diagonal."""
+    def v(i, j):
+        return "%d%d" % (i % 3, j % 3)
+    facets = []
+    for i in range(3):
+        for j in range(3):
+            facets.append([v(i, j), v(i + 1, j), v(i + 1, j + 1)])
+            facets.append([v(i, j), v(i, j + 1), v(i + 1, j + 1)])
     return cd.SimplicialComplex(facets)
 
 

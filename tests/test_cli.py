@@ -183,6 +183,16 @@ def test_generate_roundtrip(capsys):
     assert p.is_eulerian()
 
 
+def test_generate_writes_json_only(capsys):
+    argv = ("generate", "--shape", "polygon", "--n", "4")
+    plain = invoke(capsys, *argv)
+    assert plain[0] == 0 and json.loads(plain[1])["facets"]
+    assert invoke(capsys, *argv, "--format", "json") == plain
+    code, out, err = invoke(capsys, *argv, "--format", "text")
+    assert (code, out) == (64, "")
+    assert "invalid choice: 'text'" in err
+
+
 def test_generate_barycentric_feeds_localh(capsys, tmp_path):
     code, out, _ = invoke(capsys, "generate", "--shape", "barycentric",
                           "--dim", "2")
