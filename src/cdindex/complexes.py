@@ -5,7 +5,9 @@ verification, and the standard generators.
 Homology is rational: the boundary ranks over Q come from a sparse
 elimination of the +-1 boundary rows that stays in the integers.  The
 Gorenstein definitions are about real homology, so torsion never matters
-here and floats would only add noise.
+here and floats would only add noise.  A complex remembers its Betti
+numbers, and the link of the empty face is the complex itself, so the
+Gorenstein test and a later ``reduced_betti`` share one elimination.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ class SimplicialComplex:
     Vertex names are strings; faces are frozensets of them.
     """
 
-    __slots__ = ("facets", "vertices", "_faces")
+    __slots__ = ("facets", "vertices", "_faces", "_betti")
 
     def __init__(self, facets):
         given = {frozenset(str(v) for v in f) for f in facets}
@@ -56,6 +58,7 @@ class SimplicialComplex:
                                    key=lambda f: (len(f), sorted(f))))
         self._faces = frozenset(below | given)
         self.vertices = tuple(sorted({v for f in self.facets for v in f}))
+        self._betti = None  # _reduced_betti_all, once computed
 
     @property
     def dim(self):
@@ -141,8 +144,11 @@ def star(k, face):
 
 
 def link(k, face):
-    """Faces of the star that do not intersect ``face``."""
+    """Faces of the star that do not intersect ``face``; k itself for the
+    empty face."""
     face = frozenset(str(v) for v in face)
+    if not face:
+        return k
     if face not in k.faces():
         raise FaceNotFound("face %s not in complex" % sorted(face))
     facets = [f - face for f in k.facets if face <= f]
@@ -252,9 +258,16 @@ def _reduced_betti_all(k):
     return betti
 
 
+def _betti(k):
+    """_reduced_betti_all of k, computed once per complex."""
+    if k._betti is None:
+        k._betti = _reduced_betti_all(k)
+    return k._betti
+
+
 def reduced_betti(k):
     """Reduced rational Betti numbers in dimensions 0..dim."""
-    betti = _reduced_betti_all(k)
+    betti = _betti(k)
     return [betti[i] for i in range(0, k.dim + 1)]
 
 
@@ -262,12 +275,12 @@ def _is_homology_sphere(k, n):
     """k has the reduced rational homology of an n-sphere (n >= -1)."""
     if k.dim != n:
         return False
-    betti = _reduced_betti_all(k)
+    betti = _betti(k)
     return all(v == (1 if i == n else 0) for i, v in betti.items())
 
 
 def _is_homology_trivial(k):
-    betti = _reduced_betti_all(k)
+    betti = _betti(k)
     return all(v == 0 for v in betti.values())
 
 

@@ -14,7 +14,8 @@ Phi off them, with integers only.  The local cd-index of a near-Eulerian
 poset, Phi(Q) - Phi([0, tau]) c for its semisuspension Q and restored
 coatom tau, takes two such peels, and a local index stores only it;
 ``to_cd`` serves only the posets that are neither Eulerian nor
-near-Eulerian.
+near-Eulerian.  ``cd_index`` remembers Phi on the poset (its ``_phi``
+slot), where the toric g and h of an Eulerian poset read it.
 """
 from __future__ import annotations
 
@@ -198,8 +199,18 @@ def _local_from_semisuspension(p, q, tau):
 
 def cd_index(p):
     """cd-index of an Eulerian poset, or the non-homogeneous cd-index of a
-    near-Eulerian one (local part plus boundary part)."""
+    near-Eulerian one (local part plus boundary part).
+
+    The result is remembered on p, so toric_h and g_poly of one poset, or
+    a second cd_index, run no DP again.
+    """
     p.require_bounds()
+    if p._phi is None:
+        p._phi = _cd_index(p)
+    return p._phi
+
+
+def _cd_index(p):
     if p.top_rank == 0:
         return CdPolynomial.zero()
     if p.is_eulerian():

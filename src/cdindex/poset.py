@@ -7,11 +7,12 @@ settles the ranks; the up rows follow in reverse sweep order.
 Comparability is one bit test; sub-posets, intervals, the Eulerian scan and
 chain counting downstream visit only the set bits of these rows, by lowbit
 iteration (``low = m & -m``), and count with popcounts.  The order is
-immutable after construction: every operator builds a fresh poset.  Two
-memo slots keep what a poset has proven: ``_balanced``, the verdict of the
-Eulerian interval scan, which ``interval`` passes on when True (an
-interval's intervals are intervals of its parent), and ``_semi``, the
-semisuspension once its construction has succeeded.
+immutable after construction: every operator builds a fresh poset.  Three
+memo slots keep what a poset has proven or computed: ``_balanced``, the
+verdict of the Eulerian interval scan, which ``interval`` passes on when
+True (an interval's intervals are intervals of its parent), ``_semi``, the
+semisuspension once its construction has succeeded, and ``_phi``, the
+cd-index once ``flagcd.cd_index`` has computed it.
 
 Gradedness is verified eagerly but a failure is recorded, not raised;
 non-graded posets stay usable for order-only operations and reject
@@ -30,7 +31,7 @@ class GradedPoset:
 
     __slots__ = ("elements", "_idx", "cover_pairs", "_up", "_dn",
                  "_ranks", "is_ranked", "is_graded", "min_elt", "max_elt",
-                 "_balanced", "_semi")
+                 "_balanced", "_semi", "_phi")
 
     def __init__(self, elements, covers):
         elements = tuple(str(e) for e in elements)
@@ -88,6 +89,7 @@ class GradedPoset:
         self.max_elt = elements[maximal[0]] if len(maximal) == 1 else None
         self._balanced = None  # _intervals_eulerian verdict, once scanned
         self._semi = None      # (semisuspension, coatom), once it succeeded
+        self._phi = None       # flagcd.cd_index, once computed
 
     # -- basic queries ---------------------------------------------------
 

@@ -1,20 +1,23 @@
 """Toric g/h-polynomials, local h-polynomials of strong formal subdivisions,
-and the coproduct morphisms from ab-polynomials to Z[x].
+and the coproduct morphisms from ab- and cd-polynomials to Z[x].
 
-Every toric polynomial is read off the ab-index Psi through the linear maps
+Every toric polynomial is read off a flag index through the linear maps
 f and g of Bayer and Ehrenborg: toric h of a bounded graded poset P is
-f(Psi_P), and toric g of an Eulerian P is g(Psi_P).  The anchors
-g(B_n) = 1, h(B_{d+1} minus top) = 1 + x + ... + x^d, and agreement with
-the classical simplicial h-vector all follow.  The coproduct definition
-f = kappa + (g (x) kappa) Delta collapses, as kappa kills every word with
-a b, to two letter rules: f(ub) = g(u) and f(ua) = (x - 1) f(u) + g(u),
-where g(u) is (1 - x) f(u) truncated at degree |u|/2; so g(w) = f(wb), and
-one memo of f over the prefixes walked serves both maps.  The coproduct
-definition and the recursions over lower intervals are kept in the tests
-as independent oracles.
+f(Psi_P), and toric g of an Eulerian P is g(Psi_P), or f(Phi_P) and
+g(Phi_P) off its cd-index, which toric_h and g_poly take on Eulerian
+input.  The anchors g(B_n) = 1, h(B_{d+1} minus top) = 1 + x + ... + x^d,
+and agreement with the classical simplicial h-vector all follow.  The
+coproduct definition f = kappa + (g (x) kappa) Delta collapses, as kappa
+kills every word with a b, to two letter rules: f(ub) = g(u) and
+f(ua) = (x - 1) f(u) + g(u), where g(u) is (1 - x) f(u) truncated at
+degree |u|/2; so g(w) = f(wb).  Extended linearly to c = a + b and
+d = ab + ba they step cd-words too, and one memo of f over the prefixes
+walked, of both alphabets, serves both maps.  The coproduct definition,
+the Psi route and the recursions over lower intervals are test oracles.
 
 local_h reads each face's capped preimage from the subdivision map, which
-builds it once and shares it with strong Eulerian validation.  It takes
+builds it once and shares it with strong Eulerian validation, and takes
+its h through Psi, as a capped preimage is rarely Eulerian.  It takes
 g_poly of the intervals [tau, sigma], which inherit the target's Eulerian
 verdict and so are not scanned again.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotLowerEulerian, RequiresBounds
-from .flagcd import ab_index, local_index
+from .flagcd import ab_index, cd_index, local_index
 from .ncpoly import UniPolynomial
 from . import poset as ps
 from .subdivision import require_valid
@@ -45,8 +48,13 @@ def h_poly(p):
     if not p.elements:
         return UniPolynomial.zero()
     _require_lower_eulerian(p)
-    hat = ps.adjoin_max(p)
-    return toric_h(hat).reverse(hat.top_rank - 1)
+    return _h_below_top(ps.adjoin_max(p))
+
+
+def _h_below_top(hat):
+    """Toric h of hat minus its maximum, through Psi: hat, a lower Eulerian
+    poset with a maximum adjoined, is rarely Eulerian."""
+    return morphism_f(ab_index(hat)).reverse(hat.top_rank - 1)
 
 
 def g_poly(p):
@@ -55,8 +63,8 @@ def g_poly(p):
     if not p.is_eulerian():
         raise NotLowerEulerian("g-polynomial needs an Eulerian poset")
     if p.top_rank == 0:
-        return UniPolynomial.one()  # Psi of a point is 0, its g is 1
-    return morphism_g(ab_index(p))
+        return UniPolynomial.one()  # Phi of a point is 0, its g is 1
+    return morphism_g(cd_index(p))
 
 
 def toric_h(p):
@@ -64,9 +72,10 @@ def toric_h(p):
 
     Defined for every graded poset with both bounds; coincides with the
     lower-Eulerian h of the poset minus its top whenever that applies.
+    Read off Phi when p is Eulerian, off Psi otherwise.
     """
     p.require_bounds()
-    return morphism_f(ab_index(p))
+    return morphism_f(cd_index(p) if p.is_eulerian() else ab_index(p))
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,7 @@ def local_h(m):
     # the minimum and lower Eulerian-ness checked above
     h_of = {}
     for s in sigmas:
-        hat = m._capped_preimage(s)
-        h_of[s] = toric_h(hat).reverse(hat.top_rank - 1)
+        h_of[s] = _h_below_top(m._capped_preimage(s))
     solved = {}
     for sigma in sigmas:
         acc = h_of[sigma]
@@ -131,7 +139,7 @@ def local_h(m):
     return LocalHTable(rows=rows, total=h_of[tgt.max_elt])
 
 
-# -- the ab -> Z[x] morphisms ---------------------------------------------------
+# -- the ab/cd -> Z[x] morphisms ------------------------------------------------
 
 
 # f of every word walked so far and of each of its prefixes
@@ -141,25 +149,41 @@ _ONE_MINUS_X = UniPolynomial((1, -1))
 
 
 def _f_word(word):
-    """f(word), stepped letter by letter from its longest prefix in _F."""
+    """f(word) over a, b, c and d, stepped letter by letter from its
+    longest prefix in _F.  With F = f(u) and G = g(u) for the prefix u of
+    degree deg (d counts 2), c = a + b gives (x - 1) F + 2G, and
+    d = ab + ba gives g(uc) + (x - 1) G."""
     k = len(word)
     while (f := _F.get(word[:k])) is None:
         k -= 1
+    deg = k + word.count("d", 0, k)
     for i in range(k, len(word)):
-        g = (_ONE_MINUS_X * f).truncate(i // 2)
-        f = g if word[i] == "b" else _X_MINUS_1 * f + g
+        letter = word[i]
+        g = (_ONE_MINUS_X * f).truncate(deg // 2)
+        if letter == "b":
+            f = g
+        elif letter == "a":
+            f = _X_MINUS_1 * f + g
+        else:
+            f = _X_MINUS_1 * f + g * 2
+            if letter == "d":
+                deg += 1
+                f = (_ONE_MINUS_X * f).truncate(deg // 2) + _X_MINUS_1 * g
+        deg += 1
         _F[word[:i + 1]] = f
     return f
 
 
 def morphism_f(p):
-    """Linear map with f(Psi_P) = toric h of P."""
+    """Linear map with f(Psi_P) = f(Phi_P) = toric h of P; p is an ab- or
+    a cd-polynomial."""
     return sum((_f_word(w) * c for w, c in p.terms.items()),
                UniPolynomial.zero())
 
 
 def morphism_g(p):
-    """Companion map with g(Psi_P) = toric g of P, by g(w) = f(wb)."""
+    """Companion map with g(Psi_P) = g(Phi_P) = toric g of P, by
+    g(w) = f(wb)."""
     return sum((_f_word(w + "b") * c for w, c in p.terms.items()),
                UniPolynomial.zero())
 

@@ -11,7 +11,8 @@ from hypothesis import settings
 import cdindex as cd
 from cdindex.complexes import _closure_of
 from cdindex.subdivision import DecompositionRow
-from cdindex.errors import NotCdExpressible, NotPure, SearchCutoff
+from cdindex.errors import (NotCdExpressible, NotLowerEulerian, NotPure,
+                            SearchCutoff)
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
                             UniPolynomial, coproduct, kappa, substitute,
                             tensor_collapse)
@@ -222,6 +223,24 @@ class MorphismsByCoproduct:
     def g(self, p):
         return sum((self.g_word(w) * c for w, c in p.terms.items()),
                    UniPolynomial.zero())
+
+
+def toric_h_by_psi(p):
+    """Oracle for toric_h on Eulerian input: f of the ab-index, the route
+    toric_h takes for every other bounded graded poset."""
+    p.require_bounds()
+    return cd.morphism_f(cd.ab_index(p))
+
+
+def g_poly_by_psi(p):
+    """Oracle for g_poly: g of the ab-index instead of the cd-index, with
+    the same checks and the same answer on a point."""
+    p.require_bounds()
+    if not p.is_eulerian():
+        raise NotLowerEulerian("g-polynomial needs an Eulerian poset")
+    if p.top_rank == 0:
+        return UniPolynomial.one()
+    return cd.morphism_g(cd.ab_index(p))
 
 
 def morphism_f_by_coproduct(p):

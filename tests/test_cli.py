@@ -290,6 +290,30 @@ def test_verify_gorenstein_reports_betti(capsys, tmp_path):
     assert json.loads(out)["betti"] == [0, 0, 1]
 
 
+def test_verify_gorenstein_eliminates_the_complex_once(capsys, tmp_path,
+                                                     monkeypatch):
+    # is_gorenstein meets the whole complex as the link of the empty face;
+    # the reported Betti numbers reuse that elimination
+    from cdindex import complexes as cx
+    k = cd.make_boundary_simplex(3)
+    path = tmp_path / "sphere.json"
+    path.write_text(k.to_json())
+    seen = []
+    betti_all = cx._reduced_betti_all
+
+    def counted(c):
+        seen.append(c.facets)
+        return betti_all(c)
+
+    monkeypatch.setattr(cx, "_reduced_betti_all", counted)
+    code, out, _ = invoke(capsys, "verify", "--property", "gorenstein",
+                          "--input", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["betti"] == [0, 0, 1]
+    assert seen.count(k.facets) == 1
+    assert len(seen) == len(k.faces())  # one elimination per link
+
+
 def test_compute_upsilon(capsys, square_file):
     code, out, _ = invoke(capsys, "compute", "--what", "upsilon",
                           "--input", square_file)

@@ -1,18 +1,23 @@
 """Toric g/h-polynomials, local h-polynomials, and the ab -> Z[x] morphisms."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cdindex as cd
+from cdindex import flagcd, toric
 from cdindex import poset as ps
-from cdindex.errors import NotGraded, NotLowerEulerian
-from cdindex.ncpoly import (AbPolynomial, UniPolynomial, ab_words, expand_cd,
-                            kappa, kappa_word)
+from cdindex.errors import NotGraded, NotLowerEulerian, RequiresBounds
+from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
+                            ab_words, expand_cd, kappa, kappa_word)
 from conftest import (MorphismsByCoproduct, barycentric_solid_triangle,
                       correspondence_rows_by_rebuild, edge_with_points,
-                      g_by_recursion, h_poly_by_recursion,
-                      local_h_by_dual_intervals, morphism_f_by_coproduct,
-                      outcome, square_lattice, toric_h_by_recursion)
+                      eulerian_by_mobius, g_by_recursion, g_poly_by_psi,
+                      h_poly_by_recursion, local_h_by_dual_intervals,
+                      morphism_f_by_coproduct, outcome, polygon_lattice,
+                      random_graded_poset, square_lattice,
+                      toric_h_by_psi, toric_h_by_recursion)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -89,6 +94,92 @@ def test_toric_h_palindromic(eulerian_fixtures):
 def test_g_requires_eulerian():
     with pytest.raises(NotLowerEulerian):
         cd.g_poly(cd.chain_poset(3))
+
+
+def test_toric_matches_psi_route_on_eulerian_fixtures(eulerian_fixtures):
+    for name, p in eulerian_fixtures:
+        assert cd.toric_h(p) == toric_h_by_psi(p), name
+        assert cd.g_poly(p) == g_poly_by_psi(p), name
+
+
+def test_toric_matches_psi_route_on_random_eulerian(rng):
+    # small seeds under one to three pyramids, suspensions and duals
+    seeds = [cd.boolean_poset(k) for k in (1, 2, 3)]
+    seeds += [polygon_lattice(n) for n in (3, 4, 5, 6)]
+    ops = (cd.pyramid, cd.suspension, cd.dual)
+    for trial in range(30):
+        p = rng.choice(seeds)
+        for _ in range(rng.randint(1, 3)):
+            p = rng.choice(ops)(p)
+        h, g = cd.toric_h(p), cd.g_poly(p)
+        assert p.is_eulerian(), trial
+        assert h == toric_h_by_psi(p), trial
+        assert g == g_poly_by_psi(p), trial
+
+
+def test_toric_matches_psi_route_on_non_eulerian(rng):
+    posets = [cd.chain_poset(3), cd.chain_poset(4),
+              cd.adjoin_max(cd.face_poset(cd.make_simplex(2)))]
+    while len(posets) < 23:
+        p = random_graded_poset(rng)
+        if not eulerian_by_mobius(p):
+            posets.append(p)
+    refused = ("raised", NotLowerEulerian,
+               "g-polynomial needs an Eulerian poset", None)
+    for i, p in enumerate(posets):
+        h = cd.toric_h(p)
+        assert h == toric_h_by_psi(p) == toric_h_by_recursion(p), i
+        assert outcome(cd.g_poly, p) == outcome(g_poly_by_psi, p) \
+            == refused, i
+
+
+def test_toric_outcomes_on_degenerate_input():
+    # the types and messages raised before the Eulerian branch, and the
+    # values on a point and a two-element chain
+    not_graded = cd.build_poset(  # the pentagon N5
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("0", "b"), ("b", "c"), ("a", "1"), ("c", "1")])
+    unbounded = cd.build_poset(["a", "b", "1"], [("a", "1"), ("b", "1")])
+    graded = ("raised", NotGraded, "operation needs a graded poset", None)
+    bounds = ("raised", RequiresBounds,
+              "operation needs both a 0 and a 1 element", None)
+    cases = [(not_graded, graded, graded),
+             (unbounded, bounds, bounds),
+             (cd.build_poset(["x"], []),
+              ("value", UniPolynomial.zero()), ("value", ONE)),
+             (cd.chain_poset(1), ("value", ONE), ("value", ONE))]
+    for p, want_h, want_g in cases:
+        assert outcome(cd.toric_h, p) == outcome(toric_h_by_psi, p) \
+            == want_h, p.elements
+        assert outcome(cd.g_poly, p) == outcome(g_poly_by_psi, p) \
+            == want_g, p.elements
+
+
+def test_toric_h_then_g_poly_run_one_sparse_dp(monkeypatch):
+    p = polygon_lattice(5)
+    for op in (cd.pyramid, cd.suspension, cd.dual, cd.pyramid,
+               cd.suspension, cd.suspension, cd.suspension, cd.suspension):
+        p = op(p)
+    p = ps.GradedPoset.from_json_obj(p.to_json_obj())  # nothing remembered
+    assert p.top_rank == 10
+    calls = {"sparse": 0, "dense": 0, "eulerian_scan": 0}
+    chain_counts = flagcd._chain_counts
+    scan = ps.GradedPoset._intervals_eulerian
+
+    def counted_chain_counts(q, sparse=False):
+        calls["sparse" if sparse else "dense"] += 1
+        return chain_counts(q, sparse)
+
+    def counted_scan(q):
+        calls["eulerian_scan"] += 1
+        return scan(q)
+
+    monkeypatch.setattr(flagcd, "_chain_counts", counted_chain_counts)
+    monkeypatch.setattr(ps.GradedPoset, "_intervals_eulerian", counted_scan)
+    h, g = cd.toric_h(p), cd.g_poly(p)
+    assert calls == {"sparse": 1, "dense": 0, "eulerian_scan": 1}
+    monkeypatch.undo()
+    assert h == toric_h_by_psi(p) and g == g_poly_by_psi(p)
 
 
 def test_local_h_barycentric_triangle():
@@ -188,8 +279,8 @@ def test_morphism_f_square_cd_expansion():
 
 
 def test_morphism_matches_toric_on_fixtures(eulerian_fixtures):
-    # toric_h, g_poly and h_poly go through Psi; the oracle recurses over
-    # lower intervals instead
+    # toric_h and g_poly read Phi here, h_poly reads Psi; the oracle
+    # recurses over lower intervals instead
     assert len(eulerian_fixtures) >= 15
     for name, p in eulerian_fixtures:
         psi = cd.ab_index(p)
@@ -232,6 +323,44 @@ def test_morphisms_match_coproduct_definition_on_polynomials(p):
     oracle = MorphismsByCoproduct()
     assert cd.morphism_f(p) == oracle.f(p)
     assert cd.morphism_g(p) == oracle.g(p)
+
+
+def _up_to_degree(letters, top=10):
+    """The longest prefix of the cd-word of letters of degree <= top."""
+    word, degree = "", 0
+    for letter in letters:
+        degree += 1 if letter == "c" else 2
+        if degree > top:
+            break
+        word += letter
+    return word
+
+
+# sampled_from shrinks toward "d", so small examples are d-heavy
+CD_WORDS = st.lists(st.sampled_from("dc"), max_size=10).map(_up_to_degree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(CD_WORDS, st.integers(-9, 9), max_size=6)
+       .map(CdPolynomial), st.randoms(use_true_random=False))
+@example(CdPolynomial({"ddddd": 1, "cdcdd": -2, "dcccd": 5, "": 3,
+                       "c" * 10: 1, "dc": 4}), random.Random(1))
+def test_cd_letter_rules_match_ab_expansion(phi, rnd):
+    # the c and d rules against the a and b rules on the expansion, with
+    # the shared memo emptied and the words, and which of the two routes
+    # steps each first, in shuffled order
+    toric._F.clear()
+    toric._F[""] = ONE
+    words = list(phi.terms)
+    rnd.shuffle(words)
+    for word in words:
+        routes = [CdPolynomial.monomial(word),
+                  expand_cd(CdPolynomial.monomial(word))]
+        rnd.shuffle(routes)
+        assert cd.morphism_f(routes[0]) == cd.morphism_f(routes[1]), word
+        assert cd.morphism_g(routes[0]) == cd.morphism_g(routes[1]), word
+    assert cd.morphism_f(phi) == cd.morphism_f(expand_cd(phi))
+    assert cd.morphism_g(phi) == cd.morphism_g(expand_cd(phi))
 
 
 def test_morphism_f_of_a_long_word_does_not_recurse():
