@@ -104,6 +104,7 @@ class SimplicialComplex:
                 and all(isinstance(f, list) for f in facets)):
             raise DomainError('a complex is an object with a "facets" list '
                               'of vertex lists')
+        ps._require_json_ids(facets, "facet vertex")
         return cls(facets)
 
     @classmethod

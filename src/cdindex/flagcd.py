@@ -15,7 +15,10 @@ poset, Phi(Q) - Phi([0, tau]) c for its semisuspension Q and restored
 coatom tau, takes two such peels, and a local index stores only it;
 ``to_cd`` serves only the posets that are neither Eulerian nor
 near-Eulerian.  ``cd_index`` remembers Phi on the poset (its ``_phi``
-slot), where the toric g and h of an Eulerian poset read it.
+slot), where the toric g and h of an Eulerian poset read it.  ``ab_index``
+of a poset already known to be Eulerian expands that Phi.  It never runs an
+Eulerian scan itself: any other poset takes the dense 2^n DP, which
+``flag_f``, ``flag_h`` and ``flag_polynomial`` always run.
 """
 from __future__ import annotations
 
@@ -148,7 +151,14 @@ def flag_polynomial(p):
 
 
 def ab_index(p):
-    """Psi_P: sum of beta(S) u_S over rank sets S."""
+    """Psi_P: sum of beta(S) u_S over rank sets S.
+
+    A poset already known to be Eulerian (its ``_balanced`` verdict, set by
+    a scan or inherited by an interval) gives Phi expanded by c -> a + b,
+    d -> ab + ba; any other runs the dense flag_h DP.  No scan runs here.
+    """
+    if p._balanced:
+        return expand_cd(cd_index(p))
     return _ab_sum(p, flag_h)
 
 

@@ -12,7 +12,9 @@ memo slots keep what a poset has proven or computed: ``_balanced``, the
 verdict of the Eulerian interval scan, which ``interval`` passes on when
 True (an interval's intervals are intervals of its parent), ``_semi``, the
 semisuspension once its construction has succeeded, and ``_phi``, the
-cd-index once ``flagcd.cd_index`` has computed it.
+cd-index once ``flagcd.cd_index`` has computed it.  ``flagcd.ab_index``
+reads ``_balanced`` without scanning: when it is True it expands Phi in
+place of the dense flag DP.
 
 Gradedness is verified eagerly but a failure is recorded, not raised;
 non-graded posets stay usable for order-only operations and reject
@@ -20,6 +22,7 @@ rank-dependent ones.
 """
 from __future__ import annotations
 
+import itertools
 import json
 
 from .errors import (CycleDetected, DomainError, MissingBounds, NotALattice,
@@ -351,7 +354,9 @@ class GradedPoset:
         covers = obj["covers"]
         if not all(isinstance(c, list) and len(c) == 2 for c in covers):
             raise DomainError("each cover must be a [lower, upper] pair")
-        return cls(obj["elements"], [tuple(c) for c in covers])
+        _require_json_ids([obj["elements"]], "element id")
+        _require_json_ids(covers, "cover end")
+        return cls(obj["elements"], covers)
 
     @classmethod
     def from_json(cls, text):
@@ -360,6 +365,20 @@ class GradedPoset:
     def __repr__(self):
         return "GradedPoset(%d elements, %d covers)" % (
             len(self.elements), len(self.cover_pairs))
+
+
+_JSON_ID_TYPES = frozenset((str, int))  # type(True) is bool, not int
+
+
+def _require_json_ids(groups, what):
+    """Ids read from JSON, given as lists of them, are strings or integers:
+    str() would quietly turn null, booleans, floats, lists and objects into
+    ids.  The type test runs in C, since every decoded poset pays for it."""
+    ids = itertools.chain.from_iterable
+    if not _JSON_ID_TYPES.issuperset(map(type, ids(groups))):
+        bad = next(v for v in ids(groups) if type(v) not in _JSON_ID_TYPES)
+        raise DomainError("%s %s is not a string or an integer"
+                          % (what, json.dumps(bad, default=repr)))
 
 
 def build_poset(elements, covers):

@@ -113,6 +113,7 @@ class SubdivisionMap:
         source = _poset_from_obj(obj["source"])
         target = _poset_from_obj(obj["target"])
         carrier = dict(obj["carrier"])
+        ps._require_json_ids([carrier.values()], "carrier value")
         # allow the two housekeeping entries to be implicit
         for a, b in ((source.min_elt, target.min_elt),
                      (source.max_elt, target.max_elt)):

@@ -189,6 +189,20 @@ def ab_index_by_chains(p):
     return out
 
 
+def ab_index_by_flag_h(p):
+    """Oracle for ab_index by the dense route on any input: the sum of
+    flag_h(p)[S] u_S, which never reads Phi (ab_index expands Phi once p
+    is known to be Eulerian)."""
+    p.require_bounds()
+    n = p.top_rank - 1
+    if n < 0:
+        return AbPolynomial.zero()
+    beta = cd.flag_h(p)
+    return AbPolynomial({"".join("b" if m >> r & 1 else "a"
+                                 for r in range(n)): v
+                         for m, v in beta.values.items()})
+
+
 def kappa_of(word):
     return kappa(AbPolynomial.monomial(word))
 
@@ -229,7 +243,7 @@ def toric_h_by_psi(p):
     """Oracle for toric_h on Eulerian input: f of the ab-index, the route
     toric_h takes for every other bounded graded poset."""
     p.require_bounds()
-    return cd.morphism_f(cd.ab_index(p))
+    return cd.morphism_f(ab_index_by_flag_h(p))
 
 
 def g_poly_by_psi(p):
@@ -240,7 +254,7 @@ def g_poly_by_psi(p):
         raise NotLowerEulerian("g-polynomial needs an Eulerian poset")
     if p.top_rank == 0:
         return UniPolynomial.one()
-    return cd.morphism_g(cd.ab_index(p))
+    return cd.morphism_g(ab_index_by_flag_h(p))
 
 
 def morphism_f_by_coproduct(p):
@@ -423,7 +437,8 @@ def local_index_by_ab_route(p):
         one = AbPolynomial.one()
         return AbRouteLocalIndex(p, one, CdPolynomial.one(), one)
     q, tau = cd.poset._semisuspend(p)
-    ab = cd.ab_index(q) - cd.ab_index(q.interval(q.min_elt, tau)) * AB_C
+    ab = (ab_index_by_flag_h(q)
+          - ab_index_by_flag_h(q.interval(q.min_elt, tau)) * AB_C)
     return AbRouteLocalIndex(p, ab, to_cd_by_reduction(ab),
                              substitute(ab, AB_C, AB_B))
 
@@ -438,8 +453,8 @@ def cd_index_by_old_route(p):
         return CdPolynomial.zero()
     if not p.is_eulerian() and cd.is_near_eulerian(p):
         return (local_index_by_ab_route(p).cd
-                + to_cd_by_reduction(cd.ab_index(cd.boundary(p))))
-    return to_cd_by_reduction(cd.ab_index(p))
+                + to_cd_by_reduction(ab_index_by_flag_h(cd.boundary(p))))
+    return to_cd_by_reduction(ab_index_by_flag_h(p))
 
 
 PYRAMID_D = {"c": {"d": 2}, "d": {"cd": 1, "dc": 1}}

@@ -251,6 +251,8 @@ def test_exit_codes(capsys, tmp_path, square_file):
     ("compute", '{"facets": 5}'),
     ("compute", '{"elements": ["a", "b"], "covers": [["a"]]}'),
     ("decompose", '{"source": {}, "target": {}, "carrier": []}'),
+    ("compute", '{"elements": [null, true], "covers": [[null, true]]}'),
+    ("compute", '{"facets": [[1, [2]]]}'),
 ])
 def test_malformed_input_shape_exits_2(command, text):
     # a real process, so an uncaught exception would show as a traceback
@@ -264,6 +266,47 @@ def test_malformed_input_shape_exits_2(command, text):
                           env=env, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+WRONG_IDS = [("null", None), ("true", True), ("false", False),
+             ("1.5", 1.5), ('["1"]', ["1"]), ('{"a": 1}', {"a": 1})]
+
+
+@pytest.mark.parametrize("spelled, bad", WRONG_IDS,
+                         ids=[spelled for spelled, _ in WRONG_IDS])
+def test_json_ids_must_be_strings_or_integers(capsys, tmp_path, spelled, bad):
+    # str() turned these into ids like "None", "True" and "[2]" and exited 0
+    inputs = [
+        ("element id", {"elements": ["0", bad, "1"], "covers": []}),
+        ("cover end", {"elements": ["0", "1"], "covers": [["0", bad]]}),
+        ("cover end", {"elements": ["0", "1"], "covers": [[bad, "1"]]}),
+        ("facet vertex", {"facets": [[1, bad]]}),
+    ]
+    for what, obj in inputs:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = invoke(capsys, "compute", "--what", "cd",
+                                "--input", str(path))
+        assert (code, out) == (2, ""), obj
+        assert "%s %s is not a string or an integer" % (what, spelled) in err
+    tetra = tetra_subdivision().to_json_obj()
+    tetra["carrier"][next(iter(tetra["carrier"]))] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tetra))
+    code, out, err = invoke(capsys, "decompose", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "carrier value %s is not a string or an integer" % spelled in err
+
+
+def test_json_integer_ids_still_decode(capsys, tmp_path):
+    b2 = {"elements": [0, 1, "2", 3],
+          "covers": [[0, 1], [0, "2"], [1, 3], ["2", 3]]}
+    for obj, want in ((b2, "c\n"),
+                      ({"facets": [[1, 2], [2, 3], [3, 1]]}, "c^2 + d\n")):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(obj))
+        assert invoke(capsys, "compute", "--what", "cd",
+                      "--input", str(path)) == (0, want, "")
 
 
 def test_report_determinism(capsys, tetra_file, square_file):

@@ -2,18 +2,20 @@
 import pytest
 
 import cdindex as cd
+from cdindex.cli import run
 from cdindex.errors import NotCdExpressible, NotNearEulerian
 from cdindex.flagcd import _chain_counts
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _peel_cd,
                             cd_words, coefficientwise_leq, expand_cd,
                             is_nonnegative, substitute)
-from conftest import (ab_index_by_chains, assert_cd_residual,
-                      bipyramid_lattice, boolean_cd_by_pyramid,
-                      cd_index_by_old_route, flag_polynomial_by_chains,
-                      is_sparse, local_index_by_ab_route, outcome,
+from conftest import (ab_index_by_chains, ab_index_by_flag_h,
+                      assert_cd_residual, bipyramid_lattice,
+                      boolean_cd_by_pyramid, cd_index_by_old_route,
+                      flag_polynomial_by_chains, is_sparse,
+                      local_index_by_ab_route, outcome,
                       polygon_lattice, random_eulerian, random_graded_poset,
                       random_near_eulerian, sparse_flag_f, square_lattice,
-                      tetra_lattice, to_cd_by_reduction)
+                      subdivision_pool, tetra_lattice, to_cd_by_reduction)
 
 
 def test_flag_f_square():
@@ -259,15 +261,18 @@ def test_local_index_matches_ab_route(near_eulerian_fixtures,
         assert cd.cd_index(p) == cd_index_by_old_route(p), name
 
 
+def _refuse(what):
+    def refuse(*args):
+        raise AssertionError("%s ran" % what)
+    return refuse
+
+
 def test_eulerian_paths_do_not_rewrite_an_ab_index(
         monkeypatch, eulerian_fixtures, near_eulerian_fixtures,
         subdivision_fixtures):
     # the sparse peels serve every Eulerian and near-Eulerian poset, so the
     # ab-to-cd rewriting runs only for posets that are neither
-    def refuse(p):
-        raise AssertionError("to_cd rewrote an ab-index")
-
-    monkeypatch.setattr("cdindex.flagcd.to_cd", refuse)
+    monkeypatch.setattr("cdindex.flagcd.to_cd", _refuse("to_cd"))
     with pytest.raises(AssertionError):
         cd.cd_index(cd.chain_poset(3))
     for name, p in eulerian_fixtures:
@@ -332,18 +337,87 @@ def test_to_cd_of_ab_index(eulerian_fixtures, rng):
     eulerian = [cd.boolean_poset(n) for n in range(1, 12)]
     eulerian += [random_eulerian(rng, pool) for _ in range(60)]
     for p in eulerian:
-        assert cd.to_cd(cd.ab_index(p)) == cd.cd_index(p)
+        assert cd.to_cd(ab_index_by_flag_h(p)) == cd.cd_index(p)
     other = [cd.chain_poset(3)]
     while len(other) < 41:
         p = random_graded_poset(rng)
         if not p.is_eulerian():
             other.append(p)
     for p in other:
-        psi = cd.ab_index(p)
+        psi = ab_index_by_flag_h(p)
         with pytest.raises(NotCdExpressible):
             cd.to_cd(psi)
         with pytest.raises(NotCdExpressible):
             to_cd_by_reduction(psi)
+
+
+def test_ab_index_of_a_known_eulerian_poset_expands_phi(
+        monkeypatch, eulerian_fixtures, rng):
+    # once the scan has said Eulerian, ab_index reads Phi and runs no
+    # dense flag DP
+    posets = [p for _, p in eulerian_fixtures if len(p.elements) <= 30]
+    posets += [random_eulerian(rng) for _ in range(20)]
+    want = [ab_index_by_chains(p) for p in posets]
+    assert all(p.is_eulerian() for p in posets)
+    monkeypatch.setattr("cdindex.flagcd.flag_f", _refuse("flag_f"))
+    monkeypatch.setattr("cdindex.flagcd.flag_h", _refuse("flag_h"))
+    for p, psi in zip(posets, want):
+        assert cd.ab_index(p) == psi
+    with pytest.raises(AssertionError):
+        cd.ab_index(cd.boolean_poset(3))  # fresh: the dense route
+
+
+def test_ab_index_of_a_fresh_poset_runs_no_scan(monkeypatch, capsys,
+                                                tmp_path, rng):
+    # a poset not yet scanned keeps the dense route and stays unscanned,
+    # also as decoded by compute --what ab
+    monkeypatch.setattr(cd.GradedPoset, "_intervals_eulerian",
+                        _refuse("the Eulerian scan"))
+    posets = [cd.boolean_poset(n) for n in range(5)] + [cd.chain_poset(3)]
+    posets += [random_graded_poset(rng) for _ in range(20)]
+    for p in posets:
+        assert cd.ab_index(p) == ab_index_by_chains(p)
+        assert p._balanced is None
+    path = tmp_path / "square.json"
+    path.write_text(square_lattice().to_json())
+    assert run(["compute", "--what", "ab", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "a^2 + 3*ab + 3*ba + b^2\n"
+
+
+def test_ab_index_is_the_same_before_and_after_cd_index(
+        monkeypatch, eulerian_fixtures, rng):
+    # random_eulerian may return a scanned pool member, so decode a copy
+    pool = [p for _, p in eulerian_fixtures if len(p.elements) <= 32]
+    posets = [cd.boolean_poset(n) for n in range(1, 12)]
+    posets += [cd.GradedPoset.from_json(random_eulerian(rng, pool).to_json())
+               for _ in range(60)]
+    posets += [cd.chain_poset(0), cd.chain_poset(1)]
+    dense = [cd.ab_index(p) for p in posets]
+    assert all(p._balanced is None for p in posets)
+    for p in posets:
+        cd.cd_index(p)
+        assert p.is_eulerian()  # the point's cd_index runs no scan
+    monkeypatch.setattr("cdindex.flagcd.flag_h", _refuse("flag_h"))
+    assert [cd.ab_index(p) for p in posets] == dense
+    assert dense[-2:] == [AbPolynomial.zero(), AbPolynomial.one()]
+
+
+def test_upper_intervals_of_a_validated_target_expand_phi(monkeypatch):
+    # verify_local_correspondence reads Psi of every [sigma, 1] of the
+    # target, whose Eulerian verdict the intervals inherit
+    checked = 0
+    for name, m in subdivision_pool():
+        tgt = m.target
+        if tgt.max_elt is None or not cd.validate_strong_eulerian(m).ok:
+            continue
+        assert tgt.is_eulerian(), name
+        uppers = [tgt.interval(s, tgt.max_elt) for s in tgt.elements]
+        want = [ab_index_by_chains(q) for q in uppers]
+        with monkeypatch.context() as mp:
+            mp.setattr("cdindex.flagcd.flag_h", _refuse("flag_h"))
+            assert [cd.ab_index(q) for q in uppers] == want, name
+        checked += 1
+    assert checked >= 3
 
 
 def test_boolean_cd_index_matches_pyramid_rule():
