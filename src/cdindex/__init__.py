@@ -3,14 +3,13 @@ flag f/h-vectors, ab- and cd-indexes, local indexes, toric g/h-polynomials,
 local h-polynomials, and constructive subdivision decompositions."""
 
 from .errors import CdindexError
-from .ncpoly import (AbPolynomial, CdPolynomial, TensorSum, UniPolynomial,
-                     coefficientwise_leq, coproduct, expand_cd, kappa,
-                     parse_unipoly, parse_word_poly, substitute,
-                     tensor_collapse, to_cd)
+from .ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
+                     coefficientwise_leq, expand_cd, parse_unipoly,
+                     parse_word_poly, substitute, to_cd)
 from .poset import (GradedPoset, adjoin_max, boolean_poset, boundary,
                     build_poset, chain_poset, dual, interior_elements,
-                    is_isomorphic, is_near_eulerian, join, pyramid,
-                    semisuspension, suspension)
+                    is_near_eulerian, join, pyramid, semisuspension,
+                    suspension)
 from .flagcd import (FlagVector, LocalIndex, ab_index, cd_index, flag_f,
                      flag_h, flag_polynomial, local_index, polygon_cd,
                      three_polytope_cd)

@@ -29,10 +29,6 @@ class NotNearEulerian(CdindexError):
     """The semisuspension construction did not produce an Eulerian poset."""
 
 
-class NotALattice(CdindexError):
-    """Join or meet failed to be unique for some pair of elements."""
-
-
 class RankTooLarge(CdindexError):
     """Flag enumeration is limited to proper rank at most 62."""
 

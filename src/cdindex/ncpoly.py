@@ -1,30 +1,31 @@
 """Exact-integer polynomial kernels.
 
-Noncommutative polynomials over the alphabets {a,b} and {c,d}, and the
-tensors of the letter-deletion coproduct, are stored as key -> coefficient
-dicts with arbitrary-precision integers; one constructor (``_Terms``)
-normalises every such dict.  The canonical term order used everywhere
-(printing and equality of output) is total degree ascending, then
-lexicographic with a < b and c < d.  The change of basis between a, b and
-c = a+b, d = ab+ba lives here: ``expand_cd``, and the sparse peel
-(``_peel_cd``) that serves ``to_cd`` and the cd-index of a poset alike.
-The commutative side is a dense integer polynomial in x.
+Noncommutative polynomials over the alphabets {a,b} and {c,d} are stored
+as word -> coefficient dicts with arbitrary-precision integers; one
+constructor (``_WordPolynomial``) normalises every such dict.  The
+canonical term order used everywhere (printing and equality of output) is
+total degree ascending, then lexicographic with a < b and c < d.  The
+change of basis between a, b and c = a+b, d = ab+ba lives here:
+``expand_cd``, and the sparse peel (``_peel_cd``) that serves ``to_cd`` and
+the cd-index of a poset alike.  The commutative side is a dense integer
+polynomial in x.
 """
 from __future__ import annotations
 
 import re
-from itertools import product, zip_longest
+from itertools import zip_longest
 
 from .errors import DegreeTooHigh, DomainError, NotCdExpressible
 
 
-class _Terms:
-    """Integer combination of keys, stored as a key -> nonzero coefficient
-    dict.  The constructor, given a mapping or (key, coefficient) pairs, is
-    the only code that merges like terms, drops zeros and checks keys."""
+class _WordPolynomial:
+    """Integer combination of words over ``alphabet``, stored as a word ->
+    nonzero coefficient dict.  The constructor, given a mapping or (word,
+    coefficient) pairs, is the only code that merges like terms, drops
+    zeros and checks words."""
 
+    alphabet = ""
     __slots__ = ("terms",)
-    _unit = ""  # the key of the constant term
 
     def __init__(self, terms=None):
         if hasattr(terms, "items"):
@@ -32,70 +33,15 @@ class _Terms:
         else:
             data = {}
             get = data.get
-            for key, coeff in terms or ():
-                data[key] = get(key, 0) + coeff
-        self._check(data)
-        if 0 in data.values():
-            data = {key: coeff for key, coeff in data.items() if coeff}
-        self.terms = data
-
-    def _check(self, keys):
-        """Raise DomainError on a key outside the class's domain."""
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return type(self)([*self.terms.items(), *other.terms.items()])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def _coerce(self, other):
-        if isinstance(other, type(self)):
-            return other
-        if isinstance(other, int):
-            return type(self)({self._unit: other})
-        raise TypeError("cannot combine %r with %r" % (type(self), type(other)))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({self._unit: other} if other else {})
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((type(self).__name__, tuple(self.sorted_terms())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _key(self, key):
-        return key
-
-    def sorted_terms(self):
-        """Terms in canonical order (see ``_key``)."""
-        return sorted(self.terms.items(), key=lambda it: self._key(it[0]))
-
-
-class _WordPolynomial(_Terms):
-    """Shared arithmetic for word-indexed integer polynomials."""
-
-    alphabet = ""
-    __slots__ = ()
-
-    def _check(self, words):
-        if "".join(words).strip(self.alphabet):
-            bad = next(w for w in words if w.strip(self.alphabet))
+            for word, coeff in terms or ():
+                data[word] = get(word, 0) + coeff
+        if "".join(data).strip(self.alphabet):
+            bad = next(w for w in data if w.strip(self.alphabet))
             raise DomainError(
                 "word %r not over alphabet %r" % (bad, self.alphabet))
+        if 0 in data.values():
+            data = {word: coeff for word, coeff in data.items() if coeff}
+        self.terms = data
 
     # -- constructors -------------------------------------------------
 
@@ -113,6 +59,28 @@ class _WordPolynomial(_Terms):
 
     # -- ring structure ------------------------------------------------
 
+    def __add__(self, other):
+        other = self._coerce(other)
+        return type(self)([*self.terms.items(), *other.terms.items()])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, int):
+            return type(self)({"": other})
+        raise TypeError("cannot combine %r with %r" % (type(self), type(other)))
+
     def __mul__(self, other):
         if isinstance(other, int):
             return type(self)({w: c * other for w, c in self.terms.items()})
@@ -128,6 +96,19 @@ class _WordPolynomial(_Terms):
 
     # -- inspection ----------------------------------------------------
 
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.terms == ({"": other} if other else {})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash((type(self).__name__, tuple(self.sorted_terms())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
     @classmethod
     def word_degree(cls, word):
         return len(word)
@@ -135,6 +116,10 @@ class _WordPolynomial(_Terms):
     def _key(self, word):
         """Canonical order: degree ascending, then lex."""
         return (self.word_degree(word), word)
+
+    def sorted_terms(self):
+        """Terms in canonical order (see ``_key``)."""
+        return sorted(self.terms.items(), key=lambda it: self._key(it[0]))
 
     @property
     def degree(self):
@@ -294,44 +279,6 @@ def to_cd(p):
     if residual:
         raise NotCdExpressible(residual)
     return phi
-
-
-class TensorSum(_Terms):
-    """Integer combination of word (x) word tensors in normal form."""
-
-    __slots__ = ()
-    _unit = ("", "")
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorSum(0)"
-        bits = []
-        for (w1, w2), coeff in self.sorted_terms():
-            lhs = w1 or "1"
-            rhs = w2 or "1"
-            bits.append("%+d*%s(x)%s" % (coeff, lhs, rhs))
-        return "TensorSum(%s)" % " ".join(bits)
-
-
-def coproduct(p):
-    """Deletion-of-one-letter coproduct, extended linearly.
-
-    C(w_1...w_n) = sum_i w_1...w_{i-1} (x) w_{i+1}...w_n; C(1) = 0.
-    """
-    return TensorSum([((word[:i], word[i + 1:]), coeff)
-                      for word, coeff in p.terms.items()
-                      for i in range(len(word))])
-
-
-def tensor_collapse(t, left, right):
-    """Apply linear maps to both tensor legs and multiply in Z[x].
-
-    ``left`` and ``right`` take a word to a UniPolynomial.
-    """
-    out = UniPolynomial.zero()
-    for (w1, w2), coeff in t.terms.items():
-        out = out + left(w1) * right(w2) * coeff
-    return out
 
 
 class UniPolynomial:
@@ -583,38 +530,8 @@ def _parse_power(body):
 
 def parse_unipoly(text):
     """Parse "1 + 4*x + x^2" style text into a UniPolynomial."""
-    coeffs = _Terms(_parse_terms(text, _parse_power)).terms
+    coeffs = {}
+    for power, coeff in _parse_terms(text, _parse_power):
+        coeffs[power] = coeffs.get(power, 0) + coeff
     return UniPolynomial([coeffs.get(i, 0)
                           for i in range(max(coeffs, default=-1) + 1)])
-
-
-def kappa_word(word):
-    """kappa of one ab-word: (x - 1)^len(word), or 0 if it has a b."""
-    if "b" in word:
-        return UniPolynomial.zero()
-    return UniPolynomial((-1, 1)) ** len(word)
-
-
-def kappa(p):
-    """The algebra map with kappa(a) = x - 1, kappa(b) = 0."""
-    return sum((kappa_word(w) * c for w, c in p.terms.items()),
-               UniPolynomial.zero())
-
-
-def ab_words(degree):
-    """All ab-words of the given length, lex order."""
-    if degree < 0:
-        return []
-    return list(map("".join, product("ab", repeat=degree)))
-
-
-def cd_words(degree):
-    """All cd-words of the given degree (c counts 1, d counts 2)."""
-    if degree < 0:
-        return []
-    if degree == 0:
-        return [""]
-    if degree == 1:
-        return ["c"]
-    return sorted(["c" + w for w in cd_words(degree - 1)]
-                  + ["d" + w for w in cd_words(degree - 2)])

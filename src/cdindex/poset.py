@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 import json
 
-from .errors import (CycleDetected, DomainError, MissingBounds, NotALattice,
-                     NotGraded, NotNearEulerian, RequiresBounds, RequiresMin)
+from .errors import (CycleDetected, DomainError, MissingBounds, NotGraded,
+                     NotNearEulerian, RequiresBounds, RequiresMin)
 
 
 class GradedPoset:
@@ -227,8 +227,10 @@ class GradedPoset:
         """Inclusion-maximal chains of the proper part (graded, bounded),
         walked up the cover lists from the minimum on an explicit stack."""
         self.require_bounds()
-        up_adj = _cover_lists(self)[0]
         els, top = self.elements, self._idx[self.max_elt]
+        up_adj = [[] for _ in els]
+        for lo, hi in self.cover_pairs:
+            up_adj[lo].append(hi)
         out = []
         stack = [(j,) for j in up_adj[self._idx[self.min_elt]] if j != top]
         while stack:
@@ -316,21 +318,6 @@ class GradedPoset:
             low = mask & -mask
             yield low.bit_length() - 1
             mask ^= low
-
-    def lattice_join(self, x, y):
-        """Least upper bound, or NotALattice if it is not unique."""
-        self.require_bounds()
-        i = self._bound(self.index(x), self.index(y), upper=True)
-        if i is None:
-            raise NotALattice("join of %s and %s is not unique" % (x, y))
-        return self.elements[i]
-
-    def lattice_meet(self, x, y):
-        self.require_bounds()
-        i = self._bound(self.index(x), self.index(y), upper=False)
-        if i is None:
-            raise NotALattice("meet of %s and %s is not unique" % (x, y))
-        return self.elements[i]
 
     # -- serialization ---------------------------------------------------------
 
@@ -536,107 +523,6 @@ def interior_elements(p):
     q, tau = _semisuspend(p)
     below = set(q.down_set(tau, strict=True))
     return [e for e in p.elements if e not in below]
-
-
-# -- isomorphism (small instances) -------------------------------------------
-
-
-def _cover_lists(p):
-    n = len(p.elements)
-    up_adj = [[] for _ in range(n)]
-    dn_adj = [[] for _ in range(n)]
-    for lo, hi in p.cover_pairs:
-        up_adj[lo].append(hi)
-        dn_adj[hi].append(lo)
-    return up_adj, dn_adj
-
-
-def _refine_colors(p):
-    n = len(p.elements)
-    up_adj, dn_adj = _cover_lists(p)
-    colors = [(len(up_adj[i]), len(dn_adj[i]),
-               p._up[i].bit_count(), p._dn[i].bit_count())
-              for i in range(n)]
-    for _ in range(n):
-        palette = {c: k for k, c in enumerate(sorted(set(colors)))}
-        coded = [palette[c] for c in colors]
-        new = [(coded[i],
-                tuple(sorted(coded[j] for j in up_adj[i])),
-                tuple(sorted(coded[j] for j in dn_adj[i])))
-               for i in range(n)]
-        if len(set(new)) == len(set(colors)):
-            colors = new
-            break
-        colors = new
-    palette = {c: k for k, c in enumerate(sorted(set(colors)))}
-    return [palette[c] for c in colors]
-
-
-def is_isomorphic(p, q):
-    """Backtracking isomorphism of the cover DAGs, pruned by colour refinement.
-
-    The vertex placed next is the one with the most mapped cover neighbours,
-    ties going to the rarest colour class, and a candidate image is checked
-    against that vertex's own mapped cover neighbours only.
-    """
-    if len(p.elements) != len(q.elements):
-        return False
-    if len(p.cover_pairs) != len(q.cover_pairs):
-        return False
-    pc = _refine_colors(p)
-    qc = _refine_colors(q)
-    if sorted(pc) != sorted(qc):
-        return False
-    n = len(p.elements)
-    q_by_color = {}
-    for j in range(n):
-        q_by_color.setdefault(qc[j], []).append(j)
-    p_up, p_dn = _cover_lists(p)
-    q_covers = set(q.cover_pairs)
-
-    order = []
-    links = [0] * n
-    left = set(range(n))
-    while left:
-        i = min(left, key=lambda k: (-links[k], len(q_by_color[pc[k]]), k))
-        left.remove(i)
-        order.append(i)
-        for k in p_up[i] + p_dn[i]:
-            links[k] += 1
-    mapping = [-1] * n
-    used = [False] * n
-
-    def ok(i, j):
-        # every cover between i and an already-mapped vertex must transfer
-        for hi in p_up[i]:
-            if mapping[hi] != -1 and (j, mapping[hi]) not in q_covers:
-                return False
-        for lo in p_dn[i]:
-            if mapping[lo] != -1 and (mapping[lo], j) not in q_covers:
-                return False
-        return True
-
-    # depth-first search with one candidate iterator per placed vertex, so
-    # the depth is not bounded by the interpreter's recursion limit
-    tries = [iter(q_by_color[pc[order[0]]])] if n else []
-    k = 0
-    while 0 <= k < n:
-        i = order[k]
-        for j in tries[k]:
-            if not used[j] and ok(i, j):
-                mapping[i] = j
-                used[j] = True
-                k += 1
-                if k < n:
-                    tries.append(iter(q_by_color[pc[order[k]]]))
-                break
-        else:
-            tries.pop()
-            k -= 1
-            if k >= 0:
-                used[mapping[order[k]]] = False
-                mapping[order[k]] = -1
-    return k == n
 
 
 # -- standard small posets ----------------------------------------------------

@@ -13,7 +13,8 @@ f(ua) = (x - 1) f(u) + g(u), where g(u) is (1 - x) f(u) truncated at
 degree |u|/2; so g(w) = f(wb).  Extended linearly to c = a + b and
 d = ab + ba they step cd-words too, and one memo of f over the prefixes
 walked, of both alphabets, serves both maps.  The coproduct definition,
-the Psi route and the recursions over lower intervals are test oracles.
+the Psi route and the recursions over lower intervals are test oracles;
+the coproduct and kappa live in ``tests/conftest.py``.
 
 local_h reads each face's capped preimage from the subdivision map, which
 builds it once and shares it with strong Eulerian validation, and takes

@@ -4,9 +4,12 @@ from __future__ import annotations
 import random
 from collections import defaultdict, namedtuple
 from fractions import Fraction
+from itertools import product
 
+import networkx as nx
 import pytest
 from hypothesis import settings
+from networkx.algorithms.isomorphism import DiGraphMatcher
 
 import cdindex as cd
 from cdindex.complexes import _closure_of
@@ -14,8 +17,7 @@ from cdindex.subdivision import DecompositionRow
 from cdindex.errors import (NotCdExpressible, NotLowerEulerian, NotPure,
                             SearchCutoff)
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
-                            UniPolynomial, coproduct, kappa, substitute,
-                            tensor_collapse)
+                            UniPolynomial, substitute)
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -203,8 +205,47 @@ def ab_index_by_flag_h(p):
                          for m, v in beta.values.items()})
 
 
+def isomorphic(p, q):
+    """Isomorphism of the cover DAGs by networkx's VF2 matcher."""
+    def digraph(poset):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(len(poset.elements)))
+        g.add_edges_from(poset.cover_pairs)
+        return g
+
+    return DiGraphMatcher(digraph(p), digraph(q)).is_isomorphic()
+
+
+def ab_words(degree):
+    """All ab-words of the given length, lex order."""
+    if degree < 0:
+        return []
+    return list(map("".join, product("ab", repeat=degree)))
+
+
+def cd_words(degree):
+    """All cd-words of the given degree (c counts 1, d counts 2)."""
+    if degree < 0:
+        return []
+    if degree == 0:
+        return [""]
+    if degree == 1:
+        return ["c"]
+    return sorted(["c" + w for w in cd_words(degree - 1)]
+                  + ["d" + w for w in cd_words(degree - 2)])
+
+
 def kappa_of(word):
-    return kappa(AbPolynomial.monomial(word))
+    """kappa of one ab-word: (x - 1)^len(word), or 0 if it has a b."""
+    if "b" in word:
+        return UniPolynomial.zero()
+    return X_MINUS_1 ** len(word)
+
+
+def kappa(p):
+    """The algebra map with kappa(a) = x - 1, kappa(b) = 0."""
+    return sum((kappa_of(w) * c for w, c in p.terms.items()),
+               UniPolynomial.zero())
 
 
 class MorphismsByCoproduct:
@@ -258,11 +299,14 @@ def g_poly_by_psi(p):
 
 
 def morphism_f_by_coproduct(p):
-    """Oracle for morphism_f through the tensor machinery:
-    f = kappa + (g (x) kappa) applied to the coproduct, with the prefix g's
-    from the definitional recursion."""
+    """Oracle for morphism_f through the coproduct:
+    f = kappa + (g (x) kappa) applied to dict_coproduct(p), with the prefix
+    g's from the definitional recursion."""
     g_of = MorphismsByCoproduct().g_word
-    return kappa(p) + tensor_collapse(coproduct(p), g_of, kappa_of)
+    out = kappa(p)
+    for (w1, w2), coeff in dict_coproduct(p.terms).items():
+        out = out + g_of(w1) * kappa_of(w2) * coeff
+    return out
 
 
 CD_IMAGES = {"c": AbPolynomial({"a": 1, "b": 1}),
@@ -339,8 +383,9 @@ def assert_cd_residual(p, residual, message):
     assert message == "not expressible in c, d; residual %s" % residual
 
 
-# Plain-dict reference for the polynomial kernels: a word polynomial or a
-# tensor is a {key: coefficient} dict with no zero coefficient.
+# Plain-dict reference for the polynomial kernels: a word polynomial, or a
+# tensor of the letter-deletion coproduct, is a {key: coefficient} dict
+# with no zero coefficient.
 
 
 def dict_collect(pairs):

@@ -8,9 +8,9 @@ import random
 
 import cdindex as cd
 from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
-                            cd_words, coefficientwise_leq, expand_cd,
-                            substitute, to_cd)
-from conftest import (edge_with_points, eulerian_pool, eulerian_by_mobius,
+                            coefficientwise_leq, expand_cd, substitute, to_cd)
+from conftest import (cd_words, edge_with_points, eulerian_pool,
+                      eulerian_by_mobius,
                       hexagon_over_triangle, barycentric_solid_triangle,
                       octahedron_complex, polygon_lattice, random_eulerian,
                       random_graded_poset, square_lattice, subdivision_pool,

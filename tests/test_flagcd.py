@@ -6,12 +6,12 @@ from cdindex.cli import run
 from cdindex.errors import NotCdExpressible, NotNearEulerian
 from cdindex.flagcd import _chain_counts
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _peel_cd,
-                            cd_words, coefficientwise_leq, expand_cd,
-                            is_nonnegative, substitute)
+                            coefficientwise_leq, expand_cd, is_nonnegative,
+                            substitute)
 from conftest import (ab_index_by_chains, ab_index_by_flag_h,
                       assert_cd_residual, bipyramid_lattice,
-                      boolean_cd_by_pyramid, cd_index_by_old_route,
-                      flag_polynomial_by_chains, is_sparse,
+                      boolean_cd_by_pyramid, cd_index_by_old_route, cd_words,
+                      flag_polynomial_by_chains, is_sparse, isomorphic,
                       local_index_by_ab_route, outcome,
                       polygon_lattice, random_eulerian, random_graded_poset,
                       random_near_eulerian, sparse_flag_f, square_lattice,
@@ -210,11 +210,11 @@ def test_boundary_is_the_interval_below_the_restored_coatom(
         q, tau = cd.poset._semisuspend(p)
         interval = q.interval(q.min_elt, tau)
         capped = cd.adjoin_max(q.induced(q.down_set(tau, strict=True)))
-        assert cd.is_isomorphic(interval, capped), name
+        assert isomorphic(interval, capped), name
         assert cd.ab_index(interval) == cd.ab_index(capped), name
         bd = cd.boundary(p)
         assert bd.max_elt == tau and bd.elements == interval.elements, name
-        assert cd.is_isomorphic(bd, capped), name
+        assert isomorphic(bd, capped), name
         assert cd.cd_index(bd) == cd.cd_index(capped), name
 
 

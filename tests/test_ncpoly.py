@@ -4,14 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 import cdindex as cd
 from cdindex.errors import DegreeTooHigh, DomainError, NotCdExpressible
-from cdindex.ncpoly import (AbPolynomial, CdPolynomial, TensorSum,
-                            UniPolynomial, ab_words, cd_words,
-                            coefficientwise_leq, coproduct, expand_cd,
-                            kappa, parse_unipoly, parse_word_poly,
-                            substitute, tensor_collapse, to_cd)
-from conftest import (CD_IMAGES, assert_cd_residual, dict_add, dict_collect,
-                      dict_coproduct, dict_map_words, dict_mul, outcome,
-                      to_cd_by_reduction)
+from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
+                            coefficientwise_leq, expand_cd, parse_unipoly,
+                            parse_word_poly, substitute, to_cd)
+from conftest import (CD_IMAGES, ab_words, assert_cd_residual, cd_words,
+                      dict_add, dict_collect, dict_coproduct, dict_map_words,
+                      dict_mul, kappa, outcome, to_cd_by_reduction)
 
 A = AbPolynomial.monomial("a")
 B = AbPolynomial.monomial("b")
@@ -44,7 +42,6 @@ def term_pairs(keys, max_terms=8, max_coeff=5):
 
 AB_KEYS = st.text(alphabet="ab", max_size=3)
 CD_KEYS = st.text(alphabet="cd", max_size=3)
-TENSOR_KEYS = st.tuples(AB_KEYS, AB_KEYS)
 
 
 def test_ring_basics():
@@ -183,35 +180,43 @@ def test_fibonacci_cd_word_counts():
 
 
 def test_coproduct_small():
-    assert coproduct(AbPolynomial.monomial("ab")) == TensorSum(
-        {("", "b"): 1, ("a", ""): 1})
-    assert coproduct(AbPolynomial.one()) == TensorSum()
+    assert dict_coproduct(AbPolynomial.monomial("ab").terms) == {
+        ("", "b"): 1, ("a", ""): 1}
+    assert dict_coproduct(AbPolynomial.one().terms) == {}
 
 
 def test_coproduct_matches_expansion():
     # letterwise deletion on the expansion of cc
-    got = coproduct(expand_cd(C * C))
-    want = TensorSum()
-    for w1 in ("a", "b"):
-        for w2 in ("a", "b"):
-            want = want + TensorSum({("", w2): 1, (w1, ""): 1})
+    got = dict_coproduct(expand_cd(C * C).terms)
+    want = dict_collect(pair for w1 in ("a", "b") for w2 in ("a", "b")
+                        for pair in ((("", w2), 1), ((w1, ""), 1)))
     assert got == want
 
 
 def test_coproduct_coassociative_on_words():
     # (C x id) o C = (id x C) o C after flattening to word triples
     for word in ("a", "ab", "bab", "aabb", "ababa", "bbb"):
-        left = {}
-        right = {}
-        for i in range(len(word)):
-            w1, w2 = word[:i], word[i + 1:]
-            for j in range(len(w1)):
-                key = (w1[:j], w1[j + 1:], w2)
-                left[key] = left.get(key, 0) + 1
-            for j in range(len(w2)):
-                key = (w1, w2[:j], w2[j + 1:])
-                right[key] = right.get(key, 0) + 1
-        assert left == right
+        left, right = [], []
+        for (w1, w2), c in dict_coproduct({word: 1}).items():
+            left += [((u1, u2, w2), c * k)
+                     for (u1, u2), k in dict_coproduct({w1: 1}).items()]
+            right += [((w1, v1, v2), c * k)
+                      for (v1, v2), k in dict_coproduct({w2: 1}).items()]
+        assert dict_collect(left) == dict_collect(right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(ab_polys(max_len=4), ab_polys(max_len=4)),
+                 st.tuples(cd_polys(max_deg=6), cd_polys(max_deg=6))))
+def test_coproduct_leibniz_rule(pair):
+    # C(uv) = C(u) (1 x v) + (u x 1) C(v): a deleted letter is in u or in v
+    p, q = pair
+    left = [((w1, w2 + v), c * k)
+            for (w1, w2), c in dict_coproduct(p.terms).items()
+            for v, k in q.terms.items()]
+    right = [((u + w1, w2), k * c) for u, k in p.terms.items()
+             for (w1, w2), c in dict_coproduct(q.terms).items()]
+    assert dict_coproduct((p * q).terms) == dict_collect(left + right)
 
 
 def test_kappa():
@@ -232,14 +237,6 @@ def test_kappa_on_chain_ab_index():
 @given(ab_polys(max_len=4), ab_polys(max_len=4))
 def test_kappa_multiplicative(u, v):
     assert kappa(u * v) == kappa(u) * kappa(v)
-
-
-def test_tensor_collapse():
-    t = coproduct(AbPolynomial.monomial("ab"))
-    got = tensor_collapse(t, kappa_word := (lambda w: kappa(
-        AbPolynomial.monomial(w))), kappa_word)
-    # 1 (x) b -> 0 and a (x) 1 -> (x-1)
-    assert got == UniPolynomial((-1, 1))
 
 
 def test_unipoly_truncate_reverse():
@@ -320,14 +317,18 @@ def test_parse_rejects_garbage():
 
 
 @settings(max_examples=200, deadline=None)
-@given(term_pairs(AB_KEYS), term_pairs(CD_KEYS), term_pairs(TENSOR_KEYS))
-def test_constructor_matches_dict_reference(ab, cd_, tensor):
-    for cls, pairs in ((AbPolynomial, ab), (CdPolynomial, cd_),
-                       (TensorSum, tensor)):
+@given(term_pairs(AB_KEYS), term_pairs(CD_KEYS))
+def test_constructor_matches_dict_reference(ab, cd_):
+    for cls, pairs in ((AbPolynomial, ab), (CdPolynomial, cd_)):
         want = dict_collect(pairs)
         assert cls(pairs).terms == want
         assert cls(iter(pairs)).terms == want
         assert cls(dict(pairs)).terms == dict_collect(dict(pairs).items())
+        p = cls(pairs)
+        assert hash(p) == hash(cls(reversed(p.terms.items())))
+        assert bool(p) == bool(want)
+        assert p.sorted_terms() == sorted(
+            want.items(), key=lambda it: (cls.word_degree(it[0]), it[0]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -358,23 +359,6 @@ def test_substitution_and_expansion_match_dict_reference(p, img_a, img_b, q):
     assert p.map_words({"a": img_a, "b": img_b}).terms == want
     cd_images = {w: image.terms for w, image in CD_IMAGES.items()}
     assert expand_cd(q).terms == dict_map_words(q.terms, cd_images)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(ab_polys(), cd_polys()),
-       term_pairs(TENSOR_KEYS), term_pairs(TENSOR_KEYS))
-def test_coproduct_and_tensor_sums_match_dict_reference(p, t_pairs, u_pairs):
-    assert coproduct(p).terms == dict_coproduct(p.terms)
-    t, u = TensorSum(t_pairs), TensorSum(u_pairs)
-    assert (t + u).terms == dict_add(t.terms, u.terms)
-    assert (t - u).terms == dict_add(t.terms, u.terms, -1)
-    assert (-t).terms == dict_collect((k, -c) for k, c in t.terms.items())
-    assert (t == u) == (t.terms == u.terms)
-    assert (t + 3).terms == dict_add(t.terms, {("", ""): 3})
-    assert (t == 0) == (not t.terms)
-    assert bool(t) == bool(t.terms)
-    assert hash(t) == hash(TensorSum(dict(t.terms)))
-    assert t.sorted_terms() == sorted(t.terms.items())
 
 
 BIG = st.integers(-10 ** 45, 10 ** 45)
@@ -432,9 +416,6 @@ def test_text_edge_cases():
         assert str(poly) == text
     assert repr(UniPolynomial.x()) == "UniPolynomial(x)"
     assert repr(CdPolynomial.zero()) == "CdPolynomial(0)"
-    assert repr(TensorSum()) == "TensorSum(0)"
-    assert repr(coproduct(AbPolynomial({"ab": -2}))) == \
-        "TensorSum(-2*1(x)b -2*a(x)1)"
 
 
 def test_ab_words():

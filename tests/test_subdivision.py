@@ -8,7 +8,7 @@ from cdindex.errors import InvalidChain, RequiresBounds, ValidationRequired
 from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
 from cdindex.subdivision import _basic_failures
 from conftest import (decompose_rows_by_rebuild, enumerate_chains,
-                      hexagon_over_triangle, outcome,
+                      hexagon_over_triangle, isomorphic, outcome,
                       preimage_ids_by_definition, square_lattice,
                       telescoping_by_rebuild, tetra_subdivision)
 
@@ -125,7 +125,7 @@ def test_restrict_to_edge_is_path():
     m = tetra_subdivision()
     r = cd.restrict(m, "{1,2}")
     path = cd.face_poset(cd.SimplicialComplex([["1", "5"], ["5", "2"]]))
-    assert cd.is_isomorphic(r.source, path)
+    assert isomorphic(r.source, path)
     assert cd.validate_strong_eulerian(r).ok
     # restriction to a vertex is trivial; restriction to the top is the map
     rv = cd.restrict(m, "{3}")
@@ -138,12 +138,12 @@ def test_skeletal_family_tetra():
     m = tetra_subdivision()
     fam = cd.skeletal_family(m)
     assert fam.n == 4
-    assert cd.is_isomorphic(fam.posets[0], m.target)
-    assert cd.is_isomorphic(fam.posets[1], m.target)
-    assert not cd.is_isomorphic(fam.posets[2], m.target)
-    assert not cd.is_isomorphic(fam.posets[2], m.source)
-    assert cd.is_isomorphic(fam.posets[3], m.source)
-    assert cd.is_isomorphic(fam.posets[4], m.source)
+    assert isomorphic(fam.posets[0], m.target)
+    assert isomorphic(fam.posets[1], m.target)
+    assert not isomorphic(fam.posets[2], m.target)
+    assert not isomorphic(fam.posets[2], m.source)
+    assert isomorphic(fam.posets[3], m.source)
+    assert isomorphic(fam.posets[4], m.source)
     # level 2 has the new vertex and the split edge, nothing else new
     assert len(fam.posets[2].elements) == len(m.target.elements) + 2
 
@@ -152,14 +152,14 @@ def test_skeletal_family_identity():
     m = cd.identity_subdivision(square_lattice())
     fam = cd.skeletal_family(m)
     for p in fam.posets:
-        assert cd.is_isomorphic(p, m.target)
+        assert isomorphic(p, m.target)
 
 
 def test_skeletal_family_hexagon():
     m = hexagon_over_triangle()
     fam = cd.skeletal_family(m)
     # vertices are untouched, edges triple in count at level 2
-    assert cd.is_isomorphic(fam.posets[1], m.target)
+    assert isomorphic(fam.posets[1], m.target)
     lvl2 = fam.posets[2]
     assert len(lvl2.level(2)) == 6
     assert len(lvl2.level(1)) == 6
@@ -398,7 +398,7 @@ def test_restriction_squares_commute():
             ideal_ids = [e for e in big.elements
                          if _below_face(fam, e, face)]
             got = big.induced(ideal_ids)
-            assert cd.is_isomorphic(small, got), (face, i)
+            assert isomorphic(small, got), (face, i)
 
 
 def _below_face(fam, e, face):

@@ -10,14 +10,15 @@ from cdindex import flagcd, toric
 from cdindex import poset as ps
 from cdindex.errors import NotGraded, NotLowerEulerian, RequiresBounds
 from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
-                            ab_words, expand_cd, kappa, kappa_word)
-from conftest import (MorphismsByCoproduct, barycentric_solid_triangle,
+                            expand_cd)
+from conftest import (MorphismsByCoproduct, ab_words,
+                      barycentric_solid_triangle,
                       correspondence_rows_by_rebuild, edge_with_points,
                       eulerian_by_mobius, g_by_recursion, g_poly_by_psi,
-                      h_poly_by_recursion, local_h_by_dual_intervals,
-                      morphism_f_by_coproduct, outcome, polygon_lattice,
-                      random_graded_poset, square_lattice,
-                      toric_h_by_psi, toric_h_by_recursion)
+                      h_poly_by_recursion, kappa, kappa_of,
+                      local_h_by_dual_intervals, morphism_f_by_coproduct,
+                      outcome, polygon_lattice, random_graded_poset,
+                      square_lattice, toric_h_by_psi, toric_h_by_recursion)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -454,5 +455,5 @@ def test_correspondence_barycentric_sphere_formal_top():
 def test_kappa_word_powers_in_any_order():
     # (x - 1)^k whatever the order of requests; zero once a b appears
     for k in (3, 0, 5, 1, 4, 2, 5):
-        assert kappa_word("a" * k) == UniPolynomial((-1, 1)) ** k, k
-        assert kappa_word("a" * k + "b") == UniPolynomial.zero(), k
+        assert kappa_of("a" * k) == UniPolynomial((-1, 1)) ** k, k
+        assert kappa_of("a" * k + "b") == UniPolynomial.zero(), k
