@@ -11,9 +11,10 @@ flag f-vector on the sparse rank sets, those with no two consecutive ranks
 cd-index", Math. Z. 1994).  The DP runs over the F(n+2) sparse subsets of
 {1..n} only (89 against 2^9 = 512 at n = 9), and ``ncpoly._peel_cd`` reads
 Phi off them, with integers only.  The local cd-index of a near-Eulerian
-poset, Phi(Q) - Phi([0, tau]) c for its semisuspension Q and restored
-coatom tau, takes two such peels, and a local index stores only it;
-``to_cd`` serves only the posets that are neither Eulerian nor
+poset P, Phi(Q) - Phi([0, tau]) c for its semisuspension Q and restored
+coatom tau, takes two peels of one sparse DP over P that also counts the
+chains below tau, building neither Q nor [0, tau]; a local index stores
+only it.  ``to_cd`` serves only the posets neither Eulerian nor
 near-Eulerian.  ``cd_index`` remembers Phi on the poset (its ``_phi``
 slot), where the toric g and h of an Eulerian poset read it.  ``ab_index``
 of a poset already known to be Eulerian expands that Phi.  It never runs an
@@ -76,9 +77,10 @@ def _proper_levels(p):
     return n, levels
 
 
-def _chain_counts(p, sparse=False):
+def _chain_counts(p, sparse=False, inner=0):
     """(n, {mask: chain count}) over every rank set of {1..n}, or over the
-    sparse ones (no two consecutive ranks) when sparse is set.
+    sparse ones (no two consecutive ranks) when sparse is set.  Given a
+    nonzero bitmask inner of elements, a third dict counts the chains in it.
 
     vec[mask][k] counts the chains through exactly the ranks in mask that
     end at the k-th element of its top rank; each step sums the previous
@@ -101,7 +103,9 @@ def _chain_counts(p, sparse=False):
     else:
         masks = range(1 << n)
         vec = [None] * (1 << n)
-    values = {0: 1}
+    values, inner_values = {0: 1}, {0: 1}
+    inside = inner and {r: [pos[i] for i in bits(inner & m)]
+                        for r, m in level_mask.items()}
     for mask in masks[1:]:
         top = mask.bit_length()  # highest selected rank
         rest = mask & ~(1 << (top - 1))
@@ -113,7 +117,9 @@ def _chain_counts(p, sparse=False):
                    for lst in below[top][rest.bit_length()]]
         vec[mask] = out
         values[mask] = sum(out)
-    return n, values
+        if inside:
+            inner_values[mask] = sum([out[k] for k in inside[top]])
+    return (n, values, inner_values) if inside else (n, values)
 
 
 def flag_f(p):
@@ -195,16 +201,21 @@ def local_index(p):
         # has no semisuspension; local index 1 closes the decomposition
         # identity (the bottom row counts the base cd-index once)
         return LocalIndex(source=p, cd=CdPolynomial.one())
-    return _local_from_semisuspension(p, *ps._semisuspend(p))[0]
+    return LocalIndex(source=p, cd=_local_and_boundary(p)[0])
 
 
-def _local_from_semisuspension(p, q, tau):
-    """(local index of p, Phi of its capped boundary [0, tau] of q), given
-    the semisuspension q of p and its restored coatom tau; both carry q's
-    Eulerian verdict, so cd_index peels each."""
-    bd_cd = cd_index(q.interval(q.min_elt, tau))
-    cd = cd_index(q) - bd_cd * CdPolynomial.monomial("c")
-    return LocalIndex(source=p, cd=cd), bd_cd
+def _local_and_boundary(p):
+    """(l_P, Phi([0, tau])) of a near-Eulerian p by one sparse DP over p;
+    raises NotNearEulerian for any other p.  With D the elements below the
+    restored coatom tau (at the coatom rank n), f^D counts the chains in D,
+    which is f of [0, tau], and f_S(Q) = f_S(P) + [n in S] f^D(S - {n}) for
+    the semisuspension Q.  Both peel, as Q and [0, tau] are Eulerian."""
+    n, f, inner = _chain_counts(p, sparse=True, inner=ps._below_coatom(p))
+    top = 1 << (n - 1)
+    bd_cd = _peel_cd(n - 1, inner)
+    phi_q = _peel_cd(n, {s: v + inner[s ^ top] if s & top else v
+                         for s, v in f.items()})
+    return phi_q - bd_cd * CdPolynomial.monomial("c"), bd_cd
 
 
 def cd_index(p):
@@ -226,12 +237,11 @@ def _cd_index(p):
     if p.is_eulerian():
         return _peel_cd(*_chain_counts(p, sparse=True))
     try:
-        semi = ps._semisuspend(p)
+        local, bd_cd = _local_and_boundary(p)
     except NotNearEulerian:
         # neither; let the rewriting fail and report the residual
         return to_cd(ab_index(p))
-    li, bd_cd = _local_from_semisuspension(p, *semi)
-    return li.cd + bd_cd
+    return local + bd_cd
 
 
 def polygon_cd(n):

@@ -7,14 +7,15 @@ settles the ranks; the up rows follow in reverse sweep order.
 Comparability is one bit test; sub-posets, intervals, the Eulerian scan and
 chain counting downstream visit only the set bits of these rows, by lowbit
 iteration (``low = m & -m``), and count with popcounts.  The order is
-immutable after construction: every operator builds a fresh poset.  Three
+immutable after construction: every operator builds a fresh poset.  Four
 memo slots keep what a poset has proven or computed: ``_balanced``, the
 verdict of the Eulerian interval scan, which ``interval`` passes on when
-True (an interval's intervals are intervals of its parent), ``_semi``, the
-semisuspension once its construction has succeeded, and ``_phi``, the
-cd-index once ``flagcd.cd_index`` has computed it.  ``flagcd.ab_index``
-reads ``_balanced`` without scanning: when it is True it expands Phi in
-place of the dense flag DP.
+True (an interval's intervals are intervals of its parent), ``_below``,
+the elements below the restored coatom once the near-Eulerian test on the
+rows has passed, ``_semi``, the semisuspension once built, and ``_phi``,
+the cd-index once ``flagcd.cd_index`` has computed it.  ``flagcd.ab_index``
+reads ``_balanced`` without scanning: when True it expands Phi in place of
+the dense flag DP.
 
 Gradedness is verified eagerly but a failure is recorded, not raised;
 non-graded posets stay usable for order-only operations and reject
@@ -34,7 +35,7 @@ class GradedPoset:
 
     __slots__ = ("elements", "_idx", "cover_pairs", "_up", "_dn",
                  "_ranks", "is_ranked", "is_graded", "min_elt", "max_elt",
-                 "_balanced", "_semi", "_phi")
+                 "_balanced", "_below", "_semi", "_phi")
 
     def __init__(self, elements, covers):
         elements = tuple(str(e) for e in elements)
@@ -91,7 +92,8 @@ class GradedPoset:
         self.min_elt = elements[minimal[0]] if len(minimal) == 1 else None
         self.max_elt = elements[maximal[0]] if len(maximal) == 1 else None
         self._balanced = None  # _intervals_eulerian verdict, once scanned
-        self._semi = None      # (semisuspension, coatom), once it succeeded
+        self._below = None     # mask D below the restored coatom, once found
+        self._semi = None      # (semisuspension, coatom), once built
         self._phi = None       # flagcd.cd_index, once computed
 
     # -- basic queries ---------------------------------------------------
@@ -183,31 +185,35 @@ class GradedPoset:
     # -- subposets ---------------------------------------------------------
 
     def induced(self, ids):
-        """Induced subposet in element order; b covers a when b is above a
-        but outside the up-rows of the kept elements above a.  An id not in
-        the poset raises DomainError."""
+        """Induced subposet; an id not in the poset raises DomainError."""
+        return self._sub(sum(1 << i for i in {self.index(e) for e in ids}))
+
+    def _sub(self, keep, capped=False):
+        """The subposet on mask keep in element order, b covering a when b is
+        above a but outside the up-rows of the kept elements above a; when
+        capped, with adjoin_max's maximum adjoined in the same build."""
         els, up, bits = self.elements, self._up, self._bits
-        keep = sum(1 << i for i in {self.index(e) for e in ids})
+        kept = [els[i] for i in bits(keep)]
+        top = _fresh(set(kept), "TOP") if capped else None
         covers = []
         for a in bits(keep):
             above = up[a] & keep
+            ea = els[a]
+            if capped and not above:
+                covers.append((ea, top))
             beyond = 0
             for c in bits(above):
                 beyond |= up[c]
-            ea = els[a]
             covers.extend((ea, els[b]) for b in bits(above & ~beyond))
-        return GradedPoset([els[i] for i in bits(keep)], covers)
+        return GradedPoset(kept + [top] if capped else kept, covers)
 
     def interval(self, lo, hi):
         """The closed interval [lo, hi] as a fresh poset."""
         ilo, ihi = self.index(lo), self.index(hi)
         if not (ilo == ihi or self._up[ilo] >> ihi & 1):
             raise DomainError("%s is not below %s" % (lo, hi))
-        mask = ((self._up[ilo] | 1 << ilo)
-                & (self._dn[ihi] | 1 << ihi))
-        q = self.induced(self._ids(mask))
-        if self._balanced:
-            q._balanced = True
+        q = self._sub((self._up[ilo] | 1 << ilo) & (self._dn[ihi] | 1 << ihi))
+        q._balanced = self._balanced or None  # only True passes on
         return q
 
     def proper_part(self):
@@ -250,9 +256,7 @@ class GradedPoset:
         self.require_graded()
         if self.min_elt is None or self.max_elt is None:
             raise RequiresBounds("Eulerian test needs both bounds")
-        if self._balanced is None:
-            self._balanced = self._intervals_eulerian()
-        return self._balanced
+        return self.is_lower_eulerian()
 
     def is_lower_eulerian(self):
         """All closed intervals are Eulerian and a minimum exists."""
@@ -264,28 +268,7 @@ class GradedPoset:
         return self._balanced
 
     def _intervals_eulerian(self):
-        # Only intervals of even length are scanned.  Let [s, t] have odd
-        # length n, and let its proper subintervals be balanced, so that
-        # mu(x, y) = (-1)^(rank y - rank x) on them.  With
-        # E = sum of (-1)^(rank z - rank s) over z in [s, t], mu(s, t) is
-        # -(E - (-1)^n) from the bottom and -(-1)^n (E - 1) from the top;
-        # equating gives E (1 - (-1)^n) = 0, so E = 0.  By induction on the
-        # length, every interval is balanced once the even ones are.
-        n = len(self.elements)
-        even = 0
-        for i in range(n):
-            if self._ranks[i] % 2 == 0:
-                even |= 1 << i
-        odd = ((1 << n) - 1) ^ even
-        up, dn = self._up, self._dn
-        for s in range(n):
-            for t in self._bits(up[s] & (even if even >> s & 1 else odd)):
-                mask = ((up[s] | 1 << s) & (dn[t] | 1 << t))
-                e = (mask & even).bit_count()
-                o = (mask & odd).bit_count()
-                if e != o:
-                    return False
-        return True
+        return _rows_eulerian(self._up, self._dn, self._ranks)
 
     def is_lattice(self):
         """Any two elements have a least upper and greatest lower bound."""
@@ -352,6 +335,26 @@ class GradedPoset:
     def __repr__(self):
         return "GradedPoset(%d elements, %d covers)" % (
             len(self.elements), len(self.cover_pairs))
+
+
+def _rows_eulerian(up, dn, ranks):
+    """Every interval [s, t], s < t, of the closure rows up and dn has as
+    many elements of odd rank as of even rank."""
+    # Only intervals of even length are scanned.  Let [s, t] have odd
+    # length n, and let its proper subintervals be balanced, so that
+    # mu(x, y) = (-1)^(rank y - rank x) on them.  With
+    # E = sum of (-1)^(rank z - rank s) over z in [s, t], mu(s, t) is
+    # -(E - (-1)^n) from the bottom and -(-1)^n (E - 1) from the top;
+    # equating gives E (1 - (-1)^n) = 0, so E = 0.  By induction on the
+    # length, every interval is balanced once the even ones are.
+    even = sum(1 << i for i, r in enumerate(ranks) if r % 2 == 0)
+    odd = ((1 << len(up)) - 1) ^ even
+    for s, row in enumerate(up):
+        for t in GradedPoset._bits(row & (even if even >> s & 1 else odd)):
+            mask = (row | 1 << s) & (dn[t] | 1 << t)
+            if (mask & even).bit_count() != (mask & odd).bit_count():
+                return False
+    return True
 
 
 _JSON_ID_TYPES = frozenset((str, int))  # type(True) is bool, not int
@@ -462,31 +465,47 @@ def dual(p):
     return GradedPoset(p.elements, covers)
 
 
-def _semisuspend(p):
-    """Adjoin the missing coatom; return (poset, coatom id).
-
-    The new coatom covers exactly the elements y whose upper interval
-    [y, 1] has three elements, and is covered by the maximum.  Raises
-    NotNearEulerian unless the result is an Eulerian poset.  A success is
-    kept on p, so every later call returns the same pair.
-    """
-    if p._semi is not None:
-        return p._semi
+def _below_coatom(p):
+    """Mask D of the elements below the missing coatom tau, kept on p;
+    raises NotNearEulerian unless restoring tau gives an Eulerian poset.
+    tau covers the y with |[y, 1]| = 3, so D is their down-closure, and the
+    semisuspension's rows are p's rows plus tau above D and below 1, at the
+    coatom rank; the scan runs on those rows, and nothing is built.  An
+    empty D makes tau a second minimum, unless p is a point."""
+    if p._below is not None:
+        return p._below
     if p.max_elt is None or p.min_elt is None:
         raise NotNearEulerian("semisuspension needs both bounds")
     if not p.is_graded:
         raise NotNearEulerian("semisuspension needs a graded poset")
-    tau = _fresh(set(p.elements), "TAU")
-    itop = p.index(p.max_elt)
-    qualify = [e for i, e in enumerate(p.elements)
-               if (p._up[i] | 1 << i).bit_count() == 3 and p._up[i] >> itop & 1]
-    covers = [(p.elements[lo], p.elements[hi]) for lo, hi in p.cover_pairs]
-    covers += [(y, tau) for y in qualify]
-    covers.append((tau, p.max_elt))
-    q = GradedPoset(list(p.elements) + [tau], covers)
-    if not (q.is_graded and q.min_elt is not None and q.max_elt is not None
-            and q.is_eulerian()):
+    up, dn, top = p._up, p._dn, p.index(p.max_elt)
+    down = 0
+    for i, row in enumerate(up):
+        if (row | 1 << i).bit_count() == 3 and row >> top & 1:
+            down |= dn[i] | 1 << i
+    tau = 1 << len(up)
+    q_up = [r | tau if down >> i & 1 else r for i, r in enumerate(up)]
+    q_dn = [r | tau if i == top else r for i, r in enumerate(dn)]
+    if (not down and len(up) > 1) or not _rows_eulerian(
+            q_up + [1 << top], q_dn + [down], p._ranks + (p._ranks[top] - 1,)):
         raise NotNearEulerian("adjoining the missing coatom is not Eulerian")
+    p._below = down
+    return down
+
+
+def _semisuspend(p):
+    """Adjoin the missing coatom above the maximal elements of D and below
+    the maximum; return (Eulerian poset, coatom id), kept on p."""
+    if p._semi is not None:
+        return p._semi
+    down = _below_coatom(p)
+    tau = _fresh(set(p.elements), "TAU")
+    els, up = p.elements, p._up
+    covers = [(els[lo], els[hi]) for lo, hi in p.cover_pairs]
+    covers += [(els[i], tau) for i in p._bits(down) if not up[i] & down]
+    covers += [(tau, p.max_elt)]
+    q = GradedPoset(list(els) + [tau], covers)
+    q._balanced = True
     p._semi = q, tau
     return p._semi
 
@@ -497,9 +516,9 @@ def semisuspension(p):
 
 
 def is_near_eulerian(p):
-    """Operational test: the semisuspension construction succeeds."""
+    """Operational test: the semisuspension would be Eulerian."""
     try:
-        _semisuspend(p)
+        _below_coatom(p)
         return True
     except NotNearEulerian:
         return False
@@ -520,9 +539,8 @@ def boundary(p):
 
 def interior_elements(p):
     """Elements of a near-Eulerian poset not lying in its boundary."""
-    q, tau = _semisuspend(p)
-    below = set(q.down_set(tau, strict=True))
-    return [e for e in p.elements if e not in below]
+    down = _below_coatom(p)
+    return [e for i, e in enumerate(p.elements) if not down >> i & 1]
 
 
 # -- standard small posets ----------------------------------------------------

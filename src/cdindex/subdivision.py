@@ -11,10 +11,11 @@ carried to it; the preimage of a target face is the OR of these masks over
 its closed down-set, and both validations, restriction and the image check
 read it.  Each capped preimage (the preimage ideal with a maximum adjoined)
 is built once per map: strong Eulerian validation and toric.local_h share
-it.  The capped preimage keeps the semisuspension that validation built, so
-the local index the decomposition, the telescoping check and the local-h
-correspondence take of it does not build that again, and the intervals of
-an Eulerian target inherit its verdict instead of being scanned again.
+it, and it is one build from the source rows.  Validation's near-Eulerian
+test reads its rows and keeps the elements below the restored coatom on it,
+so its local index (in the decomposition, the telescoping check and the
+local-h correspondence) is one sparse DP, with no semisuspension and no
+[0, tau] built.  Intervals of an Eulerian target inherit its verdict.
 """
 from __future__ import annotations
 
@@ -86,10 +87,11 @@ class SubdivisionMap:
         return self.source.induced(self.preimage_ideal_ids(sigma))
 
     def _capped_preimage(self, sigma):
-        """The preimage ideal of sigma with a maximum adjoined, built once."""
+        """adjoin_max(preimage_ideal(sigma)) in one build, once per map."""
         capped = self._cache.setdefault("capped", {})
         if sigma not in capped:
-            capped[sigma] = ps.adjoin_max(self.preimage_ideal(sigma))
+            capped[sigma] = self.source._sub(
+                self._preimage_mask(self.target.index(sigma)), capped=True)
         return capped[sigma]
 
     # -- serialization ------------------------------------------------------
@@ -216,7 +218,7 @@ def validate_strong_eulerian(m):
             if len(hat.elements) == 2 and hat.top_rank == 1:
                 continue  # preimage of the minimum
             try:
-                ps._semisuspend(hat)
+                ps._below_coatom(hat)
             except NotNearEulerian as exc:
                 failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
                                  % exc))

@@ -14,8 +14,8 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 import cdindex as cd
 from cdindex.complexes import _closure_of
 from cdindex.subdivision import DecompositionRow
-from cdindex.errors import (NotCdExpressible, NotLowerEulerian, NotPure,
-                            SearchCutoff)
+from cdindex.errors import (NotCdExpressible, NotLowerEulerian,
+                            NotNearEulerian, NotPure, SearchCutoff)
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
                             UniPolynomial, substitute)
 
@@ -469,19 +469,51 @@ def correspondence_rows_by_rebuild(m):
                   ell) for sigma, ell in cd.local_h(m).rows)
 
 
+def semisuspend_by_build(p):
+    """Oracle for the near-Eulerian test on closure rows: build the
+    semisuspension Q, a coatom TAU covering the elements y with
+    |[y, 1]| = 3 under the maximum, and scan Q on its own rows.  Raises the
+    NotNearEulerian messages of poset._below_coatom; returns (Q, tau)."""
+    if p.max_elt is None or p.min_elt is None:
+        raise NotNearEulerian("semisuspension needs both bounds")
+    if not p.is_graded:
+        raise NotNearEulerian("semisuspension needs a graded poset")
+    tau = "TAU"
+    while tau in p:
+        tau += "'"
+    ups = {e: p.up_set(e) for e in p.elements}
+    qualify = [e for e in p.elements
+               if len(ups[e]) == 2 and p.max_elt in ups[e]]
+    covers = [(p.elements[lo], p.elements[hi]) for lo, hi in p.cover_pairs]
+    covers += [(y, tau) for y in qualify] + [(tau, p.max_elt)]
+    q = cd.build_poset(list(p.elements) + [tau], covers)
+    if not (q.is_graded and q.min_elt is not None and q.max_elt is not None
+            and q.is_eulerian()):
+        raise NotNearEulerian("adjoining the missing coatom is not Eulerian")
+    return q, tau
+
+
+def local_and_boundary_by_build(p):
+    """Oracle for the masked sparse DP: (Phi(Q) - Phi([0, tau]) c,
+    Phi([0, tau])) with Q and its interval [0, tau] built and peeled."""
+    q, tau = semisuspend_by_build(p)
+    bd_cd = cd.cd_index(q.interval(q.min_elt, tau))
+    return cd.cd_index(q) - bd_cd * CdPolynomial.monomial("c"), bd_cd
+
+
 AbRouteLocalIndex = namedtuple("AbRouteLocalIndex", "source ab cd flag")
 
 
 def local_index_by_ab_route(p):
     """Oracle for local_index by the dense route: the local ab-index
-    Psi(Q) - Psi([0, tau]) (a + b) of the semisuspension Q and its restored
-    coatom tau, rewritten by triangular reduction, and its image under
-    a -> a + b."""
+    Psi(Q) - Psi([0, tau]) (a + b) of the built semisuspension Q and its
+    restored coatom tau, rewritten by triangular reduction, and its image
+    under a -> a + b."""
     p.require_graded()
     if len(p.elements) in (1, 2) and p.top_rank == len(p.elements) - 1:
         one = AbPolynomial.one()
         return AbRouteLocalIndex(p, one, CdPolynomial.one(), one)
-    q, tau = cd.poset._semisuspend(p)
+    q, tau = semisuspend_by_build(p)
     ab = (ab_index_by_flag_h(q)
           - ab_index_by_flag_h(q.interval(q.min_elt, tau)) * AB_C)
     return AbRouteLocalIndex(p, ab, to_cd_by_reduction(ab),
@@ -489,16 +521,17 @@ def local_index_by_ab_route(p):
 
 
 def cd_index_by_old_route(p):
-    """Oracle for cd_index: test near-Eulerian-ness, then add the rewritten
-    ab-index of poset.boundary to the local cd-index of the dense route,
-    each step building its own semisuspension; rewrite the ab-index of any
-    other poset."""
+    """Oracle for cd_index: build the semisuspension, then add the
+    rewritten ab-index of its interval [0, tau] to the local cd-index of
+    the dense route; rewrite the ab-index of any other poset."""
     p.require_bounds()
     if p.top_rank == 0:
         return CdPolynomial.zero()
-    if not p.is_eulerian() and cd.is_near_eulerian(p):
-        return (local_index_by_ab_route(p).cd
-                + to_cd_by_reduction(ab_index_by_flag_h(cd.boundary(p))))
+    semi = outcome(semisuspend_by_build, p)
+    if not p.is_eulerian() and semi[0] == "value":
+        q, tau = semi[1]
+        return (local_index_by_ab_route(p).cd + to_cd_by_reduction(
+            ab_index_by_flag_h(q.interval(q.min_elt, tau))))
     return to_cd_by_reduction(ab_index_by_flag_h(p))
 
 

@@ -12,7 +12,8 @@ from conftest import (ab_index_by_chains, ab_index_by_flag_h,
                       assert_cd_residual, bipyramid_lattice,
                       boolean_cd_by_pyramid, cd_index_by_old_route, cd_words,
                       flag_polynomial_by_chains, is_sparse, isomorphic,
-                      local_index_by_ab_route, outcome,
+                      local_and_boundary_by_build, local_index_by_ab_route,
+                      outcome,
                       polygon_lattice, random_eulerian, random_graded_poset,
                       random_near_eulerian, sparse_flag_f, square_lattice,
                       subdivision_pool, tetra_lattice, to_cd_by_reduction)
@@ -288,6 +289,29 @@ def test_eulerian_paths_do_not_rewrite_an_ab_index(
     for name, m in subdivision_fixtures:
         decomposed += outcome(cd.decompose_cd, m)[0] == "value"
     assert decomposed >= 3
+
+
+def test_masked_dp_matches_the_built_semisuspension():
+    # l_P and the near-Eulerian cd-index from one sparse DP over each
+    # capped preimage, against Phi(Q) - Phi([0, tau]) c of the built Q
+    maps = [m for _, m in subdivision_pool()]
+    for k in (3, 4):
+        maps.append(cd.with_adjoined_tops(
+            cd.barycentric_subdivision(cd.make_boundary_simplex(k))[1]))
+    checked = 0
+    for m in maps:
+        assert cd.validate_strong_eulerian(m).ok
+        for sigma in m.target.elements:
+            hat = m._capped_preimage(sigma)
+            if len(hat.elements) == 2:
+                assert cd.local_index(hat).cd == CdPolynomial.one()
+                continue
+            local, bd_cd = local_and_boundary_by_build(hat)
+            assert cd.local_index(hat).cd == local, sigma
+            assert not hat.is_eulerian()
+            assert cd.cd_index(hat) == local + bd_cd, sigma
+            checked += 1
+    assert checked >= 60
 
 
 def test_sparse_chain_counts_are_flag_f_on_sparse_sets(eulerian_fixtures,

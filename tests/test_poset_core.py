@@ -7,8 +7,10 @@ import cdindex as cd
 from cdindex.errors import (CycleDetected, DomainError, NotGraded,
                             NotNearEulerian, RequiresBounds, RequiresMin)
 from conftest import (enumerate_chains, eulerian_by_mobius, eulerian_pool,
-                      isomorphic, mobius_table, poset_fields_by_dfs,
-                      random_eulerian, random_graded_poset, random_relation)
+                      isomorphic, mobius_table, outcome, poset_fields_by_dfs,
+                      random_eulerian, random_graded_poset,
+                      random_near_eulerian, random_relation,
+                      semisuspend_by_build)
 
 EULERIAN_POOL = [p for _, p in eulerian_pool() if len(p.elements) <= 32]
 
@@ -485,6 +487,61 @@ def test_semisuspend_is_kept_on_success_only(near_eulerian_fixtures):
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert p._semi is None
+
+
+def test_point_is_near_eulerian_and_two_chain_is_not():
+    # the point's semisuspension is the two-chain tau < x, which is
+    # Eulerian, although nothing lies below tau; the two-chain's tau would
+    # be a second minimum
+    point = cd.build_poset(["x"], [])
+    assert cd.is_near_eulerian(point)
+    assert point._below == 0
+    assert cd.interior_elements(point) == ["x"]
+    q = cd.semisuspension(point)
+    assert isomorphic(q, cd.chain_poset(1)) and q._balanced is True
+    two = cd.chain_poset(1)
+    assert not cd.is_near_eulerian(two)
+    with pytest.raises(NotNearEulerian,
+                       match="adjoining the missing coatom is not Eulerian"):
+        cd.semisuspension(two)
+    assert two._below is None and two._semi is None
+
+
+def test_near_eulerian_test_on_rows_matches_the_built_semisuspension(
+        near_eulerian_fixtures, rng):
+    posets = [random_graded_poset(rng) for _ in range(200)]
+    posets += [random_eulerian(rng) for _ in range(200)]
+    posets += [random_near_eulerian(rng) for _ in range(200)]
+    posets += [p for _, p in near_eulerian_fixtures]
+    posets += [cd.build_poset(["x"], []), cd.chain_poset(1),
+               cd.chain_poset(3), cd.boolean_poset(0),
+               cd.build_poset(["0", "a", "b"], [("0", "a"), ("0", "b")]),
+               cd.build_poset(["0", "a", "b", "1"],
+                              [("0", "a"), ("a", "b"), ("b", "1"),
+                               ("0", "1")])]
+    messages = {}
+    for p in posets:
+        # decode a copy, so that nothing is remembered on it
+        p = cd.GradedPoset.from_json(p.to_json())
+        got, want = outcome(cd.poset._below_coatom, p), outcome(
+            semisuspend_by_build, p)
+        assert got[0] == want[0], p.elements
+        assert cd.is_near_eulerian(p) == (want[0] == "value")
+        if got[0] == "raised":
+            assert got == want, p.elements
+            messages[got[2]] = messages.get(got[2], 0) + 1
+            assert p._below is None
+            continue
+        q, tau = want[1]
+        below = set(q.down_set(tau))
+        assert set(p._ids(got[1])) == below, p.elements
+        assert cd.interior_elements(p) == [e for e in p.elements
+                                           if e not in below]
+        messages["near"] = messages.get("near", 0) + 1
+    assert messages["near"] >= 200 + len(near_eulerian_fixtures)
+    assert set(messages) == {"near", "semisuspension needs both bounds",
+                             "semisuspension needs a graded poset",
+                             "adjoining the missing coatom is not Eulerian"}
 
 
 # -- the constructor's sweep and the maximal-chain walk against oracles ------

@@ -3,6 +3,7 @@ the cd-index decomposition."""
 import pytest
 
 import cdindex as cd
+from cdindex import poset as ps
 from cdindex.cli import run
 from cdindex.errors import InvalidChain, RequiresBounds, ValidationRequired
 from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
@@ -298,6 +299,31 @@ def test_decompose_rows_match_rebuilt_faces(subdivision_fixtures):
         assert got[1].rows == decompose_rows_by_rebuild(m), name
         decomposed += 1
     assert decomposed >= 3
+
+
+def test_decompose_builds_one_poset_per_face_and_upper_interval(monkeypatch):
+    # each capped preimage is one build from the source rows, validation's
+    # near-Eulerian test and the local indexes read its rows, and only the
+    # upper intervals [sigma, 1] are built besides
+    _, m = cd.barycentric_subdivision(cd.make_boundary_simplex(3))
+    mt = cd.with_adjoined_tops(m)
+    calls = {"build": 0, "adjoin_max": 0, "_semisuspend": 0}
+    init = ps.GradedPoset.__init__
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(ps.GradedPoset, "__init__", counted("build", init))
+    for name in ("adjoin_max", "_semisuspend"):
+        monkeypatch.setattr(ps, name, counted(name, getattr(ps, name)))
+    rows = cd.decompose_cd(mt).rows
+    assert calls == {"build": 2 * len(mt.target.elements), "adjoin_max": 0,
+                     "_semisuspend": 0}
+    monkeypatch.undo()
+    assert rows == decompose_rows_by_rebuild(mt)
 
 
 def test_decompose_names_the_missing_bound(subdivision_fixtures, capsys,
