@@ -50,15 +50,6 @@ def _read_input(path):
     return obj
 
 
-def _as_poset(obj):
-    if "facets" in obj:
-        return cx.face_poset(cx.SimplicialComplex.from_json_obj(obj),
-                             with_max=True)
-    if "elements" in obj:
-        return ps.GradedPoset.from_json_obj(obj)
-    raise DomainError("input is neither a poset nor a complex")
-
-
 def _as_complex(obj):
     if "facets" not in obj:
         raise DomainError("this operation needs a complex input")
@@ -85,31 +76,21 @@ def _emit(args, text_lines, json_obj):
 
 
 def _cmd_compute(args):
-    p = _as_poset(_read_input(args.input))
+    p = cx._poset_from_obj(_read_input(args.input))
     what = args.what
-    if what == "flagf":
-        fv = flag_f(p)
+    if what in ("flagf", "flagh"):
+        fv = (flag_f if what == "flagf" else flag_h)(p)
         lines = ["{%s}: %d" % (",".join(map(str, r)), v)
                  for r, v in fv.items_by_ranks()]
-        return _emit(args, lines, {"what": what, "flag_f": fv.to_json_obj()})
-    if what == "flagh":
-        fv = flag_h(p)
-        lines = ["{%s}: %d" % (",".join(map(str, r)), v)
-                 for r, v in fv.items_by_ranks()]
-        return _emit(args, lines, {"what": what, "flag_h": fv.to_json_obj()})
-    if what == "ab":
-        poly = ab_index(p)
+        key = "flag_" + what[-1]
+        return _emit(args, lines, {"what": what, key: fv.to_json_obj()})
+    if what != "local":
+        # built per call, as bench/tracing.py rebinds these names
+        poly = {"ab": ab_index, "upsilon": flag_polynomial,
+                "cd": cd_index}[what](p)
         return _emit(args, [str(poly)], {"what": what,
-                                         "ab": poly.to_json_obj()})
-    if what == "upsilon":
-        poly = flag_polynomial(p)
-        return _emit(args, [str(poly)], {"what": what,
-                                         "upsilon": poly.to_json_obj()})
-    if what == "cd":
-        poly = cd_index(p)
-        return _emit(args, [str(poly)], {"what": what,
-                                         "cd": poly.to_json_obj()})
-    li = local_index(p)  # "local", the last choice
+                                         what: poly.to_json_obj()})
+    li = local_index(p)
     lines = ["ab: %s" % li.ab, "cd: %s" % li.cd, "flag: %s" % li.flag]
     return _emit(args, lines, {"what": what,
                                "ab": li.ab.to_json_obj(),
@@ -133,22 +114,22 @@ def _cmd_verify(args):
 
 def _verify(prop, obj, args):
     if prop == "graded":
-        p = _as_poset(obj)
+        p = cx._poset_from_obj(obj)
         return (p.is_graded,
                 "" if p.is_graded else "rank function inconsistent", {})
     if prop == "eulerian":
-        p = _as_poset(obj)
+        p = cx._poset_from_obj(obj)
         ok = p.is_eulerian()
         return ok, "" if ok else "some interval has unbalanced rank parity", {}
     if prop == "lower-eulerian":
-        p = _as_poset(obj)
+        p = cx._poset_from_obj(obj)
         ok = p.is_lower_eulerian()
         return ok, "" if ok else "some interval has unbalanced rank parity", {}
     if prop == "gorenstein":
         if "facets" in obj:
             k = _as_complex(obj)
         else:
-            k = cx.order_complex(_as_poset(obj))
+            k = cx.order_complex(cx._poset_from_obj(obj))
         ok = cx.is_gorenstein(k)
         extra = {"betti": cx.reduced_betti(k)}
         return (ok, "" if ok else "some link is not a rational homology "
@@ -196,7 +177,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_toric(args):
-    p = _as_poset(_read_input(args.input))
+    p = cx._poset_from_obj(_read_input(args.input))
     if args.what == "g":
         poly = toric.g_poly(p)
         return _emit(args, [str(poly)], {"g": poly.to_json_obj()})
@@ -221,7 +202,7 @@ def _cmd_morphism(args):
     if args.poly is not None:
         poly = parse_word_poly(args.poly, AbPolynomial)
     else:
-        p = _as_poset(_read_input(args.input))
+        p = cx._poset_from_obj(_read_input(args.input))
         poly = ab_index(p)
     fn = toric.morphism_f if args.what == "f" else toric.morphism_g
     out = fn(poly)
@@ -239,7 +220,7 @@ def _cmd_generate(args):
     elif shape == "cube":
         out = cx.make_cube3().to_json_obj()
     elif shape == "boolean":
-        out = cx.make_boolean(args.n).to_json_obj()
+        out = ps.boolean_poset(args.n).to_json_obj()
     elif shape == "stacked":
         out = cx.make_stacked(args.dim, args.k, seed=args.seed) \
                 .boundary.to_json_obj()

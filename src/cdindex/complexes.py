@@ -128,6 +128,17 @@ def face_poset(k, with_max=False):
     return p
 
 
+def _poset_from_obj(obj):
+    """A JSON poset, or a JSON complex as its face poset with a maximum."""
+    if isinstance(obj, dict):
+        if "facets" in obj:
+            return face_poset(SimplicialComplex.from_json_obj(obj),
+                              with_max=True)
+        if "elements" in obj:
+            return ps.GradedPoset.from_json_obj(obj)
+    raise DomainError("input is neither a poset nor a complex")
+
+
 def order_complex(p):
     """The complex of nondegenerate chains of a bounded graded poset."""
     p.require_graded()
@@ -456,11 +467,6 @@ def make_cube3():
                 covers.append((ids[f], ids[g]))
     p = ps.GradedPoset(sorted(ids.values()), covers)
     return ps.adjoin_max(p)
-
-
-def make_boolean(n):
-    """The boolean algebra B_n."""
-    return ps.boolean_poset(n)
 
 
 @dataclass(frozen=True)

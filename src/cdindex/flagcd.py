@@ -173,7 +173,6 @@ class LocalIndex:
     """Local cd-index of a near-Eulerian poset; ab and flag are its images
     (see ``local_index``)."""
 
-    source: object
     cd: CdPolynomial
 
     @property
@@ -200,8 +199,8 @@ def local_index(p):
         # a point or a two-chain, the capped preimage of a minimal element,
         # has no semisuspension; local index 1 closes the decomposition
         # identity (the bottom row counts the base cd-index once)
-        return LocalIndex(source=p, cd=CdPolynomial.one())
-    return LocalIndex(source=p, cd=_local_and_boundary(p)[0])
+        return LocalIndex(cd=CdPolynomial.one())
+    return LocalIndex(cd=_local_and_boundary(p)[0])
 
 
 def _local_and_boundary(p):
@@ -242,17 +241,3 @@ def _cd_index(p):
         # neither; let the rewriting fail and report the residual
         return to_cd(ab_index(p))
     return local + bd_cd
-
-
-def polygon_cd(n):
-    """cd-index of an n-gon face lattice: c^2 + (n-2) d."""
-    if n < 3:
-        raise DomainError("a polygon needs at least 3 vertices")
-    return CdPolynomial({"cc": 1, "d": n - 2})
-
-
-def three_polytope_cd(f0, f2):
-    """cd-index of a 3-polytope with f0 vertices and f2 facets."""
-    if f0 < 4 or f2 < 4:
-        raise DomainError("a 3-polytope has at least 4 vertices and facets")
-    return CdPolynomial({"ccc": 1, "dc": f0 - 2, "cd": f2 - 2})

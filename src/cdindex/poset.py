@@ -7,15 +7,14 @@ settles the ranks; the up rows follow in reverse sweep order.
 Comparability is one bit test; sub-posets, intervals, the Eulerian scan and
 chain counting downstream visit only the set bits of these rows, by lowbit
 iteration (``low = m & -m``), and count with popcounts.  The order is
-immutable after construction: every operator builds a fresh poset.  Four
+immutable after construction: every operator builds a fresh poset.  Three
 memo slots keep what a poset has proven or computed: ``_balanced``, the
 verdict of the Eulerian interval scan, which ``interval`` passes on when
 True (an interval's intervals are intervals of its parent), ``_below``,
 the elements below the restored coatom once the near-Eulerian test on the
-rows has passed, ``_semi``, the semisuspension once built, and ``_phi``,
-the cd-index once ``flagcd.cd_index`` has computed it.  ``flagcd.ab_index``
-reads ``_balanced`` without scanning: when True it expands Phi in place of
-the dense flag DP.
+rows has passed, and ``_phi``, the cd-index once ``flagcd.cd_index`` has
+computed it.  ``flagcd.ab_index`` reads ``_balanced`` without scanning:
+when True it expands Phi in place of the dense flag DP.
 
 Gradedness is verified eagerly but a failure is recorded, not raised;
 non-graded posets stay usable for order-only operations and reject
@@ -35,7 +34,7 @@ class GradedPoset:
 
     __slots__ = ("elements", "_idx", "cover_pairs", "_up", "_dn",
                  "_ranks", "is_ranked", "is_graded", "min_elt", "max_elt",
-                 "_balanced", "_below", "_semi", "_phi")
+                 "_balanced", "_below", "_phi")
 
     def __init__(self, elements, covers):
         elements = tuple(str(e) for e in elements)
@@ -53,7 +52,7 @@ class GradedPoset:
             if lo == hi:
                 raise CycleDetected("cover loop at %s" % lo)
             pairs.add((self._idx[lo], self._idx[hi]))
-        self.cover_pairs = pairs = tuple(sorted(pairs))
+        pairs = tuple(sorted(pairs))
 
         # one topological sweep (Kahn): an element is reached once all its
         # lower covers are, so its strict down row and its rank (the longest
@@ -85,6 +84,14 @@ class GradedPoset:
         # when every cover raises it by one
         self._ranks = tuple(ranks)
         self.is_ranked = all(ranks[hi] == ranks[lo] + 1 for lo, hi in pairs)
+        if not self.is_ranked:
+            # a given pair with an element strictly between its ends is
+            # implied, not a cover; it spans two ranks or more, so a true
+            # cover list never gets here
+            pairs = tuple((lo, hi) for lo, hi in pairs if not up[lo] & dn[hi])
+            self.is_ranked = all(ranks[hi] == ranks[lo] + 1
+                                 for lo, hi in pairs)
+        self.cover_pairs = pairs
         maximal = [i for i in range(n) if not up[i]]
         minimal = [i for i in range(n) if not dn[i]]
         self.is_graded = (self.is_ranked
@@ -93,7 +100,6 @@ class GradedPoset:
         self.max_elt = elements[maximal[0]] if len(maximal) == 1 else None
         self._balanced = None  # _intervals_eulerian verdict, once scanned
         self._below = None     # mask D below the restored coatom, once found
-        self._semi = None      # (semisuspension, coatom), once built
         self._phi = None       # flagcd.cd_index, once computed
 
     # -- basic queries ---------------------------------------------------
@@ -371,11 +377,6 @@ def _require_json_ids(groups, what):
                           % (what, json.dumps(bad, default=repr)))
 
 
-def build_poset(elements, covers):
-    """Construct a poset from element ids and cover pairs."""
-    return GradedPoset(elements, covers)
-
-
 # -- fresh-id helpers -------------------------------------------------------
 
 
@@ -495,9 +496,7 @@ def _below_coatom(p):
 
 def _semisuspend(p):
     """Adjoin the missing coatom above the maximal elements of D and below
-    the maximum; return (Eulerian poset, coatom id), kept on p."""
-    if p._semi is not None:
-        return p._semi
+    the maximum; return (Eulerian poset, coatom id)."""
     down = _below_coatom(p)
     tau = _fresh(set(p.elements), "TAU")
     els, up = p.elements, p._up
@@ -506,8 +505,7 @@ def _semisuspend(p):
     covers += [(tau, p.max_elt)]
     q = GradedPoset(list(els) + [tau], covers)
     q._balanced = True
-    p._semi = q, tau
-    return p._semi
+    return q, tau
 
 
 def semisuspension(p):

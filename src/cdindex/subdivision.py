@@ -58,6 +58,9 @@ class SubdivisionMap:
         unknown = [e for e in carrier.values() if e not in target]
         if unknown:
             raise DomainError("carrier hits unknown target id %r" % unknown[0])
+        if len(carrier) > len(source.elements):
+            extra = next(e for e in carrier if e not in source)
+            raise DomainError("carrier names unknown source id %r" % extra)
         self.carrier = {e: carrier[e] for e in source.elements}
         # _carried[t]: bitmask of the source elements carried to target t
         self._carried = [0] * len(target.elements)
@@ -112,6 +115,7 @@ class SubdivisionMap:
                 and isinstance(obj.get("carrier"), dict)):
             raise DomainError('a subdivision is an object with "source", '
                               '"target" and a "carrier" object')
+        from .complexes import _poset_from_obj
         source = _poset_from_obj(obj["source"])
         target = _poset_from_obj(obj["target"])
         carrier = dict(obj["carrier"])
@@ -130,13 +134,6 @@ class SubdivisionMap:
     def __repr__(self):
         return "SubdivisionMap(%d -> %d elements)" % (
             len(self.source.elements), len(self.target.elements))
-
-
-def _poset_from_obj(obj):
-    from .complexes import SimplicialComplex, face_poset
-    if isinstance(obj, dict) and "facets" in obj:
-        return face_poset(SimplicialComplex.from_json_obj(obj), with_max=True)
-    return ps.GradedPoset.from_json_obj(obj)
 
 
 def identity_subdivision(p):
@@ -376,13 +373,13 @@ def _skeletal_poset(m, i, carrier_rank):
     old = [e for e in tgt.elements if tgt.rank(e) >= i + 1]
     new = [e for e in src.elements if carrier_rank[e] <= i]
     elements = [_tag(NEW, e) for e in new] + [_tag(OLD, e) for e in old]
-    # the strict order; induced keeps only its covers
+    # the strict order; the constructor keeps only its covers
     order = [(_tag(NEW, e), _tag(NEW, f)) for e in new
              for f in src.up_set(e) if carrier_rank[f] <= i]
     order += [(_tag(NEW, e), _tag(OLD, f)) for e in new for f in old
               if tgt.le(m(e), f)]
     order += [(_tag(OLD, e), _tag(OLD, f)) for e in old for f in tgt.up_set(e)]
-    p = ps.GradedPoset(elements, order).induced(elements)
+    p = ps.GradedPoset(elements, order)
     if not p.is_graded or p.top_rank != tgt.top_rank:
         raise InvalidSubdivision("skeletal poset at level %d is not graded "
                                  "of full rank" % i)

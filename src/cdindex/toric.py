@@ -71,27 +71,14 @@ def g_poly(p):
 def toric_h(p):
     """h of the poset minus its maximum; symmetric for Eulerian input.
 
-    Defined for every graded poset with both bounds; coincides with the
-    lower-Eulerian h of the poset minus its top whenever that applies.
-    Read off Phi when p is Eulerian, off Psi otherwise.
+    Defined for every graded poset with both bounds.  On Eulerian input it
+    coincides with h_poly of the poset minus its top; on other input it
+    need not: for the full triangle's face poset with a top adjoined it is
+    x^3, while h_poly of the face poset is 1, its reversal.  Read off Phi
+    when p is Eulerian, off Psi otherwise.
     """
     p.require_bounds()
     return morphism_f(cd_index(p) if p.is_eulerian() else ab_index(p))
-
-
-@dataclass(frozen=True)
-class ToricPair:
-    """g and h of one Eulerian poset."""
-
-    g: UniPolynomial
-    h: UniPolynomial
-    source: object
-    rank: int
-
-
-def toric_pair(p):
-    p.require_bounds()
-    return ToricPair(g=g_poly(p), h=toric_h(p), source=p, rank=p.top_rank)
 
 
 # -- local h ------------------------------------------------------------------

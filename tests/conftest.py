@@ -486,7 +486,7 @@ def semisuspend_by_build(p):
                if len(ups[e]) == 2 and p.max_elt in ups[e]]
     covers = [(p.elements[lo], p.elements[hi]) for lo, hi in p.cover_pairs]
     covers += [(y, tau) for y in qualify] + [(tau, p.max_elt)]
-    q = cd.build_poset(list(p.elements) + [tau], covers)
+    q = cd.GradedPoset(list(p.elements) + [tau], covers)
     if not (q.is_graded and q.min_elt is not None and q.max_elt is not None
             and q.is_eulerian()):
         raise NotNearEulerian("adjoining the missing coatom is not Eulerian")
@@ -557,6 +557,18 @@ def boolean_cd_by_pyramid(n):
         assert all(k % 2 == 0 for k in out.values())
         phi = {w: k // 2 for w, k in out.items() if k}
     return CdPolynomial(phi)
+
+
+def polygon_cd(n):
+    """cd-index of the face lattice of an n-gon: c^2 + (n-2) d."""
+    return CdPolynomial({"cc": 1, "d": n - 2})
+
+
+def three_polytope_cd(f0, f2):
+    """cd-index of a 3-polytope with f0 vertices and f2 facets:
+    c^3 + (f0-2) dc + (f2-2) cd (Bayer-Klapper, "A new index for
+    polytopes", Discrete Comput. Geom. 1991)."""
+    return CdPolynomial({"ccc": 1, "dc": f0 - 2, "cd": f2 - 2})
 
 
 def facets_by_pairwise_filter(facets):
@@ -690,8 +702,10 @@ def poset_fields_by_dfs(elements, covers):
     pairs, which may repeat or include non-cover pairs.  The strict up row
     of each element is found by depth-first search over the pairs, the down
     rows are read off the up rows, and ranks are longest paths from the
-    minimal elements, relaxed once per element.  Returns the constructor's
-    fields by name."""
+    minimal elements, relaxed once per element.  When some pair breaks the
+    ranks, the pairs also reached by a path of two or more pairs are
+    dropped and the ranks checked again.  Returns the constructor's fields
+    by name."""
     idx = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     pairs = sorted({(idx[a], idx[b]) for a, b in covers})
@@ -711,6 +725,10 @@ def poset_fields_by_dfs(elements, covers):
         for lo, hi in pairs:
             ranks[hi] = max(ranks[hi], ranks[lo] + 1)
     ranked = all(ranks[hi] == ranks[lo] + 1 for lo, hi in pairs)
+    if not ranked:
+        pairs = [(lo, hi) for lo, hi in pairs
+                 if not any(up[j] >> hi & 1 for j in above[lo])]
+        ranked = all(ranks[hi] == ranks[lo] + 1 for lo, hi in pairs)
     maximal = [i for i in range(n) if not up[i]]
     minimal = [i for i in range(n) if not dn[i]]
     return {"cover_pairs": tuple(pairs), "_up": up, "_dn": dn,
@@ -753,7 +771,7 @@ def random_graded_poset(rng, max_levels=4, max_width=4):
             if not any(c[0] == x for c in covers if c[1] in high):
                 covers.append((x, rng.choice(high)))
     covers += [(e, "top") for e in levels[-1]]
-    return cd.build_poset(elements, covers)
+    return cd.GradedPoset(elements, covers)
 
 
 # -- named fixtures ------------------------------------------------------------

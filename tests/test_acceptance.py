@@ -12,9 +12,9 @@ from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
 from conftest import (cd_words, edge_with_points, eulerian_pool,
                       eulerian_by_mobius,
                       hexagon_over_triangle, barycentric_solid_triangle,
-                      octahedron_complex, polygon_lattice, random_eulerian,
-                      random_graded_poset, square_lattice, subdivision_pool,
-                      tetra_subdivision)
+                      octahedron_complex, polygon_cd, polygon_lattice,
+                      random_eulerian, random_graded_poset, square_lattice,
+                      subdivision_pool, tetra_subdivision)
 
 
 def report(criterion, detail=""):
@@ -35,7 +35,7 @@ def test_criterion_02_polygon_law():
     for n in range(3, 13):
         got = cd.cd_index(polygon_lattice(n))
         assert got == CdPolynomial({"cc": 1, "d": n - 2}), n
-        assert got == cd.polygon_cd(n), n
+        assert got == polygon_cd(n), n
     report(2, "polygon cd-index law for n = 3..12")
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import cdindex as cd
 from cdindex.cli import run
-from conftest import square_lattice, tetra_subdivision
+from conftest import polygon_cd, square_lattice, tetra_subdivision
 
 
 def invoke(capsys, *argv):
@@ -378,14 +378,22 @@ def test_generate_barycentric_of_given_base(capsys, tmp_path):
     assert code == 0
     m = cd.SubdivisionMap.from_json(out)
     dec = cd.decompose_cd(cd.with_adjoined_tops(m))
-    assert dec.total == cd.polygon_cd(10)
+    assert dec.total == polygon_cd(10)
 
 
 def test_verify_graded(capsys, tmp_path):
-    path = tmp_path / "notgraded.json"
-    path.write_text(cd.build_poset(
-        ["0", "a", "b", "1"],
-        [("0", "a"), ("a", "1"), ("0", "b"), ("b", "a")]).to_json())
-    code, out, _ = invoke(capsys, "verify", "--property", "graded",
-                          "--input", str(path))
-    assert code == 2 and "FAIL" in out
+    # the pentagon N5 is not graded; 0 < b < a < 1, given with the implied
+    # pair (0, a), is a chain, which is graded
+    pentagon = {"elements": ["0", "a", "b", "c", "1"],
+                "covers": [["0", "a"], ["a", "b"], ["b", "1"], ["0", "c"],
+                           ["c", "1"]]}
+    chain = {"elements": ["0", "a", "b", "1"],
+             "covers": [["0", "a"], ["a", "1"], ["0", "b"], ["b", "a"]]}
+    path = tmp_path / "poset.json"
+    for obj, want in ((pentagon, (2, "graded: FAIL\nrank function "
+                                     "inconsistent\n")),
+                      (chain, (0, "graded: ok\n"))):
+        path.write_text(json.dumps(obj))
+        code, out, _ = invoke(capsys, "verify", "--property", "graded",
+                              "--input", str(path))
+        assert (code, out) == want, obj

@@ -1,4 +1,5 @@
 """Poset construction, predicates, and the constructive operators."""
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ EULERIAN_POOL = [p for _, p in eulerian_pool() if len(p.elements) <= 32]
 
 
 def test_build_two_step_chain():
-    p = cd.build_poset(["0", "x", "1"], [("0", "x"), ("x", "1")])
+    p = cd.GradedPoset(["0", "x", "1"], [("0", "x"), ("x", "1")])
     assert p.is_graded
     assert p.top_rank == 2
     assert p.min_elt == "0" and p.max_elt == "1"
@@ -31,18 +32,34 @@ def test_build_boolean_b3():
 
 def test_build_cycle_detected():
     with pytest.raises(CycleDetected):
-        cd.build_poset(["a", "b"], [("a", "b"), ("b", "a")])
+        cd.GradedPoset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 def test_non_graded_is_recorded_not_raised():
-    # one maximal chain of length 1, one of length 2
-    p = cd.build_poset(["0", "a", "b", "1"],
-                       [("0", "a"), ("a", "1"), ("0", "b"), ("b", "a")])
+    # the pentagon N5: one maximal chain of length 2, one of length 3
+    p = cd.GradedPoset(["0", "a", "b", "c", "1"],
+                       [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"),
+                        ("c", "1")])
     assert not p.is_graded
     with pytest.raises(NotGraded):
         p.rank("a")
     # order queries still work
     assert p.le("0", "1")
+
+
+def test_implied_pair_is_not_a_cover():
+    # a chain given with one pair implied by two others
+    chain = cd.GradedPoset(["0", "a", "b", "1"], [("0", "a"), ("a", "b"),
+                                                  ("b", "1"), ("0", "b")])
+    assert chain.is_graded and chain.top_rank == 3
+    assert chain.cover_pairs == ((0, 1), (1, 2), (2, 3))
+    assert not chain.covers("0", "b")
+    assert len(json.loads(chain.to_json())["covers"]) == 3
+    # the pentagon with an implied pair stays non-graded, without the pair
+    pentagon = cd.GradedPoset(["0", "a", "b", "c", "1"],
+                              [("0", "a"), ("a", "b"), ("b", "1"),
+                               ("0", "c"), ("c", "1"), ("0", "b")])
+    assert not pentagon.is_graded and len(pentagon.cover_pairs) == 5
 
 
 def test_eulerian_b3_and_square():
@@ -56,7 +73,7 @@ def test_eulerian_fails_on_chain():
 
 
 def test_eulerian_requires_bounds():
-    p = cd.build_poset(["a", "b"], [])
+    p = cd.GradedPoset(["a", "b"], [])
     with pytest.raises((RequiresBounds, NotGraded)):
         p.is_eulerian()
 
@@ -65,7 +82,7 @@ def test_lower_eulerian():
     tri = cd.face_poset(cd.make_simplex(2))
     assert tri.is_lower_eulerian()
     assert cd.boolean_poset(3).is_lower_eulerian()
-    no_min = cd.build_poset(["a", "b", "1"], [("a", "1"), ("b", "1")])
+    no_min = cd.GradedPoset(["a", "b", "1"], [("a", "1"), ("b", "1")])
     with pytest.raises(RequiresMin):
         no_min.is_lower_eulerian()
 
@@ -82,7 +99,7 @@ def test_enumerate_chains_square():
 
 
 def test_enumerate_chains_two_step_chain_and_b3():
-    p = cd.build_poset(["0", "1"], [("0", "1")])
+    p = cd.GradedPoset(["0", "1"], [("0", "1")])
     assert list(enumerate_chains(p)) == [()]
     b3 = cd.boolean_poset(3)
     by_size = {}
@@ -147,7 +164,7 @@ def test_pyramid_of_boolean_is_boolean():
 
 
 def test_pyramid_of_point():
-    single = cd.build_poset(["x"], [])
+    single = cd.GradedPoset(["x"], [])
     assert isomorphic(cd.pyramid(single), cd.chain_poset(1))
 
 
@@ -188,7 +205,7 @@ def test_boundary_of_eulerian_drops_max():
 
 def test_boundary_of_powerset_example():
     # {0, 1, 2, 3, 12, 23, 123} under inclusion; boundary keeps {1} and {3}
-    p = cd.build_poset(
+    p = cd.GradedPoset(
         ["", "1", "2", "3", "12", "23", "123"],
         [("", "1"), ("", "2"), ("", "3"), ("1", "12"), ("2", "12"),
          ("2", "23"), ("3", "23"), ("12", "123"), ("23", "123")])
@@ -226,7 +243,7 @@ def test_dual():
 def test_lattice_ops():
     sq = cd.face_poset(cd.make_polygon(4), with_max=True)
     assert sq.is_lattice()
-    two_edges = cd.build_poset(
+    two_edges = cd.GradedPoset(
         ["0", "a", "b", "e", "f", "1"],
         [("0", "a"), ("0", "b"), ("a", "e"), ("b", "e"),
          ("a", "f"), ("b", "f"), ("e", "1"), ("f", "1")])
@@ -298,7 +315,7 @@ def glued_proper_parts(p, q):
                      if e not in (r.min_elt, r.max_elt)]
         covers += [(name[r.elements[lo]], name[r.elements[hi]])
                    for lo, hi in r.cover_pairs]
-    return cd.build_poset(elements, covers)
+    return cd.GradedPoset(elements, covers)
 
 
 def test_eulerian_matches_mobius_oracle_randomized(rng):
@@ -421,7 +438,7 @@ def intervals_inherit_the_verdict(p):
 
 def test_intervals_inherit_the_eulerian_verdict(eulerian_fixtures):
     for name, p in eulerian_fixtures:
-        fresh = cd.build_poset(p.elements, [(p.elements[lo], p.elements[hi])
+        fresh = cd.GradedPoset(p.elements, [(p.elements[lo], p.elements[hi])
                                             for lo, hi in p.cover_pairs])
         # no verdict before the scan, so nothing to pass on
         assert fresh.interval(fresh.min_elt, fresh.max_elt)._balanced is None
@@ -474,11 +491,11 @@ def test_induced_does_not_inherit_the_verdict():
 
 
 def test_semisuspend_is_kept_on_success_only(near_eulerian_fixtures):
+    # what is kept is the mask below the restored coatom; Q is built anew
     for name, p in near_eulerian_fixtures:
-        first = cd.poset._semisuspend(p)
-        assert cd.poset._semisuspend(p) is first, name
-        assert cd.semisuspension(p) is first[0], name
-    no_max = cd.build_poset(["0", "a", "b"], [("0", "a"), ("0", "b")])
+        cd.poset._semisuspend(p)
+        assert p._below is not None, name
+    no_max = cd.GradedPoset(["0", "a", "b"], [("0", "a"), ("0", "b")])
     for p in (cd.boolean_poset(3), cd.chain_poset(3), no_max):
         messages = []
         for _ in range(2):
@@ -486,14 +503,14 @@ def test_semisuspend_is_kept_on_success_only(near_eulerian_fixtures):
                 cd.poset._semisuspend(p)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert p._semi is None
+        assert p._below is None
 
 
 def test_point_is_near_eulerian_and_two_chain_is_not():
     # the point's semisuspension is the two-chain tau < x, which is
     # Eulerian, although nothing lies below tau; the two-chain's tau would
     # be a second minimum
-    point = cd.build_poset(["x"], [])
+    point = cd.GradedPoset(["x"], [])
     assert cd.is_near_eulerian(point)
     assert point._below == 0
     assert cd.interior_elements(point) == ["x"]
@@ -504,7 +521,7 @@ def test_point_is_near_eulerian_and_two_chain_is_not():
     with pytest.raises(NotNearEulerian,
                        match="adjoining the missing coatom is not Eulerian"):
         cd.semisuspension(two)
-    assert two._below is None and two._semi is None
+    assert two._below is None
 
 
 def test_near_eulerian_test_on_rows_matches_the_built_semisuspension(
@@ -513,12 +530,12 @@ def test_near_eulerian_test_on_rows_matches_the_built_semisuspension(
     posets += [random_eulerian(rng) for _ in range(200)]
     posets += [random_near_eulerian(rng) for _ in range(200)]
     posets += [p for _, p in near_eulerian_fixtures]
-    posets += [cd.build_poset(["x"], []), cd.chain_poset(1),
+    posets += [cd.GradedPoset(["x"], []), cd.chain_poset(1),
                cd.chain_poset(3), cd.boolean_poset(0),
-               cd.build_poset(["0", "a", "b"], [("0", "a"), ("0", "b")]),
-               cd.build_poset(["0", "a", "b", "1"],
+               cd.GradedPoset(["0", "a", "b"], [("0", "a"), ("0", "b")]),
+               cd.GradedPoset(["0", "a", "b", "c", "1"],
                               [("0", "a"), ("a", "b"), ("b", "1"),
-                               ("0", "1")])]
+                               ("0", "c"), ("c", "1")])]
     messages = {}
     for p in posets:
         # decode a copy, so that nothing is remembered on it
@@ -555,7 +572,7 @@ def test_constructor_matches_dfs_oracle_on_random_relations(rng):
     graded = 0
     for _ in range(300):
         elements, pairs = random_relation(rng)
-        p = cd.build_poset(elements, pairs)
+        p = cd.GradedPoset(elements, pairs)
         want = poset_fields_by_dfs(elements, pairs)
         assert p.elements == tuple(elements)
         assert {f: getattr(p, f) for f in FIELDS} == want, (elements, pairs)
@@ -568,15 +585,20 @@ def test_constructor_matches_dfs_oracle_on_graded_posets(rng):
         q = random_graded_poset(rng, max_levels=5)
         pairs = sorted(cover_names(q))
         pairs += rng.sample(pairs, min(3, len(pairs)))
-        # one pair implied by two covers: kept, and it breaks the ranking
+        # one pair implied by two covers: dropped, as it is no cover
         a, b = next((a, b) for a, b in pairs if b != q.max_elt)
         pairs.append((a, q.max_elt))
         elements = list(q.elements)
         rng.shuffle(elements)
-        p = cd.build_poset(elements, pairs)
+        p = cd.GradedPoset(elements, pairs)
         assert {f: getattr(p, f) for f in FIELDS} \
             == poset_fields_by_dfs(elements, pairs)
-        assert not p.is_ranked
+        assert p.is_graded and cover_names(p) == cover_names(q)
+        # given by its full strict order, it is the same poset
+        order = [(a, b) for a in q.elements for b in q.up_set(a)]
+        full = cd.GradedPoset(q.elements, order)
+        assert (full.cover_pairs, full._up, full._dn, full._ranks) \
+            == (q.cover_pairs, q._up, q._dn, q._ranks)
 
 
 @pytest.mark.parametrize("elements, pairs, error, message", [
@@ -591,7 +613,7 @@ def test_constructor_matches_dfs_oracle_on_graded_posets(rng):
 ])
 def test_constructor_errors(elements, pairs, error, message):
     with pytest.raises(error) as info:
-        cd.build_poset(elements, pairs)
+        cd.GradedPoset(elements, pairs)
     assert type(info.value) is error and str(info.value) == message
 
 

@@ -1,5 +1,7 @@
 """Subdivision maps: validation, restriction, skeletal decomposition, and
 the cd-index decomposition."""
+import json
+
 import pytest
 
 import cdindex as cd
@@ -10,8 +12,9 @@ from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
 from cdindex.subdivision import _basic_failures
 from conftest import (decompose_rows_by_rebuild, enumerate_chains,
                       hexagon_over_triangle, isomorphic, outcome,
-                      preimage_ids_by_definition, square_lattice,
-                      telescoping_by_rebuild, tetra_subdivision)
+                      polygon_cd, preimage_ids_by_definition, square_lattice,
+                      telescoping_by_rebuild, tetra_subdivision,
+                      three_polytope_cd)
 
 
 def test_validate_strong_eulerian_fixtures(subdivision_fixtures):
@@ -48,8 +51,8 @@ def test_strong_formal_catches_broken_carrier():
     carrier = dict(m.carrier)
     # send an interior edge of the split facet to the wrong face
     carrier["{3,5}"] = "{1,2,3}"
-    carrier["{1,5,3}"] = "{1,2,3}"
-    carrier["{5,2,3}"] = "{1,2,3}"
+    carrier["{1,3,5}"] = "{1,2,3}"
+    carrier["{2,3,5}"] = "{1,2,3}"
     carrier["{5}"] = "{1,2,3}"
     broken = cd.SubdivisionMap(m.source, m.target, carrier)
     assert not cd.validate_strong_formal(broken).ok
@@ -254,7 +257,7 @@ def test_decompose_identity():
 
 def test_decompose_hexagon_over_triangle():
     dec = cd.decompose_cd(hexagon_over_triangle())
-    assert dec.total == cd.polygon_cd(6)
+    assert dec.total == polygon_cd(6)
 
 
 def test_decompose_refuses_unvalidated():
@@ -344,7 +347,7 @@ def test_decompose_names_the_missing_bound(subdivision_fixtures, capsys,
         assert run(["decompose", "--input", str(path)]) == 2
         assert phrase in capsys.readouterr().err, name
     # an antichain mapped to itself lacks both bounds, so it is not valid
-    antichain = cd.identity_subdivision(cd.build_poset(["a", "b"], []))
+    antichain = cd.identity_subdivision(cd.GradedPoset(["a", "b"], []))
     report = cd.validate_strong_eulerian(antichain)
     assert not report.ok
     assert report.failures == (("*", "target has no minimum"),)
@@ -360,7 +363,7 @@ def test_decompose_without_a_minimum_fails_validation():
     sq = square_lattice()
     covers = [(sq.elements[lo], sq.elements[hi]) for lo, hi in sq.cover_pairs]
     covers += [("z", a) for a in sq.atoms()]
-    extra = cd.build_poset(list(sq.elements) + ["z"], covers)
+    extra = cd.GradedPoset(list(sq.elements) + ["z"], covers)
     assert extra.min_elt is None and extra.is_graded
     carrier = {e: e for e in sq.elements}
     carrier["z"] = sq.min_elt
@@ -479,7 +482,7 @@ def test_barycentric_sphere_of_tetra_boundary():
     assert cd.f_vector(oc) == [1, 14, 36, 24]
     mt = cd.with_adjoined_tops(m)
     dec = cd.decompose_cd(mt)
-    assert dec.total == cd.three_polytope_cd(14, 24)
+    assert dec.total == three_polytope_cd(14, 24)
     rows = {r.sigma: r for r in dec.nonzero_rows()}
     edges = [s for s in rows if rows[s].local_cd == CdPolynomial.monomial("d")]
     assert len(edges) == 6
@@ -504,7 +507,7 @@ def test_polygon_edge_split_family():
         m = cd.with_adjoined_tops(
             cd.from_vertex_carriers(source, target, carriers))
         dec = cd.decompose_cd(m)
-        assert dec.total == cd.polygon_cd(n + 1), n
+        assert dec.total == polygon_cd(n + 1), n
         nz = {r.sigma: r.local_cd for r in dec.nonzero_rows()}
         split_edge = "{0,%d}" % (n - 1)
         assert nz[split_edge] == CdPolynomial.monomial("d"), n
@@ -528,7 +531,7 @@ def test_one_facet_barycentric_sphere():
     m = cd.with_adjoined_tops(
         cd.from_vertex_carriers(source, target, carriers))
     dec = cd.decompose_cd(m)
-    assert dec.total == cd.three_polytope_cd(8, 12)
+    assert dec.total == three_polytope_cd(8, 12)
     rows = {r.sigma: r.local_cd for r in dec.nonzero_rows()}
     assert rows["{0,1,2}"] == CdPolynomial({"cd": 5, "dc": 1})
     for half in ("{0,1,3}", "{0,2,3}", "{1,2,3}"):
@@ -560,7 +563,7 @@ def test_random_polygon_subdivisions_match_closed_form(rng):
             source, cd.make_polygon(n), carriers))
         total_points = sum(points.values())
         dec = cd.decompose_cd(m)
-        assert dec.total == cd.polygon_cd(n + total_points), (n, points)
+        assert dec.total == polygon_cd(n + total_points), (n, points)
 
 
 def test_local_h_rows_are_local():
@@ -590,3 +593,23 @@ def test_carrier_must_cover_source():
     sq = square_lattice()
     with pytest.raises(DomainError):
         cd.SubdivisionMap(sq, sq, {"{0}": "{0}"})
+
+
+def test_carrier_must_not_name_unknown_source_ids(capsys, tmp_path):
+    from cdindex.errors import DomainError
+    _, m = cd.barycentric_subdivision(cd.make_simplex(1))
+    obj = m.to_json_obj()
+    obj["carrier"]["NOPE"] = "{0}"
+    with pytest.raises(DomainError) as info:
+        cd.SubdivisionMap.from_json_obj(obj)
+    assert str(info.value) == "carrier names unknown source id 'NOPE'"
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(obj))
+    code = run(["verify", "--property", "strong-formal", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "validation error: carrier names unknown source id 'NOPE'\n"
+    # a missing source id is still reported first, in its own words
+    del obj["carrier"]["{\\{0\\}}"]
+    with pytest.raises(DomainError, match="carrier missing for 1 source"):
+        cd.SubdivisionMap.from_json_obj(obj)

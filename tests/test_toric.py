@@ -17,8 +17,9 @@ from conftest import (MorphismsByCoproduct, ab_words,
                       eulerian_by_mobius, g_by_recursion, g_poly_by_psi,
                       h_poly_by_recursion, kappa, kappa_of,
                       local_h_by_dual_intervals, morphism_f_by_coproduct,
-                      outcome, polygon_lattice, random_graded_poset,
-                      square_lattice, toric_h_by_psi, toric_h_by_recursion)
+                      outcome, polygon_cd, polygon_lattice,
+                      random_graded_poset, square_lattice, three_polytope_cd,
+                      toric_h_by_psi, toric_h_by_recursion)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -76,7 +77,7 @@ def test_toric_h_small():
     assert cd.toric_h(cd.boolean_poset(3)) == UniPolynomial((1, 1, 1))
     assert cd.toric_h(square_lattice()) == UniPolynomial((1, 2, 1))
     assert cd.toric_h(cd.chain_poset(1)) == ONE
-    single = cd.build_poset(["x"], [])
+    single = cd.GradedPoset(["x"], [])
     assert cd.toric_h(single) == UniPolynomial.zero()
 
 
@@ -137,16 +138,16 @@ def test_toric_matches_psi_route_on_non_eulerian(rng):
 def test_toric_outcomes_on_degenerate_input():
     # the types and messages raised before the Eulerian branch, and the
     # values on a point and a two-element chain
-    not_graded = cd.build_poset(  # the pentagon N5
+    not_graded = cd.GradedPoset(  # the pentagon N5
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("0", "b"), ("b", "c"), ("a", "1"), ("c", "1")])
-    unbounded = cd.build_poset(["a", "b", "1"], [("a", "1"), ("b", "1")])
+    unbounded = cd.GradedPoset(["a", "b", "1"], [("a", "1"), ("b", "1")])
     graded = ("raised", NotGraded, "operation needs a graded poset", None)
     bounds = ("raised", RequiresBounds,
               "operation needs both a 0 and a 1 element", None)
     cases = [(not_graded, graded, graded),
              (unbounded, bounds, bounds),
-             (cd.build_poset(["x"], []),
+             (cd.GradedPoset(["x"], []),
               ("value", UniPolynomial.zero()), ("value", ONE)),
              (cd.chain_poset(1), ("value", ONE), ("value", ONE))]
     for p, want_h, want_g in cases:
@@ -372,7 +373,7 @@ def test_morphism_f_of_a_long_word_does_not_recurse():
 
 def test_morphism_well_defined_on_cd_subalgebra():
     # f factors through the cd expansion of any cd-polynomial
-    for poly in (cd.polygon_cd(5), cd.three_polytope_cd(8, 6),
+    for poly in (polygon_cd(5), three_polytope_cd(8, 6),
                  cd.CdPolynomial({"cdc": 2, "ccccc": 1})):
         image = cd.morphism_f(expand_cd(poly))
         by_words = UniPolynomial.zero()
@@ -423,14 +424,6 @@ def test_local_h_nonnegative_on_polytopal_fixtures(subdivision_fixtures):
         table = cd.local_h(m)
         for sigma, ell in table.rows:
             assert is_nonnegative(ell), (name, sigma)
-
-
-def test_toric_pair():
-    pair = cd.toric_pair(cd.make_cube3())
-    assert pair.rank == 4
-    assert pair.h == UniPolynomial((1, 5, 5, 1))
-    assert pair.g == UniPolynomial((1, 4))
-    assert pair.g.degree < pair.rank / 2
 
 
 def test_correspondence_barycentric_sphere_formal_top():
