@@ -42,7 +42,8 @@ def _read_input(path):
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         obj = json.loads(text)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # bad bytes or JSON, an over-long integer, over-deep nesting
         print("input error: %s" % exc, file=sys.stderr)
         raise SystemExit(EX_IOERR)
     if not isinstance(obj, dict):

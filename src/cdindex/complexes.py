@@ -2,6 +2,9 @@
 f/h-vectors, rational reduced homology, Gorenstein predicates, shelling
 verification, and the standard generators.
 
+A face poset, with or without its formal top, is one poset build; so is
+every complex-form input, which is read as its face poset with the top.
+
 Homology is rational: the boundary ranks over Q come from a sparse
 elimination of the +-1 boundary rows that stays in the integers.  The
 Gorenstein definitions are about real homology, so torsion never matters
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from . import poset as ps
 from .errors import (DomainError, FaceNotFound, NotPure, RequiresBounds,
@@ -113,19 +116,17 @@ class SimplicialComplex:
 
 
 def face_poset(k, with_max=False):
-    """Face poset of a complex; empty face at the bottom, rank = dim + 1."""
+    """Face poset of a complex; empty face at the bottom, rank = dim + 1.
+    with_max adjoins TOP above the facets (above the empty face when there
+    is none) in the same build; face ids are in braces, so TOP is fresh."""
     faces = sorted(k.faces(), key=lambda f: (len(f), sorted(f)))
     ids = {f: face_id(f) for f in faces}
-    covers = []
-    for f in faces:
-        if not f:
-            continue
-        for v in f:
-            covers.append((ids[f - {v}], ids[f]))
-    p = ps.GradedPoset([ids[f] for f in faces], covers)
+    elements = [ids[f] for f in faces]
+    covers = [(ids[f - {v}], ids[f]) for f in faces for v in f]
     if with_max:
-        p = ps.adjoin_max(p)
-    return p
+        elements.append("TOP")
+        covers += [(ids[f], "TOP") for f in k.facets or [frozenset()]]
+    return ps.GradedPoset(elements, covers)
 
 
 def _poset_from_obj(obj):
@@ -296,35 +297,30 @@ def _is_homology_trivial(k):
     return all(v == 0 for v in betti.values())
 
 
+def _links_ok(k, trivial):
+    """Walking the faces of k by size: the link of a face in ``trivial`` is
+    homology-trivial, that of any other face a homology sphere of dimension
+    dim k - |face|."""
+    n = k.dim
+    return all(_is_homology_trivial(link(k, f)) if f in trivial
+               else _is_homology_sphere(link(k, f), n - len(f))
+               for f in sorted(k.faces(), key=lambda f: (len(f), sorted(f))))
+
+
 def is_gorenstein(k):
     """k is a rational homology sphere, link by link."""
     if not k.is_pure():
         raise NotPure("Gorenstein test needs a pure complex")
-    n = k.dim
-    for face in sorted(k.faces(), key=lambda f: (len(f), sorted(f))):
-        m = len(face) - 1
-        if not _is_homology_sphere(link(k, face), n - m - 1):
-            return False
-    return True
+    return _links_ok(k, ())
 
 
 def is_near_gorenstein(k, bd):
     """(k, bd) is a rational homology ball with boundary bd."""
     if not k.is_pure():
         raise NotPure("near-Gorenstein test needs a pure complex")
-    n = k.dim
-    if bd.dim != n - 1 or not is_gorenstein(bd):
+    if bd.dim != k.dim - 1 or not is_gorenstein(bd):
         return False
-    bd_faces = bd.faces()
-    for face in sorted(k.faces(), key=lambda f: (len(f), sorted(f))):
-        m = len(face) - 1
-        lk = link(k, face)
-        if face in bd_faces:
-            if not _is_homology_trivial(lk):
-                return False
-        elif not _is_homology_sphere(lk, n - m - 1):
-            return False
-    return True
+    return _links_ok(k, bd.faces())
 
 
 # -- shelling ----------------------------------------------------------------
@@ -445,28 +441,16 @@ def make_polygon(n):
 
 def make_cube3():
     """Face lattice of the 3-cube (vertices are coordinate strings)."""
-    verts = ["%d%d%d" % (x, y, z)
-             for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    faces = [frozenset()]
-    faces += [frozenset([v]) for v in verts]
-    for axis in range(3):
-        for a in (0, 1):
-            for b in (0, 1):
-                edge = [v for v in verts
-                        if int(v[(axis + 1) % 3]) == a
-                        and int(v[(axis + 2) % 3]) == b]
-                faces.append(frozenset(edge))
-    for axis in range(3):
-        for a in (0, 1):
-            faces.append(frozenset(v for v in verts if int(v[axis]) == a))
-    ids = {f: face_id(f) for f in faces}
-    covers = []
-    for f in faces:
-        for g in faces:
-            if f < g and not any(f < h < g for h in faces):
-                covers.append((ids[f], ids[g]))
-    p = ps.GradedPoset(sorted(ids.values()), covers)
-    return ps.adjoin_max(p)
+    verts = ["".join(v) for v in product("01", repeat=3)]
+    # each nonempty proper face: a pattern over 0, 1 and *, but not ***
+    faces = [frozenset(v for v in verts
+                       if all(c in (x, "*") for x, c in zip(v, pat)))
+             for pat in product("01*", repeat=3) if set(pat) != {"*"}]
+    ids = {f: face_id(f) for f in faces + [frozenset()]}
+    # the strict order, TOP above every face; the constructor keeps covers
+    order = [(ids[f], ids[g]) for f in ids for g in ids if f < g]
+    order += [(ids[f], "TOP") for f in ids]
+    return ps.GradedPoset(sorted(ids.values()) + ["TOP"], order)
 
 
 @dataclass(frozen=True)

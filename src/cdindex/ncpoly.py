@@ -475,7 +475,8 @@ def _parse_terms(text, parse_word):
     Terms are joined by + or -, and the first may carry a sign too.  A term
     is a coefficient, a word, or a coefficient and a word, optionally joined
     by "*"; a constant's word text is "".  parse_word returns None, or
-    raises DomainError, for text that is no word.
+    raises DomainError, for text that is no word.  So does an integer longer
+    than the interpreter reads, or an exponent past the longest word.
     """
     chunks = re.split(r"(?=[+-])", text.strip().replace(" ", ""))
     if not chunks[0]:
@@ -486,10 +487,14 @@ def _parse_terms(text, parse_word):
         term = chunk[1:] if chunk[0] in "+-" else chunk
         m = _TERM_RE.fullmatch(term)
         ok = m and (m[3] or m[1] and not m[2])  # a "*" needs a word
-        key = parse_word(m[3] or "") if ok else None
-        if key is None:
-            raise DomainError("cannot parse term %r" % term)
-        out.append((key, sign * int(m[1] or 1)))
+        try:
+            key = parse_word(m[3] or "") if ok else None
+            if key is None:
+                raise DomainError("cannot parse term %r" % term)
+            out.append((key, sign * int(m[1] or 1)))
+        except (ValueError, OverflowError):
+            raise DomainError("integer out of range in term %.40r"
+                              % term) from None
     return out
 
 

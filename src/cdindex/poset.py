@@ -7,7 +7,9 @@ settles the ranks; the up rows follow in reverse sweep order.
 Comparability is one bit test; sub-posets, intervals, the Eulerian scan and
 chain counting downstream visit only the set bits of these rows, by lowbit
 iteration (``low = m & -m``), and count with popcounts.  The order is
-immutable after construction: every operator builds a fresh poset.  Three
+immutable after construction.  A fresh poset is one constructor call; one
+derived from another (a sub-poset, an interval, an adjoined maximum) is one
+``_sub`` call on the parent's rows, given the mask of the kept elements.  Three
 memo slots keep what a poset has proven or computed: ``_balanced``, the
 verdict of the Eulerian interval scan, which ``interval`` passes on when
 True (an interval's intervals are intervals of its parent), ``_below``,
@@ -184,10 +186,6 @@ class GradedPoset:
         self.require_bounds()
         return self.level(self.top_rank - 1)
 
-    def maximal_elements(self):
-        up = self._up
-        return [e for i, e in enumerate(self.elements) if not up[i]]
-
     # -- subposets ---------------------------------------------------------
 
     def induced(self, ids):
@@ -197,7 +195,7 @@ class GradedPoset:
     def _sub(self, keep, capped=False):
         """The subposet on mask keep in element order, b covering a when b is
         above a but outside the up-rows of the kept elements above a; when
-        capped, with adjoin_max's maximum adjoined in the same build."""
+        capped, a fresh maximum TOP is adjoined in the same build."""
         els, up, bits = self.elements, self._up, self._bits
         kept = [els[i] for i in bits(keep)]
         top = _fresh(set(kept), "TOP") if capped else None
@@ -223,15 +221,17 @@ class GradedPoset:
         return q
 
     def proper_part(self):
-        """The poset minus its bounds."""
+        """The poset minus its bounds; their bits are cleared, not toggled,
+        as a one-element poset's bounds are one element."""
         self.require_bounds()
-        keep = [e for e in self.elements if e not in (self.min_elt, self.max_elt)]
-        return self.induced(keep)
+        bounds = 1 << self._idx[self.min_elt] | 1 << self._idx[self.max_elt]
+        return self._sub(((1 << len(self)) - 1) & ~bounds)
 
     def without_max(self):
         if self.max_elt is None:
             raise MissingBounds("poset has no maximum")
-        return self.induced([e for e in self.elements if e != self.max_elt])
+        top = 1 << self._idx[self.max_elt]
+        return self._sub(((1 << len(self)) - 1) & ~top)
 
     # -- chains ------------------------------------------------------------
 
@@ -392,12 +392,7 @@ def _fresh(taken, base):
 
 def adjoin_max(p):
     """Adjoin a new maximum above every maximal element (the P_1 operator)."""
-    top = _fresh(set(p.elements), "TOP")
-    covers = [(p.elements[lo], p.elements[hi]) for lo, hi in p.cover_pairs]
-    covers += [(m, top) for m in p.maximal_elements()]
-    if not p.elements:
-        return GradedPoset([top], [])
-    return GradedPoset(list(p.elements) + [top], covers)
+    return p._sub((1 << len(p)) - 1, capped=True)
 
 
 def join(p, q):

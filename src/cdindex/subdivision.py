@@ -87,7 +87,7 @@ class SubdivisionMap:
         return self.source._ids(self._preimage_mask(self.target.index(sigma)))
 
     def preimage_ideal(self, sigma):
-        return self.source.induced(self.preimage_ideal_ids(sigma))
+        return self.source._sub(self._preimage_mask(self.target.index(sigma)))
 
     def _capped_preimage(self, sigma):
         """adjoin_max(preimage_ideal(sigma)) in one build, once per map."""
@@ -303,7 +303,8 @@ def restrict(m, face):
     if face not in m.target:
         raise FaceNotFound("target element %r not found" % (face,))
     ideal = m.preimage_ideal(face)
-    tgt = m.target.induced(m.target.down_set(face, strict=False))
+    ix = m.target.index(face)
+    tgt = m.target._sub(m.target._dn[ix] | 1 << ix)
     carrier = {e: m(e) for e in ideal.elements}
     return SubdivisionMap(ideal, tgt, carrier)
 

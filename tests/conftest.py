@@ -12,7 +12,7 @@ from hypothesis import settings
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 import cdindex as cd
-from cdindex.complexes import _closure_of
+from cdindex.complexes import _closure_of, face_id
 from cdindex.subdivision import DecompositionRow
 from cdindex.errors import (NotCdExpressible, NotLowerEulerian,
                             NotNearEulerian, NotPure, SearchCutoff)
@@ -736,6 +736,82 @@ def poset_fields_by_dfs(elements, covers):
             "is_graded": ranked and len({ranks[i] for i in maximal}) <= 1,
             "min_elt": elements[minimal[0]] if len(minimal) == 1 else None,
             "max_elt": elements[maximal[0]] if len(maximal) == 1 else None}
+
+
+def adjoin_max_by_cover_copy(p):
+    """Oracle for adjoin_max: the parent's cover pairs copied, and a fresh
+    TOP covering each maximal element."""
+    top = "TOP"
+    while top in p:
+        top += "'"
+    covers = [(p.elements[lo], p.elements[hi]) for lo, hi in p.cover_pairs]
+    covers += [(e, top) for i, e in enumerate(p.elements) if not p._up[i]]
+    return cd.GradedPoset(list(p.elements) + [top], covers)
+
+
+def cube3_by_cover_search():
+    """Oracle for make_cube3: the faces listed axis by axis, a cover
+    wherever no face lies strictly between, and TOP adjoined by the cover
+    copy in a second build."""
+    verts = ["%d%d%d" % v for v in product((0, 1), repeat=3)]
+    faces = [frozenset()] + [frozenset([v]) for v in verts]
+    for axis in range(3):
+        for a, b in product((0, 1), repeat=2):
+            faces.append(frozenset(v for v in verts
+                                   if int(v[(axis + 1) % 3]) == a
+                                   and int(v[(axis + 2) % 3]) == b))
+    faces += [frozenset(v for v in verts if int(v[axis]) == a)
+              for axis in range(3) for a in (0, 1)]
+    ids = {f: face_id(f) for f in faces}
+    covers = [(ids[f], ids[g]) for f in faces for g in faces
+              if f < g and not any(f < h < g for h in faces)]
+    return adjoin_max_by_cover_copy(
+        cd.GradedPoset(sorted(ids.values()), covers))
+
+
+def without_max_by_ids(p):
+    """Oracle for without_max: the induced poset on every other id."""
+    return p.induced([e for e in p.elements if e != p.max_elt])
+
+
+def proper_part_by_ids(p):
+    """Oracle for proper_part: the induced poset on the ids of neither
+    bound."""
+    return p.induced([e for e in p.elements
+                      if e not in (p.min_elt, p.max_elt)])
+
+
+def preimage_ideal_by_ids(m, sigma):
+    """Oracle for SubdivisionMap.preimage_ideal: the source induced on the
+    preimage ids."""
+    return m.source.induced(m.preimage_ideal_ids(sigma))
+
+
+def restrict_by_ids(m, face):
+    """Oracle for restrict: both sides induced on id lists."""
+    ideal = preimage_ideal_by_ids(m, face)
+    target = m.target.induced(m.target.down_set(face, strict=False))
+    return cd.SubdivisionMap(ideal, target,
+                             {e: m(e) for e in ideal.elements})
+
+
+def count_builds(monkeypatch):
+    """A one-item list counting GradedPoset.__init__ runs from here on."""
+    calls = [0]
+    init = cd.GradedPoset.__init__
+
+    def counted(*args):
+        calls[0] += 1
+        return init(*args)
+
+    monkeypatch.setattr(cd.GradedPoset, "__init__", counted)
+    return calls
+
+
+def same_build(p, q):
+    """p and q have the same elements in the same order and the same cover
+    pairs."""
+    return (p.elements, p.cover_pairs) == (q.elements, q.cover_pairs)
 
 
 def random_relation(rng, max_size=12):

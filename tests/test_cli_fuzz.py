@@ -3,6 +3,9 @@ library's assumptions: every subcommand, in text and JSON, must answer
 with a documented exit code (0, 1, 2 or 64) and let no exception escape."""
 import json
 import random
+import sys
+
+import pytest
 
 import cdindex as cd
 from cdindex.cli import run
@@ -128,3 +131,43 @@ def test_cli_exit_codes_under_fuzzed_input(capsys, tmp_path):
                 assert code in EXIT_CODES, (argv, obj)
                 codes.add(code)
     assert codes == {0, 2}
+
+
+NINES = "9" * 5000
+# integers of more digits than the interpreter converts (3.10.7 and 3.11 on)
+DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+
+def test_hostile_json_is_an_input_error(capsys, tmp_path):
+    # nesting past the recursion limit and an over-long integer id are
+    # answered as input errors, exit 1, by every command in both formats
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    long_id = tmp_path / "long_id.json"
+    long_id.write_text('{"elements": [%s], "covers": []}' % NINES)
+    for path, want in ((deep, 1), (long_id, 1 if DIGIT_LIMIT else None)):
+        for command in COMMANDS:
+            for fmt in ("text", "json"):
+                code = run(command + ["--input", str(path), "--format", fmt])
+                err = capsys.readouterr().err
+                assert code in EXIT_CODES, (command, path)
+                if want is not None:
+                    assert code == want, (command, path)
+                    assert err.startswith("input error: "), err[:80]
+
+
+@pytest.mark.parametrize("poly", [NINES + "*ab", "a^" + NINES,
+                                  "a^99999999999999999999"],
+                         ids=["long_coefficient", "long_exponent",
+                              "exponent_past_any_word"])
+def test_an_integer_out_of_range_in_poly_is_a_bad_term(capsys, poly):
+    # a coefficient or exponent the interpreter cannot read, or an exponent
+    # no word can spell, exits 2 like every other bad term
+    for fmt in ("text", "json"):
+        code = run(["morphism", "--what", "f", "--poly", poly,
+                    "--format", fmt])
+        err = capsys.readouterr().err
+        assert code in EXIT_CODES
+        if DIGIT_LIMIT or "^" in poly:
+            assert code == 2
+            assert err.startswith("validation error: integer out of range")

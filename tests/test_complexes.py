@@ -10,11 +10,14 @@ from cdindex.cli import run
 from cdindex.complexes import _closure_of, _shelling_step_ok
 from cdindex.errors import FaceNotFound, NotPure, SearchCutoff
 from cdindex.ncpoly import UniPolynomial, coefficientwise_leq
-from conftest import (betti_by_fractions, betti_by_sympy,
+from cdindex.complexes import _poset_from_obj
+from conftest import (adjoin_max_by_cover_copy, betti_by_fractions,
+                      betti_by_sympy, count_builds, cube3_by_cover_search,
                       facets_by_pairwise_filter, find_shelling_by_recursion,
                       isomorphic, octahedron_complex, outcome, polygon_cd,
-                      polygon_lattice, rp2_complex, shelling_step_by_closure,
-                      square_lattice, three_polytope_cd, torus_complex)
+                      polygon_lattice, rp2_complex, same_build,
+                      shelling_step_by_closure, square_lattice,
+                      three_polytope_cd, torus_complex)
 
 
 def test_face_poset_triangle_is_b3():
@@ -30,6 +33,39 @@ def test_face_poset_square_boundary():
 def test_face_poset_empty_complex():
     p = cd.face_poset(cd.SimplicialComplex([]))
     assert len(p.elements) == 1
+
+
+def test_face_poset_with_max_is_the_face_poset_and_adjoin_max(monkeypatch):
+    # the face poset and its formal top come out of one constructor call,
+    # the same poset as the adjoin_max rebuild it replaced
+    complexes = [cd.SimplicialComplex([]), cd.SimplicialComplex([[]]),
+                 cd.make_polygon(5), octahedron_complex(),
+                 cd.SimplicialComplex([["1", "2", "3"], ["3", "4"], ["5"]])]
+    for k in complexes:
+        want = adjoin_max_by_cover_copy(cd.face_poset(k))
+        assert same_build(want, cd.adjoin_max(cd.face_poset(k)))
+        calls = count_builds(monkeypatch)
+        got = cd.face_poset(k, with_max=True)
+        monkeypatch.undo()
+        assert calls == [1]
+        assert same_build(got, want), k
+        assert got.to_json() == want.to_json()
+
+
+def test_make_cube3_matches_the_cover_search():
+    cube, want = cd.make_cube3(), cube3_by_cover_search()
+    assert same_build(cube, want)
+    assert cube.to_json() == want.to_json()
+
+
+def test_a_complex_input_is_one_build(monkeypatch):
+    square = cd.make_polygon(4).to_json_obj()
+    calls = count_builds(monkeypatch)
+    p = _poset_from_obj(square)
+    assert calls == [1]
+    monkeypatch.undo()
+    assert same_build(p, adjoin_max_by_cover_copy(
+        cd.face_poset(cd.SimplicialComplex.from_json_obj(square))))
 
 
 def test_facets_match_pairwise_filter(rng):

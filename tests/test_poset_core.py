@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdindex as cd
-from cdindex.errors import (CycleDetected, DomainError, NotGraded,
-                            NotNearEulerian, RequiresBounds, RequiresMin)
-from conftest import (enumerate_chains, eulerian_by_mobius, eulerian_pool,
-                      isomorphic, mobius_table, outcome, poset_fields_by_dfs,
-                      random_eulerian, random_graded_poset,
-                      random_near_eulerian, random_relation,
-                      semisuspend_by_build)
+from cdindex.errors import (CycleDetected, DomainError, MissingBounds,
+                            NotGraded, NotNearEulerian, RequiresBounds,
+                            RequiresMin)
+from conftest import (adjoin_max_by_cover_copy, enumerate_chains,
+                      eulerian_by_mobius, eulerian_pool, isomorphic,
+                      mobius_table, outcome, poset_fields_by_dfs,
+                      proper_part_by_ids, random_eulerian,
+                      random_graded_poset, random_near_eulerian,
+                      random_relation, same_build, semisuspend_by_build,
+                      without_max_by_ids)
 
 EULERIAN_POOL = [p for _, p in eulerian_pool() if len(p.elements) <= 32]
 
@@ -230,6 +233,51 @@ def test_adjoin_max():
     assert tri.is_eulerian()
     # P1 of an Eulerian poset is near-Eulerian
     assert cd.is_near_eulerian(cd.adjoin_max(cd.boolean_poset(3)))
+
+
+def test_adjoin_max_matches_the_cover_copy(rng):
+    # adjoin_max is one _sub build from the parent's rows; the cover copy
+    # it replaced is the oracle, on posets with and without bounds
+    posets = [cd.GradedPoset([], []), cd.GradedPoset(["TOP"], []),
+              cd.chain_poset(0), cd.boolean_poset(3), cd.make_cube3()]
+    posets += [random_graded_poset(rng) for _ in range(30)]
+    posets += [cd.GradedPoset(*random_relation(rng)) for _ in range(30)]
+    for p in posets:
+        got = cd.adjoin_max(p)
+        assert same_build(got, adjoin_max_by_cover_copy(p)), p.elements
+        assert got.to_json() == adjoin_max_by_cover_copy(p).to_json()
+    assert cd.adjoin_max(cd.GradedPoset(["TOP"], [])).max_elt == "TOP'"
+
+
+def test_without_max_and_proper_part_match_the_id_routes(rng):
+    posets = [cd.chain_poset(0), cd.chain_poset(1), cd.boolean_poset(3),
+              cd.make_cube3()]
+    posets += [random_graded_poset(rng) for _ in range(30)]
+    for p in posets:
+        assert same_build(p.without_max(), without_max_by_ids(p))
+        assert same_build(p.proper_part(), proper_part_by_ids(p))
+
+
+def test_proper_part_of_a_point_is_empty():
+    # the point's minimum and maximum are one element: toggling both bits
+    # would bring it back
+    point = cd.chain_poset(0)
+    assert point.proper_part().elements == ()
+    assert point.without_max().elements == ()
+
+
+def test_missing_bounds_are_named():
+    chain = cd.chain_poset(2)
+    no_max = cd.GradedPoset(["0", "a", "b"], [("0", "a"), ("0", "b")])
+    no_min = cd.dual(no_max)
+    cases = [(lambda: cd.join(no_max, chain), "left factor needs a maximum"),
+             (lambda: cd.join(chain, no_min), "right factor needs a minimum"),
+             (lambda: cd.suspension(no_max), "suspension needs both bounds"),
+             (lambda: cd.suspension(no_min), "suspension needs both bounds"),
+             (lambda: no_max.without_max(), "poset has no maximum")]
+    for call, message in cases:
+        with pytest.raises(MissingBounds, match="^%s$" % message):
+            call()
 
 
 def test_dual():

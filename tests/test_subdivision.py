@@ -7,14 +7,16 @@ import pytest
 import cdindex as cd
 from cdindex import poset as ps
 from cdindex.cli import run
-from cdindex.errors import InvalidChain, RequiresBounds, ValidationRequired
+from cdindex.errors import (InvalidChain, InvalidSubdivision, RequiresBounds,
+                            ValidationRequired)
 from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
-from cdindex.subdivision import _basic_failures
-from conftest import (decompose_rows_by_rebuild, enumerate_chains,
-                      hexagon_over_triangle, isomorphic, outcome,
-                      polygon_cd, preimage_ids_by_definition, square_lattice,
-                      telescoping_by_rebuild, tetra_subdivision,
-                      three_polytope_cd)
+from cdindex.subdivision import ValidationReport, _basic_failures
+from conftest import (count_builds, decompose_rows_by_rebuild,
+                      enumerate_chains, hexagon_over_triangle, isomorphic,
+                      outcome, polygon_cd, preimage_ideal_by_ids,
+                      preimage_ids_by_definition, restrict_by_ids,
+                      same_build, square_lattice, telescoping_by_rebuild,
+                      tetra_subdivision, three_polytope_cd)
 
 
 def test_validate_strong_eulerian_fixtures(subdivision_fixtures):
@@ -123,6 +125,72 @@ def test_preimage_ideal_ids_match_definition(subdivision_fixtures):
                     preimage_ids_by_definition(moved, sigma), (name, sigma)
             maps += 1
     assert maps > 500
+
+
+def test_preimage_ideal_and_restrict_match_the_id_routes(
+        subdivision_fixtures):
+    for name, m in subdivision_fixtures:
+        for sigma in m.target.elements:
+            assert same_build(m.preimage_ideal(sigma),
+                              preimage_ideal_by_ids(m, sigma)), (name, sigma)
+            got, want = cd.restrict(m, sigma), restrict_by_ids(m, sigma)
+            assert same_build(got.source, want.source), (name, sigma)
+            assert same_build(got.target, want.target), (name, sigma)
+            assert got.carrier == want.carrier
+
+
+def test_decoding_a_complex_form_subdivision_builds_each_side_once(
+        monkeypatch):
+    # each side's face poset gets its formal top in the same build
+    m = tetra_subdivision()
+    complexes = {}
+    for side, p in (("source", m.source), ("target", m.target)):
+        facets = [e.strip("{}").split(",") for e in p.elements
+                  if p.covers(e, p.max_elt)]
+        complexes[side] = {"facets": facets}
+    obj = dict(complexes, carrier=dict(m.carrier))
+    calls = count_builds(monkeypatch)
+    decoded = cd.SubdivisionMap.from_json_obj(obj)
+    monkeypatch.undo()
+    assert calls == [2]
+    assert decoded.to_json() == m.to_json()
+
+
+def test_skeletal_family_refuses_an_invalid_map():
+    m = tetra_subdivision()
+    broken = cd.SubdivisionMap(m.source, m.target,
+                               {**m.carrier, "{1,3}": "{1}"})
+    assert not cd.validate_strong_eulerian(broken).ok
+    with pytest.raises(InvalidSubdivision, match="^skeletal decomposition "
+                       "needs a valid strong Eulerian subdivision$"):
+        cd.skeletal_family(broken)
+
+
+def forged_valid(m):
+    """m with a strong Eulerian verdict of ok planted in its cache."""
+    m._cache["strong_eulerian"] = ValidationReport("strong_eulerian", True,
+                                                   ())
+    return m
+
+
+def test_checks_behind_validation_still_refuse_a_forged_verdict():
+    # validation rejects these maps, so only a planted verdict reaches the
+    # checks that stand behind it
+    m = tetra_subdivision()
+    broken = forged_valid(cd.SubdivisionMap(m.source, m.target,
+                                            {**m.carrier, "{1,3}": "{1}"}))
+    with pytest.raises(InvalidSubdivision, match="^skeletal poset at level "
+                       "1 is not graded of full rank$"):
+        cd.skeletal_family(broken)
+    three_atoms = cd.GradedPoset(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"),
+         ("c", "1")])
+    identity = cd.identity_subdivision(three_atoms)
+    assert not cd.validate_strong_eulerian(identity).ok
+    with pytest.raises(InvalidSubdivision,
+                       match="^decomposition needs Eulerian posets$"):
+        cd.decompose_cd(forged_valid(identity))
 
 
 def test_restrict_to_edge_is_path():
