@@ -1,25 +1,18 @@
 """Flag enumeration: flag f/h-vectors, the ab- and cd-index, and the local
 indexes of near-Eulerian posets.
 
-The flag f-vector is computed by a rank-stratified DP over down-lists read
-from the cached order-closure bitmasks rather than by listing chains; chain
-enumeration is the independent oracle in the tests.
-
-The cd-index of an Eulerian poset of proper rank n is determined by its
-flag f-vector on the sparse rank sets, those with no two consecutive ranks
-(Bayer-Billera, Invent. Math. 1985; Stanley, "Flag f-vectors and the
-cd-index", Math. Z. 1994).  The DP runs over the F(n+2) sparse subsets of
-{1..n} only (89 against 2^9 = 512 at n = 9), and ``ncpoly._peel_cd`` reads
-Phi off them, with integers only.  The local cd-index of a near-Eulerian
-poset P, Phi(Q) - Phi([0, tau]) c for its semisuspension Q and restored
-coatom tau, takes two peels of one sparse DP over P that also counts the
-chains below tau, building neither Q nor [0, tau]; a local index stores
-only it.  ``to_cd`` serves only the posets neither Eulerian nor
-near-Eulerian.  ``cd_index`` remembers Phi on the poset (its ``_phi``
-slot), where the toric g and h of an Eulerian poset read it.  ``ab_index``
-of a poset already known to be Eulerian expands that Phi.  It never runs an
-Eulerian scan itself: any other poset takes the dense 2^n DP, which
-``flag_f``, ``flag_h`` and ``flag_polynomial`` always run.
+One chain DP over the ranks above an element counts the chains by rank set
+and top element, on the closure rows.  A chain that ends in a down-set
+lies in it, so ``_masked`` reads the flag f-vector of a down-set with a top
+adjoined, or of an interval [low, t] through the down-row of t, and
+nothing is built; a fresh poset is the whole mask.  ``ncpoly._peel_cd``
+reads the cd-index of an Eulerian poset off its flag f-vector on the
+sparse rank sets, the only ones the sparse DP visits (Bayer-Billera 1985,
+Stanley 1994), and the local cd-index Phi(Q) - Phi([0, tau]) c of a
+near-Eulerian poset off the same counts, over all and over the elements
+below tau.  ``to_cd`` serves only posets that are neither.  ``cd_index``
+remembers Phi, which ``ab_index`` of a poset known to be Eulerian expands;
+any other takes the dense 2^n DP, as ``flag_f`` and ``flag_h`` do.
 """
 from __future__ import annotations
 
@@ -66,47 +59,38 @@ class FlagVector:
                 for ranks, v in self.items_by_ranks()}
 
 
-def _proper_levels(p):
+def _chain_counts(p, sparse=False):
+    """(n, {mask: chain count}) over the rank sets of {1..n}, all or the
+    sparse ones, for p of proper rank n."""
     p.require_bounds()
     n = p.top_rank - 1
     if n < 0:
         raise DomainError("rank-0 poset has no flag vector")
     if n > 62:
         raise RankTooLarge("proper rank %d exceeds 62" % n)
-    levels = {r: [p.index(e) for e in p.level(r)] for r in range(1, n + 1)}
-    return n, levels
+    return n, _chain_vectors(p, p._idx[p.min_elt], n, sparse)[0]
 
 
-def _chain_counts(p, sparse=False, inner=0):
-    """(n, {mask: chain count}) over every rank set of {1..n}, or over the
-    sparse ones (no two consecutive ranks) when sparse is set.  Given a
-    nonzero bitmask inner of elements, a third dict counts the chains in it.
-
-    vec[mask][k] counts the chains through exactly the ranks in mask that
-    end at the k-th element of its top rank; each step sums the previous
-    level's vector over one down-list read once from the closure rows.
-    Dropping the top rank of a sparse set leaves a sparse set, so the
-    sparse walk reads only sparse masks and level pairs at least two apart.
-    """
-    n, levels = _proper_levels(p)
-    dn, bits = p._dn, p._bits
-    level_mask = {r: sum(1 << i for i in ids) for r, ids in levels.items()}
-    pos = {i: k for ids in levels.values() for k, i in enumerate(ids)}
+def _chain_vectors(p, low, n, sparse=True):
+    """The chain DP over the n ranks above element index low of p: vec[S][k]
+    counts the chains through exactly the ranks in S (rank r at bit r - 1,
+    counted from low) ending at the k-th element of S's top rank, as sums
+    of the previous level's vector over down-lists.  Returns (totals, (vec,
+    level masks, positions)), where totals[S] sums vec[S]."""
+    dn, ranks, bits = p._dn, p._ranks, p._bits
+    levels = [[] for _ in range(n + 1)]
+    for i in bits(p._up[low]):
+        if ranks[i] - ranks[low] <= n:
+            levels[ranks[i] - ranks[low]].append(i)
+    level_mask = [sum(1 << i for i in ids) for ids in levels]
+    pos = {i: k for ids in levels for k, i in enumerate(ids)}
     # below[r][s][k]: positions at level s under the k-th element of level r
-    below = {r: {s: [[pos[j] for j in bits(dn[i] & level_mask[s])]
-                     for i in levels[r]]
-                 for s in range(1, r - 1 if sparse else r)}
-             for r in levels}
-    if sparse:
-        masks = _sparse_masks(n)
-        vec = {}
-    else:
-        masks = range(1 << n)
-        vec = [None] * (1 << n)
-    values, inner_values = {0: 1}, {0: 1}
-    inside = inner and {r: [pos[i] for i in bits(inner & m)]
-                        for r, m in level_mask.items()}
-    for mask in masks[1:]:
+    below = [{s: [[pos[j] for j in bits(dn[i] & level_mask[s])]
+                  for i in levels[r]]
+              for s in range(1, r - 1 if sparse else r)}
+             for r in range(n + 1)]
+    totals, vec = {0: 1}, {}
+    for mask in (_sparse_masks(n) if sparse else range(1 << n))[1:]:
         top = mask.bit_length()  # highest selected rank
         rest = mask & ~(1 << (top - 1))
         if not rest:
@@ -116,10 +100,40 @@ def _chain_counts(p, sparse=False, inner=0):
             out = [sum([prev[j] for j in lst])
                    for lst in below[top][rest.bit_length()]]
         vec[mask] = out
-        values[mask] = sum(out)
-        if inside:
-            inner_values[mask] = sum([out[k] for k in inside[top]])
-    return (n, values, inner_values) if inside else (n, values)
+        totals[mask] = sum(out)
+    return totals, (vec, level_mask, pos)
+
+
+def _masked(chains, n, keep):
+    """{S: count} over the rank sets S of {1..n} of ``_chain_vectors``, of
+    the chains that end in keep, a down-set, and so lie in it."""
+    vec, level_mask, pos = chains[1]
+    inside = [[pos[i] for i in ps.GradedPoset._bits(keep & m)]
+              for m in level_mask[:n + 1]]
+    return {0: 1, **{mask: sum([counts[k] for k in inside[mask.bit_length()]])
+                     for mask, counts in vec.items() if not mask >> n}}
+
+
+def _local_cd(chains, n, keep, down):
+    """(l_P, Phi([0, tau])) of the near-Eulerian P = keep + T of proper rank
+    n, with D below the restored coatom tau: f^D is f of [0, tau], and
+    f_S(Q) = f_S(P) + [n in S] f^D(S - {n}) for the semisuspension Q."""
+    f, inner = _masked(chains, n, keep), _masked(chains, n, down)
+    top = 1 << (n - 1)
+    bd_cd = _peel_cd(n - 1, inner)
+    phi_q = _peel_cd(n, {s: v + inner[s ^ top] if s & top else v
+                         for s, v in f.items()})
+    return phi_q - bd_cd * CdPolynomial.monomial("c"), bd_cd
+
+
+def _interval_cds(p, low, highs):
+    """Phi([low, t]) of each t in highs, from one sparse DP over the ranks
+    above low read through the down-row of t; each [low, t] is Eulerian."""
+    ranks = p._ranks
+    spans = [ranks[t] - ranks[low] - 1 for t in highs]
+    chains = _chain_vectors(p, low, max(spans, default=0))
+    return [_peel_cd(k, _masked(chains, k, p._dn[t])) if k >= 0
+            else CdPolynomial.zero() for k, t in zip(spans, highs)]
 
 
 def flag_f(p):
@@ -130,13 +144,17 @@ def flag_f(p):
 def flag_h(p):
     """Inclusion-exclusion transform of the flag f-vector."""
     fv = flag_f(p)
-    beta = dict(fv.values)
-    for b in range(fv.n):
+    return FlagVector(fv.n, _beta(fv.n, fv.values))
+
+
+def _beta(n, alpha):
+    beta = dict(alpha)
+    for b in range(n):
         bit = 1 << b
-        for mask in range(1 << fv.n):
+        for mask in range(1 << n):
             if mask & bit:
                 beta[mask] -= beta[mask ^ bit]
-    return FlagVector(fv.n, beta)
+    return beta
 
 
 def _ab_sum(p, vector):
@@ -145,10 +163,15 @@ def _ab_sum(p, vector):
     if p.top_rank == 0:
         return AbPolynomial.zero()
     fv = vector(p)
+    return _ab_of(fv.n, fv.values)
+
+
+def _ab_of(n, values):
+    """Sum of values[S] u_S over the rank sets S of {1..n}."""
     words = [""]
-    for _ in range(fv.n):
+    for _ in range(n):
         words = [w + "a" for w in words] + [w + "b" for w in words]
-    return AbPolynomial({words[m]: c for m, c in fv.values.items()})
+    return AbPolynomial({words[m]: c for m, c in values.items()})
 
 
 def flag_polynomial(p):
@@ -205,16 +228,10 @@ def local_index(p):
 
 def _local_and_boundary(p):
     """(l_P, Phi([0, tau])) of a near-Eulerian p by one sparse DP over p;
-    raises NotNearEulerian for any other p.  With D the elements below the
-    restored coatom tau (at the coatom rank n), f^D counts the chains in D,
-    which is f of [0, tau], and f_S(Q) = f_S(P) + [n in S] f^D(S - {n}) for
-    the semisuspension Q.  Both peel, as Q and [0, tau] are Eulerian."""
-    n, f, inner = _chain_counts(p, sparse=True, inner=ps._below_coatom(p))
-    top = 1 << (n - 1)
-    bd_cd = _peel_cd(n - 1, inner)
-    phi_q = _peel_cd(n, {s: v + inner[s ^ top] if s & top else v
-                         for s, v in f.items()})
-    return phi_q - bd_cd * CdPolynomial.monomial("c"), bd_cd
+    raises NotNearEulerian for any other p."""
+    down, n = ps._below_coatom(p), p.top_rank - 1
+    chains = _chain_vectors(p, p._idx[p.min_elt], n)
+    return _local_cd(chains, n, (1 << len(p)) - 1, down)
 
 
 def cd_index(p):

@@ -1,26 +1,17 @@
 """Finite graded posets and their constructive operators.
 
-A poset is stored as a cover DAG over opaque string ids.  The full order
-relation is cached as one bitmask row per element (elements of the strict
-up-set / down-set), built in one topological sweep of the covers that also
-settles the ranks; the up rows follow in reverse sweep order.
-Comparability is one bit test; sub-posets, intervals, the Eulerian scan and
-chain counting downstream visit only the set bits of these rows, by lowbit
-iteration (``low = m & -m``), and count with popcounts.  The order is
-immutable after construction.  A fresh poset is one constructor call; one
-derived from another (a sub-poset, an interval, an adjoined maximum) is one
-``_sub`` call on the parent's rows, given the mask of the kept elements.  Three
-memo slots keep what a poset has proven or computed: ``_balanced``, the
-verdict of the Eulerian interval scan, which ``interval`` passes on when
-True (an interval's intervals are intervals of its parent), ``_below``,
-the elements below the restored coatom once the near-Eulerian test on the
-rows has passed, and ``_phi``, the cd-index once ``flagcd.cd_index`` has
-computed it.  ``flagcd.ab_index`` reads ``_balanced`` without scanning:
-when True it expands Phi in place of the dense flag DP.
-
-Gradedness is verified eagerly but a failure is recorded, not raised;
-non-graded posets stay usable for order-only operations and reject
-rank-dependent ones.
+A poset is stored as a cover DAG over opaque string ids, with the order
+cached as one bitmask row per element (its strict up-set and down-set),
+built in one topological sweep that also settles the ranks.  The kernels
+downstream visit only the set bits of these rows and count with popcounts.
+A fresh poset is one constructor call, and one derived from another is one
+``_sub`` call on the parent's rows.  A down-set with a top adjoined, such as
+a subdivision's capped preimage, is never built: ``_below_top`` runs the
+near-Eulerian test on the parent's rows and a mask.  Memo slots keep the
+Eulerian scan's verdict (``_balanced``, which ``interval`` passes on when
+True), the elements below the restored coatom (``_below``) and the
+cd-index (``_phi``).  Gradedness is verified eagerly but a failure is
+recorded, not raised: rank-dependent operations raise it.
 """
 from __future__ import annotations
 
@@ -274,7 +265,7 @@ class GradedPoset:
         return self._balanced
 
     def _intervals_eulerian(self):
-        return _rows_eulerian(self._up, self._dn, self._ranks)
+        return not _unbalanced(self._up, self._dn, self._ranks)
 
     def is_lattice(self):
         """Any two elements have a least upper and greatest lower bound."""
@@ -343,9 +334,10 @@ class GradedPoset:
             len(self.elements), len(self.cover_pairs))
 
 
-def _rows_eulerian(up, dn, ranks):
-    """Every interval [s, t], s < t, of the closure rows up and dn has as
-    many elements of odd rank as of even rank."""
+def _unbalanced(up, dn, ranks):
+    """Mask of the elements t that top an interval [s, t], s < t, of the
+    closure rows up and dn with unequal counts of odd and even rank; the
+    rows are Eulerian when it is 0."""
     # Only intervals of even length are scanned.  Let [s, t] have odd
     # length n, and let its proper subintervals be balanced, so that
     # mu(x, y) = (-1)^(rank y - rank x) on them.  With
@@ -355,12 +347,13 @@ def _rows_eulerian(up, dn, ranks):
     # length, every interval is balanced once the even ones are.
     even = sum(1 << i for i, r in enumerate(ranks) if r % 2 == 0)
     odd = ((1 << len(up)) - 1) ^ even
+    bad = 0
     for s, row in enumerate(up):
         for t in GradedPoset._bits(row & (even if even >> s & 1 else odd)):
             mask = (row | 1 << s) & (dn[t] | 1 << t)
             if (mask & even).bit_count() != (mask & odd).bit_count():
-                return False
-    return True
+                bad |= 1 << t
+    return bad
 
 
 _JSON_ID_TYPES = frozenset((str, int))  # type(True) is bool, not int
@@ -462,31 +455,53 @@ def dual(p):
 
 
 def _below_coatom(p):
-    """Mask D of the elements below the missing coatom tau, kept on p;
-    raises NotNearEulerian unless restoring tau gives an Eulerian poset.
-    tau covers the y with |[y, 1]| = 3, so D is their down-closure, and the
-    semisuspension's rows are p's rows plus tau above D and below 1, at the
-    coatom rank; the scan runs on those rows, and nothing is built.  An
-    empty D makes tau a second minimum, unless p is a point."""
-    if p._below is not None:
-        return p._below
-    if p.max_elt is None or p.min_elt is None:
-        raise NotNearEulerian("semisuspension needs both bounds")
-    if not p.is_graded:
-        raise NotNearEulerian("semisuspension needs a graded poset")
-    up, dn, top = p._up, p._dn, p.index(p.max_elt)
-    down = 0
-    for i, row in enumerate(up):
-        if (row | 1 << i).bit_count() == 3 and row >> top & 1:
+    """Mask D of the elements below the missing coatom of p, kept on p:
+    ``_below_top`` with p's maximum as the top and the rest kept."""
+    if p._below is None:
+        if p.max_elt is None:
+            raise NotNearEulerian("semisuspension needs both bounds")
+        keep = ((1 << len(p)) - 1) ^ 1 << p._idx[p.max_elt]
+        p._below = _below_top(p, keep, 0 if p._balanced else None)
+    return p._below
+
+
+def _below_top(p, keep, bad=None):
+    """Mask D below the missing coatom tau of keep + T, for a down-set keep
+    of p and a top T; raises NotNearEulerian unless restoring tau gives an
+    Eulerian poset Q.  tau covers the y under one element of keep, so D is
+    their down-closure.  Q's intervals inside keep are p's, balanced when
+    keep misses bad (the tops of p's unbalanced intervals, scanned here when
+    None), so only [s, tau] and [s, T] are counted.  Keep 0 is the point T.
+    """
+    up, dn, ranks = p._up, p._dn, p._ranks
+    down = even = minimal = 0
+    tops = set()  # the ranks of keep's maximal elements
+    for i in p._bits(keep):
+        above = up[i] & keep
+        minimal += not dn[i]
+        if not above:
+            tops.add(ranks[i])
+        elif not above & (above - 1):
             down |= dn[i] | 1 << i
-    tau = 1 << len(up)
-    q_up = [r | tau if down >> i & 1 else r for i, r in enumerate(up)]
-    q_dn = [r | tau if i == top else r for i, r in enumerate(dn)]
-    if (not down and len(up) > 1) or not _rows_eulerian(
-            q_up + [1 << top], q_dn + [down], p._ranks + (p._ranks[top] - 1,)):
-        raise NotNearEulerian("adjoining the missing coatom is not Eulerian")
-    p._below = down
-    return down
+        even |= (~ranks[i] & 1) << i
+    if keep and minimal != 1:
+        raise NotNearEulerian("semisuspension needs both bounds")
+    if not p.is_ranked or len(tops) > 1:
+        raise NotNearEulerian("semisuspension needs a graded poset")
+    if not keep:
+        return 0
+    bad = _unbalanced(up, dn, ranks) if bad is None else bad
+    # T counts sign and tau -sign, so [s, T] counts T alone for s not in D
+    odd, rank = keep ^ even, tops.pop()
+    sign, same, other = (1, even, odd) if rank % 2 else (-1, odd, even)
+    surplus = lambda row: (row & even).bit_count() - (row & odd).bit_count()
+    if down and not keep & bad and all(
+            surplus(up[s] & keep | 1 << s) == (0 if down >> s & 1 else -sign)
+            for s in p._bits(keep & same)) and all(
+            surplus(up[s] & down | 1 << s) == sign
+            for s in p._bits(down & other)):
+        return down
+    raise NotNearEulerian("adjoining the missing coatom is not Eulerian")
 
 
 def _semisuspend(p):

@@ -2,20 +2,15 @@
 decomposition, and the constructive cd-index decomposition.
 
 A subdivision map carries each element of the source poset to the minimal
-target element containing it.  Validation runs on first use, is cached on
-the map, and decompose_cd and local_h run it themselves: their identities
-are theorems only for maps that pass it.
-
-The map keeps one bitmask per target element, of the source elements
-carried to it; the preimage of a target face is the OR of these masks over
-its closed down-set, and both validations, restriction and the image check
-read it.  Each capped preimage (the preimage ideal with a maximum adjoined)
-is built once per map: strong Eulerian validation and toric.local_h share
-it, and it is one build from the source rows.  Validation's near-Eulerian
-test reads its rows and keeps the elements below the restored coatom on it,
-so its local index (in the decomposition, the telescoping check and the
-local-h correspondence) is one sparse DP, with no semisuspension and no
-[0, tau] built.  Intervals of an Eulerian target inherit its verdict.
+target element containing it.  Validation runs on first use and is cached
+on the map; decompose_cd and local_h run it, as their identities are
+theorems only for maps that pass it.  The preimage of a face, a down-set
+of the source, is the OR of the map's per-target masks of carried elements
+over the face's closed down-set.  No capped preimage (with a maximum
+adjoined) is built: after one Eulerian scan of the source, validation runs
+each face's near-Eulerian test on the source rows and the mask and keeps
+D, the elements below the restored coatom, and one sparse chain DP over
+the source gives every local cd-index, as sums over the preimage and D.
 """
 from __future__ import annotations
 
@@ -26,8 +21,9 @@ from . import poset as ps
 from .errors import (DomainError, FaceNotFound, InvalidChain,
                      InvalidSubdivision, NotNearEulerian, RequiresBounds,
                      ValidationRequired)
-from .flagcd import cd_index, flag_polynomial, local_index
-from .ncpoly import CdPolynomial
+from .flagcd import (LocalIndex, _chain_vectors, _interval_cds, _local_cd,
+                     flag_polynomial)
+from .ncpoly import CdPolynomial, _peel_cd
 
 
 @dataclass(frozen=True)
@@ -88,14 +84,6 @@ class SubdivisionMap:
 
     def preimage_ideal(self, sigma):
         return self.source._sub(self._preimage_mask(self.target.index(sigma)))
-
-    def _capped_preimage(self, sigma):
-        """adjoin_max(preimage_ideal(sigma)) in one build, once per map."""
-        capped = self._cache.setdefault("capped", {})
-        if sigma not in capped:
-            capped[sigma] = self.source._sub(
-                self._preimage_mask(self.target.index(sigma)), capped=True)
-        return capped[sigma]
 
     # -- serialization ------------------------------------------------------
 
@@ -204,18 +192,24 @@ def validate_strong_eulerian(m):
                 failures.append((e, "only the source maximum may be carried "
                                     "by the target maximum"))
     if not failures:
-        for sigma in sorted(tgt.elements,
-                            key=lambda s: (tgt.rank(s), s)):
-            hat = m._capped_preimage(sigma)
-            rank = hat._ranks[-1] - 1  # the adjoined maximum sits on top
-            if rank != tgt.rank(sigma):
+        # one scan of the source serves the near-Eulerian test of every face
+        bad = ps._unbalanced(src._up, src._dn, src._ranks)
+        src._balanced = not bad
+        levels = [0] * (src.top_rank + 1)
+        for i, r in enumerate(src._ranks):
+            levels[r] |= 1 << i
+        # faces[ix]: the preimage mask of target ix and its D, for _local_cds
+        faces = m._cache["faces"] = {}
+        for ix in _by_rank(tgt):
+            sigma, keep = tgt.elements[ix], m._preimage_mask(ix)
+            rank = max(r for r, level in enumerate(levels) if level & keep)
+            if rank != tgt._ranks[ix]:
                 failures.append((sigma, "preimage ideal has rank %d, want %d"
-                                 % (rank, tgt.rank(sigma))))
+                                 % (rank, tgt._ranks[ix])))
                 continue
-            if len(hat.elements) == 2 and hat.top_rank == 1:
-                continue  # preimage of the minimum
-            try:
-                ps._below_coatom(hat)
+            try:  # one element, the preimage of the minimum, is skipped
+                faces[ix] = (keep, keep & (keep - 1)
+                             and ps._below_top(src, keep, bad))
             except NotNearEulerian as exc:
                 failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
                                  % exc))
@@ -232,11 +226,18 @@ def _basic_failures(m):
     for sigma, carried in zip(tgt.elements, m._carried):
         if not carried:
             yield (sigma, "not in the image of the carrier map")
+    image = [tgt._idx[m.carrier[e]] for e in src.elements]
     for lo, hi in src.cover_pairs:
-        a, b = src.elements[lo], src.elements[hi]
-        if not tgt.le(m(a), m(b)):
+        if not (image[lo] == image[hi] or tgt._up[image[lo]] >> image[hi] & 1):
+            a, b = src.elements[lo], src.elements[hi]
             yield (a, "carrier not order preserving at cover (%s, %s)"
                    % (a, b))
+
+
+def _by_rank(p):
+    """p's element indexes in (rank, id) order."""
+    return sorted(range(len(p.elements)),
+                  key=lambda i: (p._ranks[i], p.elements[i]))
 
 
 def validate_strong_formal(m):
@@ -364,8 +365,7 @@ def skeletal_family(m):
     for i in range(n + 1):
         fam.posets.append(_skeletal_poset(m, i, carrier_rank))
     for i in range(n):
-        fam.maps.append(_skeletal_map(m, i, carrier_rank,
-                                      fam.posets[i + 1], fam.posets[i]))
+        fam.maps.append(_skeletal_map(m, i, carrier_rank, fam.posets[i + 1]))
     return fam
 
 
@@ -387,16 +387,12 @@ def _skeletal_poset(m, i, carrier_rank):
     return p
 
 
-def _skeletal_map(m, i, carrier_rank, upper, lower):
+def _skeletal_map(m, i, carrier_rank, upper):
     out = {}
     for e in upper.elements:
         kind, _, raw = e.partition(":")
-        if kind == NEW and carrier_rank[raw] == i + 1:
-            out[e] = _tag(OLD, m(raw))
-        else:
-            out[e] = e
-        if out[e] not in lower:
-            raise InvalidSubdivision("skeletal map image %r missing" % out[e])
+        out[e] = (_tag(OLD, m(raw)) if kind == NEW
+                  and carrier_rank[raw] == i + 1 else e)
     return out
 
 
@@ -469,16 +465,15 @@ def decompose_cd(m):
                 "sides of a sphere's subdivision" % side)
     if not (tgt.is_eulerian() and src.is_eulerian()):
         raise InvalidSubdivision("decomposition needs Eulerian posets")
-    rows = [DecompositionRow(sigma, local_index(m._capped_preimage(sigma)).cd,
-                             cd_index(tgt.interval(sigma, tgt.max_elt)))
-            for sigma in sorted(tgt.elements, key=lambda s: (tgt.rank(s), s))]
-
-    top = next(r for r in rows if r.sigma == tgt.max_elt)
-    if top.local_cd:
+    local, counts = _local_cds(m)
+    upper = _upper_cds(tgt)
+    rows = [DecompositionRow(s, local[s], upper[s]) for s in local]
+    if local[tgt.max_elt]:
         raise InvalidSubdivision("local cd-index of the top element must "
-                                 "vanish, got %s" % top.local_cd)
+                                 "vanish, got %s" % local[tgt.max_elt])
     total = sum((r.contribution() for r in rows), CdPolynomial.zero())
-    source_cd = cd_index(src)
+    n = src.top_rank - 1  # the source's flag f-vector, of the same DP
+    source_cd = _peel_cd(n, {s: v for s, v in counts.items() if not s >> n})
     if total != source_cd:
         raise InvalidSubdivision(
             "decomposition total %s differs from the source cd-index %s"
@@ -501,8 +496,30 @@ def verify_rank_telescoping(fam, i):
         return False
     tgt = m.target
     lhs = flag_polynomial(fam.posets[i]) - flag_polynomial(fam.posets[i - 1])
+    local = _local_cds(m)[0]
     rhs = 0
     for sigma in tgt.level(i):
         upper = flag_polynomial(tgt.interval(sigma, tgt.max_elt))
-        rhs = local_index(m._capped_preimage(sigma)).flag * upper + rhs
+        rhs = LocalIndex(local[sigma]).flag * upper + rhs
     return lhs == rhs
+
+
+def _local_cds(m):
+    """(sigma -> l_sigma in (rank, id) order, the source's chain counts)
+    after strong Eulerian validation, by one sparse DP over the source
+    read through each preimage and D, both kept by validation."""
+    src, tgt, out = m.source, m.target, {}
+    chains = _chain_vectors(src, src._idx[src.min_elt], src.top_rank)
+    for ix, (keep, down) in m._cache["faces"].items():
+        n = tgt._ranks[ix]
+        # the capped preimage of a minimum is a two-chain, with l = 1
+        out[tgt.elements[ix]] = (_local_cd(chains, n, keep, down)[0] if n
+                                 else CdPolynomial.one())
+    return out, chains[0]
+
+
+def _upper_cds(tgt):
+    """sigma -> Phi([sigma, 1]) of a bounded Eulerian target."""
+    top = tgt._idx[tgt.max_elt]
+    return {tgt.elements[ix]: _interval_cds(tgt, ix, [top])[0]
+            for ix in range(len(tgt.elements))}

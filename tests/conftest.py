@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import networkx as nx
 import pytest
@@ -13,7 +13,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 
 import cdindex as cd
 from cdindex.complexes import _closure_of, face_id
-from cdindex.subdivision import DecompositionRow
+from cdindex.subdivision import DecompositionRow, ValidationReport
 from cdindex.errors import (NotCdExpressible, NotLowerEulerian,
                             NotNearEulerian, NotPure, SearchCutoff)
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
@@ -795,6 +795,83 @@ def restrict_by_ids(m, face):
                              {e: m(e) for e in ideal.elements})
 
 
+def capped_preimage_by_build(m, sigma):
+    """The capped preimage of sigma as a poset: the preimage ideal with a
+    maximum adjoined, in one build from the source rows."""
+    return m.source._sub(m._preimage_mask(m.target.index(sigma)),
+                         capped=True)
+
+
+def basic_failures_by_le(m):
+    """Oracle for subdivision._basic_failures: order preservation by
+    target.le at each source cover."""
+    src, tgt = m.source, m.target
+    if not src.is_ranked or not tgt.is_ranked:
+        yield ("*", "both posets must be ranked")
+        return
+    for sigma in tgt.elements:
+        if not any(m(e) == sigma for e in src.elements):
+            yield (sigma, "not in the image of the carrier map")
+    for lo, hi in src.cover_pairs:
+        a, b = src.elements[lo], src.elements[hi]
+        if not tgt.le(m(a), m(b)):
+            yield (a, "carrier not order preserving at cover (%s, %s)"
+                   % (a, b))
+
+
+def validate_strong_eulerian_by_build(m):
+    """Oracle for validate_strong_eulerian: build each capped preimage and
+    run the near-Eulerian test on its own rows; nothing is cached."""
+    failures = list(basic_failures_by_le(m))
+    src, tgt = m.source, m.target
+    if not failures:
+        if src.top_rank != tgt.top_rank:
+            failures.append(("*", "source rank %d != target rank %d"
+                             % (src.top_rank, tgt.top_rank)))
+        if tgt.min_elt is None:
+            failures.append(("*", "target has no minimum"))
+    if not failures and tgt.max_elt is not None and src.max_elt is not None:
+        for e in src.elements:
+            if (m(e) == tgt.max_elt) != (e == src.max_elt):
+                failures.append((e, "only the source maximum may be carried "
+                                    "by the target maximum"))
+    if not failures:
+        for sigma in sorted(tgt.elements, key=lambda s: (tgt.rank(s), s)):
+            hat = capped_preimage_by_build(m, sigma)
+            rank = hat._ranks[-1] - 1  # the adjoined maximum sits on top
+            if rank != tgt.rank(sigma):
+                failures.append((sigma, "preimage ideal has rank %d, want %d"
+                                 % (rank, tgt.rank(sigma))))
+                continue
+            if len(hat.elements) == 2 and hat.top_rank == 1:
+                continue  # preimage of the minimum
+            try:
+                cd.poset._below_coatom(hat)
+            except NotNearEulerian as exc:
+                failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
+                                 % exc))
+    return ValidationReport("strong_eulerian", not failures, tuple(failures))
+
+
+def local_h_of_built_faces(m):
+    """Oracle for local_h: h of each built capped preimage through its
+    dense Psi and g_poly of each built interval [tau, sigma]."""
+    tgt = m.target
+    sigmas = sorted(tgt.elements, key=lambda s: (tgt.rank(s), s))
+    h_of = {}
+    for s in sigmas:
+        hat = capped_preimage_by_build(m, s)
+        h_of[s] = cd.morphism_f(ab_index_by_flag_h(hat)).reverse(
+            hat.top_rank - 1)
+    solved = {}
+    for sigma in sigmas:
+        acc = h_of[sigma]
+        for tau in tgt.down_set(sigma, strict=True):
+            acc = acc - solved[tau] * cd.g_poly(tgt.interval(tau, sigma))
+        solved[sigma] = acc
+    return tuple((s, solved[s]) for s in sigmas), h_of[tgt.max_elt]
+
+
 def count_builds(monkeypatch):
     """A one-item list counting GradedPoset.__init__ runs from here on."""
     calls = [0]
@@ -1013,6 +1090,38 @@ def subdivision_pool():
             ("identity_square", cd.identity_subdivision(square_lattice())),
             ("bary_square", cd.barycentric_subdivision(
                 cd.SimplicialComplex([["0", "1", "2"], ["0", "2", "3"]]))[1])]
+
+
+def rank45_pool():
+    """Named valid maps with genuine faces of rank 4 and 5: the barycentric
+    subdivisions of the 3- and 4-simplex (sources without a maximum) and
+    of the boundary of the 4-simplex with formal tops."""
+    _, bd4 = cd.barycentric_subdivision(cd.make_boundary_simplex(4))
+    return [("bary_simplex3",
+             cd.barycentric_subdivision(cd.make_simplex(3))[1]),
+            ("bary_simplex4",
+             cd.barycentric_subdivision(cd.make_simplex(4))[1]),
+            ("bary_bd4", cd.with_adjoined_tops(bd4))]
+
+
+def derangements_by_excedance(n):
+    """Stanley (JAMS 1992): the local h-polynomial of the barycentric
+    subdivision of the (n-1)-simplex counts the derangements of n letters
+    by excedances, the i with w(i) > i."""
+    coeffs = [0] * max(n, 1)
+    for w in permutations(range(n)):
+        if all(w[i] != i for i in range(n)):
+            coeffs[sum(w[i] > i for i in range(n))] += 1
+    return UniPolynomial(coeffs)
+
+
+def eulerian_polynomial(n):
+    """The h-polynomial of the barycentric subdivision of the
+    (n-1)-simplex: the permutations of n letters by descents."""
+    coeffs = [0] * n
+    for w in permutations(range(n)):
+        coeffs[sum(w[i] > w[i + 1] for i in range(n - 1))] += 1
+    return UniPolynomial(coeffs)
 
 
 def near_eulerian_pool():

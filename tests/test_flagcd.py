@@ -5,17 +5,20 @@ import cdindex as cd
 from cdindex.cli import run
 from cdindex.errors import NotCdExpressible, NotNearEulerian
 from cdindex.flagcd import _chain_counts
+from cdindex.subdivision import _local_cds
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _peel_cd,
                             coefficientwise_leq, expand_cd, is_nonnegative,
                             substitute)
 from conftest import (ab_index_by_chains, ab_index_by_flag_h,
                       assert_cd_residual, bipyramid_lattice,
-                      boolean_cd_by_pyramid, cd_index_by_old_route, cd_words,
+                      boolean_cd_by_pyramid, capped_preimage_by_build,
+                      cd_index_by_old_route, cd_words,
                       flag_polynomial_by_chains, is_sparse, isomorphic,
                       local_and_boundary_by_build, local_index_by_ab_route,
                       outcome, polygon_cd,
                       polygon_lattice, random_eulerian, random_graded_poset,
-                      random_near_eulerian, sparse_flag_f, square_lattice,
+                      random_near_eulerian, rank45_pool, sparse_flag_f,
+                      square_lattice,
                       subdivision_pool, tetra_lattice, three_polytope_cd,
                       to_cd_by_reduction)
 
@@ -252,7 +255,7 @@ def test_local_index_matches_ab_route(near_eulerian_fixtures,
     # two-chains of the minimal elements
     cases = list(near_eulerian_fixtures)
     for name, m in subdivision_fixtures:
-        cases += [("%s %s" % (name, sigma), m._capped_preimage(sigma))
+        cases += [("%s %s" % (name, sigma), capped_preimage_by_build(m, sigma))
                   for sigma in m.target.elements]
     cases += [("random%d" % k, random_near_eulerian(rng)) for k in range(160)]
     for name, p in cases:
@@ -291,26 +294,29 @@ def test_eulerian_paths_do_not_rewrite_an_ab_index(
 
 
 def test_masked_dp_matches_the_built_semisuspension():
-    # l_P and the near-Eulerian cd-index from one sparse DP over each
-    # capped preimage, against Phi(Q) - Phi([0, tau]) c of the built Q
-    maps = [m for _, m in subdivision_pool()]
+    # l_P and the near-Eulerian cd-index from one sparse DP over each built
+    # capped preimage, and l_P from one sparse DP over the source masked by
+    # the preimage and D, against Phi(Q) - Phi([0, tau]) c of the built Q
+    maps = [m for _, m in subdivision_pool() + rank45_pool()]
     for k in (3, 4):
         maps.append(cd.with_adjoined_tops(
             cd.barycentric_subdivision(cd.make_boundary_simplex(k))[1]))
     checked = 0
     for m in maps:
         assert cd.validate_strong_eulerian(m).ok
+        masked = _local_cds(m)[0]
         for sigma in m.target.elements:
-            hat = m._capped_preimage(sigma)
+            hat = capped_preimage_by_build(m, sigma)
             if len(hat.elements) == 2:
                 assert cd.local_index(hat).cd == CdPolynomial.one()
+                assert masked[sigma] == CdPolynomial.one()
                 continue
             local, bd_cd = local_and_boundary_by_build(hat)
-            assert cd.local_index(hat).cd == local, sigma
+            assert cd.local_index(hat).cd == local == masked[sigma], sigma
             assert not hat.is_eulerian()
             assert cd.cd_index(hat) == local + bd_cd, sigma
             checked += 1
-    assert checked >= 60
+    assert checked >= 120
 
 
 def test_sparse_chain_counts_are_flag_f_on_sparse_sets(eulerian_fixtures,

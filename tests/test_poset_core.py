@@ -686,3 +686,41 @@ def test_maximal_chains_match_enumeration(eulerian_fixtures, rng):
 def test_maximal_chains_past_the_recursion_limit():
     chains = cd.chain_poset(1200).maximal_chains()
     assert chains == [tuple("c%d" % i for i in range(1, 1200))]
+
+
+def test_near_eulerian_test_on_a_down_set_matches_the_built_capped_poset(
+        rng):
+    # _below_top on a down-set of a ranked poset's rows, with a top
+    # adjoined above it, against _below_coatom of the capped poset built
+    # on the down-set: the same verdict, message and D
+    posets = [random_graded_poset(rng) for _ in range(60)]
+    posets += [random_eulerian(rng) for _ in range(40)]
+    posets += [random_near_eulerian(rng) for _ in range(40)]
+    # without a minimum, down-sets can have several minimal elements
+    posets += [p.induced([e for e in p.elements if e != p.min_elt])
+               for p in posets[:40]]
+    outcomes = {}
+    for p in posets:
+        assert p.is_ranked
+        bad = cd.poset._unbalanced(p._up, p._dn, p._ranks)
+        closed = [p._dn[i] | 1 << i for i in range(len(p.elements))]
+        keeps = set(closed)
+        keeps.update(rng.choice(closed) | rng.choice(closed)
+                     for _ in range(len(closed)))
+        for keep in sorted(keeps):
+            got = outcome(cd.poset._below_top, p, keep, bad)
+            assert got == outcome(cd.poset._below_top, p, keep)
+            hat = p._sub(keep, capped=True)
+            want = outcome(cd.poset._below_coatom, hat)
+            if got[0] == "value":
+                assert want[0] == "value", (p.elements, p._ids(keep))
+                assert p._ids(got[1]) == hat._ids(want[1])
+                key = "near"
+            else:
+                assert got == want, (p.elements, p._ids(keep))
+                key = got[2]
+            outcomes[key] = outcomes.get(key, 0) + 1
+    assert set(outcomes) == {"near", "semisuspension needs both bounds",
+                             "semisuspension needs a graded poset",
+                             "adjoining the missing coatom is not Eulerian"}
+    assert min(outcomes.values()) >= 20, outcomes

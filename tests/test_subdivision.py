@@ -5,7 +5,6 @@ import json
 import pytest
 
 import cdindex as cd
-from cdindex import poset as ps
 from cdindex.cli import run
 from cdindex.errors import (InvalidChain, InvalidSubdivision, RequiresBounds,
                             ValidationRequired)
@@ -13,10 +12,12 @@ from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
 from cdindex.subdivision import ValidationReport, _basic_failures
 from conftest import (count_builds, decompose_rows_by_rebuild,
                       enumerate_chains, hexagon_over_triangle, isomorphic,
-                      outcome, polygon_cd, preimage_ideal_by_ids,
-                      preimage_ids_by_definition, restrict_by_ids,
-                      same_build, square_lattice, telescoping_by_rebuild,
-                      tetra_subdivision, three_polytope_cd)
+                      local_h_of_built_faces, outcome, polygon_cd,
+                      preimage_ideal_by_ids, preimage_ids_by_definition,
+                      rank45_pool, restrict_by_ids, same_build,
+                      square_lattice, telescoping_by_rebuild,
+                      tetra_subdivision, three_polytope_cd,
+                      validate_strong_eulerian_by_build)
 
 
 def test_validate_strong_eulerian_fixtures(subdivision_fixtures):
@@ -372,29 +373,78 @@ def test_decompose_rows_match_rebuilt_faces(subdivision_fixtures):
     assert decomposed >= 3
 
 
-def test_decompose_builds_one_poset_per_face_and_upper_interval(monkeypatch):
-    # each capped preimage is one build from the source rows, validation's
-    # near-Eulerian test and the local indexes read its rows, and only the
-    # upper intervals [sigma, 1] are built besides
+def test_decompose_and_local_h_build_no_poset_after_decode(monkeypatch):
+    # the faces are masks on the rows of the source and the target: the
+    # near-Eulerian tests, the local indexes, Phi of the upper intervals
+    # [sigma, 1], h of the capped preimages and g of the intervals
+    # [tau, sigma] build nothing, and neither does the asserted identity
     _, m = cd.barycentric_subdivision(cd.make_boundary_simplex(3))
-    mt = cd.with_adjoined_tops(m)
-    calls = {"build": 0, "adjoin_max": 0, "_semisuspend": 0}
-    init = ps.GradedPoset.__init__
+    text = cd.with_adjoined_tops(m).to_json()
+    results = {}
+    for run_it in (cd.decompose_cd, cd.local_h):
+        mt = cd.SubdivisionMap.from_json(text)
+        calls = count_builds(monkeypatch)
+        results[run_it] = run_it(mt)
+        monkeypatch.undo()
+        assert calls == [0], run_it.__name__
+    assert results[cd.decompose_cd].rows == decompose_rows_by_rebuild(mt)
+    assert (results[cd.local_h].rows, results[cd.local_h].total) \
+        == local_h_of_built_faces(mt)
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
 
-    monkeypatch.setattr(ps.GradedPoset, "__init__", counted("build", init))
-    for name in ("adjoin_max", "_semisuspend"):
-        monkeypatch.setattr(ps, name, counted(name, getattr(ps, name)))
-    rows = cd.decompose_cd(mt).rows
-    assert calls == {"build": 2 * len(mt.target.elements), "adjoin_max": 0,
-                     "_semisuspend": 0}
-    monkeypatch.undo()
-    assert rows == decompose_rows_by_rebuild(mt)
+def perturbed_maps(m):
+    """Every map that moves one carrier value of m to another target
+    element."""
+    for e in m.source.elements:
+        for t in m.target.elements:
+            if t != m(e):
+                yield cd.SubdivisionMap(m.source, m.target,
+                                        {**m.carrier, e: t})
+
+
+def handmade_maps():
+    """Maps that pass the basic checks and fail the near-Eulerian test of
+    one capped preimage, one per message."""
+    chain = cd.chain_poset(1)
+    two_minima = cd.GradedPoset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    impure = cd.GradedPoset(["0", "a", "b", "c"],
+                            [("0", "a"), ("a", "b"), ("0", "c")])
+    three_atoms = cd.GradedPoset(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"),
+         ("c", "1")])
+    return [
+        ("two_minima", cd.SubdivisionMap(
+            two_minima, chain, {"a": "c0", "b": "c0", "c": "c1"})),
+        ("impure", cd.SubdivisionMap(
+            impure, cd.chain_poset(2),
+            {"0": "c0", "a": "c1", "b": "c2", "c": "c2"})),
+        ("three_atoms", cd.identity_subdivision(three_atoms)),
+        ("chain3", cd.identity_subdivision(cd.chain_poset(3)))]
+
+
+def test_validation_matches_the_build_route(subdivision_fixtures):
+    # the masked near-Eulerian test on the source rows against the test on
+    # each built capped preimage: the same verdict and the same failures,
+    # in the same order, byte for byte
+    maps = list(subdivision_fixtures) + rank45_pool() + handmade_maps()
+    for name in ("hexagon", "half_triangle", "edge3", "identity_square"):
+        m = dict(subdivision_fixtures)[name]
+        maps += [("%s moved" % name, p) for p in perturbed_maps(m)]
+    messages = {}
+    for name, m in maps:
+        m = cd.SubdivisionMap.from_json(m.to_json())  # nothing remembered
+        got = cd.validate_strong_eulerian(m)
+        want = validate_strong_eulerian_by_build(m)
+        assert got.ok == want.ok, name
+        assert repr(got.failures) == repr(want.failures), name
+        for _, why in got.failures:
+            key = why.split(": ")[-1] if "near-Eulerian" in why else why[:20]
+            messages[key] = messages.get(key, 0) + 1
+    for why in ("semisuspension needs both bounds",
+                "semisuspension needs a graded poset",
+                "adjoining the missing coatom is not Eulerian"):
+        assert messages.get(why), why
 
 
 def test_decompose_names_the_missing_bound(subdivision_fixtures, capsys,

@@ -13,13 +13,15 @@ from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
                             expand_cd)
 from conftest import (MorphismsByCoproduct, ab_words,
                       barycentric_solid_triangle,
-                      correspondence_rows_by_rebuild, edge_with_points,
-                      eulerian_by_mobius, g_by_recursion, g_poly_by_psi,
-                      h_poly_by_recursion, kappa, kappa_of,
-                      local_h_by_dual_intervals, morphism_f_by_coproduct,
-                      outcome, polygon_cd, polygon_lattice,
-                      random_graded_poset, square_lattice, three_polytope_cd,
-                      toric_h_by_psi, toric_h_by_recursion)
+                      correspondence_rows_by_rebuild,
+                      derangements_by_excedance, edge_with_points,
+                      eulerian_by_mobius, eulerian_polynomial, g_by_recursion,
+                      g_poly_by_psi, h_poly_by_recursion, kappa, kappa_of,
+                      local_h_by_dual_intervals, local_h_of_built_faces,
+                      morphism_f_by_coproduct, outcome, polygon_cd,
+                      polygon_lattice, random_graded_poset, rank45_pool,
+                      square_lattice, three_polytope_cd, toric_h_by_psi,
+                      toric_h_by_recursion)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -226,10 +228,71 @@ def test_local_h_matches_dual_interval_sum(subdivision_fixtures):
     assert checked >= 5
 
 
+def test_local_h_matches_the_built_faces(subdivision_fixtures):
+    # the masked DPs against h of each built capped preimage through its
+    # dense Psi and g_poly of each built interval [tau, sigma]
+    checked = 0
+    for name, m in list(subdivision_fixtures) + rank45_pool():
+        if m.target.max_elt is None or not m.target.is_eulerian():
+            continue
+        table = cd.local_h(m)
+        assert (table.rows, table.total) == local_h_of_built_faces(m), name
+        checked += 1
+    assert checked >= 8
+
+
+def test_local_h_of_barycentric_simplices_has_stanleys_closed_forms():
+    # the local h of a face of rank r subdivided barycentrically counts the
+    # derangements of r letters by excedances; h of the subdivided
+    # simplex, the total, counts permutations by descents
+    maps = dict(rank45_pool())
+    for name, d in (("bary_simplex3", 3), ("bary_simplex4", 4)):
+        table = cd.local_h(maps[name])
+        for sigma, ell in table.rows:
+            want = derangements_by_excedance(maps[name].target.rank(sigma))
+            assert ell == want, (name, sigma)
+        assert table.total == eulerian_polynomial(d + 1), name
+    assert derangements_by_excedance(4) == UniPolynomial((0, 1, 7, 1))
+    assert derangements_by_excedance(5) == UniPolynomial((0, 1, 21, 21, 1))
+    assert eulerian_polynomial(4) == UniPolynomial((1, 11, 11, 1))
+    bd4 = maps["bary_bd4"]
+    for sigma, ell in cd.local_h(bd4).rows:
+        if sigma != bd4.target.max_elt:
+            assert ell == derangements_by_excedance(bd4.target.rank(sigma))
+
+
+def test_correspondence_rows_differ_exactly_at_genuine_faces_of_rank_4_on(
+        subdivision_fixtures):
+    # f(l) and l agree at every face of rank 3 or less and at no genuine
+    # face of rank 4 or more; the verdict reads the summed identities
+    checked_totals = deep_maps = 0
+    for name, m in list(subdivision_fixtures) + rank45_pool():
+        tgt = m.target
+        if tgt.max_elt is None or not tgt.is_eulerian():
+            continue
+        rep = cd.verify_local_correspondence(m)
+        formal = tgt.max_elt if m.source.max_elt is not None else None
+        differ = {s for s, f, ell in rep.rows if f != ell and s != formal}
+        deep = {s for s in tgt.elements if tgt.rank(s) >= 4 and s != formal}
+        assert differ == deep, name
+        assert rep.rows_agree == (not deep), name
+        assert rep.ok(), name
+        if m.source.max_elt is not None:
+            assert rep.top_identity is True, name
+            assert rep.bottom_identity is True, name
+            checked_totals += 1
+        deep_maps += bool(deep)
+    assert checked_totals >= 4 and deep_maps == 3
+    rows = {s: (f, ell) for s, f, ell in cd.verify_local_correspondence(
+        dict(rank45_pool())["bary_simplex3"]).rows}
+    assert rows["{0,1,2,3}"] == (UniPolynomial((0, 1, 11, 1)),
+                                 UniPolynomial((0, 1, 7, 1)))
+
+
 def test_local_h_reuses_validated_faces(monkeypatch):
-    # after strong Eulerian validation, local_h reads the capped preimages
-    # the map already holds and relies on the target's own Eulerian check
-    # for the intervals [tau, sigma]
+    # local_h reads the capped preimages as masks on the source rows and
+    # relies on the target's own Eulerian check for the intervals
+    # [tau, sigma]
     _, m = cd.barycentric_subdivision(cd.make_boundary_simplex(3))
     mt = cd.with_adjoined_tops(m)
     assert cd.validate_strong_eulerian(mt).ok
