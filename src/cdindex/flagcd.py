@@ -1,18 +1,18 @@
 """Flag enumeration: flag f/h-vectors, the ab- and cd-index, and the local
 indexes of near-Eulerian posets.
 
-One chain DP over the ranks above an element counts the chains by rank set
-and top element, on the closure rows.  A chain that ends in a down-set
-lies in it, so ``_masked`` reads the flag f-vector of a down-set with a top
-adjoined, or of an interval [low, t] through the down-row of t, and
-nothing is built; a fresh poset is the whole mask.  ``ncpoly._peel_cd``
-reads the cd-index of an Eulerian poset off its flag f-vector on the
-sparse rank sets, the only ones the sparse DP visits (Bayer-Billera 1985,
-Stanley 1994), and the local cd-index Phi(Q) - Phi([0, tau]) c of a
-near-Eulerian poset off the same counts, over all and over the elements
-below tau.  ``to_cd`` serves only posets that are neither.  ``cd_index``
-remembers Phi, which ``ab_index`` of a poset known to be Eulerian expands;
-any other takes the dense 2^n DP, as ``flag_f`` and ``flag_h`` do.
+One chain DP over the ranks above an element gives each element one
+integer, a field per rank set counting the chains that end there: the sum
+of the integers below it, shifted up.  A chain that ends in a down-set lies
+in it, so ``_masked`` reads the flag f-vector of a down-set with a top
+adjoined, or of an interval [low, t] through the down-row of t, off one sum
+over the mask; a fresh poset is the whole mask.  ``_peel_cd`` reads the
+cd-index of an Eulerian poset off the sparse rank sets, the only ones the
+sparse DP visits (Bayer-Billera 1985, Stanley 1994), and the local
+cd-index Phi(Q) - Phi([0, tau]) c of a near-Eulerian poset off the same
+counts, over all and over the elements below tau; ``to_cd`` serves the
+rest.  ``cd_index`` remembers Phi, which ``ab_index`` of a poset known to
+be Eulerian expands; any other takes the dense 2^n DP, as ``flag_f`` does.
 """
 from __future__ import annotations
 
@@ -66,52 +66,54 @@ def _chain_counts(p, sparse=False):
     n = p.top_rank - 1
     if n < 0:
         raise DomainError("rank-0 poset has no flag vector")
-    if n > 62:
-        raise RankTooLarge("proper rank %d exceeds 62" % n)
-    return n, _chain_vectors(p, p._idx[p.min_elt], n, sparse)[0]
+    chains = _chain_vectors(p, p._idx[p.min_elt], n, sparse)
+    return n, _masked(chains, n, (1 << len(p)) - 1)
 
 
 def _chain_vectors(p, low, n, sparse=True):
-    """The chain DP over the n ranks above element index low of p: vec[S][k]
-    counts the chains through exactly the ranks in S (rank r at bit r - 1,
-    counted from low) ending at the k-th element of S's top rank, as sums
-    of the previous level's vector over down-lists.  Returns (totals, (vec,
-    level masks, positions)), where totals[S] sums vec[S]."""
-    dn, ranks, bits = p._dn, p._ranks, p._bits
-    levels = [[] for _ in range(n + 1)]
-    for i in bits(p._up[low]):
+    """The chain DP over the n ranks above element index low of p, packed.
+
+    The rank sets of {1..n}, all or the sparse ones, take slots in
+    ``range(1 << n)`` or ``_sparse_masks`` order, tops rising, so that
+    slot(S + {r}) = ends[r - 1] + slot(S).  The integer of element i at
+    level r is 1 plus those below i at levels 1..r - gap (gap 2 when
+    sparse), shifted up ends[r - 1] fields, so its field at slot(S) counts
+    the chains through exactly S that end at i.  No field exceeds the
+    chains through its rank set, fewer than the product of (level size + 1):
+    at that width no sum carries.  Returns (integers, field bytes, masks)."""
+    if n > 62:
+        raise RankTooLarge("proper rank %d exceeds 62" % n)
+    dn, ranks, gap = p._dn, p._ranks, 2 if sparse else 1
+    levels, bound = [0] * (n + 1), 1
+    for i in p._bits(p._up[low]):
         if ranks[i] - ranks[low] <= n:
-            levels[ranks[i] - ranks[low]].append(i)
-    level_mask = [sum(1 << i for i in ids) for ids in levels]
-    pos = {i: k for ids in levels for k, i in enumerate(ids)}
-    # below[r][s][k]: positions at level s under the k-th element of level r
-    below = [{s: [[pos[j] for j in bits(dn[i] & level_mask[s])]
-                  for i in levels[r]]
-              for s in range(1, r - 1 if sparse else r)}
-             for r in range(n + 1)]
-    totals, vec = {0: 1}, {}
-    for mask in (_sparse_masks(n) if sparse else range(1 << n))[1:]:
-        top = mask.bit_length()  # highest selected rank
-        rest = mask & ~(1 << (top - 1))
-        if not rest:
-            out = [1] * len(levels[top])
-        else:
-            prev = vec[rest]
-            out = [sum([prev[j] for j in lst])
-                   for lst in below[top][rest.bit_length()]]
-        vec[mask] = out
-        totals[mask] = sum(out)
-    return totals, (vec, level_mask, pos)
+            levels[ranks[i] - ranks[low]] |= 1 << i
+    for level in levels:
+        bound *= level.bit_count() + 1
+    width = (bound.bit_length() + 7) // 8
+    ends, reach, packed = [1], [0], [0] * len(ranks)
+    for r in range(1, n + 1):
+        below, shift = reach[max(r - gap, 0)], 8 * width * ends[-1]
+        ends.append(ends[-1] + ends[max(r - gap, 0)])
+        reach.append(reach[-1] | levels[r])
+        for i in p._bits(levels[r]):
+            acc, rest = 1, dn[i] & below
+            while rest:
+                bit = rest & -rest
+                acc += packed[bit.bit_length() - 1]
+                rest ^= bit
+            packed[i] = acc << shift
+    return packed, width, _sparse_masks(n) if sparse else range(1 << n)
 
 
 def _masked(chains, n, keep):
-    """{S: count} over the rank sets S of {1..n} of ``_chain_vectors``, of
-    the chains that end in keep, a down-set, and so lie in it."""
-    vec, level_mask, pos = chains[1]
-    inside = [[pos[i] for i in ps.GradedPoset._bits(keep & m)]
-              for m in level_mask[:n + 1]]
-    return {0: 1, **{mask: sum([counts[k] for k in inside[mask.bit_length()]])
-                     for mask, counts in vec.items() if not mask >> n}}
+    """{S: count} over the rank sets S of {1..n} of the chains that end in
+    keep, a down-set, and so lie in it: the integers summed over keep."""
+    packed, width, masks = chains
+    total = sum(map(packed.__getitem__, ps.GradedPoset._bits(keep)), 1)
+    raw = total.to_bytes(len(masks) * width, "little")
+    return {mask: int.from_bytes(raw[k * width:(k + 1) * width], "little")
+            for k, mask in enumerate(masks) if not mask >> n}
 
 
 def _local_cd(chains, n, keep, down):
@@ -129,8 +131,7 @@ def _local_cd(chains, n, keep, down):
 def _interval_cds(p, low, highs):
     """Phi([low, t]) of each t in highs, from one sparse DP over the ranks
     above low read through the down-row of t; each [low, t] is Eulerian."""
-    ranks = p._ranks
-    spans = [ranks[t] - ranks[low] - 1 for t in highs]
+    spans = [p._ranks[t] - p._ranks[low] - 1 for t in highs]
     chains = _chain_vectors(p, low, max(spans, default=0))
     return [_peel_cd(k, _masked(chains, k, p._dn[t])) if k >= 0
             else CdPolynomial.zero() for k, t in zip(spans, highs)]

@@ -9,9 +9,10 @@ A fresh poset is one constructor call, and one derived from another is one
 a subdivision's capped preimage, is never built: ``_below_top`` runs the
 near-Eulerian test on the parent's rows and a mask.  Memo slots keep the
 Eulerian scan's verdict (``_balanced``, which ``interval`` passes on when
-True), the elements below the restored coatom (``_below``) and the
-cd-index (``_phi``).  Gradedness is verified eagerly but a failure is
-recorded, not raised: rank-dependent operations raise it.
+True) and mask (``_bad``, which ``_below_coatom`` reads), the elements
+below the restored coatom (``_below``) and the cd-index (``_phi``).
+Gradedness is verified eagerly but a failure is recorded, not raised:
+rank-dependent operations raise it.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ class GradedPoset:
 
     __slots__ = ("elements", "_idx", "cover_pairs", "_up", "_dn",
                  "_ranks", "is_ranked", "is_graded", "min_elt", "max_elt",
-                 "_balanced", "_below", "_phi")
+                 "_balanced", "_bad", "_below", "_phi")
 
     def __init__(self, elements, covers):
         elements = tuple(str(e) for e in elements)
@@ -92,6 +93,7 @@ class GradedPoset:
         self.min_elt = elements[minimal[0]] if len(minimal) == 1 else None
         self.max_elt = elements[maximal[0]] if len(maximal) == 1 else None
         self._balanced = None  # _intervals_eulerian verdict, once scanned
+        self._bad = None       # the scan's mask of unbalanced tops
         self._below = None     # mask D below the restored coatom, once found
         self._phi = None       # flagcd.cd_index, once computed
 
@@ -265,7 +267,8 @@ class GradedPoset:
         return self._balanced
 
     def _intervals_eulerian(self):
-        return not _unbalanced(self._up, self._dn, self._ranks)
+        self._bad = _unbalanced(self._up, self._dn, self._ranks)
+        return not self._bad
 
     def is_lattice(self):
         """Any two elements have a least upper and greatest lower bound."""
@@ -346,13 +349,16 @@ def _unbalanced(up, dn, ranks):
     # equating gives E (1 - (-1)^n) = 0, so E = 0.  By induction on the
     # length, every interval is balanced once the even ones are.
     even = sum(1 << i for i, r in enumerate(ranks) if r % 2 == 0)
-    odd = ((1 << len(up)) - 1) ^ even
+    closed = [row | 1 << t for t, row in enumerate(dn)]
     bad = 0
     for s, row in enumerate(up):
-        for t in GradedPoset._bits(row & (even if even >> s & 1 else odd)):
-            mask = (row | 1 << s) & (dn[t] | 1 << t)
-            if (mask & even).bit_count() != (mask & odd).bit_count():
-                bad |= 1 << t
+        tops, row = row & (even if even >> s & 1 else ~even), row | 1 << s
+        while tops:
+            top = tops & -tops
+            mask = row & closed[top.bit_length() - 1]
+            if mask.bit_count() != (mask & even).bit_count() << 1:
+                bad |= top
+            tops ^= top
     return bad
 
 
@@ -461,7 +467,7 @@ def _below_coatom(p):
         if p.max_elt is None:
             raise NotNearEulerian("semisuspension needs both bounds")
         keep = ((1 << len(p)) - 1) ^ 1 << p._idx[p.max_elt]
-        p._below = _below_top(p, keep, 0 if p._balanced else None)
+        p._below = _below_top(p, keep, 0 if p._balanced else p._bad)
     return p._below
 
 

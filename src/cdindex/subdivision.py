@@ -21,9 +21,9 @@ from . import poset as ps
 from .errors import (DomainError, FaceNotFound, InvalidChain,
                      InvalidSubdivision, NotNearEulerian, RequiresBounds,
                      ValidationRequired)
-from .flagcd import (LocalIndex, _chain_vectors, _interval_cds, _local_cd,
-                     flag_polynomial)
-from .ncpoly import CdPolynomial, _peel_cd
+from .flagcd import (LocalIndex, _ab_of, _chain_vectors, _interval_cds,
+                     _local_cd, _masked, flag_polynomial)
+from .ncpoly import AbPolynomial, CdPolynomial, _peel_cd
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,7 @@ def validate_strong_eulerian(m):
                                     "by the target maximum"))
     if not failures:
         # one scan of the source serves the near-Eulerian test of every face
-        bad = ps._unbalanced(src._up, src._dn, src._ranks)
-        src._balanced = not bad
+        src._balanced = src._intervals_eulerian()
         levels = [0] * (src.top_rank + 1)
         for i, r in enumerate(src._ranks):
             levels[r] |= 1 << i
@@ -209,7 +208,7 @@ def validate_strong_eulerian(m):
                 continue
             try:  # one element, the preimage of the minimum, is skipped
                 faces[ix] = (keep, keep & (keep - 1)
-                             and ps._below_top(src, keep, bad))
+                             and ps._below_top(src, keep, src._bad))
             except NotNearEulerian as exc:
                 failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
                                  % exc))
@@ -465,7 +464,7 @@ def decompose_cd(m):
                 "sides of a sphere's subdivision" % side)
     if not (tgt.is_eulerian() and src.is_eulerian()):
         raise InvalidSubdivision("decomposition needs Eulerian posets")
-    local, counts = _local_cds(m)
+    local, chains = _local_cds(m)
     upper = _upper_cds(tgt)
     rows = [DecompositionRow(s, local[s], upper[s]) for s in local]
     if local[tgt.max_elt]:
@@ -473,7 +472,7 @@ def decompose_cd(m):
                                  "vanish, got %s" % local[tgt.max_elt])
     total = sum((r.contribution() for r in rows), CdPolynomial.zero())
     n = src.top_rank - 1  # the source's flag f-vector, of the same DP
-    source_cd = _peel_cd(n, {s: v for s, v in counts.items() if not s >> n})
+    source_cd = _peel_cd(n, _masked(chains, n, (1 << len(src)) - 1))
     if total != source_cd:
         raise InvalidSubdivision(
             "decomposition total %s differs from the source cd-index %s"
@@ -497,17 +496,19 @@ def verify_rank_telescoping(fam, i):
     tgt = m.target
     lhs = flag_polynomial(fam.posets[i]) - flag_polynomial(fam.posets[i - 1])
     local = _local_cds(m)[0]
-    rhs = 0
-    for sigma in tgt.level(i):
-        upper = flag_polynomial(tgt.interval(sigma, tgt.max_elt))
+    top = tgt.index(tgt.max_elt)
+    k, rhs = tgt._ranks[top] - i - 1, 0  # k: the proper rank of [sigma, 1]
+    for sigma in tgt.level(i):  # Upsilon([sigma, 1]) off a DP above sigma
+        upper = AbPolynomial.zero() if k < 0 else _ab_of(k, _masked(
+            _chain_vectors(tgt, tgt._idx[sigma], k, False), k, tgt._dn[top]))
         rhs = LocalIndex(local[sigma]).flag * upper + rhs
     return lhs == rhs
 
 
 def _local_cds(m):
-    """(sigma -> l_sigma in (rank, id) order, the source's chain counts)
-    after strong Eulerian validation, by one sparse DP over the source
-    read through each preimage and D, both kept by validation."""
+    """(sigma -> l_sigma in (rank, id) order, the source's sparse chain
+    DP) after strong Eulerian validation, by that one DP read through each
+    preimage and D, both kept by validation."""
     src, tgt, out = m.source, m.target, {}
     chains = _chain_vectors(src, src._idx[src.min_elt], src.top_rank)
     for ix, (keep, down) in m._cache["faces"].items():
@@ -515,7 +516,7 @@ def _local_cds(m):
         # the capped preimage of a minimum is a two-chain, with l = 1
         out[tgt.elements[ix]] = (_local_cd(chains, n, keep, down)[0] if n
                                  else CdPolynomial.one())
-    return out, chains[0]
+    return out, chains
 
 
 def _upper_cds(tgt):

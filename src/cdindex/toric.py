@@ -11,9 +11,9 @@ truncation of (1 - x) f(u) at degree |u|/2, so g(w) = f(wb); extended
 linearly to c = a + b and d = ab + ba they step cd-words too, on one memo
 of f over the prefixes walked.  The coproduct route, the Psi route and the
 recursions over lower intervals are test oracles in ``tests/conftest.py``.
-local_h builds no poset: h of a capped preimage is f of its Psi, read off
-one dense chain DP over the source through the preimage mask, and g of
-[tau, sigma] off a sparse DP above tau.
+h_poly and local_h build no poset: h of a poset or of a capped preimage is
+f of its Psi, read off one dense chain DP over the poset or the source
+through the mask, and g of [tau, sigma] off a sparse DP above tau.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .errors import NotLowerEulerian, RequiresBounds
 from .flagcd import (_ab_of, _beta, _chain_vectors, _interval_cds, _masked,
                      ab_index, cd_index)
 from .ncpoly import UniPolynomial, expand_cd
-from . import poset as ps
 from .subdivision import _by_rank, _local_cds, _upper_cds, require_valid
 
 
@@ -37,14 +36,20 @@ def _require_lower_eulerian(p):
 def h_poly(p):
     """Toric h-polynomial of a lower Eulerian poset (all elements count).
 
-    Read off the poset with a maximum adjoined, so the maximal elements
-    must share one rank (NotGraded otherwise).
+    Read as if a maximum were adjoined, so the maximal elements must share
+    one rank (NotGraded otherwise).
     """
     if not p.elements:
         return UniPolynomial.zero()
     _require_lower_eulerian(p)
-    hat = ps.adjoin_max(p)  # rarely Eulerian, so h is read through Psi
-    return morphism_f(ab_index(hat)).reverse(hat.top_rank - 1)
+    p.require_graded()
+    chains = _chain_vectors(p, p._idx[p.min_elt], p.top_rank, False)
+    return _h_of(chains, p.top_rank, (1 << len(p)) - 1)
+
+
+def _h_of(chains, n, keep):
+    """h of the down-set keep of rank n: reversed f of Psi(keep + top)."""
+    return morphism_f(_ab_of(n, _beta(n, _masked(chains, n, keep)))).reverse(n)
 
 
 def g_poly(p):
@@ -104,14 +109,11 @@ def local_h(m):
     _require_lower_eulerian(src)
     # each preimage ideal is a nonempty down-set of src, so it inherits
     # the minimum and lower Eulerian-ness checked above
-    chains = _chain_vectors(src, src._idx[src.min_elt], src.top_rank,
-                            sparse=False)
+    chains = _chain_vectors(src, src._idx[src.min_elt], src.top_rank, False)
     order = _by_rank(tgt)
-    left = {}  # h of the capped preimage less the terms solved so far
-    for ix in order:
-        n = tgt._ranks[ix]
-        psi = _ab_of(n, _beta(n, _masked(chains, n, m._preimage_mask(ix))))
-        left[ix] = morphism_f(psi).reverse(n)
+    # h of the capped preimage less the terms solved so far
+    left = {ix: _h_of(chains, tgt._ranks[ix], m._preimage_mask(ix))
+            for ix in order}
     total = left[tgt._idx[tgt.max_elt]]
     rows = []
     for ix in order:  # every tau below ix came first

@@ -17,7 +17,7 @@ from cdindex.subdivision import DecompositionRow, ValidationReport
 from cdindex.errors import (NotCdExpressible, NotLowerEulerian,
                             NotNearEulerian, NotPure, SearchCutoff)
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
-                            UniPolynomial, substitute)
+                            UniPolynomial, _sparse_masks, substitute)
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -460,6 +460,101 @@ def telescoping_by_rebuild(fam, i):
         upper = cd.flag_polynomial(tgt.interval(sigma, tgt.max_elt))
         rhs = rhs + local_index_by_rebuild(m, sigma).flag * upper
     return lhs == rhs
+
+
+def telescoping_by_intervals(fam, i):
+    """Oracle for verify_rank_telescoping on a validated map: the flag
+    polynomial of each upper interval [sigma, 1] built and counted."""
+    m = fam.subdivision
+    tgt = m.target
+    lhs = (cd.flag_polynomial(fam.posets[i])
+           - cd.flag_polynomial(fam.posets[i - 1]))
+    local = cd.subdivision._local_cds(m)[0]
+    rhs = 0
+    for sigma in tgt.level(i):
+        upper = cd.flag_polynomial(tgt.interval(sigma, tgt.max_elt))
+        rhs = cd.flagcd.LocalIndex(local[sigma]).flag * upper + rhs
+    return lhs == rhs
+
+
+def h_poly_by_adjoin_max(p):
+    """Oracle for h_poly: the reversed f of Psi of the poset with a
+    maximum built on."""
+    if not p.elements:
+        return UniPolynomial.zero()
+    if p.min_elt is None:
+        raise NotLowerEulerian("toric h needs a poset with a minimum")
+    if not p.is_lower_eulerian():
+        raise NotLowerEulerian("some closed interval is not Eulerian")
+    hat = cd.adjoin_max(p)
+    return cd.morphism_f(cd.ab_index(hat)).reverse(hat.top_rank - 1)
+
+
+def unbalanced_by_intervals(p):
+    """Oracle for poset._unbalanced: the mask of the tops t of the intervals
+    [s, t] of even positive length, counted element by element, with
+    unequally many elements of even and odd rank."""
+    bad = 0
+    for s in p.elements:
+        for t in p.up_set(s):
+            if (p.rank(t) - p.rank(s)) % 2 == 0 and sum(
+                    (-1) ** p.rank(z) for z in p.elements
+                    if p.le(s, z) and p.le(z, t)):
+                bad |= 1 << p.index(t)
+    return bad
+
+
+def antichain_sum(sizes):
+    """A bottom, antichains of the given sizes and a top, each element
+    covering every element of the level below: f_S is the product of the
+    sizes of the ranks in S."""
+    levels = [["0"]] + [["r%da%d" % (r, k) for k in range(size)]
+                        for r, size in enumerate(sizes, 1)] + [["1"]]
+    return cd.GradedPoset([e for level in levels for e in level],
+                          [(a, b) for low, high in zip(levels, levels[1:])
+                           for a in low for b in high])
+
+
+def chain_vectors_by_lists(p, low, n, sparse=True):
+    """Oracle for the packed chain DP: vec[S][k] counts the chains through
+    exactly the ranks in S (rank r at bit r - 1, counted from low) ending
+    at the k-th element of S's top rank, as sums of the previous level's
+    vector over down-lists.  Returns (totals, (vec, level masks,
+    positions)), where totals[S] sums vec[S]."""
+    dn, ranks, bits = p._dn, p._ranks, p._bits
+    levels = [[] for _ in range(n + 1)]
+    for i in bits(p._up[low]):
+        if ranks[i] - ranks[low] <= n:
+            levels[ranks[i] - ranks[low]].append(i)
+    level_mask = [sum(1 << i for i in ids) for ids in levels]
+    pos = {i: k for ids in levels for k, i in enumerate(ids)}
+    # below[r][s][k]: positions at level s under the k-th element of level r
+    below = [{s: [[pos[j] for j in bits(dn[i] & level_mask[s])]
+                  for i in levels[r]]
+              for s in range(1, r - 1 if sparse else r)}
+             for r in range(n + 1)]
+    totals, vec = {0: 1}, {}
+    for mask in (_sparse_masks(n) if sparse else range(1 << n))[1:]:
+        top = mask.bit_length()  # highest selected rank
+        rest = mask & ~(1 << (top - 1))
+        if not rest:
+            out = [1] * len(levels[top])
+        else:
+            prev = vec[rest]
+            out = [sum([prev[j] for j in lst])
+                   for lst in below[top][rest.bit_length()]]
+        vec[mask] = out
+        totals[mask] = sum(out)
+    return totals, (vec, level_mask, pos)
+
+
+def masked_by_lists(chains, n, keep):
+    """Oracle for ``flagcd._masked`` on ``chain_vectors_by_lists``."""
+    vec, level_mask, pos = chains[1]
+    inside = [[pos[i] for i in cd.GradedPoset._bits(keep & m)]
+              for m in level_mask[:n + 1]]
+    return {0: 1, **{mask: sum([counts[k] for k in inside[mask.bit_length()]])
+                     for mask, counts in vec.items() if not mask >> n}}
 
 
 def correspondence_rows_by_rebuild(m):

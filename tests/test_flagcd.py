@@ -4,18 +4,18 @@ import pytest
 import cdindex as cd
 from cdindex.cli import run
 from cdindex.errors import NotCdExpressible, NotNearEulerian
-from cdindex.flagcd import _chain_counts
+from cdindex.flagcd import _chain_counts, _chain_vectors, _masked
 from cdindex.subdivision import _local_cds
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _peel_cd,
                             coefficientwise_leq, expand_cd, is_nonnegative,
                             substitute)
 from conftest import (ab_index_by_chains, ab_index_by_flag_h,
-                      assert_cd_residual, bipyramid_lattice,
+                      antichain_sum, assert_cd_residual, bipyramid_lattice,
                       boolean_cd_by_pyramid, capped_preimage_by_build,
-                      cd_index_by_old_route, cd_words,
+                      cd_index_by_old_route, cd_words, chain_vectors_by_lists,
                       flag_polynomial_by_chains, is_sparse, isomorphic,
                       local_and_boundary_by_build, local_index_by_ab_route,
-                      outcome, polygon_cd,
+                      masked_by_lists, outcome, polygon_cd,
                       polygon_lattice, random_eulerian, random_graded_poset,
                       random_near_eulerian, rank45_pool, sparse_flag_f,
                       square_lattice,
@@ -334,6 +334,61 @@ def test_sparse_chain_counts_are_flag_f_on_sparse_sets(eulerian_fixtures,
         while len(fib) <= n:
             fib.append(fib[-1] + fib[-2])
         assert len(sparse) == fib[n]
+
+
+def test_packed_dp_matches_the_list_dp(rng):
+    # totals and down-set reads, sparse and dense, from the minimum and
+    # from a random element, at every span up to the DP's own
+    posets = [random_graded_poset(rng, max_levels=6, max_width=5)
+              for _ in range(25)]
+    posets += [random_eulerian(rng) for _ in range(25)]
+    posets += [random_near_eulerian(rng) for _ in range(25)]
+    reads = 0
+    for p in posets:
+        everything = (1 << len(p)) - 1
+        closed = [p._dn[i] | 1 << i for i in range(len(p))]
+        for low in (p._idx[p.min_elt], rng.randrange(len(p))):
+            n = max(p._ranks[i] for i in p._bits(p._up[low] | 1 << low))
+            n -= p._ranks[low]
+            keeps = {0, everything, closed[low]}
+            keeps.update(rng.choice(closed) | rng.choice(closed)
+                         for _ in range(5))
+            for sparse in (True, False):
+                packed = _chain_vectors(p, low, n, sparse)
+                lists = chain_vectors_by_lists(p, low, n, sparse)
+                assert _masked(packed, n, everything) == lists[0]
+                for keep in keeps:
+                    for k in range(n + 1):
+                        got = _masked(packed, k, keep)
+                        assert got == masked_by_lists(lists, k, keep)
+                        reads += 1
+    assert reads >= 2000
+
+
+def test_packed_dp_at_the_edges_of_its_field_width():
+    # on ordinal sums of antichains f_S is the product of the level sizes
+    # in S; the fields are as wide as the product of (level size + 1), here
+    # at and one below a power of two, and so is the largest count, the
+    # product of all sizes
+    bounds, fulls = set(), set()
+    for sizes in [(254,), (255,), (256,), (2, 84), (3, 63), (5, 51),
+                  (16, 16), (3,) * 8, (2, 4, 16, 256)]:
+        p, n = antichain_sum(sizes), len(sizes)
+        want = {}
+        for mask in range(1 << n):
+            want[mask] = 1
+            for r in range(n):
+                want[mask] *= sizes[r] if mask >> r & 1 else 1
+        assert cd.flag_f(p).values == want, sizes
+        assert _chain_counts(p, sparse=True) == (
+            n, {m: v for m, v in want.items() if is_sparse(m)}), sizes
+        bound = 1
+        for size in sizes:
+            bound *= size + 1
+        bounds.add(bound)
+        fulls.add(want[(1 << n) - 1])
+    assert {255, 256, 2 ** 16 - 1, 2 ** 16} <= bounds
+    assert {255, 256} <= fulls
 
 
 def test_peel_inverts_sparse_flag_f(rng):

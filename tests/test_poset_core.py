@@ -14,7 +14,7 @@ from conftest import (adjoin_max_by_cover_copy, enumerate_chains,
                       proper_part_by_ids, random_eulerian,
                       random_graded_poset, random_near_eulerian,
                       random_relation, same_build, semisuspend_by_build,
-                      without_max_by_ids)
+                      unbalanced_by_intervals, without_max_by_ids)
 
 EULERIAN_POOL = [p for _, p in eulerian_pool() if len(p.elements) <= 32]
 
@@ -391,6 +391,49 @@ def test_eulerian_matches_mobius_oracle_randomized(rng):
         seen[want] = seen.get(want, 0) + 1
     assert seen[2] >= 40 and seen[4] >= 10 and seen[None] >= 10
     assert sum(n for length, n in seen.items() if length and length >= 6) >= 3
+
+
+def test_unbalanced_mask_matches_the_interval_count(rng):
+    # the mask of tops, not only its verdict, on balanced, broken and
+    # near-Eulerian rows and on the ideal below an element
+    posets = [random_graded_poset(rng) for _ in range(40)]
+    posets += [random_eulerian(rng, EULERIAN_POOL) for _ in range(20)]
+    posets += [random_near_eulerian(rng) for _ in range(20)]
+    posets += [without_middle_element(rng, p) for p in posets[40:60]
+               if p.top_rank >= 2 and len(p.elements) <= 40]
+    posets += [p.induced(p.down_set(rng.choice(p.elements), strict=False))
+               for p in posets[:40]]
+    nonzero = 0
+    for p in posets:
+        if len(p.elements) > 40:
+            continue
+        got = cd.poset._unbalanced(p._up, p._dn, p._ranks)
+        assert got == unbalanced_by_intervals(p), p.elements
+        nonzero += got != 0
+    assert nonzero >= 30
+
+
+def test_near_eulerian_cd_index_scans_once(monkeypatch,
+                                           near_eulerian_fixtures):
+    # is_eulerian keeps the scan's mask on the poset, and the near-Eulerian
+    # test that follows reads it instead of scanning the rows again
+    scan, calls = cd.poset._unbalanced, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return scan(*args)
+
+    posets = [cd.adjoin_max(cd.boolean_poset(3))]
+    posets += [p for _, p in near_eulerian_fixtures[::3]]
+    for p in posets:
+        want = cd.cd_index(cd.GradedPoset.from_json(p.to_json()))
+        fresh = cd.GradedPoset.from_json(p.to_json())
+        calls[0] = 0
+        monkeypatch.setattr(cd.poset, "_unbalanced", counted)
+        assert cd.cd_index(fresh) == want
+        monkeypatch.undo()
+        assert calls[0] == 1, p
+        assert not fresh.is_eulerian() and fresh._below is not None
 
 
 def test_join_associative_up_to_isomorphism(rng):

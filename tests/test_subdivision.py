@@ -15,7 +15,8 @@ from conftest import (count_builds, decompose_rows_by_rebuild,
                       local_h_of_built_faces, outcome, polygon_cd,
                       preimage_ideal_by_ids, preimage_ids_by_definition,
                       rank45_pool, restrict_by_ids, same_build,
-                      square_lattice, telescoping_by_rebuild,
+                      square_lattice, telescoping_by_intervals,
+                      telescoping_by_rebuild,
                       tetra_subdivision, three_polytope_cd,
                       validate_strong_eulerian_by_build)
 
@@ -503,6 +504,45 @@ def test_telescoping_matches_rebuilt_faces(subdivision_fixtures):
         for i in range(1, fam.n + 1):
             got = outcome(cd.verify_rank_telescoping, fam, i)
             assert got == outcome(telescoping_by_rebuild, fam, i), (name, i)
+
+
+def test_telescoping_reads_upper_intervals_off_dense_dps(
+        monkeypatch, subdivision_fixtures):
+    # Upsilon([sigma, 1]) of each face off a DP above sigma, the same
+    # verdict as with every upper interval built, and nothing built
+    maps = [m for _, m in subdivision_fixtures]
+    maps.append(cd.with_adjoined_tops(
+        cd.barycentric_subdivision(cd.make_boundary_simplex(3))[1]))
+    verdicts = []
+    for m in maps:
+        fam = cd.skeletal_family(m)
+        for i in range(1, fam.n + 1):
+            want = outcome(telescoping_by_intervals, fam, i)
+            builds = count_builds(monkeypatch)
+            got = outcome(cd.verify_rank_telescoping, fam, i)
+            monkeypatch.undo()
+            assert got == want, i
+            assert builds[0] == 0
+            verdicts.append(got)
+    assert verdicts.count(("value", True)) >= 10
+
+
+def test_validation_scans_the_source_once(monkeypatch,
+                                          subdivision_fixtures):
+    # every face's near-Eulerian test reads the one scan's mask
+    scan, calls = cd.poset._unbalanced, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return scan(*args)
+
+    for name, m in subdivision_fixtures:
+        fresh = cd.SubdivisionMap.from_json(m.to_json())
+        calls[0] = 0
+        monkeypatch.setattr(cd.poset, "_unbalanced", counted)
+        assert cd.validate_strong_eulerian(fresh).ok, name
+        monkeypatch.undo()
+        assert calls[0] == 1, name
 
 
 def test_telescoping_is_false_for_invalid_maps():

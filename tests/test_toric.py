@@ -13,10 +13,11 @@ from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
                             expand_cd)
 from conftest import (MorphismsByCoproduct, ab_words,
                       barycentric_solid_triangle,
-                      correspondence_rows_by_rebuild,
+                      correspondence_rows_by_rebuild, count_builds,
                       derangements_by_excedance, edge_with_points,
                       eulerian_by_mobius, eulerian_polynomial, g_by_recursion,
-                      g_poly_by_psi, h_poly_by_recursion, kappa, kappa_of,
+                      g_poly_by_psi, h_poly_by_adjoin_max,
+                      h_poly_by_recursion, kappa, kappa_of,
                       local_h_by_dual_intervals, local_h_of_built_faces,
                       morphism_f_by_coproduct, outcome, polygon_cd,
                       polygon_lattice, random_graded_poset, rank45_pool,
@@ -73,6 +74,34 @@ def test_h_poly_rejects_non_eulerian_ideal():
     assert cd.h_poly(src) == h_poly_by_recursion(src)
     with pytest.raises(NotLowerEulerian):
         cd.h_poly(broken)
+
+
+def test_h_poly_reads_one_dense_dp_and_builds_nothing(
+        monkeypatch, eulerian_fixtures, rng):
+    # the same polynomial or error as the poset with a maximum built on
+    posets = [p.without_max() for _, p in eulerian_fixtures]
+    posets += [p.proper_part() for _, p in eulerian_fixtures[:6]]
+    for _ in range(12):
+        verts = [str(i) for i in range(rng.randint(3, 7))]
+        facets = [rng.sample(verts, rng.randint(1, 3)) for _ in range(4)]
+        posets.append(cd.face_poset(cd.SimplicialComplex(facets)))
+    posets += [random_graded_poset(rng).without_max() for _ in range(12)]
+    posets += [cd.GradedPoset([], []), cd.GradedPoset(["a", "b"], []),
+               cd.GradedPoset(["0", "a", "b", "c", "1"],
+                              [("0", "a"), ("a", "b"), ("b", "1"),
+                               ("0", "c"), ("c", "1")])]
+    kinds = set()
+    for p in posets:
+        want = outcome(h_poly_by_adjoin_max, cd.GradedPoset.from_json(
+            p.to_json()))
+        fresh = cd.GradedPoset.from_json(p.to_json())
+        builds = count_builds(monkeypatch)
+        got = outcome(cd.h_poly, fresh)
+        monkeypatch.undo()
+        assert got == want, p.elements
+        assert builds[0] == 0
+        kinds.add(got[0] if got[0] == "value" else got[1].__name__)
+    assert kinds == {"value", "NotGraded", "NotLowerEulerian"}
 
 
 def test_toric_h_small():
