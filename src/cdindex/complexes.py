@@ -26,18 +26,13 @@ from .flagcd import flag_h
 from .ncpoly import UniPolynomial
 
 
-def _escape(name):
-    out = []
-    for ch in name:
-        if ch in "\\,{}":
-            out.append("\\")
-        out.append(ch)
-    return "".join(out)
+_ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,{}"})
 
 
 def face_id(face):
-    """Canonical string id of a face: sorted vertex names in braces."""
-    return "{%s}" % ",".join(_escape(v) for v in sorted(face))
+    """Canonical string id of a face: sorted vertex names in braces, a
+    backslash before each backslash, comma and brace of a name."""
+    return "{%s}" % ",".join(v.translate(_ESCAPE) for v in sorted(face))
 
 
 class SimplicialComplex:

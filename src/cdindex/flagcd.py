@@ -66,12 +66,13 @@ def _chain_counts(p, sparse=False):
     n = p.top_rank - 1
     if n < 0:
         raise DomainError("rank-0 poset has no flag vector")
-    chains = _chain_vectors(p, p._idx[p.min_elt], n, sparse)
+    chains = _chain_vectors(p._dn, p._levels[:n + 1], sparse)
     return n, _masked(chains, n, (1 << len(p)) - 1)
 
 
-def _chain_vectors(p, low, n, sparse=True):
-    """The chain DP over the n ranks above element index low of p, packed.
+def _chain_vectors(dn, levels, sparse=True):
+    """The chain DP by the down-rows dn over levels[1..n], the elements 1..n
+    ranks from a base element, packed; up-rows give the dual's DP.
 
     The rank sets of {1..n}, all or the sparse ones, take slots in
     ``range(1 << n)`` or ``_sparse_masks`` order, tops rising, so that
@@ -81,22 +82,18 @@ def _chain_vectors(p, low, n, sparse=True):
     the chains through exactly S that end at i.  No field exceeds the
     chains through its rank set, fewer than the product of (level size + 1):
     at that width no sum carries.  Returns (integers, field bytes, masks)."""
+    n, gap, bound = len(levels) - 1, 2 if sparse else 1, 1
     if n > 62:
         raise RankTooLarge("proper rank %d exceeds 62" % n)
-    dn, ranks, gap = p._dn, p._ranks, 2 if sparse else 1
-    levels, bound = [0] * (n + 1), 1
-    for i in p._bits(p._up[low]):
-        if ranks[i] - ranks[low] <= n:
-            levels[ranks[i] - ranks[low]] |= 1 << i
-    for level in levels:
+    for level in levels[1:]:
         bound *= level.bit_count() + 1
     width = (bound.bit_length() + 7) // 8
-    ends, reach, packed = [1], [0], [0] * len(ranks)
+    ends, reach, packed = [1], [0], [0] * len(dn)
     for r in range(1, n + 1):
         below, shift = reach[max(r - gap, 0)], 8 * width * ends[-1]
         ends.append(ends[-1] + ends[max(r - gap, 0)])
         reach.append(reach[-1] | levels[r])
-        for i in p._bits(levels[r]):
+        for i in ps.GradedPoset._bits(levels[r]):
             acc, rest = 1, dn[i] & below
             while rest:
                 bit = rest & -rest
@@ -131,8 +128,10 @@ def _local_cd(chains, n, keep, down):
 def _interval_cds(p, low, highs):
     """Phi([low, t]) of each t in highs, from one sparse DP over the ranks
     above low read through the down-row of t; each [low, t] is Eulerian."""
-    spans = [p._ranks[t] - p._ranks[low] - 1 for t in highs]
-    chains = _chain_vectors(p, low, max(spans, default=0))
+    base, up = p._ranks[low], p._up[low]
+    spans = [p._ranks[t] - base - 1 for t in highs]
+    levels = p._levels[base:base + max(spans, default=0) + 1]
+    chains = _chain_vectors(p._dn, [level & up for level in levels])
     return [_peel_cd(k, _masked(chains, k, p._dn[t])) if k >= 0
             else CdPolynomial.zero() for k, t in zip(spans, highs)]
 
@@ -183,11 +182,11 @@ def flag_polynomial(p):
 def ab_index(p):
     """Psi_P: sum of beta(S) u_S over rank sets S.
 
-    A poset already known to be Eulerian (its ``_balanced`` verdict, set by
-    a scan or inherited by an interval) gives Phi expanded by c -> a + b,
+    A poset already known to be Eulerian (its ``_bad`` memo 0, set by a
+    scan or inherited by an interval) gives Phi expanded by c -> a + b,
     d -> ab + ba; any other runs the dense flag_h DP.  No scan runs here.
     """
-    if p._balanced:
+    if p._bad == 0:
         return expand_cd(cd_index(p))
     return _ab_sum(p, flag_h)
 
@@ -231,7 +230,7 @@ def _local_and_boundary(p):
     """(l_P, Phi([0, tau])) of a near-Eulerian p by one sparse DP over p;
     raises NotNearEulerian for any other p."""
     down, n = ps._below_coatom(p), p.top_rank - 1
-    chains = _chain_vectors(p, p._idx[p.min_elt], n)
+    chains = _chain_vectors(p._dn, p._levels[:n + 1])
     return _local_cd(chains, n, (1 << len(p)) - 1, down)
 
 

@@ -7,10 +7,11 @@ downstream visit only the set bits of these rows and count with popcounts.
 A fresh poset is one constructor call, and one derived from another is one
 ``_sub`` call on the parent's rows.  A down-set with a top adjoined, such as
 a subdivision's capped preimage, is never built: ``_below_top`` runs the
-near-Eulerian test on the parent's rows and a mask.  Memo slots keep the
-Eulerian scan's verdict (``_balanced``, which ``interval`` passes on when
-True) and mask (``_bad``, which ``_below_coatom`` reads), the elements
-below the restored coatom (``_below``) and the cd-index (``_phi``).
+near-Eulerian test on the parent's rows and a mask.  The sweep also
+keeps one mask per rank (``_levels``), which every per-rank read uses.  Two
+memo slots keep the Eulerian scan's mask of unbalanced interval tops
+(``_bad``: None until scanned, 0 when Eulerian), written only here, and
+the cd-index (``_phi``), written by ``flagcd.cd_index``.
 Gradedness is verified eagerly but a failure is recorded, not raised:
 rank-dependent operations raise it.
 """
@@ -27,8 +28,8 @@ class GradedPoset:
     """Finite poset with cached reachability and (when possible) ranks."""
 
     __slots__ = ("elements", "_idx", "cover_pairs", "_up", "_dn",
-                 "_ranks", "is_ranked", "is_graded", "min_elt", "max_elt",
-                 "_balanced", "_bad", "_below", "_phi")
+                 "_ranks", "_levels", "is_ranked", "is_graded", "min_elt",
+                 "max_elt", "_bad", "_phi")
 
     def __init__(self, elements, covers):
         elements = tuple(str(e) for e in elements)
@@ -77,6 +78,9 @@ class GradedPoset:
         # the swept ranks are the unique candidate rank function, valid
         # when every cover raises it by one
         self._ranks = tuple(ranks)
+        self._levels = [0] * (max(ranks, default=-1) + 1)
+        for i, r in enumerate(ranks):
+            self._levels[r] |= 1 << i
         self.is_ranked = all(ranks[hi] == ranks[lo] + 1 for lo, hi in pairs)
         if not self.is_ranked:
             # a given pair with an element strictly between its ends is
@@ -92,10 +96,8 @@ class GradedPoset:
                           and len({ranks[i] for i in maximal}) <= 1)
         self.min_elt = elements[minimal[0]] if len(minimal) == 1 else None
         self.max_elt = elements[maximal[0]] if len(maximal) == 1 else None
-        self._balanced = None  # _intervals_eulerian verdict, once scanned
-        self._bad = None       # the scan's mask of unbalanced tops
-        self._below = None     # mask D below the restored coatom, once found
-        self._phi = None       # flagcd.cd_index, once computed
+        self._bad = None  # _unbalanced_tops, once scanned
+        self._phi = None  # flagcd.cd_index, once computed
 
     # -- basic queries ---------------------------------------------------
 
@@ -151,12 +153,12 @@ class GradedPoset:
     def top_rank(self):
         """Largest rank present; -1 for an empty poset."""
         self._need_ranked()
-        return max(self._ranks, default=-1)
+        return len(self._levels) - 1
 
     def level(self, r):
         """Ids at rank r, in element order."""
         self._need_ranked()
-        return [e for e, rk in zip(self.elements, self._ranks) if rk == r]
+        return self._ids(self._levels[r]) if 0 <= r < len(self._levels) else []
 
     def _need_ranked(self):
         if not self.is_ranked:
@@ -210,7 +212,7 @@ class GradedPoset:
         if not (ilo == ihi or self._up[ilo] >> ihi & 1):
             raise DomainError("%s is not below %s" % (lo, hi))
         q = self._sub((self._up[ilo] | 1 << ilo) & (self._dn[ihi] | 1 << ihi))
-        q._balanced = self._balanced or None  # only True passes on
+        q._bad = 0 if self._bad == 0 else None  # only Eulerian passes on
         return q
 
     def proper_part(self):
@@ -262,37 +264,25 @@ class GradedPoset:
         if self.min_elt is None:
             raise RequiresMin("lower Eulerian test needs a minimum")
         self._need_ranked()
-        if self._balanced is None:
-            self._balanced = self._intervals_eulerian()
-        return self._balanced
+        return not self._unbalanced_tops()
 
-    def _intervals_eulerian(self):
-        self._bad = _unbalanced(self._up, self._dn, self._ranks)
-        return not self._bad
+    def _unbalanced_tops(self):
+        """The mask of the tops of the unbalanced intervals, scanned once."""
+        if self._bad is None:
+            self._bad = _unbalanced(self._up, self._dn, self._ranks)
+        return self._bad
 
     def is_lattice(self):
-        """Any two elements have a least upper and greatest lower bound."""
+        """Any two elements have a least upper and greatest lower bound.
+        Only joins are checked: with a minimum, the common lower bounds of
+        any two elements are a nonempty set, and their join is the meet."""
         self.require_bounds()
-        n = len(self.elements)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if self._bound(a, b, upper=True) is None:
-                    return False
-                if self._bound(a, b, upper=False) is None:
-                    return False
+        up, dn = self._up, self._dn
+        for a, b in itertools.combinations(range(len(self.elements)), 2):
+            above = (up[a] | 1 << a) & (up[b] | 1 << b)
+            if sum(not dn[i] & above for i in self._bits(above)) != 1:
+                return False
         return True
-
-    def _bound(self, ia, ib, upper):
-        if upper:
-            mask = ((self._up[ia] | 1 << ia) & (self._up[ib] | 1 << ib))
-            rows = self._dn
-        else:
-            mask = ((self._dn[ia] | 1 << ia) & (self._dn[ib] | 1 << ib))
-            rows = self._up
-        best = [i for i in self._bits(mask) if not (rows[i] & mask)]
-        if len(best) == 1:
-            return best[0]
-        return None
 
     @staticmethod
     def _bits(mask):
@@ -461,26 +451,23 @@ def dual(p):
 
 
 def _below_coatom(p):
-    """Mask D of the elements below the missing coatom of p, kept on p:
-    ``_below_top`` with p's maximum as the top and the rest kept."""
-    if p._below is None:
-        if p.max_elt is None:
-            raise NotNearEulerian("semisuspension needs both bounds")
-        keep = ((1 << len(p)) - 1) ^ 1 << p._idx[p.max_elt]
-        p._below = _below_top(p, keep, 0 if p._balanced else p._bad)
-    return p._below
+    """Mask D of the elements below the missing coatom of p: ``_below_top``
+    with p's maximum as the top and the rest kept."""
+    if p.max_elt is None:
+        raise NotNearEulerian("semisuspension needs both bounds")
+    return _below_top(p, ((1 << len(p)) - 1) ^ 1 << p._idx[p.max_elt])
 
 
-def _below_top(p, keep, bad=None):
+def _below_top(p, keep):
     """Mask D below the missing coatom tau of keep + T, for a down-set keep
     of p and a top T; raises NotNearEulerian unless restoring tau gives an
     Eulerian poset Q.  tau covers the y under one element of keep, so D is
     their down-closure.  Q's intervals inside keep are p's, balanced when
-    keep misses bad (the tops of p's unbalanced intervals, scanned here when
-    None), so only [s, tau] and [s, T] are counted.  Keep 0 is the point T.
+    keep misses p's unbalanced tops (its memo, read once D is found), so
+    only [s, tau] and [s, T] are counted.  Keep 0 is the point T.
     """
     up, dn, ranks = p._up, p._dn, p._ranks
-    down = even = minimal = 0
+    down = minimal = 0
     tops = set()  # the ranks of keep's maximal elements
     for i in p._bits(keep):
         above = up[i] & keep
@@ -489,19 +476,18 @@ def _below_top(p, keep, bad=None):
             tops.add(ranks[i])
         elif not above & (above - 1):
             down |= dn[i] | 1 << i
-        even |= (~ranks[i] & 1) << i
     if keep and minimal != 1:
         raise NotNearEulerian("semisuspension needs both bounds")
     if not p.is_ranked or len(tops) > 1:
         raise NotNearEulerian("semisuspension needs a graded poset")
     if not keep:
         return 0
-    bad = _unbalanced(up, dn, ranks) if bad is None else bad
     # T counts sign and tau -sign, so [s, T] counts T alone for s not in D
+    even = sum(p._levels[::2]) & keep
     odd, rank = keep ^ even, tops.pop()
     sign, same, other = (1, even, odd) if rank % 2 else (-1, odd, even)
     surplus = lambda row: (row & even).bit_count() - (row & odd).bit_count()
-    if down and not keep & bad and all(
+    if down and not keep & p._unbalanced_tops() and all(
             surplus(up[s] & keep | 1 << s) == (0 if down >> s & 1 else -sign)
             for s in p._bits(keep & same)) and all(
             surplus(up[s] & down | 1 << s) == sign
@@ -520,7 +506,7 @@ def _semisuspend(p):
     covers += [(els[i], tau) for i in p._bits(down) if not up[i] & down]
     covers += [(tau, p.max_elt)]
     q = GradedPoset(list(els) + [tau], covers)
-    q._balanced = True
+    q._bad = 0
     return q, tau
 
 

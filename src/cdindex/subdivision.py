@@ -21,8 +21,8 @@ from . import poset as ps
 from .errors import (DomainError, FaceNotFound, InvalidChain,
                      InvalidSubdivision, NotNearEulerian, RequiresBounds,
                      ValidationRequired)
-from .flagcd import (LocalIndex, _ab_of, _chain_vectors, _interval_cds,
-                     _local_cd, _masked, flag_polynomial)
+from .flagcd import (LocalIndex, _ab_of, _chain_vectors, _local_cd, _masked,
+                     flag_polynomial)
 from .ncpoly import AbPolynomial, CdPolynomial, _peel_cd
 
 
@@ -192,23 +192,18 @@ def validate_strong_eulerian(m):
                 failures.append((e, "only the source maximum may be carried "
                                     "by the target maximum"))
     if not failures:
-        # one scan of the source serves the near-Eulerian test of every face
-        src._balanced = src._intervals_eulerian()
-        levels = [0] * (src.top_rank + 1)
-        for i, r in enumerate(src._ranks):
-            levels[r] |= 1 << i
         # faces[ix]: the preimage mask of target ix and its D, for _local_cds
         faces = m._cache["faces"] = {}
         for ix in _by_rank(tgt):
             sigma, keep = tgt.elements[ix], m._preimage_mask(ix)
-            rank = max(r for r, level in enumerate(levels) if level & keep)
+            rank = max(r for r, lv in enumerate(src._levels) if lv & keep)
             if rank != tgt._ranks[ix]:
                 failures.append((sigma, "preimage ideal has rank %d, want %d"
                                  % (rank, tgt._ranks[ix])))
                 continue
             try:  # one element, the preimage of the minimum, is skipped
                 faces[ix] = (keep, keep & (keep - 1)
-                             and ps._below_top(src, keep, src._bad))
+                             and ps._below_top(src, keep))
             except NotNearEulerian as exc:
                 failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
                                  % exc))
@@ -255,11 +250,8 @@ def validate_strong_formal(m):
             if src.rank(z) > tgt.rank(m(z)):
                 failures.append((z, "carrier lowers rank"))
     if not failures:
-        # rank_mask[r]: source elements of rank r (never above the target's)
-        rank_mask = [0] * (tgt.top_rank + 1)
-        for i, r in enumerate(src._ranks):
-            rank_mask[r] |= 1 << i
-        parity = (sum(rank_mask[0::2]), sum(rank_mask[1::2]))
+        levels = src._levels
+        parity = (sum(levels[0::2]), sum(levels[1::2]))
         bits, up = ps.GradedPoset._bits, src._up
         for ix, x in enumerate(tgt.elements):
             rx = tgt.rank(x)
@@ -272,7 +264,7 @@ def validate_strong_formal(m):
                 ys_mask = (up[iz] | 1 << iz) & inside_mask
                 total = ((ys_mask & same).bit_count()
                          - (ys_mask & other).bit_count())
-                strong = bool(ys_mask & rank_mask[rx])
+                strong = rx < len(levels) and ys_mask & levels[rx]
                 want = m._carried[ix] >> iz & 1
                 if total != want:
                     failures.append(((z, x), "alternating sum %d, want %d"
@@ -345,9 +337,8 @@ class SkeletalFamily:
             for i in range(self.n - 1, -1, -1):
                 cur = self.maps[i][cur]
             kind, _, raw = cur.partition(":")
-            # only the preimage of the minimum may stay new-tagged at level 0
-            out[e] = raw if kind == OLD else (
-                tgt.min_elt if raw == e else "<stuck:%s>" % raw)
+            # only the preimage of the minimum stays new-tagged at level 0
+            out[e] = raw if kind == OLD else tgt.min_elt
         return out
 
 
@@ -413,9 +404,6 @@ def classify_flag(fam, i, chain):
     kinds = [e.partition(":")[0] for e in chain]
     if all(k == OLD for k in kinds):
         return ("old", None)
-    if any(kinds[j] == OLD and kinds[j + 1] == NEW
-           for j in range(len(kinds) - 1)):
-        raise InvalidChain("old element below new element cannot happen")
     top_new = max((j for j, k in enumerate(kinds) if k == NEW))
     raw = chain[top_new].partition(":")[2]
     switch = fam.subdivision.target.rank(fam.subdivision(raw))
@@ -499,8 +487,10 @@ def verify_rank_telescoping(fam, i):
     top = tgt.index(tgt.max_elt)
     k, rhs = tgt._ranks[top] - i - 1, 0  # k: the proper rank of [sigma, 1]
     for sigma in tgt.level(i):  # Upsilon([sigma, 1]) off a DP above sigma
+        up = tgt._up[tgt._idx[sigma]]
+        levels = [level & up for level in tgt._levels[i:i + k + 1]]
         upper = AbPolynomial.zero() if k < 0 else _ab_of(k, _masked(
-            _chain_vectors(tgt, tgt._idx[sigma], k, False), k, tgt._dn[top]))
+            _chain_vectors(tgt._dn, levels, False), k, tgt._dn[top]))
         rhs = LocalIndex(local[sigma]).flag * upper + rhs
     return lhs == rhs
 
@@ -510,7 +500,7 @@ def _local_cds(m):
     DP) after strong Eulerian validation, by that one DP read through each
     preimage and D, both kept by validation."""
     src, tgt, out = m.source, m.target, {}
-    chains = _chain_vectors(src, src._idx[src.min_elt], src.top_rank)
+    chains = _chain_vectors(src._dn, src._levels)
     for ix, (keep, down) in m._cache["faces"].items():
         n = tgt._ranks[ix]
         # the capped preimage of a minimum is a two-chain, with l = 1
@@ -520,7 +510,14 @@ def _local_cds(m):
 
 
 def _upper_cds(tgt):
-    """sigma -> Phi([sigma, 1]) of a bounded Eulerian target."""
-    top = tgt._idx[tgt.max_elt]
-    return {tgt.elements[ix]: _interval_cds(tgt, ix, [top])[0]
-            for ix in range(len(tgt.elements))}
+    """sigma -> Phi([sigma, 1]) of a bounded Eulerian target, off one sparse
+    DP down from 1 over the up-rows: Phi of the dual of [sigma, 1], read
+    through the up-row of sigma, reversed."""
+    chains = _chain_vectors(tgt._up, tgt._levels[:0:-1])
+    top, out = tgt.top_rank, {}
+    for ix, sigma in enumerate(tgt.elements):
+        k = top - tgt._ranks[ix] - 1  # the proper rank of [sigma, 1]
+        dual = (_peel_cd(k, _masked(chains, k, tgt._up[ix])) if k >= 0
+                else CdPolynomial.zero())
+        out[sigma] = CdPolynomial({w[::-1]: c for w, c in dual.terms.items()})
+    return out

@@ -43,7 +43,7 @@ def h_poly(p):
         return UniPolynomial.zero()
     _require_lower_eulerian(p)
     p.require_graded()
-    chains = _chain_vectors(p, p._idx[p.min_elt], p.top_rank, False)
+    chains = _chain_vectors(p._dn, p._levels, False)
     return _h_of(chains, p.top_rank, (1 << len(p)) - 1)
 
 
@@ -109,7 +109,7 @@ def local_h(m):
     _require_lower_eulerian(src)
     # each preimage ideal is a nonempty down-set of src, so it inherits
     # the minimum and lower Eulerian-ness checked above
-    chains = _chain_vectors(src, src._idx[src.min_elt], src.top_rank, False)
+    chains = _chain_vectors(src._dn, src._levels, False)
     order = _by_rank(tgt)
     # h of the capped preimage less the terms solved so far
     left = {ix: _h_of(chains, tgt._ranks[ix], m._preimage_mask(ix))

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import pytest
@@ -488,6 +488,17 @@ def h_poly_by_adjoin_max(p):
         raise NotLowerEulerian("some closed interval is not Eulerian")
     hat = cd.adjoin_max(p)
     return cd.morphism_f(cd.ab_index(hat)).reverse(hat.top_rank - 1)
+
+
+def is_lattice_by_both_bounds(p):
+    """Oracle for GradedPoset.is_lattice: every two elements have a least
+    common upper bound and a greatest common lower bound, by ``le``."""
+    for a, b in combinations(p.elements, 2):
+        for le in (p.le, lambda x, y: p.le(y, x)):
+            common = [c for c in p.elements if le(a, c) and le(b, c)]
+            if sum(all(le(c, d) for d in common) for c in common) != 1:
+                return False
+    return True
 
 
 def unbalanced_by_intervals(p):

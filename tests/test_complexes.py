@@ -7,7 +7,7 @@ import pytest
 
 import cdindex as cd
 from cdindex.cli import run
-from cdindex.complexes import _closure_of, _shelling_step_ok
+from cdindex.complexes import _closure_of, _shelling_step_ok, face_id
 from cdindex.errors import FaceNotFound, NotPure, SearchCutoff
 from cdindex.ncpoly import UniPolynomial, coefficientwise_leq
 from cdindex.complexes import _poset_from_obj
@@ -18,6 +18,12 @@ from conftest import (adjoin_max_by_cover_copy, betti_by_fractions,
                       polygon_lattice, rp2_complex, same_build,
                       shelling_step_by_closure, square_lattice,
                       three_polytope_cd, torus_complex)
+
+
+def test_face_id_escapes_separators_in_vertex_names():
+    # a backslash goes before each backslash, comma and brace of a name
+    assert face_id({"a,b{\\}", "c"}) == "{a\\,b\\{\\\\\\},c}"
+    assert face_id({"b", "a"}) == "{a,b}" and face_id(()) == "{}"
 
 
 def test_face_poset_triangle_is_b3():
@@ -270,6 +276,10 @@ def test_near_gorenstein():
     assert not cd.is_near_gorenstein(disc, cd.make_polygon(3))
     solid = cd.make_simplex(2)
     assert cd.is_near_gorenstein(solid, cd.make_boundary_simplex(2))
+    # a boundary of the wrong dimension, and one that is no sphere
+    assert not cd.is_near_gorenstein(solid, cd.make_boundary_simplex(3))
+    two_edges = cd.SimplicialComplex([["0", "1"], ["2", "3"]])
+    assert not cd.is_near_gorenstein(solid, two_edges)
 
 
 def test_verify_shelling_polygon_walk():

@@ -354,7 +354,9 @@ def test_packed_dp_matches_the_list_dp(rng):
             keeps.update(rng.choice(closed) | rng.choice(closed)
                          for _ in range(5))
             for sparse in (True, False):
-                packed = _chain_vectors(p, low, n, sparse)
+                levels = p._levels[p._ranks[low]:p._ranks[low] + n + 1]
+                packed = _chain_vectors(
+                    p._dn, [level & p._up[low] for level in levels], sparse)
                 lists = chain_vectors_by_lists(p, low, n, sparse)
                 assert _masked(packed, n, everything) == lists[0]
                 for keep in keeps:
@@ -455,13 +457,12 @@ def test_ab_index_of_a_fresh_poset_runs_no_scan(monkeypatch, capsys,
                                                 tmp_path, rng):
     # a poset not yet scanned keeps the dense route and stays unscanned,
     # also as decoded by compute --what ab
-    monkeypatch.setattr(cd.GradedPoset, "_intervals_eulerian",
-                        _refuse("the Eulerian scan"))
+    monkeypatch.setattr(cd.poset, "_unbalanced", _refuse("the Eulerian scan"))
     posets = [cd.boolean_poset(n) for n in range(5)] + [cd.chain_poset(3)]
     posets += [random_graded_poset(rng) for _ in range(20)]
     for p in posets:
         assert cd.ab_index(p) == ab_index_by_chains(p)
-        assert p._balanced is None
+        assert p._bad is None
     path = tmp_path / "square.json"
     path.write_text(square_lattice().to_json())
     assert run(["compute", "--what", "ab", "--input", str(path)]) == 0
@@ -477,7 +478,7 @@ def test_ab_index_is_the_same_before_and_after_cd_index(
                for _ in range(60)]
     posets += [cd.chain_poset(0), cd.chain_poset(1)]
     dense = [cd.ab_index(p) for p in posets]
-    assert all(p._balanced is None for p in posets)
+    assert all(p._bad is None for p in posets)
     for p in posets:
         cd.cd_index(p)
         assert p.is_eulerian()  # the point's cd_index runs no scan

@@ -9,8 +9,9 @@ from cdindex.errors import (CycleDetected, DomainError, MissingBounds,
                             NotGraded, NotNearEulerian, RequiresBounds,
                             RequiresMin)
 from conftest import (adjoin_max_by_cover_copy, enumerate_chains,
-                      eulerian_by_mobius, eulerian_pool, isomorphic,
-                      mobius_table, outcome, poset_fields_by_dfs,
+                      eulerian_by_mobius, eulerian_pool,
+                      is_lattice_by_both_bounds, isomorphic, mobius_table,
+                      outcome, poset_fields_by_dfs,
                       proper_part_by_ids, random_eulerian,
                       random_graded_poset, random_near_eulerian,
                       random_relation, same_build, semisuspend_by_build,
@@ -298,6 +299,16 @@ def test_lattice_ops():
     assert not two_edges.is_lattice()
 
 
+def test_lattice_test_by_joins_matches_both_bounds(rng):
+    # with a minimum, joins of all pairs give their meets, so is_lattice
+    # checks joins only; the oracle checks joins and meets by le
+    posets = [random_graded_poset(rng, max_width=3) for _ in range(120)]
+    posets += [random_eulerian(rng, EULERIAN_POOL) for _ in range(10)]
+    verdicts = [p.is_lattice() for p in posets]
+    assert verdicts == [is_lattice_by_both_bounds(p) for p in posets]
+    assert 10 <= sum(verdicts) <= len(posets) - 10, sum(verdicts)
+
+
 def test_interval_is_boolean_in_cube():
     cube = cd.make_cube3()
     vertex = "{000}"
@@ -433,7 +444,7 @@ def test_near_eulerian_cd_index_scans_once(monkeypatch,
         assert cd.cd_index(fresh) == want
         monkeypatch.undo()
         assert calls[0] == 1, p
-        assert not fresh.is_eulerian() and fresh._below is not None
+        assert not fresh.is_eulerian()
 
 
 def test_join_associative_up_to_isomorphism(rng):
@@ -518,13 +529,13 @@ def test_covers_matches_cover_pairs(eulerian_fixtures):
 
 
 def intervals_inherit_the_verdict(p):
-    """Every closed interval of a poset scanned balanced carries the True
-    verdict, and a fresh scan of the interval agrees."""
+    """Every closed interval of a poset scanned balanced carries the
+    Eulerian verdict, and a fresh scan of the interval agrees."""
     for s in p.elements:
         for t in p.up_set(s, strict=False):
             q = p.interval(s, t)
-            assert q._balanced is True, (s, t)
-            assert q._intervals_eulerian() is True, (s, t)
+            assert q._bad == 0, (s, t)
+            assert cd.poset._unbalanced(q._up, q._dn, q._ranks) == 0, (s, t)
 
 
 def test_intervals_inherit_the_eulerian_verdict(eulerian_fixtures):
@@ -532,7 +543,7 @@ def test_intervals_inherit_the_eulerian_verdict(eulerian_fixtures):
         fresh = cd.GradedPoset(p.elements, [(p.elements[lo], p.elements[hi])
                                             for lo, hi in p.cover_pairs])
         # no verdict before the scan, so nothing to pass on
-        assert fresh.interval(fresh.min_elt, fresh.max_elt)._balanced is None
+        assert fresh.interval(fresh.min_elt, fresh.max_elt)._bad is None
         assert fresh.is_eulerian()
         intervals_inherit_the_verdict(fresh)
 
@@ -551,7 +562,7 @@ def test_intervals_of_lower_eulerian_down_sets_inherit_the_verdict(
     downs += [cd.face_poset(cd.make_simplex(3)),
               cd.face_poset(cd.make_polygon(5))]
     for p in downs:
-        assert p._balanced is None
+        assert p._bad is None
         assert p.is_lower_eulerian()
         intervals_inherit_the_verdict(p)
 
@@ -565,7 +576,7 @@ def test_intervals_of_non_eulerian_posets_stay_unknown(rng):
         for s in p.elements:
             for t in p.up_set(s, strict=False):
                 q = p.interval(s, t)
-                assert q._balanced is None, (s, t)
+                assert q._bad is None, (s, t)
                 # the interval is scanned on its own when asked
                 assert q.is_eulerian() == eulerian_by_mobius(q), (s, t)
 
@@ -575,17 +586,16 @@ def test_induced_does_not_inherit_the_verdict():
     assert b3.is_eulerian()
     # B3 with one atom left out: [0, {1,2}] has three elements
     q = b3.induced([e for e in b3.elements if e != "{1}"])
-    assert q._balanced is None
+    assert q._bad is None
     assert not q.is_eulerian()
-    assert b3.without_max()._balanced is None
-    assert b3.proper_part()._balanced is None
+    assert b3.without_max()._bad is None
+    assert b3.proper_part()._bad is None
 
 
 def test_semisuspend_is_kept_on_success_only(near_eulerian_fixtures):
-    # what is kept is the mask below the restored coatom; Q is built anew
+    # what is kept is Q's Eulerian verdict; Q is built anew on every call
     for name, p in near_eulerian_fixtures:
-        cd.poset._semisuspend(p)
-        assert p._below is not None, name
+        assert cd.poset._semisuspend(p)[0]._bad == 0, name
     no_max = cd.GradedPoset(["0", "a", "b"], [("0", "a"), ("0", "b")])
     for p in (cd.boolean_poset(3), cd.chain_poset(3), no_max):
         messages = []
@@ -594,7 +604,6 @@ def test_semisuspend_is_kept_on_success_only(near_eulerian_fixtures):
                 cd.poset._semisuspend(p)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert p._below is None
 
 
 def test_point_is_near_eulerian_and_two_chain_is_not():
@@ -603,16 +612,15 @@ def test_point_is_near_eulerian_and_two_chain_is_not():
     # be a second minimum
     point = cd.GradedPoset(["x"], [])
     assert cd.is_near_eulerian(point)
-    assert point._below == 0
+    assert cd.poset._below_coatom(point) == 0
     assert cd.interior_elements(point) == ["x"]
     q = cd.semisuspension(point)
-    assert isomorphic(q, cd.chain_poset(1)) and q._balanced is True
+    assert isomorphic(q, cd.chain_poset(1)) and q._bad == 0
     two = cd.chain_poset(1)
     assert not cd.is_near_eulerian(two)
     with pytest.raises(NotNearEulerian,
                        match="adjoining the missing coatom is not Eulerian"):
         cd.semisuspension(two)
-    assert two._below is None
 
 
 def test_near_eulerian_test_on_rows_matches_the_built_semisuspension(
@@ -638,7 +646,6 @@ def test_near_eulerian_test_on_rows_matches_the_built_semisuspension(
         if got[0] == "raised":
             assert got == want, p.elements
             messages[got[2]] = messages.get(got[2], 0) + 1
-            assert p._below is None
             continue
         q, tau = want[1]
         below = set(q.down_set(tau))
@@ -745,14 +752,12 @@ def test_near_eulerian_test_on_a_down_set_matches_the_built_capped_poset(
     outcomes = {}
     for p in posets:
         assert p.is_ranked
-        bad = cd.poset._unbalanced(p._up, p._dn, p._ranks)
         closed = [p._dn[i] | 1 << i for i in range(len(p.elements))]
         keeps = set(closed)
         keeps.update(rng.choice(closed) | rng.choice(closed)
                      for _ in range(len(closed)))
         for keep in sorted(keeps):
-            got = outcome(cd.poset._below_top, p, keep, bad)
-            assert got == outcome(cd.poset._below_top, p, keep)
+            got = outcome(cd.poset._below_top, p, keep)
             hat = p._sub(keep, capped=True)
             want = outcome(cd.poset._below_coatom, hat)
             if got[0] == "value":

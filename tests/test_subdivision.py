@@ -771,3 +771,46 @@ def test_carrier_must_not_name_unknown_source_ids(capsys, tmp_path):
     del obj["carrier"]["{\\{0\\}}"]
     with pytest.raises(DomainError, match="carrier missing for 1 source"):
         cd.SubdivisionMap.from_json_obj(obj)
+
+
+def test_upper_intervals_come_off_one_downward_dp(monkeypatch,
+                                                  subdivision_fixtures):
+    # Phi([sigma, 1]) of every target element off one sparse DP down from
+    # 1 over the up-rows, against the cd-index of each built interval
+    import cdindex.flagcd as flagcd
+    import cdindex.subdivision as subdivision
+    maps = [m for _, m in subdivision_fixtures]
+    maps.append(cd.with_adjoined_tops(
+        cd.barycentric_subdivision(cd.make_boundary_simplex(3))[1]))
+    targets = [m.target for m in maps
+               if m.target.max_elt is not None and m.target.is_eulerian()]
+    targets += [cd.boolean_poset(0), cd.boolean_poset(4)]
+    assert len(targets) >= 5
+    for tgt in targets:
+        calls = [0]
+
+        def counted(*args, dp=flagcd._chain_vectors):
+            calls[0] += 1
+            return dp(*args)
+
+        monkeypatch.setattr(flagcd, "_chain_vectors", counted)
+        monkeypatch.setattr(subdivision, "_chain_vectors", counted)
+        upper = subdivision._upper_cds(tgt)
+        monkeypatch.undo()
+        assert calls == [1], tgt
+        assert upper == {s: cd.cd_index(tgt.interval(s, tgt.max_elt))
+                         for s in tgt.elements}
+
+
+def test_call_of_an_unknown_source_id_raises():
+    from cdindex.errors import FaceNotFound
+    with pytest.raises(FaceNotFound, match="element 'nope' not in source"):
+        tetra_subdivision()("nope")
+
+
+def test_validation_reports_a_rank_mismatch():
+    m = cd.SubdivisionMap(cd.chain_poset(3), cd.chain_poset(2),
+                          {"c0": "c0", "c1": "c1", "c2": "c2", "c3": "c2"})
+    report = cd.validate_strong_eulerian(m)
+    assert not report.ok
+    assert report.failures == (("*", "source rank 3 != target rank 2"),)

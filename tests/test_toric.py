@@ -197,18 +197,18 @@ def test_toric_h_then_g_poly_run_one_sparse_dp(monkeypatch):
     assert p.top_rank == 10
     calls = {"sparse": 0, "dense": 0, "eulerian_scan": 0}
     chain_counts = flagcd._chain_counts
-    scan = ps.GradedPoset._intervals_eulerian
+    scan = ps._unbalanced
 
     def counted_chain_counts(q, sparse=False):
         calls["sparse" if sparse else "dense"] += 1
         return chain_counts(q, sparse)
 
-    def counted_scan(q):
+    def counted_scan(*rows):
         calls["eulerian_scan"] += 1
-        return scan(q)
+        return scan(*rows)
 
     monkeypatch.setattr(flagcd, "_chain_counts", counted_chain_counts)
-    monkeypatch.setattr(ps.GradedPoset, "_intervals_eulerian", counted_scan)
+    monkeypatch.setattr(ps, "_unbalanced", counted_scan)
     h, g = cd.toric_h(p), cd.g_poly(p)
     assert calls == {"sparse": 1, "dense": 0, "eulerian_scan": 1}
     monkeypatch.undo()
@@ -326,18 +326,18 @@ def test_local_h_reuses_validated_faces(monkeypatch):
     mt = cd.with_adjoined_tops(m)
     assert cd.validate_strong_eulerian(mt).ok
     calls = {"adjoin_max": 0, "eulerian_scan": 0}
-    adjoin_max, scan = ps.adjoin_max, ps.GradedPoset._intervals_eulerian
+    adjoin_max, scan = ps.adjoin_max, ps._unbalanced
 
     def counted_adjoin_max(p):
         calls["adjoin_max"] += 1
         return adjoin_max(p)
 
-    def counted_scan(p):
+    def counted_scan(*rows):
         calls["eulerian_scan"] += 1
-        return scan(p)
+        return scan(*rows)
 
     monkeypatch.setattr(ps, "adjoin_max", counted_adjoin_max)
-    monkeypatch.setattr(ps.GradedPoset, "_intervals_eulerian", counted_scan)
+    monkeypatch.setattr(ps, "_unbalanced", counted_scan)
     rows = cd.local_h(mt).rows
     assert calls["adjoin_max"] == 0
     assert calls["eulerian_scan"] <= 2  # the target and the source
