@@ -1,14 +1,18 @@
 """Exact-integer polynomial kernels.
 
-Noncommutative polynomials over the alphabets {a,b} and {c,d} are stored
-as word -> coefficient dicts with arbitrary-precision integers; one
-constructor (``_WordPolynomial``) normalises every such dict.  The
-canonical term order used everywhere (printing and equality of output) is
-total degree ascending, then lexicographic with a < b and c < d.  The
-change of basis between a, b and c = a+b, d = ab+ba lives here:
-``expand_cd``, and the sparse peel (``_peel_cd``) that serves ``to_cd`` and
-the cd-index of a poset alike.  The commutative side is a dense integer
-polynomial in x.
+Three integer polynomial rings share one base class (``_Polynomial``),
+which holds every operator that does not read the storage: constants,
+subtraction, the reflected operators, powers, comparison, hashing and
+text.  Each subclass keeps its own storage and its own sum, negation and
+product.  Noncommutative polynomials over the alphabets {a,b} and {c,d}
+are stored as word -> coefficient dicts with arbitrary-precision
+integers; one constructor (``_WordPolynomial``) normalises every such
+dict.  The canonical term order used everywhere (printing and equality of
+output) is total degree ascending, then lexicographic with a < b and
+c < d.  The change of basis between a, b and c = a+b, d = ab+ba lives
+here: ``expand_cd``, and the sparse peel (``_peel_cd``) that serves
+``to_cd`` and the cd-index of a poset alike.  Polynomials in x
+(``UniPolynomial``) keep a dense tuple of coefficients, index = power.
 """
 from __future__ import annotations
 
@@ -18,7 +22,74 @@ from itertools import zip_longest
 from .errors import DegreeTooHigh, DomainError, NotCdExpressible
 
 
-class _WordPolynomial:
+class _Polynomial:
+    """An element of an integer polynomial ring.  A subclass supplies the
+    constant k (``_const``), its stored data (``_data``, equal exactly
+    when the polynomials are), its terms as (word, coefficient) pairs in
+    print order (``_terms``), and its own __add__, __neg__ and __mul__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls._const(1)
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self * other
+        return self._coerce(other) * self
+
+    def __pow__(self, k):
+        out = self.one()
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, int):
+            return self._const(other)
+        raise TypeError("cannot combine %r with %r" % (type(self), type(other)))
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self._data() == self._const(other)._data()
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __hash__(self):
+        return hash((type(self).__name__, str(self)))  # the text is canonical
+
+    def __bool__(self):
+        return bool(self._data())
+
+    def __str__(self):
+        return _format_terms(self._terms())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class _WordPolynomial(_Polynomial):
     """Integer combination of words over ``alphabet``, stored as a word ->
     nonzero coefficient dict.  The constructor, given a mapping or (word,
     coefficient) pairs, is the only code that merges like terms, drops
@@ -46,16 +117,15 @@ class _WordPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({"": 1})
+    def _const(cls, k):
+        return cls({"": k})
 
     @classmethod
     def monomial(cls, word, coeff=1):
         return cls({word: coeff})
+
+    def _data(self):
+        return self.terms
 
     # -- ring structure ------------------------------------------------
 
@@ -63,23 +133,8 @@ class _WordPolynomial:
         other = self._coerce(other)
         return type(self)([*self.terms.items(), *other.terms.items()])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return type(self)({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def _coerce(self, other):
-        if isinstance(other, type(self)):
-            return other
-        if isinstance(other, int):
-            return type(self)({"": other})
-        raise TypeError("cannot combine %r with %r" % (type(self), type(other)))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -89,25 +144,7 @@ class _WordPolynomial:
                            for w1, c1 in self.terms.items()
                            for w2, c2 in other.terms.items()])
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return self._coerce(other) * self
-
     # -- inspection ----------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({"": other} if other else {})
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((type(self).__name__, tuple(self.sorted_terms())))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     @classmethod
     def word_degree(cls, word):
@@ -120,6 +157,8 @@ class _WordPolynomial:
     def sorted_terms(self):
         """Terms in canonical order (see ``_key``)."""
         return sorted(self.terms.items(), key=lambda it: self._key(it[0]))
+
+    _terms = sorted_terms
 
     @property
     def degree(self):
@@ -152,12 +191,6 @@ class _WordPolynomial:
 
     # -- text ------------------------------------------------------------
 
-    def __str__(self):
-        return format_word_poly(self)
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, format_word_poly(self))
-
     def to_json_obj(self):
         return {w: str(c) for w, c in self.sorted_terms()}
 
@@ -186,8 +219,6 @@ class CdPolynomial(_WordPolynomial):
 
 def substitute(p, image_of_a, image_of_b):
     """Homomorphic substitution a -> image_of_a, b -> image_of_b."""
-    if not p.terms:
-        return AbPolynomial.zero()
     return p.map_words({"a": image_of_a, "b": image_of_b})
 
 
@@ -281,7 +312,7 @@ def to_cd(p):
     return phi
 
 
-class UniPolynomial:
+class UniPolynomial(_Polynomial):
     """Dense integer polynomial in x; index = power."""
 
     __slots__ = ("coeffs",)
@@ -293,16 +324,19 @@ class UniPolynomial:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
+    def _const(cls, k):
+        return cls((k,))
 
     @classmethod
     def x(cls):
         return cls((0, 1))
+
+    def _data(self):
+        return self.coeffs
+
+    def _terms(self):
+        """x^k is spelled as the word "x" * k."""
+        return [("x" * k, c) for k, c in enumerate(self.coeffs) if c]
 
     @property
     def degree(self):
@@ -318,16 +352,8 @@ class UniPolynomial:
         return UniPolynomial([a + b for a, b in zip_longest(
             self.coeffs, other.coeffs, fillvalue=0)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -343,42 +369,9 @@ class UniPolynomial:
                 out[i + j] += ci * cj
         return UniPolynomial(out)
 
-    def __rmul__(self, other):
-        return self * other
-
-    def __pow__(self, k):
-        out = UniPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def _coerce(self, other):
-        if isinstance(other, UniPolynomial):
-            return other
-        if isinstance(other, int):
-            return UniPolynomial((other,))
-        raise TypeError("cannot combine UniPolynomial with %r" % type(other))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.coeffs == ((other,) if other else ())
-        if not isinstance(other, UniPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def truncate(self, m):
         """Drop all terms of degree larger than m."""
-        return UniPolynomial(self.coeffs[:m + 1])
+        return UniPolynomial(self.coeffs[:m + 1] if m >= 0 else ())
 
     def reverse(self, n):
         """x^n * p(1/x); requires deg p <= n."""
@@ -393,12 +386,6 @@ class UniPolynomial:
         if self.degree > n:
             return False
         return self == self.reverse(n)
-
-    def __str__(self):
-        return format_unipoly(self)
-
-    def __repr__(self):
-        return "UniPolynomial(%s)" % format_unipoly(self)
 
     def to_json_obj(self):
         return list(self.coeffs)
@@ -457,15 +444,6 @@ def _format_terms(terms):
     return text or "0"
 
 
-def format_word_poly(p):
-    return _format_terms(p.sorted_terms())
-
-
-def format_unipoly(p):
-    """Terms by ascending power; x^k is spelled as the word "x" * k."""
-    return _format_terms(("x" * k, c) for k, c in enumerate(p.coeffs) if c)
-
-
 _TERM_RE = re.compile(r"(\d+)?(\*)?([^\d*].*)?")
 
 
@@ -476,7 +454,8 @@ def _parse_terms(text, parse_word):
     is a coefficient, a word, or a coefficient and a word, optionally joined
     by "*"; a constant's word text is "".  parse_word returns None, or
     raises DomainError, for text that is no word.  So does an integer longer
-    than the interpreter reads, or an exponent past the longest word.
+    than the interpreter reads, or an exponent past the longest word or
+    list that memory holds.
     """
     chunks = re.split(r"(?=[+-])", text.strip().replace(" ", ""))
     if not chunks[0]:
@@ -492,7 +471,7 @@ def _parse_terms(text, parse_word):
             if key is None:
                 raise DomainError("cannot parse term %r" % term)
             out.append((key, sign * int(m[1] or 1)))
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, MemoryError):
             raise DomainError("integer out of range in term %.40r"
                               % term) from None
     return out
@@ -527,16 +506,15 @@ def parse_word_poly(text, cls):
                             lambda body: _parse_word(body, cls.alphabet)))
 
 
-def _parse_power(body):
-    """The power of "x^k" or "x" text, 0 for a constant, else None."""
+def _parse_monomial(body):
+    """The coefficient list of x^k for "x^k" or "x" text, of 1 for a
+    constant, else None; a k past any list fails in its one allocation."""
     m = re.fullmatch(r"x(?:\^(\d+))?", body or "x^0")
-    return int(m[1] or 1) if m else None
+    return [0] * int(m[1] or 1) + [1] if m else None
 
 
 def parse_unipoly(text):
     """Parse "1 + 4*x + x^2" style text into a UniPolynomial."""
-    coeffs = {}
-    for power, coeff in _parse_terms(text, _parse_power):
-        coeffs[power] = coeffs.get(power, 0) + coeff
-    return UniPolynomial([coeffs.get(i, 0)
-                          for i in range(max(coeffs, default=-1) + 1)])
+    return sum((UniPolynomial(monomial) * coeff
+                for monomial, coeff in _parse_terms(text, _parse_monomial)),
+               UniPolynomial())

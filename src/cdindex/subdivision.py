@@ -484,13 +484,12 @@ def verify_rank_telescoping(fam, i):
     tgt = m.target
     lhs = flag_polynomial(fam.posets[i]) - flag_polynomial(fam.posets[i - 1])
     local = _local_cds(m)[0]
-    top = tgt.index(tgt.max_elt)
-    k, rhs = tgt._ranks[top] - i - 1, 0  # k: the proper rank of [sigma, 1]
-    for sigma in tgt.level(i):  # Upsilon([sigma, 1]) off a DP above sigma
-        up = tgt._up[tgt._idx[sigma]]
-        levels = [level & up for level in tgt._levels[i:i + k + 1]]
-        upper = AbPolynomial.zero() if k < 0 else _ab_of(k, _masked(
-            _chain_vectors(tgt._dn, levels, False), k, tgt._dn[top]))
+    chains = _chain_vectors(tgt._up, tgt._levels[:0:-1], False)
+    k, rhs = tgt.top_rank - i - 1, 0  # k: the proper rank of [sigma, 1]
+    for sigma in tgt.level(i):  # Upsilon of the dual of [sigma, 1], reversed
+        dual = (_ab_of(k, _masked(chains, k, tgt._up[tgt._idx[sigma]]))
+                if k >= 0 else AbPolynomial.zero())
+        upper = AbPolynomial({w[::-1]: c for w, c in dual.terms.items()})
         rhs = LocalIndex(local[sigma]).flag * upper + rhs
     return lhs == rhs
 

@@ -131,31 +131,32 @@ def local_h(m):
 
 # f of every word walked so far and of each of its prefixes
 _F = {"": UniPolynomial.one()}
-_X_MINUS_1 = UniPolynomial((-1, 1))
 _ONE_MINUS_X = UniPolynomial((1, -1))
 
 
 def _f_word(word):
     """f(word) over a, b, c and d, stepped letter by letter from its
-    longest prefix in _F.  With F = f(u) and G = g(u) for the prefix u of
-    degree deg (d counts 2), c = a + b gives (x - 1) F + 2G, and
-    d = ab + ba gives g(uc) + (x - 1) G."""
+    longest prefix in _F.  With F = f(u), H = (1 - x) F and G = g(u) the
+    truncation of H at half the degree of u (d counts 2), b gives G, a
+    gives (x - 1) F + G = G - H, c = a + b gives 2G - H, and d = ab + ba
+    gives g(uc) - (1 - x) G."""
     k = len(word)
     while (f := _F.get(word[:k])) is None:
         k -= 1
     deg = k + word.count("d", 0, k)
     for i in range(k, len(word)):
         letter = word[i]
-        g = (_ONE_MINUS_X * f).truncate(deg // 2)
+        h = _ONE_MINUS_X * f
+        g = h.truncate(deg // 2)
         if letter == "b":
             f = g
         elif letter == "a":
-            f = _X_MINUS_1 * f + g
+            f = g - h
         else:
-            f = _X_MINUS_1 * f + g * 2
+            f = g * 2 - h
             if letter == "d":
                 deg += 1
-                f = (_ONE_MINUS_X * f).truncate(deg // 2) + _X_MINUS_1 * g
+                f = (_ONE_MINUS_X * f).truncate(deg // 2) - _ONE_MINUS_X * g
         deg += 1
         _F[word[:i + 1]] = f
     return f

@@ -157,12 +157,14 @@ def test_hostile_json_is_an_input_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("poly", [NINES + "*ab", "a^" + NINES,
-                                  "a^99999999999999999999"],
+                                  "a^99999999999999999999",
+                                  "a^4611686018427387904"],
                          ids=["long_coefficient", "long_exponent",
-                              "exponent_past_any_word"])
+                              "exponent_past_any_word",
+                              "exponent_past_any_memory"])
 def test_an_integer_out_of_range_in_poly_is_a_bad_term(capsys, poly):
     # a coefficient or exponent the interpreter cannot read, or an exponent
-    # no word can spell, exits 2 like every other bad term
+    # no word can spell or no memory hold, exits 2 like every other bad term
     for fmt in ("text", "json"):
         code = run(["morphism", "--what", "f", "--poly", poly,
                     "--format", fmt])

@@ -1,4 +1,6 @@
 """Noncommutative and univariate polynomial kernels."""
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -306,7 +308,9 @@ def test_parse_rejects_garbage():
         with pytest.raises(DomainError):
             parse_word_poly(bad, CdPolynomial)
     # every term has a coefficient or a word, and every "*" a word after it
-    for bad in ("a+", "+", "-", "a++b", "*", "2*"):
+    # and every exponent names a word or list that memory can hold
+    for bad in ("a+", "+", "-", "a++b", "*", "2*",
+                "a^99999999999999999999", "b^4611686018427387904"):
         with pytest.raises(DomainError):
             parse_word_poly(bad, AbPolynomial)
         with pytest.raises(DomainError):
@@ -365,14 +369,46 @@ BIG = st.integers(-10 ** 45, 10 ** 45)
 COEFFS = st.lists(st.one_of(BIG, st.integers(-2, 2)), max_size=8)
 
 
+def trimmed(coeffs):
+    """A coefficient list without its trailing zeros, as a tuple."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 @settings(max_examples=200, deadline=None)
-@given(COEFFS, COEFFS)
-def test_unipoly_sum_matches_padded_lists(a, b):
-    n = max(len(a), len(b))
+@given(COEFFS, COEFFS, st.one_of(BIG, st.integers(-2, 2)))
+def test_unipoly_sum_matches_padded_lists(a, b, k):
+    # every ring operator, each side of an int, against padded lists
+    n = max(len(a), len(b)) + 1
     a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    want = UniPolynomial([x + y for x, y in zip(a, b)])
-    assert UniPolynomial(a) + UniPolynomial(b) == want
-    assert UniPolynomial(a) - UniPolynomial(b) == want - 2 * UniPolynomial(b)
+    p, q = UniPolynomial(a), UniPolynomial(b)
+    assert (p + q).coeffs == trimmed(x + y for x, y in zip(a, b))
+    assert (p - q).coeffs == trimmed(x - y for x, y in zip(a, b))
+    assert (-p).coeffs == trimmed(-x for x in a)
+    plus_k = trimmed([a[0] + k] + a[1:])
+    assert (p + k).coeffs == (k + p).coeffs == plus_k
+    assert (p - k).coeffs == trimmed([a[0] - k] + a[1:])
+    assert (k - p).coeffs == trimmed([k - a[0]] + [-x for x in a[1:]])
+    assert (p * k).coeffs == (k * p).coeffs == trimmed(k * x for x in a)
+    convolution = [0] * (2 * n)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            convolution[i + j] += x * y
+    assert (p * q).coeffs == trimmed(convolution)
+    assert p ** 2 == p * p and p ** 0 == 1
+    assert (p == k) == (trimmed(a) == trimmed([k]))
+    padded = UniPolynomial(a + [0, 0])
+    assert padded == p and hash(padded) == hash(p)
+    for m in range(-3, n + 1):
+        want = trimmed(x for i, x in enumerate(a) if i <= m)
+        assert p.truncate(m).coeffs == want, m
+    word = AbPolynomial.monomial("ab", k or 1)
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((p, word), (word, p)):
+            with pytest.raises(TypeError, match="cannot combine"):
+                op(left, right)
 
 
 # -- text ----------------------------------------------------------------

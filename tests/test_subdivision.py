@@ -508,23 +508,38 @@ def test_telescoping_matches_rebuilt_faces(subdivision_fixtures):
 
 def test_telescoping_reads_upper_intervals_off_dense_dps(
         monkeypatch, subdivision_fixtures):
-    # Upsilon([sigma, 1]) of each face off a DP above sigma, the same
-    # verdict as with every upper interval built, and nothing built
+    # Upsilon([sigma, 1]) of every face of rank i off one dense DP down
+    # from 1 over the target, the same verdict as with every upper
+    # interval built, and nothing built
+    import cdindex.subdivision as subdivision
     maps = [m for _, m in subdivision_fixtures]
     maps.append(cd.with_adjoined_tops(
         cd.barycentric_subdivision(cd.make_boundary_simplex(3))[1]))
-    verdicts = []
+    verdicts, most_faces = [], 0
     for m in maps:
         fam = cd.skeletal_family(m)
+        tgt = m.target
         for i in range(1, fam.n + 1):
             want = outcome(telescoping_by_intervals, fam, i)
-            builds = count_builds(monkeypatch)
+            builds, target_dps = count_builds(monkeypatch), [0]
+
+            def counted(rows, *args, dp=subdivision._chain_vectors):
+                # the one other DP here is the source's, for l_sigma
+                target_dps[0] += rows is not m.source._dn
+                return dp(rows, *args)
+
+            monkeypatch.setattr(subdivision, "_chain_vectors", counted)
             got = outcome(cd.verify_rank_telescoping, fam, i)
             monkeypatch.undo()
             assert got == want, i
             assert builds[0] == 0
+            # one DP for a verdict, none when the lhs raised first
+            assert target_dps == [got[0] == "value"], (i, target_dps)
+            if got[0] == "value":
+                most_faces = max(most_faces, len(tgt.level(i)))
             verdicts.append(got)
     assert verdicts.count(("value", True)) >= 10
+    assert most_faces >= 2
 
 
 def test_validation_scans_the_source_once(monkeypatch,
