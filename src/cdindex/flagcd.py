@@ -5,14 +5,16 @@ One chain DP over the ranks above an element gives each element one
 integer, a field per rank set counting the chains that end there: the sum
 of the integers below it, shifted up.  A chain that ends in a down-set lies
 in it, so ``_masked`` reads the flag f-vector of a down-set with a top
-adjoined, or of an interval [low, t] through the down-row of t, off one sum
-over the mask; a fresh poset is the whole mask.  ``_peel_cd`` reads the
-cd-index of an Eulerian poset off the sparse rank sets, the only ones the
-sparse DP visits (Bayer-Billera 1985, Stanley 1994), and the local
-cd-index Phi(Q) - Phi([0, tau]) c of a near-Eulerian poset off the same
-counts, over all and over the elements below tau; ``to_cd`` serves the
-rest.  ``cd_index`` remembers Phi, which ``ab_index`` of a poset known to
-be Eulerian expands; any other takes the dense 2^n DP, as ``flag_f`` does.
+adjoined off one sum over the mask; a fresh poset is the whole mask.  Down
+from an element top over the up-rows, ``_intervals_below`` reads Phi or
+Upsilon of every interval [t, top] off one DP, through the up-row of t.
+``_peel_cd`` reads the cd-index of an Eulerian poset off the sparse rank
+sets, the only ones the sparse DP visits (Bayer-Billera 1985, Stanley
+1994), and the local cd-index Phi(Q) - Phi([0, tau]) c of a near-Eulerian
+poset off the same counts, over all and over the elements below tau;
+``to_cd`` serves the rest.  ``cd_index`` remembers Phi, which ``ab_index``
+of a poset known to be Eulerian expands; any other takes the dense 2^n
+DP, as ``flag_f`` does.
 """
 from __future__ import annotations
 
@@ -125,15 +127,20 @@ def _local_cd(chains, n, keep, down):
     return phi_q - bd_cd * CdPolynomial.monomial("c"), bd_cd
 
 
-def _interval_cds(p, low, highs):
-    """Phi([low, t]) of each t in highs, from one sparse DP over the ranks
-    above low read through the down-row of t; each [low, t] is Eulerian."""
-    base, up = p._ranks[low], p._up[low]
-    spans = [p._ranks[t] - base - 1 for t in highs]
-    levels = p._levels[base:base + max(spans, default=0) + 1]
-    chains = _chain_vectors(p._dn, [level & up for level in levels])
-    return [_peel_cd(k, _masked(chains, k, p._dn[t])) if k >= 0
-            else CdPolynomial.zero() for k, t in zip(spans, highs)]
+def _intervals_below(p, top, ends, dense=False):
+    """Phi([t, top]) of each t in ends, [t, top] Eulerian, or Upsilon when
+    dense, off one chain DP down from top over the up-rows, each level
+    masked by the down-row of top: the index of the dual of [t, top], read
+    through the up-row of t, each word reversed; 0 for t = top."""
+    rank, below, out = p._ranks[top], p._dn[top], []
+    spans = [rank - p._ranks[t] - 1 for t in ends]  # the proper ranks
+    levels = p._levels[rank - max([0, *spans]):rank + 1][::-1]
+    chains = _chain_vectors(p._up, [lv & below for lv in levels], not dense)
+    read, cls = (_ab_of, AbPolynomial) if dense else (_peel_cd, CdPolynomial)
+    for k, t in zip(spans, ends):
+        dual = read(k, _masked(chains, k, p._up[t])) if k >= 0 else cls.zero()
+        out.append(cls({w[::-1]: c for w, c in dual.terms.items()}))
+    return out
 
 
 def flag_f(p):

@@ -21,9 +21,9 @@ from . import poset as ps
 from .errors import (DomainError, FaceNotFound, InvalidChain,
                      InvalidSubdivision, NotNearEulerian, RequiresBounds,
                      ValidationRequired)
-from .flagcd import (LocalIndex, _ab_of, _chain_vectors, _local_cd, _masked,
-                     flag_polynomial)
-from .ncpoly import AbPolynomial, CdPolynomial, _peel_cd
+from .flagcd import (LocalIndex, _chain_vectors, _intervals_below, _local_cd,
+                     _masked, flag_polynomial)
+from .ncpoly import CdPolynomial, _peel_cd
 
 
 @dataclass(frozen=True)
@@ -483,14 +483,10 @@ def verify_rank_telescoping(fam, i):
         return False
     tgt = m.target
     lhs = flag_polynomial(fam.posets[i]) - flag_polynomial(fam.posets[i - 1])
-    local = _local_cds(m)[0]
-    chains = _chain_vectors(tgt._up, tgt._levels[:0:-1], False)
-    k, rhs = tgt.top_rank - i - 1, 0  # k: the proper rank of [sigma, 1]
-    for sigma in tgt.level(i):  # Upsilon of the dual of [sigma, 1], reversed
-        dual = (_ab_of(k, _masked(chains, k, tgt._up[tgt._idx[sigma]]))
-                if k >= 0 else AbPolynomial.zero())
-        upper = AbPolynomial({w[::-1]: c for w, c in dual.terms.items()})
-        rhs = LocalIndex(local[sigma]).flag * upper + rhs
+    local, faces = _local_cds(m)[0], list(tgt._bits(tgt._levels[i]))
+    top, rhs = tgt._idx[tgt.max_elt], 0  # the lhs raised if there is no top
+    for ix, upper in zip(faces, _intervals_below(tgt, top, faces, True)):
+        rhs = LocalIndex(local[tgt.elements[ix]]).flag * upper + rhs
     return lhs == rhs
 
 
@@ -509,14 +505,7 @@ def _local_cds(m):
 
 
 def _upper_cds(tgt):
-    """sigma -> Phi([sigma, 1]) of a bounded Eulerian target, off one sparse
-    DP down from 1 over the up-rows: Phi of the dual of [sigma, 1], read
-    through the up-row of sigma, reversed."""
-    chains = _chain_vectors(tgt._up, tgt._levels[:0:-1])
-    top, out = tgt.top_rank, {}
-    for ix, sigma in enumerate(tgt.elements):
-        k = top - tgt._ranks[ix] - 1  # the proper rank of [sigma, 1]
-        dual = (_peel_cd(k, _masked(chains, k, tgt._up[ix])) if k >= 0
-                else CdPolynomial.zero())
-        out[sigma] = CdPolynomial({w[::-1]: c for w, c in dual.terms.items()})
-    return out
+    """sigma -> Phi([sigma, 1]) of a bounded Eulerian target, off one DP."""
+    top = tgt._idx[tgt.max_elt]
+    return dict(zip(tgt.elements,
+                    _intervals_below(tgt, top, range(len(tgt.elements)))))

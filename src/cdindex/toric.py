@@ -13,15 +13,15 @@ of f over the prefixes walked.  The coproduct route, the Psi route and the
 recursions over lower intervals are test oracles in ``tests/conftest.py``.
 h_poly and local_h build no poset: h of a poset or of a capped preimage is
 f of its Psi, read off one dense chain DP over the poset or the source
-through the mask, and g of [tau, sigma] off a sparse DP above tau.
+through the mask, and g of each [tau, sigma] off a DP down from sigma.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import NotLowerEulerian, RequiresBounds
-from .flagcd import (_ab_of, _beta, _chain_vectors, _interval_cds, _masked,
-                     ab_index, cd_index)
+from .flagcd import (_ab_of, _beta, _chain_vectors, _intervals_below,
+                     _masked, ab_index, cd_index)
 from .ncpoly import UniPolynomial, expand_cd
 from .subdivision import _by_rank, _local_cds, _upper_cds, require_valid
 
@@ -96,9 +96,9 @@ def local_h(m):
     """Local h-polynomials of every target face.
 
     Solves the defining recursion h(capped preimage of sigma) = sum over
-    tau <= sigma of l(tau) g([tau, sigma]) bottom-up in rank order.  Each
-    tau with l(tau) nonzero takes g([tau, sigma]) for every sigma above it
-    from one sparse DP above tau.
+    tau <= sigma of l(tau) g([tau, sigma]) bottom-up in rank order.  The
+    g([tau, sigma]) of every tau < sigma with l(tau) nonzero come from one
+    sparse DP down from sigma.  The total is h of the top face.
     """
     require_valid(m, "strong_formal")
     src, tgt = m.source, m.target
@@ -110,27 +110,23 @@ def local_h(m):
     # each preimage ideal is a nonempty down-set of src, so it inherits
     # the minimum and lower Eulerian-ness checked above
     chains = _chain_vectors(src._dn, src._levels, False)
-    order = _by_rank(tgt)
-    # h of the capped preimage less the terms solved so far
-    left = {ix: _h_of(chains, tgt._ranks[ix], m._preimage_mask(ix))
-            for ix in order}
-    total = left[tgt._idx[tgt.max_elt]]
-    rows = []
-    for ix in order:  # every tau below ix came first
-        ell = left[ix]
-        rows.append((tgt.elements[ix], ell))
-        if ell:
-            above = list(tgt._bits(tgt._up[ix]))
-            for s, phi in zip(above, _interval_cds(tgt, ix, above)):
-                left[s] = left[s] - ell * morphism_g(phi)
-    return LocalHTable(rows=tuple(rows), total=total)
+    ell, rows = {}, []
+    for ix in _by_rank(tgt):  # every tau below ix comes first, the top last
+        h = _h_of(chains, tgt._ranks[ix], m._preimage_mask(ix))
+        taus = [t for t in tgt._bits(tgt._dn[ix]) if ell[t]]
+        phis = _intervals_below(tgt, ix, taus) if taus else ()
+        ell[ix] = h - sum((ell[t] * morphism_g(phi)
+                           for t, phi in zip(taus, phis)), UniPolynomial.zero())
+        rows.append((tgt.elements[ix], ell[ix]))
+    return LocalHTable(rows=tuple(rows), total=h)
 
 
 # -- the ab/cd -> Z[x] morphisms ------------------------------------------------
 
 
-# f of every word walked so far and of each of its prefixes
+# f of every prefix of at most 63 letters of each word walked so far
 _F = {"": UniPolynomial.one()}
+_MEMO_LETTERS = 63  # the longest word of a poset: rank 62, g's trailing b
 _ONE_MINUS_X = UniPolynomial((1, -1))
 
 
@@ -140,7 +136,7 @@ def _f_word(word):
     truncation of H at half the degree of u (d counts 2), b gives G, a
     gives (x - 1) F + G = G - H, c = a + b gives 2G - H, and d = ab + ba
     gives g(uc) - (1 - x) G."""
-    k = len(word)
+    k = min(len(word), _MEMO_LETTERS)
     while (f := _F.get(word[:k])) is None:
         k -= 1
     deg = k + word.count("d", 0, k)
@@ -158,7 +154,8 @@ def _f_word(word):
                 deg += 1
                 f = (_ONE_MINUS_X * f).truncate(deg // 2) - _ONE_MINUS_X * g
         deg += 1
-        _F[word[:i + 1]] = f
+        if i < _MEMO_LETTERS:
+            _F[word[:i + 1]] = f
     return f
 
 
@@ -181,9 +178,9 @@ def morphism_g(p):
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    rows: tuple          # (sigma, f(local ab), local h) triples
+    rows: tuple          # (sigma, f(local cd), local h) triples
     rows_agree: bool     # reported only: rows differ from rank 4 on
-    top_identity: object   # Psi(source) = sum local-ab * Psi(upper); None
+    top_identity: object   # Psi(source) = sum local-cd * Phi(upper); None
     bottom_identity: object  # toric h version; None when source unbounded
 
     def ok(self):
@@ -192,14 +189,14 @@ class CorrespondenceReport:
 
 
 def verify_local_correspondence(m):
-    """Map the ab-level decomposition onto the local h one.
+    """Map the cd-level decomposition onto the local h one.
 
-    Each row gives f of the local ab-index of the capped preimage beside
+    Each row gives f of the local cd-index of the capped preimage beside
     the local h-polynomial.  They agree on the faces of rank 3 or less,
     but not in general beyond: at the top face of the barycentric
     3-simplex f gives x + 11x^2 + x^3 and l gives x + 7x^2 + x^3.
-    rows_agree says whether they agree off a formal maximum, whose ab-side
-    local index is zero while its h-row absorbs the balance of the
+    rows_agree says whether they agree off a formal maximum, whose local
+    cd-index is zero while its h-row absorbs the balance of the
     recursion.  The verdict reads only the summed identities, checked on
     both levels when the source is bounded (they need its ab-index).
     """
@@ -207,22 +204,19 @@ def verify_local_correspondence(m):
     src, tgt = m.source, m.target
     table = local_h(m)
     formal_top = tgt.max_elt if src.max_elt is not None else None
-    local_ab = {s: expand_cd(l) for s, l in _local_cds(m)[0].items()}
-    rows = tuple((sigma, morphism_f(local_ab[sigma]), ell)
+    local = _local_cds(m)[0]
+    rows = tuple((sigma, morphism_f(local[sigma]), ell)
                  for sigma, ell in table.rows)
     agree = all(f == ell for sigma, f, ell in rows if sigma != formal_top)
 
     top = bottom = None
     if src.max_elt is not None and src.min_elt is not None:
-        psi_total = 0
-        h_total = UniPolynomial.zero()
         upper = _upper_cds(tgt)
-        for sigma, ell in table.rows:
-            psi_upper = expand_cd(upper[sigma])
-            psi_total = local_ab[sigma] * psi_upper + psi_total
-            if sigma != tgt.max_elt:
-                h_total = h_total + ell * morphism_f(psi_upper)
+        phi_total = sum(local[sigma] * upper[sigma] for sigma in local)
+        h_total = sum((ell * morphism_f(upper[sigma])
+                       for sigma, ell in table.rows if sigma != tgt.max_elt),
+                      UniPolynomial.zero())
         psi_src = ab_index(src)
-        top = psi_total == psi_src
+        top = expand_cd(phi_total) == psi_src
         bottom = h_total == morphism_f(psi_src)  # toric h of the source
     return CorrespondenceReport(rows, agree, top, bottom)

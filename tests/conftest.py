@@ -298,6 +298,17 @@ def g_poly_by_psi(p):
     return cd.morphism_g(ab_index_by_flag_h(p))
 
 
+def f_by_letter_rules(word):
+    """Oracle for morphism_f of one long ab-word, stepped letter by letter
+    with nothing kept: f(ub) = g(u) and f(ua) = (x - 1) f(u) + g(u), with
+    g(u) the truncation of (1 - x) f(u) at degree |u|/2."""
+    f = UniPolynomial.one()
+    for i, letter in enumerate(word):
+        g = (-X_MINUS_1 * f).truncate(i // 2)
+        f = g if letter == "b" else X_MINUS_1 * f + g
+    return f
+
+
 def morphism_f_by_coproduct(p):
     """Oracle for morphism_f through the coproduct:
     f = kappa + (g (x) kappa) applied to dict_coproduct(p), with the prefix

@@ -4,6 +4,7 @@ import pytest
 import cdindex as cd
 from cdindex.cli import run
 from cdindex.errors import NotCdExpressible, NotNearEulerian
+from cdindex import flagcd
 from cdindex.flagcd import _chain_counts, _chain_vectors, _masked
 from cdindex.subdivision import _local_cds
 from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _peel_cd,
@@ -503,6 +504,38 @@ def test_upper_intervals_of_a_validated_target_expand_phi(monkeypatch):
             assert [cd.ab_index(q) for q in uppers] == want, name
         checked += 1
     assert checked >= 3
+
+
+def test_intervals_below_read_every_interval_off_one_dp(
+        monkeypatch, eulerian_fixtures, rng):
+    # Phi and Upsilon of every [t, sigma] with t <= sigma, read off one DP
+    # down from sigma with the ends in any order, against the cd-index and
+    # the flag polynomial of the built interval; 0 at t = sigma
+    posets = [p for _, p in eulerian_fixtures if len(p.elements) <= 32]
+    randoms = [random_eulerian(rng) for _ in range(40)]
+    posets += [p for p in randoms if len(p.elements) <= 40][:15]
+    assert len(posets) >= 25
+    calls, pairs = [0], 0
+
+    def counted(*args, dp=flagcd._chain_vectors):
+        calls[0] += 1
+        return dp(*args)
+
+    for p in posets:
+        for top, sigma in enumerate(p.elements):
+            ends = [top, *p._bits(p._dn[top])]
+            rng.shuffle(ends)
+            uppers = [p.interval(p.elements[t], sigma) for t in ends]
+            for dense, want in ((False, cd.cd_index),
+                                (True, cd.flag_polynomial)):
+                calls[0] = 0
+                monkeypatch.setattr(flagcd, "_chain_vectors", counted)
+                got = flagcd._intervals_below(p, top, ends, dense)
+                monkeypatch.undo()
+                assert calls == [1], (p.elements, sigma)
+                assert got == [want(q) for q in uppers], (p.elements, sigma)
+            pairs += len(ends)
+    assert pairs >= 2000
 
 
 def test_boolean_cd_index_matches_pyramid_rule():

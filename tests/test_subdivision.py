@@ -509,8 +509,9 @@ def test_telescoping_matches_rebuilt_faces(subdivision_fixtures):
 def test_telescoping_reads_upper_intervals_off_dense_dps(
         monkeypatch, subdivision_fixtures):
     # Upsilon([sigma, 1]) of every face of rank i off one dense DP down
-    # from 1 over the target, the same verdict as with every upper
-    # interval built, and nothing built
+    # from 1 over the target's up-rows, under either module's name, the
+    # same verdict as with every upper interval built, and nothing built
+    import cdindex.flagcd as flagcd
     import cdindex.subdivision as subdivision
     maps = [m for _, m in subdivision_fixtures]
     maps.append(cd.with_adjoined_tops(
@@ -521,25 +522,61 @@ def test_telescoping_reads_upper_intervals_off_dense_dps(
         tgt = m.target
         for i in range(1, fam.n + 1):
             want = outcome(telescoping_by_intervals, fam, i)
-            builds, target_dps = count_builds(monkeypatch), [0]
+            builds, target_dps = count_builds(monkeypatch), []
 
-            def counted(rows, *args, dp=subdivision._chain_vectors):
-                # the one other DP here is the source's, for l_sigma
-                target_dps[0] += rows is not m.source._dn
-                return dp(rows, *args)
+            def counted(rows, levels, *args, dp=flagcd._chain_vectors):
+                # the others here are the source's, for l_sigma, and the
+                # skeletal posets', for the lhs
+                if rows is tgt._up:
+                    target_dps.append(args)
+                return dp(rows, levels, *args)
 
+            monkeypatch.setattr(flagcd, "_chain_vectors", counted)
             monkeypatch.setattr(subdivision, "_chain_vectors", counted)
             got = outcome(cd.verify_rank_telescoping, fam, i)
             monkeypatch.undo()
             assert got == want, i
             assert builds[0] == 0
-            # one DP for a verdict, none when the lhs raised first
-            assert target_dps == [got[0] == "value"], (i, target_dps)
+            # one dense DP for a verdict, none when the lhs raised first
+            assert target_dps == [(False,)] * (got[0] == "value"), i
             if got[0] == "value":
                 most_faces = max(most_faces, len(tgt.level(i)))
             verdicts.append(got)
     assert verdicts.count(("value", True)) >= 10
     assert most_faces >= 2
+
+
+def test_a_validated_map_onto_a_non_eulerian_target():
+    # the triangle's face lattice onto 0 < a, b, c < e, f < 1, with e over
+    # a, b and c and f over a and b: strong Eulerian validation passes,
+    # but [0, e] has three atoms, and [c, 1] is a chain, so the telescoping
+    # reads Upsilon of upper intervals that have no cd-index
+    src = cd.GradedPoset(
+        ["0", "v1", "v2", "v3", "e13", "e32", "e21", "1"],
+        [("0", "v1"), ("0", "v2"), ("0", "v3"), ("v1", "e13"),
+         ("v3", "e13"), ("v3", "e32"), ("v2", "e32"), ("v2", "e21"),
+         ("v1", "e21"), ("e13", "1"), ("e32", "1"), ("e21", "1")])
+    tgt = cd.GradedPoset(
+        ["0", "a", "b", "c", "e", "f", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "e"), ("b", "e"),
+         ("c", "e"), ("a", "f"), ("b", "f"), ("e", "1"), ("f", "1")])
+    m = cd.SubdivisionMap(src, tgt, {
+        "0": "0", "v1": "a", "v2": "b", "v3": "c", "e13": "e", "e32": "e",
+        "e21": "f", "1": "1"})
+    assert cd.validate_strong_eulerian(m).ok
+    assert src.is_eulerian() and not tgt.interval("0", "e").is_eulerian()
+    assert not tgt.interval("c", "1").is_eulerian()
+    with pytest.raises(InvalidSubdivision,
+                       match="decomposition needs Eulerian posets"):
+        cd.decompose_cd(m)
+    fam = cd.skeletal_family(m)
+    verdicts = [cd.verify_rank_telescoping(fam, i) for i in (1, 2, 3)]
+    assert verdicts == [telescoping_by_intervals(fam, i) for i in (1, 2, 3)]
+    assert verdicts == [True, False, True]
+    assert [f for f, _ in cd.validate_strong_formal(m).failures] == [
+        ("v3", "e")]
+    with pytest.raises(ValidationRequired, match="strong_formal"):
+        cd.verify_local_correspondence(m)
 
 
 def test_validation_scans_the_source_once(monkeypatch,

@@ -15,14 +15,15 @@ from conftest import (MorphismsByCoproduct, ab_words,
                       barycentric_solid_triangle,
                       correspondence_rows_by_rebuild, count_builds,
                       derangements_by_excedance, edge_with_points,
-                      eulerian_by_mobius, eulerian_polynomial, g_by_recursion,
+                      eulerian_by_mobius, eulerian_polynomial,
+                      f_by_letter_rules, g_by_recursion,
                       g_poly_by_psi, h_poly_by_adjoin_max,
                       h_poly_by_recursion, kappa, kappa_of,
                       local_h_by_dual_intervals, local_h_of_built_faces,
                       morphism_f_by_coproduct, outcome, polygon_cd,
                       polygon_lattice, random_graded_poset, rank45_pool,
-                      square_lattice, three_polytope_cd, toric_h_by_psi,
-                      toric_h_by_recursion)
+                      square_lattice, subdivision_pool, three_polytope_cd,
+                      toric_h_by_psi, toric_h_by_recursion)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -318,6 +319,33 @@ def test_correspondence_rows_differ_exactly_at_genuine_faces_of_rank_4_on(
                                  UniPolynomial((0, 1, 7, 1)))
 
 
+def test_local_h_pulls_each_face_off_one_dp_down_from_it(monkeypatch):
+    # l(sigma) is h less l(tau) g([tau, sigma]) over the tau < sigma with
+    # l(tau) nonzero, their g off one sparse DP down from sigma; a face
+    # with no such tau runs none
+    maps = [(name, m) for name, m in subdivision_pool() + rank45_pool()
+            if m.target.max_elt is not None and m.target.is_eulerian()]
+    assert len(maps) >= 8
+    for name, m in maps:
+        tgt, dps = m.target, []
+
+        def counted(rows, levels, *args, dp=flagcd._chain_vectors):
+            if rows is tgt._up:
+                dps.append(args)
+            return dp(rows, levels, *args)
+
+        monkeypatch.setattr(flagcd, "_chain_vectors", counted)
+        monkeypatch.setattr(toric, "_chain_vectors", counted)
+        rows = cd.local_h(m).rows
+        monkeypatch.undo()
+        assert rows == local_h_by_dual_intervals(m), name
+        nonzero = {s for s, ell in rows if ell}
+        pulled = [s for s, _ in rows
+                  if any(t in nonzero for t in tgt.down_set(s))]
+        assert dps == [(True,)] * len(pulled), name
+        assert len(pulled) == len(tgt.elements) - 1, name
+
+
 def test_local_h_reuses_validated_faces(monkeypatch):
     # local_h reads the capped preimages as masks on the source rows and
     # relies on the target's own Eulerian check for the intervals
@@ -455,6 +483,20 @@ def test_cd_letter_rules_match_ab_expansion(phi, rnd):
         assert cd.morphism_g(routes[0]) == cd.morphism_g(routes[1]), word
     assert cd.morphism_f(phi) == cd.morphism_f(expand_cd(phi))
     assert cd.morphism_g(phi) == cd.morphism_g(expand_cd(phi))
+
+
+def test_morphism_memo_keeps_no_prefix_longer_than_a_poset_word():
+    # f and g of a 300-letter word, of its 100-letter prefix, and of the
+    # word stepped on from there, against the letter rules; the memo keeps
+    # f of prefixes of at most 63 letters, the longest word of a poset
+    rnd = random.Random(25)
+    word = "".join(rnd.choice("ab") for _ in range(300))
+    for w in (word, word[:100], word + "ab"):
+        assert cd.morphism_f(AbPolynomial.monomial(w)) == f_by_letter_rules(w)
+        assert (cd.morphism_g(AbPolynomial.monomial(w))
+                == f_by_letter_rules(w + "b"))
+        assert max(map(len, toric._F)) == 63
+    assert word[:63] in toric._F
 
 
 def test_morphism_f_of_a_long_word_does_not_recurse():
