@@ -2,8 +2,8 @@
 f/h-vectors, rational reduced homology, Gorenstein predicates, shelling
 verification, and the standard generators.
 
-A face poset, with or without its formal top, is one poset build; so is
-every complex-form input, which is read as its face poset with the top.
+A face poset, with or without its formal top, is one poset build off vertex
+bitmasks; a complex-form input is decoded straight to it, with its top.
 
 Homology is rational: the boundary ranks over Q come from a sparse
 elimination of the +-1 boundary rows that stays in the integers.  The
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import poset as ps
-from .errors import (DomainError, FaceNotFound, NotPure, RequiresBounds,
-                     SearchCutoff)
+from .errors import (DomainError, FaceNotFound, NotPure, Record,
+                     RequiresBounds, SearchCutoff)
 from .flagcd import flag_h
 from .ncpoly import UniPolynomial
 
@@ -97,30 +96,59 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_obj(cls, obj):
-        facets = obj.get("facets") if isinstance(obj, dict) else None
-        if not (isinstance(facets, list)
-                and all(isinstance(f, list) for f in facets)):
-            raise DomainError('a complex is an object with a "facets" list '
-                              'of vertex lists')
-        ps._require_json_ids(facets, "facet vertex")
-        return cls(facets)
+        return cls(_json_facets(obj))
 
     @classmethod
     def from_json(cls, text):
         return cls.from_json_obj(json.loads(text))
 
 
+def _json_facets(obj):
+    """The facet lists of a JSON complex, checked as the decoders need."""
+    facets = obj.get("facets") if isinstance(obj, dict) else None
+    if not (isinstance(facets, list)
+            and all(isinstance(f, list) for f in facets)):
+        raise DomainError('a complex is an object with a "facets" list '
+                          'of vertex lists')
+    ps._require_json_ids(facets, "facet vertex")
+    return facets
+
+
 def face_poset(k, with_max=False):
-    """Face poset of a complex; empty face at the bottom, rank = dim + 1.
-    with_max adjoins TOP above the facets (above the empty face when there
-    is none) in the same build; face ids are in braces, so TOP is fresh."""
-    faces = sorted(k.faces(), key=lambda f: (len(f), sorted(f)))
-    ids = {f: face_id(f) for f in faces}
-    elements = [ids[f] for f in faces]
-    covers = [(ids[f - {v}], ids[f]) for f in faces for v in f]
+    """Face poset of a complex, or of the one whose faces are the subsets
+    of the given vertex lists, in (size, sorted names) order: with vertex i
+    of n sorted names as the bit 1 << (n-1-i), (size, descending mask).
+    The faces are the submasks of the given sets taken largest first; those
+    not yet reached are the facets.  with_max adjoins TOP above the facets
+    (or the empty face) in the same build; ids have braces, so it is fresh."""
+    given = [{str(v) for v in f} for f in getattr(k, "facets", k)]
+    bit = {v: 1 << i
+           for i, v in enumerate(sorted(set().union(*given), reverse=True))}
+    escaped = {b: v.translate(_ESCAPE) for v, b in bit.items()}
+    faces, facets = {0}, []
+    for f in sorted({sum(map(bit.get, f)) for f in given},
+                    key=int.bit_count, reverse=True):
+        if f not in faces:
+            facets.append(f)
+            sub = f
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & f
+    ids, elements, covers = {0: "{}"}, ["{}"], []
+    for f in sorted(faces, key=lambda f: (f.bit_count(), -f))[1:]:
+        last = f & -f
+        rest = f ^ last
+        ids[f] = face = (ids[rest][:-1] + ("," if rest else "")
+                         + escaped[last] + "}")
+        elements.append(face)
+        covers.append((ids[rest], face))
+        while rest:
+            low = rest & -rest
+            covers.append((ids[f ^ low], face))
+            rest ^= low
     if with_max:
         elements.append("TOP")
-        covers += [(ids[f], "TOP") for f in k.facets or [frozenset()]]
+        covers += [(ids[f], "TOP") for f in facets or [0]]
     return ps.GradedPoset(elements, covers)
 
 
@@ -128,8 +156,7 @@ def _poset_from_obj(obj):
     """A JSON poset, or a JSON complex as its face poset with a maximum."""
     if isinstance(obj, dict):
         if "facets" in obj:
-            return face_poset(SimplicialComplex.from_json_obj(obj),
-                              with_max=True)
+            return face_poset(_json_facets(obj), with_max=True)
         if "elements" in obj:
             return ps.GradedPoset.from_json_obj(obj)
     raise DomainError("input is neither a poset nor a complex")
@@ -169,12 +196,10 @@ def f_vector(k):
     return [len(k.faces(i)) for i in range(-1, d + 1)]
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(Record):
     """Classical h-vector of a pure (d-1)-dimensional complex."""
 
-    d: int
-    h: tuple
+    __slots__ = ("d", "h")
 
     def polynomial(self):
         return UniPolynomial(self.h)
@@ -448,13 +473,10 @@ def make_cube3():
     return ps.GradedPoset(sorted(ids.values()) + ["TOP"], order)
 
 
-@dataclass(frozen=True)
-class StackedPolytope:
+class StackedPolytope(Record):
     """A combinatorial stacked polytope with its stack triangulation."""
 
-    boundary: SimplicialComplex
-    triangulation: SimplicialComplex
-    order: tuple
+    __slots__ = ("boundary", "triangulation", "order")
 
 
 def make_stacked(d, k, seed=0):

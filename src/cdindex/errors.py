@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types and the record base shared across the library."""
 
 
 class CdindexError(Exception):
@@ -81,3 +81,40 @@ class NotLowerEulerian(CdindexError):
 class SearchCutoff(CdindexError):
     """Backtracking search exceeded its node budget (distinct from an
     exhausted search, which returns None)."""
+
+
+class Record:
+    """Base of the result records: fields named by ``__slots__``, set once
+    by position or keyword, compared, hashed and printed by value."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if (len(args) + len(kwargs) != len(names)
+                or values.keys() != set(names)):
+            raise TypeError("%s takes %r" % (type(self).__name__, names))
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._values())))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r" % name)
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()

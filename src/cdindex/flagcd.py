@@ -18,20 +18,16 @@ DP, as ``flag_f`` does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import poset as ps
-from .errors import DomainError, NotNearEulerian, RankTooLarge
+from .errors import DomainError, NotNearEulerian, RankTooLarge, Record
 from .ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _peel_cd,
                      _sparse_masks, expand_cd, substitute, to_cd)
 
 
-@dataclass(frozen=True)
-class FlagVector:
+class FlagVector(Record):
     """Counts indexed by rank subsets of {1..n}, stored under bitmasks."""
 
-    n: int
-    values: dict
+    __slots__ = ("n", "values")
 
     def __getitem__(self, ranks):
         if isinstance(ranks, int):
@@ -198,12 +194,11 @@ def ab_index(p):
     return _ab_sum(p, flag_h)
 
 
-@dataclass(frozen=True)
-class LocalIndex:
+class LocalIndex(Record):
     """Local cd-index of a near-Eulerian poset; ab and flag are its images
     (see ``local_index``)."""
 
-    cd: CdPolynomial
+    __slots__ = ("cd",)
 
     @property
     def ab(self):

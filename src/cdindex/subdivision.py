@@ -15,24 +15,20 @@ the source gives every local cd-index, as sums over the preimage and D.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import poset as ps
 from .errors import (DomainError, FaceNotFound, InvalidChain,
-                     InvalidSubdivision, NotNearEulerian, RequiresBounds,
-                     ValidationRequired)
+                     InvalidSubdivision, NotNearEulerian, Record,
+                     RequiresBounds, ValidationRequired)
 from .flagcd import (LocalIndex, _chain_vectors, _intervals_below, _local_cd,
                      _masked, flag_polynomial)
 from .ncpoly import CdPolynomial, _peel_cd
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of a validation pass; failures name the offending elements."""
 
-    kind: str
-    ok: bool
-    failures: tuple
+    __slots__ = ("kind", "ok", "failures")
 
     def __bool__(self):
         return self.ok
@@ -133,8 +129,8 @@ def from_vertex_carriers(source, target, vertex_carrier):
     """Build a simplicial subdivision map from carrier faces of the vertices.
 
     ``vertex_carrier`` maps each vertex of the source complex to the face of
-    the target complex it sits in; the carrier of a face is then the minimal
-    target face containing the union of its vertex carriers.  The map runs
+    the target complex it sits in; a face's carrier is then the union of
+    its vertex carriers, the least target face containing it.  The map runs
     between the bare face posets; see with_adjoined_tops for sphere bases.
     """
     from .complexes import face_id, face_poset
@@ -142,18 +138,15 @@ def from_vertex_carriers(source, target, vertex_carrier):
                       for v, f in vertex_carrier.items()}
     src = face_poset(source, with_max=False)
     tgt = face_poset(target, with_max=False)
+    missing = sorted(set(source.vertices) - vertex_carrier.keys())
+    if missing:
+        raise DomainError("no carrier for source vertex %r" % missing[0])
     carrier = {}
-    faces = sorted(target.faces(), key=len)
     for f in source.faces():
-        hull = set()
-        for v in f:
-            if v not in vertex_carrier:
-                raise DomainError("no carrier for source vertex %r" % v)
-            hull |= vertex_carrier[v]
-        fit = next((g for g in faces if hull <= g), None)
-        if fit is None:
+        hull = frozenset().union(*map(vertex_carrier.get, f))
+        if hull not in target.faces():
             raise DomainError("no target face contains %s" % sorted(hull))
-        carrier[face_id(f)] = face_id(fit)
+        carrier[face_id(f)] = face_id(hull)
     return SubdivisionMap(src, tgt, carrier)
 
 
@@ -311,8 +304,7 @@ def _tag(kind, e):
     return "%s:%s" % (kind, e)
 
 
-@dataclass
-class SkeletalFamily:
+class SkeletalFamily(Record):
     """Skeletal posets Pi_i and maps phi_i of a strong Eulerian subdivision.
 
     posets[i] interpolates between the target (i = 0) and the source
@@ -320,9 +312,11 @@ class SkeletalFamily:
     posets[i+1] ids to posets[i] ids.
     """
 
-    subdivision: SubdivisionMap
-    posets: list = field(default_factory=list)
-    maps: list = field(default_factory=list)
+    __slots__ = ("subdivision", "posets", "maps")
+    __setattr__, __hash__ = object.__setattr__, None
+
+    def __init__(self, subdivision, posets=None, maps=None):
+        super().__init__(subdivision, posets or [], maps or [])
 
     @property
     def n(self):
@@ -414,20 +408,15 @@ def classify_flag(fam, i, chain):
 # -- the decomposition ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
-    sigma: str
-    local_cd: CdPolynomial
-    upper_cd: CdPolynomial
+class DecompositionRow(Record):
+    __slots__ = ("sigma", "local_cd", "upper_cd")
 
     def contribution(self):
         return self.local_cd * self.upper_cd
 
 
-@dataclass(frozen=True)
-class CdDecomposition:
-    rows: tuple
-    total: CdPolynomial
+class CdDecomposition(Record):
+    __slots__ = ("rows", "total")
 
     def nonzero_rows(self):
         return [r for r in self.rows if r.local_cd]

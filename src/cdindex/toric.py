@@ -17,9 +17,7 @@ through the mask, and g of each [tau, sigma] off a DP down from sigma.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotLowerEulerian, RequiresBounds
+from .errors import NotLowerEulerian, Record, RequiresBounds
 from .flagcd import (_ab_of, _beta, _chain_vectors, _intervals_below,
                      _masked, ab_index, cd_index)
 from .ncpoly import UniPolynomial, expand_cd
@@ -78,12 +76,11 @@ def toric_h(p):
 # -- local h ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalHTable:
+class LocalHTable(Record):
     """Per-face local h-polynomials of a strong formal subdivision."""
 
-    rows: tuple  # (sigma, UniPolynomial) pairs in (rank, id) order
-    total: UniPolynomial
+    __slots__ = ("rows",   # (sigma, UniPolynomial) pairs in (rank, id) order
+                 "total")
 
     def row(self, sigma):
         for s, poly in self.rows:
@@ -176,12 +173,12 @@ def morphism_g(p):
 # -- correspondence with the cd decomposition ------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    rows: tuple          # (sigma, f(local cd), local h) triples
-    rows_agree: bool     # reported only: rows differ from rank 4 on
-    top_identity: object   # Psi(source) = sum local-cd * Phi(upper); None
-    bottom_identity: object  # toric h version; None when source unbounded
+class CorrespondenceReport(Record):
+    __slots__ = (
+        "rows",             # (sigma, f(local cd), local h) triples
+        "rows_agree",       # reported only: rows differ from rank 4 on
+        "top_identity",     # Psi(source) = sum local-cd * Phi(upper); None
+        "bottom_identity")  # toric h version; None when source unbounded
 
     def ok(self):
         return (self.top_identity is not False

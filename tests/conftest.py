@@ -855,6 +855,20 @@ def poset_fields_by_dfs(elements, covers):
             "max_elt": elements[maximal[0]] if len(maximal) == 1 else None}
 
 
+def face_poset_by_frozensets(k, with_max=False):
+    """Oracle for face_poset: the faces as frozensets sorted by (size,
+    sorted names), one face_id each, a cover per face and vertex, and TOP
+    above the facets (above the empty face when there is none)."""
+    faces = sorted(k.faces(), key=lambda f: (len(f), sorted(f)))
+    ids = {f: face_id(f) for f in faces}
+    elements = [ids[f] for f in faces]
+    covers = [(ids[f - {v}], ids[f]) for f in faces for v in f]
+    if with_max:
+        elements.append("TOP")
+        covers += [(ids[f], "TOP") for f in k.facets or [frozenset()]]
+    return cd.GradedPoset(elements, covers)
+
+
 def adjoin_max_by_cover_copy(p):
     """Oracle for adjoin_max: the parent's cover pairs copied, and a fresh
     TOP covering each maximal element."""

@@ -8,13 +8,14 @@ import pytest
 import cdindex as cd
 from cdindex.cli import run
 from cdindex.complexes import _closure_of, _shelling_step_ok, face_id
-from cdindex.errors import FaceNotFound, NotPure, SearchCutoff
+from cdindex.errors import DomainError, FaceNotFound, NotPure, SearchCutoff
 from cdindex.ncpoly import UniPolynomial, coefficientwise_leq
 from cdindex.complexes import _poset_from_obj
 from conftest import (adjoin_max_by_cover_copy, betti_by_fractions,
                       betti_by_sympy, count_builds, cube3_by_cover_search,
                       facets_by_pairwise_filter, find_shelling_by_recursion,
-                      isomorphic, octahedron_complex, outcome, polygon_cd,
+                      face_poset_by_frozensets, isomorphic,
+                      octahedron_complex, outcome, polygon_cd,
                       polygon_lattice, rp2_complex, same_build,
                       shelling_step_by_closure, square_lattice,
                       three_polytope_cd, torus_complex)
@@ -65,13 +66,110 @@ def test_make_cube3_matches_the_cover_search():
 
 
 def test_a_complex_input_is_one_build(monkeypatch):
+    # a complex side decodes straight to face rows: one poset build and no
+    # SimplicialComplex
     square = cd.make_polygon(4).to_json_obj()
+    k = cd.make_boundary_simplex(3)
+    oc, m = cd.barycentric_subdivision(k)
+    obj = {"source": oc.to_json_obj(), "target": k.to_json_obj(),
+           "carrier": dict(m.carrier)}
+    complexes = []
+    init = cd.SimplicialComplex.__init__
+    monkeypatch.setattr(cd.SimplicialComplex, "__init__",
+                        lambda self, facets: (complexes.append(facets),
+                                              init(self, facets))[1])
     calls = count_builds(monkeypatch)
     p = _poset_from_obj(square)
-    assert calls == [1]
+    assert (calls, complexes) == ([1], [])
+    decoded = cd.SubdivisionMap.from_json_obj(obj)
+    assert (calls, complexes) == ([3], [])
     monkeypatch.undo()
     assert same_build(p, adjoin_max_by_cover_copy(
         cd.face_poset(cd.SimplicialComplex.from_json_obj(square))))
+    assert decoded.to_json() == cd.with_adjoined_tops(m).to_json()
+
+
+def complex_fixtures():
+    """The named complexes and generated shapes, the empty ones included."""
+    pool = [cd.SimplicialComplex([]), cd.SimplicialComplex([[]]),
+            octahedron_complex(), rp2_complex(), torus_complex(),
+            cd.order_complex(cd.boolean_poset(3)),
+            cd.barycentric_subdivision(cd.make_simplex(2))[0]]
+    pool += [cd.make_simplex(d) for d in range(4)]
+    pool += [cd.make_boundary_simplex(d) for d in range(1, 5)]
+    pool += [cd.make_polygon(n) for n in range(3, 7)]
+    for k in range(1, 5):
+        stacked = cd.make_stacked(3, k, seed=k)
+        pool += [stacked.boundary, stacked.triangulation]
+    return pool
+
+
+def random_facet_lists(rng, count):
+    """Facet lists with duplicates, nested sets, [] and [[]], integer names
+    and names holding the separators of face ids."""
+    names = ["a,1", "b", "{c}", "d\\e", "z}", "0", "10", "2", 0, 3, 11]
+    for _ in range(count):
+        given = [rng.sample(names, rng.randint(0, 5))
+                 for _ in range(rng.randint(0, 7))]
+        for f in list(given):
+            roll = rng.random()
+            if roll < 0.3:
+                given.append(list(reversed(f)))
+            elif roll < 0.6:
+                given.append(f[:rng.randint(0, len(f))])
+        given += rng.choice(([], [[]], [[rng.choice(names)]], [["0", 0]]))
+        rng.shuffle(given)
+        yield given
+
+
+def test_face_poset_matches_the_frozenset_oracle(rng):
+    # the bitmask enumeration gives the oracle's elements in its order and
+    # its covers, from a complex and from the raw vertex lists alike
+    cases = [(k, k) for k in complex_fixtures()]
+    cases += [(cd.SimplicialComplex(given), given)
+              for given in random_facet_lists(rng, 300)]
+    for k, given in cases:
+        for with_max in (False, True):
+            want = face_poset_by_frozensets(k, with_max)
+            for got in (cd.face_poset(k, with_max),
+                        cd.face_poset(given, with_max)):
+                assert same_build(got, want), (given, with_max)
+                assert got.to_json() == want.to_json()
+
+
+MALFORMED_FACETS = [
+    ({"facets": 5}, 'a complex is an object with a "facets" list of vertex '
+                    'lists'),
+    ({"facets": None}, 'a complex is an object with a "facets" list of '
+                       'vertex lists'),
+    ({"facets": [["a"], "b"]}, 'a complex is an object with a "facets" list '
+                               'of vertex lists'),
+    ({"facets": [[1, [2]]]}, "facet vertex [2] is not a string or an "
+                             "integer"),
+    ({"facets": [["a", None]]}, "facet vertex null is not a string or an "
+                                "integer"),
+    ({"facets": [["a"], [True]]}, "facet vertex true is not a string or an "
+                                  "integer"),
+]
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED_FACETS)
+def test_malformed_facets_keep_their_messages(capsys, tmp_path, obj,
+                                              message):
+    # the complex reader and the face-row decoder share one check
+    for decode in (cd.SimplicialComplex.from_json_obj, _poset_from_obj):
+        assert outcome(decode, obj) == ("raised", DomainError, message, None)
+    path = tmp_path / "bad.json"
+    tetra = cd.make_boundary_simplex(3).to_json_obj()
+    for argv, text in ((["compute", "--what", "cd"], obj),
+                       (["verify", "--property", "gorenstein"], obj),
+                       (["decompose"], {"source": obj, "target": tetra,
+                                        "carrier": {}})):
+        path.write_text(json.dumps(text))
+        code = run(argv + ["--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "validation error: %s\n"
+                                    % message), argv
 
 
 def test_facets_match_pairwise_filter(rng):
