@@ -14,7 +14,6 @@ Gorenstein test and a later ``reduced_betti`` share one elimination.
 """
 from __future__ import annotations
 
-import json
 import random
 from itertools import combinations, product
 
@@ -28,13 +27,20 @@ from .ncpoly import UniPolynomial
 _ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,{}"})
 
 
+def _spell(name):
+    """A vertex name as face ids write it: a backslash before each
+    backslash, comma and brace, and the empty name as a backslash and 0,
+    which no escape writes, so that {""} is not the empty face's {}."""
+    return name.translate(_ESCAPE) if name else "\\0"
+
+
 def face_id(face):
-    """Canonical string id of a face: sorted vertex names in braces, a
-    backslash before each backslash, comma and brace of a name."""
-    return "{%s}" % ",".join(v.translate(_ESCAPE) for v in sorted(face))
+    """Canonical string id of a face: its sorted vertex names, spelled by
+    _spell, in braces."""
+    return "{%s}" % ",".join(map(_spell, sorted(face)))
 
 
-class SimplicialComplex:
+class SimplicialComplex(ps._JsonText):
     """Abstract simplicial complex given by its facet list.
 
     The face set is closed downward and always contains the empty face.
@@ -90,17 +96,9 @@ class SimplicialComplex:
     def to_json_obj(self):
         return {"facets": [sorted(f) for f in self.facets]}
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True,
-                          separators=(",", ":"))
-
     @classmethod
     def from_json_obj(cls, obj):
         return cls(_json_facets(obj))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
 
 
 def _json_facets(obj):
@@ -124,7 +122,7 @@ def face_poset(k, with_max=False):
     given = [{str(v) for v in f} for f in getattr(k, "facets", k)]
     bit = {v: 1 << i
            for i, v in enumerate(sorted(set().union(*given), reverse=True))}
-    escaped = {b: v.translate(_ESCAPE) for v, b in bit.items()}
+    escaped = {b: _spell(v) for v, b in bit.items()}
     faces, facets = {0}, []
     for f in sorted({sum(map(bit.get, f)) for f in given},
                     key=int.bit_count, reverse=True):

@@ -24,7 +24,22 @@ from .errors import (CycleDetected, DomainError, MissingBounds, NotGraded,
                      NotNearEulerian, RequiresBounds, RequiresMin)
 
 
-class GradedPoset:
+class _JsonText:
+    """Canonical byte-stable JSON text of to_json_obj, read back by
+    from_json_obj."""
+
+    __slots__ = ()
+
+    def to_json(self):
+        return json.dumps(self.to_json_obj(), sort_keys=True,
+                          separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text):
+        return cls.from_json_obj(json.loads(text))
+
+
+class GradedPoset(_JsonText):
     """Finite poset with cached reachability and (when possible) ranks."""
 
     __slots__ = ("elements", "_idx", "cover_pairs", "_up", "_dn",
@@ -300,11 +315,6 @@ class GradedPoset:
         return {"elements": sorted(self.elements),
                 "covers": [list(c) for c in covers]}
 
-    def to_json(self):
-        """Canonical byte-stable JSON text."""
-        return json.dumps(self.to_json_obj(), sort_keys=True,
-                          separators=(",", ":"))
-
     @classmethod
     def from_json_obj(cls, obj):
         if not (isinstance(obj, dict) and isinstance(obj.get("elements"), list)
@@ -317,10 +327,6 @@ class GradedPoset:
         _require_json_ids([obj["elements"]], "element id")
         _require_json_ids(covers, "cover end")
         return cls(obj["elements"], covers)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
 
     def __repr__(self):
         return "GradedPoset(%d elements, %d covers)" % (

@@ -14,8 +14,6 @@ the source gives every local cd-index, as sums over the preimage and D.
 """
 from __future__ import annotations
 
-import json
-
 from . import poset as ps
 from .errors import (DomainError, FaceNotFound, InvalidChain,
                      InvalidSubdivision, NotNearEulerian, Record,
@@ -34,7 +32,7 @@ class ValidationReport(Record):
         return self.ok
 
 
-class SubdivisionMap:
+class SubdivisionMap(ps._JsonText):
     """Order-preserving surjection source -> target with carrier data."""
 
     __slots__ = ("source", "target", "carrier", "_carried", "_cache")
@@ -89,10 +87,6 @@ class SubdivisionMap:
                 "carrier": {e: self.carrier[e]
                             for e in sorted(self.carrier)}}
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True,
-                          separators=(",", ":"))
-
     @classmethod
     def from_json_obj(cls, obj):
         if not (isinstance(obj, dict) and "source" in obj and "target" in obj
@@ -110,10 +104,6 @@ class SubdivisionMap:
             if a is not None and b is not None and a not in carrier:
                 carrier[a] = b
         return cls(source, target, carrier)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
 
     def __repr__(self):
         return "SubdivisionMap(%d -> %d elements)" % (
@@ -309,14 +299,11 @@ class SkeletalFamily(Record):
 
     posets[i] interpolates between the target (i = 0) and the source
     (i = n); element ids carry an old:/new: provenance tag.  maps[i] sends
-    posets[i+1] ids to posets[i] ids.
+    posets[i+1] ids to posets[i] ids.  The maps are dicts, so a family is
+    unhashable.
     """
 
     __slots__ = ("subdivision", "posets", "maps")
-    __setattr__, __hash__ = object.__setattr__, None
-
-    def __init__(self, subdivision, posets=None, maps=None):
-        super().__init__(subdivision, posets or [], maps or [])
 
     @property
     def n(self):
@@ -337,47 +324,39 @@ class SkeletalFamily(Record):
 
 
 def skeletal_family(m):
-    """Materialize every skeletal poset and map of a validated subdivision."""
+    """Materialize every skeletal poset and map of a validated subdivision.
+
+    All levels are sub-posets of one poset Pi: the source tagged new: below
+    the target tagged old:, each source element under the old copy of its
+    carrier.  posets[i] keeps the new elements carried to rank <= i and the
+    old elements of rank > i; maps[i-1] sends the new elements carried to
+    rank i to their carriers and fixes the rest.
+    """
     report = validate_strong_eulerian(m)
     if not report.ok:
         raise InvalidSubdivision("skeletal decomposition needs a valid "
                                  "strong Eulerian subdivision")
     src, tgt = m.source, m.target
-    n = tgt.top_rank
-    carrier_rank = {e: tgt.rank(m(e)) for e in src.elements}
-    fam = SkeletalFamily(m)
-    for i in range(n + 1):
-        fam.posets.append(_skeletal_poset(m, i, carrier_rank))
-    for i in range(n):
-        fam.maps.append(_skeletal_map(m, i, carrier_rank, fam.posets[i + 1]))
-    return fam
-
-
-def _skeletal_poset(m, i, carrier_rank):
-    src, tgt = m.source, m.target
-    old = [e for e in tgt.elements if tgt.rank(e) >= i + 1]
-    new = [e for e in src.elements if carrier_rank[e] <= i]
-    elements = [_tag(NEW, e) for e in new] + [_tag(OLD, e) for e in old]
-    # the strict order; the constructor keeps only its covers
-    order = [(_tag(NEW, e), _tag(NEW, f)) for e in new
-             for f in src.up_set(e) if carrier_rank[f] <= i]
-    order += [(_tag(NEW, e), _tag(OLD, f)) for e in new for f in old
-              if tgt.le(m(e), f)]
-    order += [(_tag(OLD, e), _tag(OLD, f)) for e in old for f in tgt.up_set(e)]
-    p = ps.GradedPoset(elements, order)
-    if not p.is_graded or p.top_rank != tgt.top_rank:
-        raise InvalidSubdivision("skeletal poset at level %d is not graded "
-                                 "of full rank" % i)
-    return p
-
-
-def _skeletal_map(m, i, carrier_rank, upper):
-    out = {}
-    for e in upper.elements:
-        kind, _, raw = e.partition(":")
-        out[e] = (_tag(OLD, m(raw)) if kind == NEW
-                  and carrier_rank[raw] == i + 1 else e)
-    return out
+    new = [_tag(NEW, e) for e in src.elements]
+    old = [_tag(OLD, e) for e in tgt.elements]
+    covers = [(new[lo], new[hi]) for lo, hi in src.cover_pairs]
+    covers += [(old[lo], old[hi]) for lo, hi in tgt.cover_pairs]
+    covers += [(a, _tag(OLD, m(e))) for a, e in zip(new, src.elements)]
+    pi = ps.GradedPoset(new + old, covers)
+    carried, shift, posets, maps = 0, len(src), [], []
+    for i, level in enumerate(tgt._levels):
+        step = {}  # the new elements carried to rank i, to their carriers
+        for t in tgt._bits(level):
+            carried |= m._carried[t]
+            step.update((new[s], old[t]) for s in tgt._bits(m._carried[t]))
+        p = pi._sub(carried | sum(tgt._levels[i + 1:]) << shift)
+        if not p.is_graded or p.top_rank != tgt.top_rank:
+            raise InvalidSubdivision("skeletal poset at level %d is not "
+                                     "graded of full rank" % i)
+        if i:
+            maps.append({e: step.get(e, e) for e in p.elements})
+        posets.append(p)
+    return SkeletalFamily(m, tuple(posets), tuple(maps))
 
 
 def classify_flag(fam, i, chain):
@@ -444,12 +423,13 @@ def decompose_cd(m):
     local, chains = _local_cds(m)
     upper = _upper_cds(tgt)
     rows = [DecompositionRow(s, local[s], upper[s]) for s in local]
-    if local[tgt.max_elt]:
+    n = src.top_rank - 1  # the source's flag f-vector, of the same DP
+    if n >= 0 and local[tgt.max_elt]:  # a point is its own top, with l = 1
         raise InvalidSubdivision("local cd-index of the top element must "
                                  "vanish, got %s" % local[tgt.max_elt])
     total = sum((r.contribution() for r in rows), CdPolynomial.zero())
-    n = src.top_rank - 1  # the source's flag f-vector, of the same DP
-    source_cd = _peel_cd(n, _masked(chains, n, (1 << len(src)) - 1))
+    source_cd = (_peel_cd(n, _masked(chains, n, (1 << len(src)) - 1))
+                 if n >= 0 else CdPolynomial.zero())  # Phi of a point is 0
     if total != source_cd:
         raise InvalidSubdivision(
             "decomposition total %s differs from the source cd-index %s"

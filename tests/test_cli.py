@@ -309,6 +309,85 @@ def test_json_integer_ids_still_decode(capsys, tmp_path):
                       "--input", str(path)) == (0, want, "")
 
 
+NON_PURE = '{"facets": [["a", "b", "c"], ["c", "d"]]}'
+INPUT_ERRORS = [
+    (["compute", "--what", "cd"], "[]", "input must be a JSON object"),
+    (["compute", "--what", "cd"], '{"elements": 1, "covers": []}',
+     'a poset is an object with "elements" and "covers" lists'),
+    (["compute", "--what", "cd"], '{"elements": ["a", "b"], "covers": [[1]]}',
+     "each cover must be a [lower, upper] pair"),
+    (["decompose"], '{"carrier": {}}', 'a subdivision is an object with '
+     '"source", "target" and a "carrier" object'),
+    (["verify", "--property", "shelling"], NON_PURE,
+     "shelling is defined for pure complexes"),
+    (["verify", "--property", "shelling", "--order", "a,b,c;c,d"], NON_PURE,
+     "shelling is defined for pure complexes"),
+    (["verify", "--property", "gorenstein"], NON_PURE,
+     "Gorenstein test needs a pure complex"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", INPUT_ERRORS)
+def test_input_errors_exit_2_with_their_message(capsys, tmp_path, argv, text,
+                                                message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert invoke(capsys, *argv, "--input", str(path)) == (
+        2, "", "validation error: %s\n" % message)
+
+
+def test_verify_shelling_of_the_bowtie_finds_none(capsys, tmp_path):
+    # two triangles sharing a vertex: pure, but no order is a shelling
+    path = tmp_path / "bowtie.json"
+    path.write_text(json.dumps({"facets": [["a", "b", "c"], ["c", "d", "e"]]}))
+    assert invoke(capsys, "verify", "--property", "shelling",
+                  "--input", str(path)) == (
+        2, "shelling: FAIL\nno shelling exists\n", "")
+
+
+@pytest.mark.parametrize("shape, make", [
+    ("simplex", lambda: cd.make_simplex(2)),
+    ("boundary", lambda: cd.make_boundary_simplex(2)),
+    ("cube", cd.make_cube3),
+])
+def test_generate_fixed_shapes(capsys, shape, make):
+    code, out, err = invoke(capsys, "generate", "--shape", shape)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == make().to_json_obj()
+
+
+def test_a_vertex_named_by_the_empty_string(capsys, tmp_path):
+    # its face {""} is spelled {\0}, apart from the empty face {}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"facets": [["", "a"], ["a", "b"],
+                                           ["b", ""]]}))
+    assert invoke(capsys, "compute", "--what", "cd",
+                  "--input", str(path)) == (0, "c^2 + d\n", "")
+    k = cd.SimplicialComplex.from_json(path.read_text())
+    oc, m = cd.barycentric_subdivision(k)
+    assert len(oc.faces()) == 13 and "{\\0}" in m.target
+    assert cd.decompose_cd(cd.with_adjoined_tops(m)).total == polygon_cd(6)
+
+
+def test_decompose_of_a_point(capsys, tmp_path):
+    # the top is the minimum: its local index is 1, and Phi of a point is 0
+    point = {"elements": ["x"], "covers": []}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"source": point, "target": point,
+                                "carrier": {"x": "x"}}))
+    assert invoke(capsys, "decompose", "--input", str(path)) == (
+        0, "sigma  local_cd  upper_cd\nx  1  0\ntotal: 0\n", "")
+    code, out, err = invoke(capsys, "decompose", "--input", str(path),
+                            "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["rows"] == [{"local_cd": {"": "1"}, "sigma": "x",
+                             "upper_cd": {}}]
+    assert data["total"] == {}
+    assert invoke(capsys, "localh", "--input", str(path)) == (
+        0, "sigma  local_h\nx  1\ntotal: 1\n", "")
+
+
 def test_report_determinism(capsys, tetra_file, square_file):
     outputs = set()
     for _ in range(2):

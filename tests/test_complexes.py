@@ -25,6 +25,9 @@ def test_face_id_escapes_separators_in_vertex_names():
     # a backslash goes before each backslash, comma and brace of a name
     assert face_id({"a,b{\\}", "c"}) == "{a\\,b\\{\\\\\\},c}"
     assert face_id({"b", "a"}) == "{a,b}" and face_id(()) == "{}"
+    # the empty name is a backslash and 0, which no escape writes
+    assert face_id({""}) == "{\\0}" and face_id({"\\0"}) == "{\\\\0}"
+    assert face_id({"", "a"}) == "{\\0,a}"
 
 
 def test_face_poset_triangle_is_b3():
@@ -105,9 +108,10 @@ def complex_fixtures():
 
 
 def random_facet_lists(rng, count):
-    """Facet lists with duplicates, nested sets, [] and [[]], integer names
-    and names holding the separators of face ids."""
-    names = ["a,1", "b", "{c}", "d\\e", "z}", "0", "10", "2", 0, 3, 11]
+    """Facet lists with duplicates, nested sets, [] and [[]], integer names,
+    the empty name and names holding the separators of face ids."""
+    names = ["a,1", "b", "{c}", "d\\e", "z}", "0", "10", "2", 0, 3, 11, "",
+             "\\0"]
     for _ in range(count):
         given = [rng.sample(names, rng.randint(0, 5))
                  for _ in range(rng.randint(0, 7))]

@@ -32,6 +32,14 @@ def test_flag_f_square():
     assert fv[(1, 2)] == 8
 
 
+def test_flag_vector_refuses_ranks_outside_1_to_n():
+    from cdindex.errors import DomainError
+    fv = cd.flag_f(square_lattice())
+    for ranks in ((0,), (3,), (1, 3)):
+        with pytest.raises(DomainError, match="outside 1..2$"):
+            fv[ranks]
+
+
 def test_flag_h_square():
     fv = cd.flag_h(square_lattice())
     assert fv[()] == 1

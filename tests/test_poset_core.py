@@ -511,6 +511,12 @@ def test_induced_matches_brute_force_covers(rng):
     assert cover_names(q) == want
 
 
+def test_interval_of_incomparable_elements_is_refused():
+    p = cd.boolean_poset(2)
+    with pytest.raises(DomainError, match=r"^\{1\} is not below \{2\}$"):
+        p.interval("{1}", "{2}")
+
+
 def test_induced_rejects_unknown_ids():
     p = cd.boolean_poset(2)
     with pytest.raises(DomainError, match="unknown element 'nope'"):

@@ -245,26 +245,21 @@ def skeletal_covers_by_definition(m, i):
     source, by carrier, and as in the target; a cover is a pair with no
     element in between."""
     src, tgt = m.source, m.target
-    new = ["new:" + e for e in src.elements if tgt.rank(m(e)) <= i]
-    old = ["old:" + e for e in tgt.elements if tgt.rank(e) > i]
-
-    def lt(x, y):
-        (kx, _, x), (ky, _, y) = x.partition(":"), y.partition(":")
-        if kx == "new" and ky == "new":
-            return src.lt(x, y)
-        if kx == "new":
-            return tgt.le(m(x), y)
-        return kx == ky == "old" and tgt.lt(x, y)
-
-    elements = new + old
-    covers = {(x, y) for x in elements for y in elements
-              if lt(x, y) and not any(lt(x, z) and lt(z, y)
-                                      for z in elements)}
-    return set(elements), covers
+    new = {e for e in src.elements if tgt.rank(m(e)) <= i}
+    old = {e for e in tgt.elements if tgt.rank(e) > i}
+    above = {"old:" + e: {"old:" + f for f in tgt.up_set(e)} for e in old}
+    for e in new:
+        above["new:" + e] = (
+            {"new:" + f for f in src.up_set(e) if f in new}
+            | {"old:" + f for f in tgt.up_set(m(e), strict=False)
+               if f in old})
+    covers = {(x, y) for x, ys in above.items()
+              for y in ys - set().union(*(above[z] for z in ys))}
+    return set(above), covers
 
 
 def test_skeletal_composition_is_carrier(subdivision_fixtures):
-    for name, m in subdivision_fixtures:
+    for name, m in list(subdivision_fixtures) + rank45_pool():
         fam = cd.skeletal_family(m)
         assert fam.composed_carrier() == m.carrier, name
         for i, p in enumerate(fam.posets):
@@ -346,6 +341,15 @@ def test_rank_telescoping_tetra_and_hexagon():
             assert cd.verify_rank_telescoping(fam, i), i
 
 
+def test_rank_telescoping_refuses_an_index_outside_1_to_n():
+    from cdindex.errors import DomainError
+    fam = cd.skeletal_family(tetra_subdivision())
+    for i in (0, fam.n + 1):
+        with pytest.raises(DomainError, match="^telescoping index %d outside "
+                           "1..4$" % i):
+            cd.verify_rank_telescoping(fam, i)
+
+
 def test_rank_telescoping_detects_mutation():
     m = tetra_subdivision()
     carrier = dict(m.carrier)
@@ -354,10 +358,8 @@ def test_rank_telescoping_detects_mutation():
     carrier["{1,5}"] = "{1,2,3}"
     carrier["{2,5}"] = "{1,2,3}"
     broken = cd.SubdivisionMap(m.source, m.target, carrier)
-    fam = cd.SkeletalFamily(broken)
     good = cd.skeletal_family(m)
-    fam.posets = good.posets
-    fam.maps = good.maps
+    fam = cd.SkeletalFamily(broken, good.posets, good.maps)
     assert not cd.verify_rank_telescoping(fam, 2)
 
 
@@ -605,9 +607,8 @@ def test_telescoping_is_false_for_invalid_maps():
     carrier["{0,1}"] = "{0}"
     broken = cd.SubdivisionMap(sq, sq, carrier)
     assert not cd.validate_strong_eulerian(broken).ok
-    fam = cd.SkeletalFamily(broken)
     good = cd.skeletal_family(cd.identity_subdivision(sq))
-    fam.posets, fam.maps = good.posets, good.maps
+    fam = cd.SkeletalFamily(broken, good.posets, good.maps)
     for i in range(1, fam.n + 1):
         assert cd.verify_rank_telescoping(fam, i) is False, i
 
