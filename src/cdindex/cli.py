@@ -10,14 +10,7 @@ import argparse
 import json
 import sys
 
-from . import complexes as cx
-from . import poset as ps
-from . import subdivision as sd
-from . import toric
 from .errors import CdindexError, DomainError
-from .flagcd import ab_index, cd_index, flag_f, flag_h, flag_polynomial, \
-    local_index
-from .ncpoly import AbPolynomial, parse_word_poly
 
 EX_OK = 0
 EX_IOERR = 1
@@ -54,13 +47,15 @@ def _read_input(path):
 def _as_complex(obj):
     if "facets" not in obj:
         raise DomainError("this operation needs a complex input")
-    return cx.SimplicialComplex.from_json_obj(obj)
+    from . import complexes
+    return complexes.SimplicialComplex.from_json_obj(obj)
 
 
 def _as_subdivision(obj):
     if "carrier" not in obj:
         raise DomainError("this operation needs a subdivision input")
-    return sd.SubdivisionMap.from_json_obj(obj)
+    from . import subdivision
+    return subdivision.SubdivisionMap.from_json_obj(obj)
 
 
 def _emit(args, text_lines, json_obj):
@@ -74,24 +69,26 @@ def _emit(args, text_lines, json_obj):
 
 
 # -- subcommands -----------------------------------------------------------
+# Each subcommand imports the modules its path calls, so that a request
+# compiles no module it does not run.
 
 
 def _cmd_compute(args):
-    p = cx._poset_from_obj(_read_input(args.input))
+    from . import flagcd, poset
+    p = poset._poset_from_obj(_read_input(args.input))
     what = args.what
     if what in ("flagf", "flagh"):
-        fv = (flag_f if what == "flagf" else flag_h)(p)
+        fv = (flagcd.flag_f if what == "flagf" else flagcd.flag_h)(p)
         lines = ["{%s}: %d" % (",".join(map(str, r)), v)
                  for r, v in fv.items_by_ranks()]
         key = "flag_" + what[-1]
         return _emit(args, lines, {"what": what, key: fv.to_json_obj()})
     if what != "local":
-        # built per call, as bench/tracing.py rebinds these names
-        poly = {"ab": ab_index, "upsilon": flag_polynomial,
-                "cd": cd_index}[what](p)
+        poly = {"ab": flagcd.ab_index, "upsilon": flagcd.flag_polynomial,
+                "cd": flagcd.cd_index}[what](p)
         return _emit(args, [str(poly)], {"what": what,
                                          what: poly.to_json_obj()})
-    li = local_index(p)
+    li = flagcd.local_index(p)
     lines = ["ab: %s" % li.ab, "cd: %s" % li.cd, "flag: %s" % li.flag]
     return _emit(args, lines, {"what": what,
                                "ab": li.ab.to_json_obj(),
@@ -114,43 +111,43 @@ def _cmd_verify(args):
 
 
 def _verify(prop, obj, args):
-    if prop == "graded":
-        p = cx._poset_from_obj(obj)
-        return (p.is_graded,
-                "" if p.is_graded else "rank function inconsistent", {})
-    if prop == "eulerian":
-        p = cx._poset_from_obj(obj)
-        ok = p.is_eulerian()
-        return ok, "" if ok else "some interval has unbalanced rank parity", {}
-    if prop == "lower-eulerian":
-        p = cx._poset_from_obj(obj)
-        ok = p.is_lower_eulerian()
+    if prop in ("graded", "eulerian", "lower-eulerian"):
+        from . import poset
+        p = poset._poset_from_obj(obj)
+        if prop == "graded":
+            return (p.is_graded,
+                    "" if p.is_graded else "rank function inconsistent", {})
+        ok = p.is_eulerian() if prop == "eulerian" else p.is_lower_eulerian()
         return ok, "" if ok else "some interval has unbalanced rank parity", {}
     if prop == "gorenstein":
+        from . import complexes, poset
         if "facets" in obj:
             k = _as_complex(obj)
         else:
-            k = cx.order_complex(cx._poset_from_obj(obj))
-        ok = cx.is_gorenstein(k)
-        extra = {"betti": cx.reduced_betti(k)}
+            k = complexes.order_complex(poset._poset_from_obj(obj))
+        ok = complexes.is_gorenstein(k)
+        extra = {"betti": complexes.reduced_betti(k)}
         return (ok, "" if ok else "some link is not a rational homology "
                                   "sphere", extra)
     if prop == "shelling":
+        from . import complexes
         k = _as_complex(obj)
         if args.order is not None:
             parts = args.order.split(";") if args.order else []
             order = [part.split(",") for part in parts]
-            ok = cx.verify_shelling(k, order)
+            ok = complexes.verify_shelling(k, order)
             return ok, "" if ok else "a facet meets the prior complex badly", {}
-        found = cx.find_shelling(k)
+        found = complexes.find_shelling(k)
         if found is None:
             return False, "no shelling exists", {}
         text = ";".join(",".join(sorted(f)) for f in found)
         return True, "shelling: " + text, {"shelling": text}
+    from . import subdivision
     if prop == "strong-eulerian":
-        report = sd.validate_strong_eulerian(_as_subdivision(obj))
+        report = subdivision.validate_strong_eulerian(_as_subdivision(obj))
         return report.ok, _report_text(report), {}
-    report = sd.validate_strong_formal(_as_subdivision(obj))  # the last choice
+    # the last choice
+    report = subdivision.validate_strong_formal(_as_subdivision(obj))
     return report.ok, _report_text(report), {}
 
 
@@ -162,8 +159,9 @@ def _report_text(report):
 
 
 def _cmd_decompose(args):
+    from . import subdivision
     m = _as_subdivision(_read_input(args.input))
-    dec = sd.decompose_cd(m)
+    dec = subdivision.decompose_cd(m)
     lines = ["sigma  local_cd  upper_cd"]
     for row in dec.nonzero_rows():
         lines.append("%s  %s  %s" % (row.sigma, row.local_cd, row.upper_cd))
@@ -178,7 +176,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_toric(args):
-    p = cx._poset_from_obj(_read_input(args.input))
+    from . import poset, toric
+    p = poset._poset_from_obj(_read_input(args.input))
     if args.what == "g":
         poly = toric.g_poly(p)
         return _emit(args, [str(poly)], {"g": poly.to_json_obj()})
@@ -187,6 +186,7 @@ def _cmd_toric(args):
 
 
 def _cmd_localh(args):
+    from . import toric
     m = _as_subdivision(_read_input(args.input))
     table = toric.local_h(m)
     lines = ["sigma  local_h"]
@@ -200,39 +200,49 @@ def _cmd_localh(args):
 
 
 def _cmd_morphism(args):
+    from . import toric
     if args.poly is not None:
-        poly = parse_word_poly(args.poly, AbPolynomial)
+        from . import ncpoly
+        poly = ncpoly.parse_word_poly(args.poly, ncpoly.AbPolynomial)
     else:
-        p = cx._poset_from_obj(_read_input(args.input))
-        poly = ab_index(p)
+        from . import flagcd, poset
+        p = poset._poset_from_obj(_read_input(args.input))
+        poly = flagcd.ab_index(p)
     fn = toric.morphism_f if args.what == "f" else toric.morphism_g
     out = fn(poly)
     _emit(args, [str(out)], {"what": args.what, "result": out.to_json_obj()})
 
 
 def _cmd_generate(args):
+    if args.shape == "boolean":
+        from . import poset
+        out = poset.boolean_poset(args.n).to_json_obj()
+    else:
+        out = _generate_complex(args)
+    print(json.dumps(out, sort_keys=True, separators=(",", ": ")))
+
+
+def _generate_complex(args):
+    from . import complexes
     shape = args.shape
     if shape == "simplex":
-        out = cx.make_simplex(args.dim).to_json_obj()
-    elif shape == "boundary":
-        out = cx.make_boundary_simplex(args.dim).to_json_obj()
-    elif shape == "polygon":
-        out = cx.make_polygon(args.n).to_json_obj()
-    elif shape == "cube":
-        out = cx.make_cube3().to_json_obj()
-    elif shape == "boolean":
-        out = ps.boolean_poset(args.n).to_json_obj()
-    elif shape == "stacked":
-        out = cx.make_stacked(args.dim, args.k, seed=args.seed) \
-                .boundary.to_json_obj()
-    else:  # "barycentric", the last choice
-        if args.input:
-            base = _as_complex(_read_input(args.input))
-        else:
-            base = cx.make_simplex(args.dim)
-        _, m = cx.barycentric_subdivision(base)
-        out = m.to_json_obj()
-    print(json.dumps(out, sort_keys=True, separators=(",", ": ")))
+        return complexes.make_simplex(args.dim).to_json_obj()
+    if shape == "boundary":
+        return complexes.make_boundary_simplex(args.dim).to_json_obj()
+    if shape == "polygon":
+        return complexes.make_polygon(args.n).to_json_obj()
+    if shape == "cube":
+        return complexes.make_cube3().to_json_obj()
+    if shape == "stacked":
+        return complexes.make_stacked(args.dim, args.k, seed=args.seed) \
+            .boundary.to_json_obj()
+    # "barycentric", the last choice
+    if args.input:
+        base = _as_complex(_read_input(args.input))
+    else:
+        base = complexes.make_simplex(args.dim)
+    _, m = complexes.barycentric_subdivision(base)
+    return m.to_json_obj()
 
 
 def _build_parser():

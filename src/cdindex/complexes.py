@@ -11,6 +11,8 @@ Gorenstein definitions are about real homology, so torsion never matters
 here and floats would only add noise.  A complex remembers its Betti
 numbers, and the link of the empty face is the complex itself, so the
 Gorenstein test and a later ``reduced_betti`` share one elimination.
+The h-vector functions import the flag and polynomial modules when they
+run, so decoding or generating a complex loads neither.
 """
 from __future__ import annotations
 
@@ -20,8 +22,6 @@ from itertools import combinations, product
 from . import poset as ps
 from .errors import (DomainError, FaceNotFound, NotPure, Record,
                      RequiresBounds, SearchCutoff)
-from .flagcd import flag_h
-from .ncpoly import UniPolynomial
 
 
 _ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,{}"})
@@ -150,16 +150,6 @@ def face_poset(k, with_max=False):
     return ps.GradedPoset(elements, covers)
 
 
-def _poset_from_obj(obj):
-    """A JSON poset, or a JSON complex as its face poset with a maximum."""
-    if isinstance(obj, dict):
-        if "facets" in obj:
-            return face_poset(_json_facets(obj), with_max=True)
-        if "elements" in obj:
-            return ps.GradedPoset.from_json_obj(obj)
-    raise DomainError("input is neither a poset nor a complex")
-
-
 def order_complex(p):
     """The complex of nondegenerate chains of a bounded graded poset."""
     p.require_graded()
@@ -200,6 +190,7 @@ class HVector(Record):
     __slots__ = ("d", "h")
 
     def polynomial(self):
+        from .ncpoly import UniPolynomial
         return UniPolynomial(self.h)
 
     def __iter__(self):
@@ -208,6 +199,7 @@ class HVector(Record):
 
 def h_vector(k):
     """h-vector via sum f_{i-1} (x-1)^{d-i} = sum h_i x^{d-i}."""
+    from .ncpoly import UniPolynomial
     if not k.is_pure():
         raise NotPure("h-vector needs a pure complex")
     d = k.dim + 1
@@ -222,6 +214,7 @@ def h_vector(k):
 
 def flag_to_h(p):
     """h-vector of the order complex from the flag h-vector of the poset."""
+    from .flagcd import flag_h
     p.require_bounds()
     d = p.top_rank - 1
     if d < 0:

@@ -372,6 +372,19 @@ def _require_json_ids(groups, what):
                           % (what, json.dumps(bad, default=repr)))
 
 
+def _poset_from_obj(obj):
+    """A JSON poset, or a JSON complex as its face poset with a maximum.
+    The complexes module is imported only for a complex."""
+    if isinstance(obj, dict):
+        if "facets" in obj:
+            from . import complexes
+            return complexes.face_poset(complexes._json_facets(obj),
+                                        with_max=True)
+        if "elements" in obj:
+            return GradedPoset.from_json_obj(obj)
+    raise DomainError("input is neither a poset nor a complex")
+
+
 # -- fresh-id helpers -------------------------------------------------------
 
 

@@ -93,9 +93,8 @@ class SubdivisionMap(ps._JsonText):
                 and isinstance(obj.get("carrier"), dict)):
             raise DomainError('a subdivision is an object with "source", '
                               '"target" and a "carrier" object')
-        from .complexes import _poset_from_obj
-        source = _poset_from_obj(obj["source"])
-        target = _poset_from_obj(obj["target"])
+        source = ps._poset_from_obj(obj["source"])
+        target = ps._poset_from_obj(obj["target"])
         carrier = dict(obj["carrier"])
         ps._require_json_ids([carrier.values()], "carrier value")
         # allow the two housekeeping entries to be implicit
@@ -299,11 +298,24 @@ class SkeletalFamily(Record):
 
     posets[i] interpolates between the target (i = 0) and the source
     (i = n); element ids carry an old:/new: provenance tag.  maps[i] sends
-    posets[i+1] ids to posets[i] ids.  The maps are dicts, so a family is
-    unhashable.
+    posets[i+1] ids to posets[i] ids.  Two families are equal when their
+    posets have the same elements and covers, as a GradedPoset compares by
+    identity.  The maps are dicts, so a family is unhashable.
     """
 
     __slots__ = ("subdivision", "posets", "maps")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+
+        def shape(family):
+            return [(p.elements, p.cover_pairs) for p in family.posets]
+
+        return (self.subdivision == other.subdivision
+                and shape(self) == shape(other) and self.maps == other.maps)
+
+    __hash__ = None
 
     @property
     def n(self):

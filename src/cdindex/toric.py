@@ -14,6 +14,8 @@ recursions over lower intervals are test oracles in ``tests/conftest.py``.
 h_poly and local_h build no poset: h of a poset or of a capped preimage is
 f of its Psi, read off one dense chain DP over the poset or the source
 through the mask, and g of each [tau, sigma] off a DP down from sigma.
+Only local_h and verify_local_correspondence import the subdivision
+module, when they run, so toric h and g of a poset never load it.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .errors import NotLowerEulerian, Record, RequiresBounds
 from .flagcd import (_ab_of, _beta, _chain_vectors, _intervals_below,
                      _masked, ab_index, cd_index)
 from .ncpoly import UniPolynomial, expand_cd
-from .subdivision import _by_rank, _local_cds, _upper_cds, require_valid
 
 
 def _require_lower_eulerian(p):
@@ -97,6 +98,7 @@ def local_h(m):
     g([tau, sigma]) of every tau < sigma with l(tau) nonzero come from one
     sparse DP down from sigma.  The total is h of the top face.
     """
+    from .subdivision import _by_rank, require_valid
     require_valid(m, "strong_formal")
     src, tgt = m.source, m.target
     if tgt.max_elt is None or tgt.min_elt is None:
@@ -197,6 +199,7 @@ def verify_local_correspondence(m):
     recursion.  The verdict reads only the summed identities, checked on
     both levels when the source is bounded (they need its ab-index).
     """
+    from .subdivision import _local_cds, _upper_cds, require_valid
     require_valid(m, "strong_eulerian")
     src, tgt = m.source, m.target
     table = local_h(m)

@@ -1,6 +1,7 @@
 """Shared fixtures: standard posets, subdivision maps, and test oracles."""
 from __future__ import annotations
 
+import os
 import random
 from collections import defaultdict, namedtuple
 from fractions import Fraction
@@ -21,6 +22,14 @@ from cdindex.ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial,
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+def child_env():
+    """The environment of a child interpreter that imports this package
+    from where the tests import it."""
+    src = os.path.dirname(os.path.dirname(cd.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 # -- independent oracles ------------------------------------------------------

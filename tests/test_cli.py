@@ -1,6 +1,5 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 import json
-import os
 import subprocess
 import sys
 
@@ -8,7 +7,8 @@ import pytest
 
 import cdindex as cd
 from cdindex.cli import run
-from conftest import polygon_cd, square_lattice, tetra_subdivision
+from conftest import (child_env, polygon_cd, square_lattice,
+                      tetra_subdivision)
 
 
 def invoke(capsys, *argv):
@@ -256,14 +256,11 @@ def test_exit_codes(capsys, tmp_path, square_file):
 ])
 def test_malformed_input_shape_exits_2(command, text):
     # a real process, so an uncaught exception would show as a traceback
-    src = os.path.dirname(os.path.dirname(cd.__file__))
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     argv = [sys.executable, "-m", "cdindex.cli", command]
     if command == "compute":
         argv += ["--what", "cd"]
     proc = subprocess.run(argv, input=text, capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=child_env(), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -476,3 +473,38 @@ def test_verify_graded(capsys, tmp_path):
         code, out, _ = invoke(capsys, "verify", "--property", "graded",
                               "--input", str(path))
         assert (code, out) == want, obj
+
+
+# (argv, exit code, modules the request must not load)
+KERNELS = ("ncpoly", "flagcd", "complexes", "subdivision", "toric")
+LOAD_SETS = [
+    (["compute", "--what", "cd", "--input", "square.json"], 0,
+     ("complexes", "subdivision", "toric")),
+    (["verify", "--property", "eulerian", "--input", "square.json"], 0,
+     KERNELS),
+    (["toric", "--what", "h", "--input", "square.json"], 0,
+     ("subdivision", "complexes")),
+    (["morphism", "--what", "g", "--poly", "a^2 + 3*ab + 3*ba + b^2"], 0,
+     ("subdivision", "complexes")),
+    (["generate", "--shape", "boolean", "--n", "3"], 0, KERNELS),
+    (["localh", "--input", "tetra.json"], 0, ("complexes",)),
+    (["bogus"], 64, KERNELS + ("poset",)),
+]
+
+
+@pytest.mark.parametrize("argv, want, unloaded", LOAD_SETS,
+                         ids=[" ".join(c[0][:3]) for c in LOAD_SETS])
+def test_a_request_loads_only_the_modules_it_runs(tmp_path, argv, want,
+                                                   unloaded):
+    (tmp_path / "square.json").write_text(square_lattice().to_json())
+    (tmp_path / "tetra.json").write_text(tetra_subdivision().to_json())
+    script = ("import sys\n"
+              "from cdindex import cli\n"
+              "code = cli.run(sys.argv[1:])\n"
+              "print(code, *sorted(sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script] + argv,
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=child_env(), timeout=60)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert int(code) == want, proc.stderr
+    assert not {"cdindex." + m for m in unloaded} & set(loaded)

@@ -10,7 +10,7 @@ from cdindex.cli import run
 from cdindex.complexes import _closure_of, _shelling_step_ok, face_id
 from cdindex.errors import DomainError, FaceNotFound, NotPure, SearchCutoff
 from cdindex.ncpoly import UniPolynomial, coefficientwise_leq
-from cdindex.complexes import _poset_from_obj
+from cdindex.poset import _poset_from_obj
 from conftest import (adjoin_max_by_cover_copy, betti_by_fractions,
                       betti_by_sympy, count_builds, cube3_by_cover_search,
                       facets_by_pairwise_filter, find_shelling_by_recursion,

@@ -222,6 +222,20 @@ def test_skeletal_family_tetra():
     assert len(fam.posets[2].elements) == len(m.target.elements) + 2
 
 
+def test_skeletal_families_compare_by_their_posets():
+    # a GradedPoset compares by identity; two builds of one family hold
+    # distinct posets with the same elements and covers
+    m = tetra_subdivision()
+    fam = cd.skeletal_family(m)
+    assert fam == cd.skeletal_family(m)
+    posets = list(fam.posets)
+    posets[2] = posets[1]
+    forged = cd.SkeletalFamily(fam.subdivision, tuple(posets), fam.maps)
+    assert forged != fam
+    with pytest.raises(TypeError):
+        hash(fam)
+
+
 def test_skeletal_family_identity():
     m = cd.identity_subdivision(square_lattice())
     fam = cd.skeletal_family(m)
