@@ -12,16 +12,16 @@ Upsilon of every interval [t, top] off one DP, through the up-row of t.
 sets, the only ones the sparse DP visits (Bayer-Billera 1985, Stanley
 1994), and the local cd-index Phi(Q) - Phi([0, tau]) c of a near-Eulerian
 poset off the same counts, over all and over the elements below tau;
-``to_cd`` serves the rest.  ``cd_index`` remembers Phi, which ``ab_index``
-of a poset known to be Eulerian expands; any other takes the dense 2^n
-DP, as ``flag_f`` does.
+``to_cd`` serves the rest.  ``cd_index`` remembers Phi, off which
+``ab_index`` of a poset known to be Eulerian lists beta by rank set; any
+other takes the dense 2^n DP, as ``flag_f`` does.
 """
 from __future__ import annotations
 
 from . import poset as ps
 from .errors import DomainError, NotNearEulerian, RankTooLarge, Record
-from .ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _peel_cd,
-                     _sparse_masks, expand_cd, substitute, to_cd)
+from .ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _expand_masks,
+                     _peel_cd, _sparse_masks, expand_cd, substitute, to_cd)
 
 
 class FlagVector(Record):
@@ -132,7 +132,8 @@ def _intervals_below(p, top, ends, dense=False):
     spans = [rank - p._ranks[t] - 1 for t in ends]  # the proper ranks
     levels = p._levels[rank - max([0, *spans]):rank + 1][::-1]
     chains = _chain_vectors(p._up, [lv & below for lv in levels], not dense)
-    read, cls = (_ab_of, AbPolynomial) if dense else (_peel_cd, CdPolynomial)
+    cls = AbPolynomial if dense else CdPolynomial
+    read = (lambda k, f: _ab_of(k, f.values())) if dense else _peel_cd
     for k, t in zip(spans, ends):
         dual = read(k, _masked(chains, k, p._up[t])) if k >= 0 else cls.zero()
         out.append(cls({w[::-1]: c for w, c in dual.terms.items()}))
@@ -165,16 +166,15 @@ def _ab_sum(p, vector):
     p.require_bounds()
     if p.top_rank == 0:
         return AbPolynomial.zero()
-    fv = vector(p)
-    return _ab_of(fv.n, fv.values)
+    return _ab_of(p.top_rank - 1, vector(p).values.values())
 
 
 def _ab_of(n, values):
-    """Sum of values[S] u_S over the rank sets S of {1..n}."""
+    """Sum of values[S] u_S over the 2^n rank sets S, listed in mask order."""
     words = [""]
     for _ in range(n):
         words = [w + "a" for w in words] + [w + "b" for w in words]
-    return AbPolynomial({words[m]: c for m, c in values.items()})
+    return AbPolynomial(dict(zip(words, values)))
 
 
 def flag_polynomial(p):
@@ -186,11 +186,12 @@ def ab_index(p):
     """Psi_P: sum of beta(S) u_S over rank sets S.
 
     A poset already known to be Eulerian (its ``_bad`` memo 0, set by a
-    scan or inherited by an interval) gives Phi expanded by c -> a + b,
-    d -> ab + ba; any other runs the dense flag_h DP.  No scan runs here.
+    scan or inherited by an interval) expands Phi over its 2^n rank sets;
+    any other runs the dense flag_h DP.  No scan runs here.
     """
     if p._bad == 0:
-        return expand_cd(cd_index(p))
+        phi, n = cd_index(p), p.top_rank - 1  # Psi of a point is 0
+        return _ab_of(n, _expand_masks(n, phi)) if n >= 0 else AbPolynomial()
     return _ab_sum(p, flag_h)
 
 

@@ -10,14 +10,17 @@ integers; one constructor (``_WordPolynomial``) normalises every such
 dict.  The canonical term order used everywhere (printing and equality of
 output) is total degree ascending, then lexicographic with a < b and
 c < d.  The change of basis between a, b and c = a+b, d = ab+ba lives
-here: ``expand_cd``, and the sparse peel (``_peel_cd``) that serves
-``to_cd`` and the cd-index of a poset alike.  Polynomials in x
+here: ``expand_cd``, a sparse ring map that costs what it writes (d^k:
+2^k words, not 2^2k rank sets), the sparse peel (``_peel_cd``) that serves
+``to_cd`` and the cd-index of a poset alike, and ``_expand_masks``, Psi of
+a poset's own Phi over its 2^n rank sets.  Polynomials in x
 (``UniPolynomial``) keep a dense tuple of coefficients, index = power.
 """
 from __future__ import annotations
 
 import re
 from itertools import zip_longest
+from operator import add
 
 from .errors import DegreeTooHigh, DomainError, NotCdExpressible
 
@@ -285,6 +288,21 @@ def _peel_cd(n, values):
             if any(g.values()):
                 stack.append((k, g, letter + word))
     return CdPolynomial(terms)
+
+
+def _expand_masks(n, p):
+    """expand_cd(p), p homogeneous of degree n, listed over the 2^n masks,
+    bit i - 1 set when letter i is b; from the left as ``expand_cd``, but a
+    list per prefix: c doubles it, d puts it twice between zero blocks."""
+    pending = [{} for _ in range(n)] + [{w: [c] for w, c in p.terms.items()}]
+    for degree in range(n, 0, -1):
+        for suffix, arr in pending[degree].items():
+            k = 1 + (suffix[0] == "d")
+            z = [0] * (len(arr) * (k - 1))  # a d keeps aa and bb out
+            arr, rest = z + arr + arr + z, pending[degree - k]
+            old = rest.get(suffix[1:])
+            rest[suffix[1:]] = arr if old is None else list(map(add, old, arr))
+    return pending[0].get("", [0] * (1 << n))
 
 
 def to_cd(p):

@@ -48,7 +48,8 @@ def h_poly(p):
 
 def _h_of(chains, n, keep):
     """h of the down-set keep of rank n: reversed f of Psi(keep + top)."""
-    return morphism_f(_ab_of(n, _beta(n, _masked(chains, n, keep)))).reverse(n)
+    beta = _beta(n, _masked(chains, n, keep))
+    return morphism_f(_ab_of(n, beta.values())).reverse(n)
 
 
 def g_poly(p):

@@ -448,8 +448,8 @@ def test_to_cd_of_ab_index(eulerian_fixtures, rng):
 
 def test_ab_index_of_a_known_eulerian_poset_expands_phi(
         monkeypatch, eulerian_fixtures, rng):
-    # once the scan has said Eulerian, ab_index reads Phi and runs no
-    # dense flag DP
+    # once the scan has said Eulerian, ab_index reads beta over the 2^n
+    # rank sets off Phi and runs no dense flag DP
     posets = [p for _, p in eulerian_fixtures if len(p.elements) <= 30]
     posets += [random_eulerian(rng) for _ in range(20)]
     want = [ab_index_by_chains(p) for p in posets]
@@ -460,6 +460,31 @@ def test_ab_index_of_a_known_eulerian_poset_expands_phi(
         assert cd.ab_index(p) == psi
     with pytest.raises(AssertionError):
         cd.ab_index(cd.boolean_poset(3))  # fresh: the dense route
+
+
+def test_ab_index_reads_phi_over_the_rank_sets_at_rank_10(monkeypatch):
+    # posets of the flag benchmark's size: polygon and cube face lattices
+    # raised to rank 8-10 by pyramid, suspension and dual.  Once scanned,
+    # ab_index lists beta off Phi by rank-set masks, through neither the
+    # sparse ring map nor the dense flag DP
+    step = {"P": cd.pyramid, "S": cd.suspension, "D": cd.dual}
+    recipes = [(polygon_lattice(3), "PPPDPSSS"),
+               (polygon_lattice(5), "SPDSSP"), (polygon_lattice(8), "PSDSPSS"),
+               (cd.make_cube3(), "PSPDSPS"), (cd.make_cube3(), "DSPSS"),
+               (cd.make_cube3(), "SSPPD")]
+    cases = []
+    for p, ops in recipes:
+        for op in ops:
+            p = step[op](p)
+        want = ab_index_by_flag_h(cd.GradedPoset.from_json(p.to_json()))
+        assert p.is_eulerian()
+        cases.append((p, want))
+    assert {p.top_rank for p, _ in cases} == {8, 9, 10}
+    monkeypatch.setattr("cdindex.flagcd.expand_cd", _refuse("expand_cd"))
+    monkeypatch.setattr("cdindex.flagcd.flag_h", _refuse("flag_h"))
+    for p, want in cases:
+        assert cd.ab_index(p) == want
+        assert len(want.terms) == 1 << (p.top_rank - 1)  # beta > 0
 
 
 def test_ab_index_of_a_fresh_poset_runs_no_scan(monkeypatch, capsys,

@@ -1,5 +1,6 @@
 """Noncommutative and univariate polynomial kernels."""
 import operator
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import cdindex as cd
 from cdindex.errors import DegreeTooHigh, DomainError, NotCdExpressible
 from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
-                            coefficientwise_leq, expand_cd, parse_unipoly,
-                            parse_word_poly, substitute, to_cd)
+                            _expand_masks, coefficientwise_leq, expand_cd,
+                            parse_unipoly, parse_word_poly, substitute, to_cd)
 from conftest import (CD_IMAGES, ab_words, assert_cd_residual, cd_words,
                       dict_add, dict_collect, dict_coproduct, dict_map_words,
                       dict_mul, kappa, outcome, to_cd_by_reduction)
@@ -86,6 +87,35 @@ def test_expand_cd_matches_map_words():
         for word in cd_words(degree):
             mono = CdPolynomial.monomial(word)
             assert expand_cd(mono) == mono.map_words(CD_IMAGES), word
+
+
+def test_expand_masks_lists_expand_cd_by_rank_set(rng):
+    # coefficient m of the list is that of the word with b where m has bits
+    for n in range(11):
+        for _ in range(6):
+            phi = CdPolynomial({w: rng.randint(-9, 9) for w in cd_words(n)
+                                if rng.random() < 0.5})
+            psi = expand_cd(phi)
+            assert _expand_masks(n, phi) == [
+                psi.coefficient("".join("ab"[m >> i & 1] for i in range(n)))
+                for m in range(1 << n)], (n, phi)
+    assert _expand_masks(3, CdPolynomial.zero()) == [0] * 8
+    assert _expand_masks(0, CdPolynomial.one() * 5) == [5]
+
+
+def test_expand_cd_stays_sparse():
+    # the ring map costs what it writes: d^12 has 2^12 ab-words, where a
+    # list over the rank sets of its degree would hold 2^24
+    tracemalloc.start()
+    try:
+        psi = expand_cd(CdPolynomial.monomial("d" * 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(psi.terms) == 4096
+    assert peak < 32 * 2 ** 20, peak
+    # and each degree of a non-homogeneous input keeps its own words
+    assert expand_cd(C + D + 4) == 4 + A + B + A * B + B * A
 
 
 def test_words_outside_the_alphabet_raise():
