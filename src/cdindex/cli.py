@@ -88,12 +88,11 @@ def _cmd_compute(args):
                 "cd": flagcd.cd_index}[what](p)
         return _emit(args, [str(poly)], {"what": what,
                                          what: poly.to_json_obj()})
-    li = flagcd.local_index(p)
-    lines = ["ab: %s" % li.ab, "cd: %s" % li.cd, "flag: %s" % li.flag]
-    return _emit(args, lines, {"what": what,
-                               "ab": li.ab.to_json_obj(),
-                               "cd": li.cd.to_json_obj(),
-                               "flag": li.flag.to_json_obj()})
+    li = flagcd.local_index(p)  # ab and flag are computed on each read
+    images = {"ab": li.ab, "cd": li.cd, "flag": li.flag}
+    obj = {k: poly.to_json_obj() for k, poly in images.items()}
+    return _emit(args, ["%s: %s" % kv for kv in images.items()],
+                 dict(obj, what=what))
 
 
 def _cmd_verify(args):
@@ -321,8 +320,8 @@ def run(argv=None):
     except CdindexError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EX_INVALID
-    except OSError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
+    except OSError as exc:  # _read_input reports its own, so a write failed
+        print("output error: %s" % exc, file=sys.stderr)
         return EX_IOERR
     return EX_OK
 

@@ -4,9 +4,9 @@ decomposition, and the constructive cd-index decomposition.
 A subdivision map carries each element of the source poset to the minimal
 target element containing it.  Validation runs on first use and is cached
 on the map; decompose_cd and local_h run it, as their identities are
-theorems only for maps that pass it.  The preimage of a face, a down-set
-of the source, is the OR of the map's per-target masks of carried elements
-over the face's closed down-set.  No capped preimage (with a maximum
+theorems only for maps that pass it.  The constructor keeps the preimage
+of each face, the source elements carried into its closed down-set, as a
+mask that every later step reads.  No capped preimage (with a maximum
 adjoined) is built: after one Eulerian scan of the source, validation runs
 each face's near-Eulerian test on the source rows and the mask and keeps
 D, the elements below the restored coatom, and one sparse chain DP over
@@ -35,7 +35,8 @@ class ValidationReport(Record):
 class SubdivisionMap(ps._JsonText):
     """Order-preserving surjection source -> target with carrier data."""
 
-    __slots__ = ("source", "target", "carrier", "_carried", "_cache")
+    __slots__ = ("source", "target", "carrier", "_image", "_carried",
+                 "_preimage", "_cache")
 
     def __init__(self, source, target, carrier):
         self.source = source
@@ -52,10 +53,15 @@ class SubdivisionMap(ps._JsonText):
             extra = next(e for e in carrier if e not in source)
             raise DomainError("carrier names unknown source id %r" % extra)
         self.carrier = {e: carrier[e] for e in source.elements}
-        # _carried[t]: bitmask of the source elements carried to target t
-        self._carried = [0] * len(target.elements)
-        for i, e in enumerate(source.elements):
-            self._carried[target.index(self.carrier[e])] |= 1 << i
+        # _image[i]: the target index of source element i; _carried[t]: the
+        # bitmask of the source elements carried to t; _preimage[t]: those
+        # carried into t's closed down-set, a sum as the _carried are disjoint
+        self._image = [target._idx[self.carrier[e]] for e in source.elements]
+        carried = self._carried = [0] * len(target.elements)
+        for i, t in enumerate(self._image):
+            carried[t] |= 1 << i
+        self._preimage = [sum(carried[t] for t in target._bits(row | 1 << ix))
+                          for ix, row in enumerate(target._dn)]
         self._cache = {}
 
     def __call__(self, e):
@@ -64,20 +70,12 @@ class SubdivisionMap(ps._JsonText):
         except KeyError:
             raise FaceNotFound("element %r not in source" % (e,))
 
-    def _preimage_mask(self, ix):
-        """Bitmask of the source elements carried into [0, target[ix]]."""
-        tgt = self.target
-        mask = 0
-        for t in tgt._bits(tgt._dn[ix] | 1 << ix):
-            mask |= self._carried[t]
-        return mask
-
     def preimage_ideal_ids(self, sigma):
         """Source elements carried into the closed lower interval [0, sigma]."""
-        return self.source._ids(self._preimage_mask(self.target.index(sigma)))
+        return self.source._ids(self._preimage[self.target.index(sigma)])
 
     def preimage_ideal(self, sigma):
-        return self.source._sub(self._preimage_mask(self.target.index(sigma)))
+        return self.source._sub(self._preimage[self.target.index(sigma)])
 
     # -- serialization ------------------------------------------------------
 
@@ -169,15 +167,14 @@ def validate_strong_eulerian(m):
         if tgt.min_elt is None:
             failures.append(("*", "target has no minimum"))
     if not failures and tgt.max_elt is not None and src.max_elt is not None:
-        for e in src.elements:
-            if (m(e) == tgt.max_elt) != (e == src.max_elt):
-                failures.append((e, "only the source maximum may be carried "
-                                    "by the target maximum"))
+        wrong = m._carried[tgt._idx[tgt.max_elt]] ^ 1 << src._idx[src.max_elt]
+        failures += [(e, "only the source maximum may be carried by the "
+                         "target maximum") for e in src._ids(wrong)]
     if not failures:
         # faces[ix]: the preimage mask of target ix and its D, for _local_cds
         faces = m._cache["faces"] = {}
         for ix in _by_rank(tgt):
-            sigma, keep = tgt.elements[ix], m._preimage_mask(ix)
+            sigma, keep = tgt.elements[ix], m._preimage[ix]
             rank = max(r for r, lv in enumerate(src._levels) if lv & keep)
             if rank != tgt._ranks[ix]:
                 failures.append((sigma, "preimage ideal has rank %d, want %d"
@@ -202,7 +199,7 @@ def _basic_failures(m):
     for sigma, carried in zip(tgt.elements, m._carried):
         if not carried:
             yield (sigma, "not in the image of the carrier map")
-    image = [tgt._idx[m.carrier[e]] for e in src.elements]
+    image = m._image
     for lo, hi in src.cover_pairs:
         if not (image[lo] == image[hi] or tgt._up[image[lo]] >> image[hi] & 1):
             a, b = src.elements[lo], src.elements[hi]
@@ -228,19 +225,18 @@ def validate_strong_formal(m):
     failures = list(_basic_failures(m))
     src, tgt = m.source, m.target
     if not failures:
-        for z in src.elements:
-            if src.rank(z) > tgt.rank(m(z)):
+        for z, r, t in zip(src.elements, src._ranks, m._image):
+            if r > tgt._ranks[t]:
                 failures.append((z, "carrier lowers rank"))
     if not failures:
         levels = src._levels
         parity = (sum(levels[0::2]), sum(levels[1::2]))
         bits, up = ps.GradedPoset._bits, src._up
-        for ix, x in enumerate(tgt.elements):
-            rx = tgt.rank(x)
+        for ix, (x, rx) in enumerate(zip(tgt.elements, tgt._ranks)):
             # y counts +1 when rank y has the parity of rx, else -1
             same, other = parity[rx % 2], parity[1 - rx % 2]
             # the source elements z with carrier(z) <= x
-            inside_mask = m._preimage_mask(ix)
+            inside_mask = m._preimage[ix]
             for iz in bits(inside_mask):
                 z = src.elements[iz]
                 ys_mask = (up[iz] | 1 << iz) & inside_mask
@@ -353,7 +349,7 @@ def skeletal_family(m):
     old = [_tag(OLD, e) for e in tgt.elements]
     covers = [(new[lo], new[hi]) for lo, hi in src.cover_pairs]
     covers += [(old[lo], old[hi]) for lo, hi in tgt.cover_pairs]
-    covers += [(a, _tag(OLD, m(e))) for a, e in zip(new, src.elements)]
+    covers += [(a, old[t]) for a, t in zip(new, m._image)]
     pi = ps.GradedPoset(new + old, covers)
     carried, shift, posets, maps = 0, len(src), [], []
     for i, level in enumerate(tgt._levels):

@@ -112,7 +112,7 @@ def local_h(m):
     chains = _chain_vectors(src._dn, src._levels, False)
     ell, rows = {}, []
     for ix in _by_rank(tgt):  # every tau below ix comes first, the top last
-        h = _h_of(chains, tgt._ranks[ix], m._preimage_mask(ix))
+        h = _h_of(chains, tgt._ranks[ix], m._preimage[ix])
         taus = [t for t in tgt._bits(tgt._dn[ix]) if ell[t]]
         phis = _intervals_below(tgt, ix, taus) if taus else ()
         ell[ix] = h - sum((ell[t] * morphism_g(phi)

@@ -938,7 +938,7 @@ def restrict_by_ids(m, face):
 def capped_preimage_by_build(m, sigma):
     """The capped preimage of sigma as a poset: the preimage ideal with a
     maximum adjoined, in one build from the source rows."""
-    return m.source._sub(m._preimage_mask(m.target.index(sigma)),
+    return m.source._sub(m._preimage[m.target.index(sigma)],
                          capped=True)
 
 

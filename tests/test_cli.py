@@ -1,4 +1,5 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
+import io
 import json
 import subprocess
 import sys
@@ -202,6 +203,20 @@ def test_generate_barycentric_feeds_localh(capsys, tmp_path):
     code, out, _ = invoke(capsys, "localh", "--input", str(path))
     assert code == 0
     assert "total: 1 + 4*x + x^2" in out
+
+
+def test_a_failed_write_is_an_output_error(capsys, monkeypatch):
+    # the reader of stdout went away: exit 1, the I/O code, and one line
+    # that names output, as _read_input reports every failure to read
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = run(["generate", "--shape", "polygon", "--n", "4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["output error: [Errno 32] Broken pipe"]
 
 
 def test_exit_codes(capsys, tmp_path, square_file):

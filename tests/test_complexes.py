@@ -622,3 +622,55 @@ def test_find_shelling_of_1202_facets(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     order = [f.split(",") for f in report["shelling"].split(";")]
     assert report["ok"] and cd.verify_shelling(k, order)
+
+
+def test_complex_membership_hash_and_repr():
+    k = cd.SimplicialComplex([["a", "b", "c"], ["c", "d"]])
+    assert k.has_face(["a", "c"]) and ["d"] in k and [] in k
+    assert not k.has_face(["a", "d"]) and ["b", "d"] not in k
+    assert hash(k) == hash(cd.SimplicialComplex([["d", "c"], ["c", "b", "a"]]))
+    assert repr(k) == "SimplicialComplex(4 vertices, 2 facets, dim 2)"
+
+
+def test_link_of_an_absent_face_raises():
+    with pytest.raises(FaceNotFound) as info:
+        cd.link(cd.make_polygon(4), ["0", "2"])
+    assert str(info.value) == "face ['0', '2'] not in complex"
+
+
+def test_flag_to_h_of_a_point_raises():
+    with pytest.raises(DomainError) as info:
+        cd.flag_to_h(cd.chain_poset(0))
+    assert str(info.value) == "rank-0 poset has no order complex h-vector"
+
+
+def test_near_gorenstein_needs_a_pure_complex():
+    mixed = cd.SimplicialComplex([["a", "b", "c"], ["c", "d"]])
+    with pytest.raises(NotPure) as info:
+        cd.is_near_gorenstein(mixed, cd.make_polygon(3))
+    assert str(info.value) == "near-Gorenstein test needs a pure complex"
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (cd.make_simplex, (-1,), "dimension must be >= 0"),
+    (cd.make_boundary_simplex, (0,), "boundary needs dimension >= 1"),
+    (cd.make_polygon, (2,), "a polygon needs at least 3 vertices"),
+    (cd.make_stacked, (1, 1), "stacked polytopes need dimension >= 2"),
+    (cd.make_stacked, (3, 0), "need at least one simplex in the stack"),
+])
+def test_generators_refuse_out_of_range_sizes(make, args, message):
+    with pytest.raises(DomainError) as info:
+        make(*args)
+    assert str(info.value) == message
+
+
+def test_reduced_betti_through_a_pivot_whose_lead_is_not_one():
+    # the elimination keeps a row led by 2 whose other entries are odd, so
+    # a later row with the same lowest column is scaled before the pivot is
+    # taken off it; two independent loops survive
+    k = cd.SimplicialComplex([
+        ["0", "1", "3"], ["0", "1", "6"], ["0", "3", "6"], ["0", "4", "7"],
+        ["1", "2", "7"], ["1", "3", "4"], ["1", "4", "5"], ["2", "3", "7"],
+        ["3", "4", "7"]])
+    assert cd.reduced_betti(k) == betti_by_fractions(k) \
+        == betti_by_sympy(k) == [0, 2, 0]

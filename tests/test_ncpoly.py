@@ -506,3 +506,22 @@ def test_bad_words_raise_from_every_construction():
     with pytest.raises(DomainError) as err:
         parse_word_poly("c + a", CdPolynomial)
     assert str(err.value) == "unexpected letter 'a' in 'a'"
+
+
+def test_scaling_by_a_float_is_refused():
+    p = UniPolynomial((1, 2))
+    with pytest.raises(TypeError) as info:
+        2.5 * p
+    assert str(info.value) == "cannot combine %r with %r" % (UniPolynomial,
+                                                            float)
+
+
+def test_unipolynomial_coefficients_outside_the_degree_are_zero():
+    p = UniPolynomial((1, 2, 3))
+    assert (p[-1], p[0], p[2], p[3], p[99]) == (0, 1, 3, 0, 0)
+
+
+def test_a_reversal_bound_below_the_degree_is_no_palindrome():
+    p = UniPolynomial((1, 2, 1))
+    assert p.is_palindrome(2)
+    assert not p.is_palindrome(1)

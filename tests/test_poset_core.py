@@ -778,3 +778,36 @@ def test_near_eulerian_test_on_a_down_set_matches_the_built_capped_poset(
                              "semisuspension needs a graded poset",
                              "adjoining the missing coatom is not Eulerian"}
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_poset_iteration_and_repr():
+    p = cd.boolean_poset(2)
+    assert list(p) == list(p.elements) and len(list(p)) == 4
+    assert repr(p) == "GradedPoset(4 elements, 4 covers)"
+
+
+def test_pyramid_needs_a_ranked_poset():
+    # 1 covers both y, of rank 2, and z, of rank 1
+    unranked = cd.GradedPoset(["0", "x", "y", "1", "z"],
+                              [("0", "x"), ("x", "y"), ("y", "1"),
+                               ("0", "z"), ("z", "1")])
+    assert not unranked.is_ranked
+    with pytest.raises(NotGraded) as info:
+        cd.pyramid(unranked)
+    assert str(info.value) == "pyramid needs a ranked poset"
+
+
+def test_boundary_of_an_antichain_raises():
+    antichain = cd.GradedPoset(["a", "b"], [])
+    with pytest.raises(NotNearEulerian) as info:
+        cd.boundary(antichain)
+    assert str(info.value) == "semisuspension needs both bounds"
+
+
+def test_negative_ranks_are_refused():
+    with pytest.raises(DomainError) as info:
+        cd.boolean_poset(-1)
+    assert str(info.value) == "boolean rank must be >= 0"
+    with pytest.raises(DomainError) as info:
+        cd.chain_poset(-1)
+    assert str(info.value) == "chain length must be >= 0"

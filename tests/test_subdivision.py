@@ -881,3 +881,51 @@ def test_validation_reports_a_rank_mismatch():
     report = cd.validate_strong_eulerian(m)
     assert not report.ok
     assert report.failures == (("*", "source rank 3 != target rank 2"),)
+
+
+def test_report_truth_and_map_repr():
+    m = tetra_subdivision()
+    assert bool(cd.validate_strong_eulerian(m)) is True
+    assert not ValidationReport("strong_formal", False, (("*", "why"),))
+    assert repr(m) == "SubdivisionMap(%d -> %d elements)" % (
+        len(m.source.elements), len(m.target.elements))
+
+
+def test_vertex_carriers_must_cover_the_source_and_hit_target_faces():
+    from cdindex.errors import DomainError
+    edge = cd.SimplicialComplex([["0", "1"]])
+    path = cd.SimplicialComplex([["0", "m"], ["m", "1"]])
+    with pytest.raises(DomainError) as info:
+        cd.from_vertex_carriers(path, edge, {"0": ["0"], "1": ["1"]})
+    assert str(info.value) == "no carrier for source vertex 'm'"
+    # an isolated vertex, so that one face alone has no target face
+    apart = cd.SimplicialComplex([["0", "1"], ["m"]])
+    with pytest.raises(DomainError) as info:
+        cd.from_vertex_carriers(apart, edge,
+                                {"0": ["0"], "m": ["2"], "1": ["1"]})
+    assert str(info.value) == "no target face contains ['2']"
+
+
+@pytest.mark.parametrize("face, extra, message", [
+    ("max", CdPolynomial.monomial("c"),
+     "local cd-index of the top element must vanish, got c"),
+    ("min", CdPolynomial.one(),
+     "decomposition total 2*c^3 + 6*cd + 5*dc differs from the source "
+     "cd-index c^3 + 4*cd + 3*dc"),
+])
+def test_decompose_asserts_its_two_identities(monkeypatch, face, extra,
+                                              message):
+    # a map that passes validation meets both identities, so the local
+    # indexes are forged after the fact
+    import cdindex.subdivision as subdivision
+
+    def forged(m, local_cds=subdivision._local_cds):
+        local, chains = local_cds(m)
+        sigma = getattr(m.target, face + "_elt")
+        local[sigma] = local[sigma] + extra
+        return local, chains
+
+    monkeypatch.setattr(subdivision, "_local_cds", forged)
+    with pytest.raises(InvalidSubdivision) as info:
+        cd.decompose_cd(tetra_subdivision())
+    assert str(info.value) == message

@@ -584,3 +584,36 @@ def test_kappa_word_powers_in_any_order():
     for k in (3, 0, 5, 1, 4, 2, 5):
         assert kappa_of("a" * k) == UniPolynomial((-1, 1)) ** k, k
         assert kappa_of("a" * k + "b") == UniPolynomial.zero(), k
+
+
+def test_local_h_table_row_of_an_absent_face_raises():
+    table = cd.local_h(barycentric_solid_triangle())
+    with pytest.raises(KeyError) as info:
+        table.row("{9}")
+    assert info.value.args == ("{9}",)
+
+
+def test_local_h_refuses_a_strong_formal_map_onto_a_non_eulerian_target(
+        capsys, tmp_path):
+    from cdindex.cli import run
+    # 0 < a1, a2, a3 below the two maxima p (over a1, a2) and q (over a3),
+    # carried onto 0 < m1, m2, m3 < 1 with p and q to 1: every alternating
+    # sum holds, but [0, 1] has three atoms
+    src = cd.GradedPoset(["0", "a1", "a2", "a3", "p", "q"],
+                         [("0", "a1"), ("0", "a2"), ("0", "a3"),
+                          ("a1", "p"), ("a2", "p"), ("a3", "q")])
+    tgt = cd.GradedPoset(["0", "m1", "m2", "m3", "1"],
+                         [("0", "m1"), ("0", "m2"), ("0", "m3"),
+                          ("m1", "1"), ("m2", "1"), ("m3", "1")])
+    m = cd.SubdivisionMap(src, tgt, {"0": "0", "a1": "m1", "a2": "m2",
+                                     "a3": "m3", "p": "1", "q": "1"})
+    assert cd.validate_strong_formal(m).ok and not tgt.is_eulerian()
+    with pytest.raises(NotLowerEulerian) as info:
+        cd.local_h(m)
+    assert str(info.value) == "local h needs an Eulerian target"
+    path = tmp_path / "three_atoms.json"
+    path.write_text(m.to_json())
+    code = run(["localh", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "validation error: local h needs an Eulerian target\n"
