@@ -132,22 +132,36 @@ def face_poset(k, with_max=False):
             while sub:
                 faces.add(sub)
                 sub = (sub - 1) & f
-    ids, elements, covers = {0: "{}"}, ["{}"], []
-    for f in sorted(faces, key=lambda f: (f.bit_count(), -f))[1:]:
+    # a face is appended to its lower covers' rows as it gets its index, so
+    # every row ascends
+    at, elements, up_adj = {0: 0}, ["{}"], [[]]
+    order = sorted(faces, key=lambda f: (f.bit_count(), -f))
+    for j, f in enumerate(order[1:], 1):
         last = f & -f
         rest = f ^ last
-        ids[f] = face = (ids[rest][:-1] + ("," if rest else "")
-                         + escaped[last] + "}")
-        elements.append(face)
-        covers.append((ids[rest], face))
+        elements.append(elements[at[rest]][:-1] + ("," if rest else "")
+                        + escaped[last] + "}")
+        at[f] = j
+        up_adj.append([])
+        up_adj[at[rest]].append(j)
         while rest:
             low = rest & -rest
-            covers.append((ids[f ^ low], face))
+            up_adj[at[f ^ low]].append(j)
             rest ^= low
     if with_max:
+        for f in facets or [0]:
+            up_adj[at[f]].append(len(elements))
         elements.append("TOP")
-        covers += [(ids[f], "TOP") for f in facets or [0]]
-    return ps.GradedPoset(elements, covers)
+        up_adj.append([])
+    p = ps._from_adj(elements, up_adj)
+    # The Eulerian memo, filled here: faces s < t span the Boolean interval
+    # of s with any subset of t \ s added, whose sizes are as often odd as
+    # even, since the sum of (-1)^|u| over subsets u of t \ s is 0.  So
+    # every interval is balanced but those ending at TOP, which alone are
+    # scanned; the full scan stays the tests' oracle.
+    p._bad = (ps._unbalanced(p._up, p._dn, p._ranks, 1 << len(faces))
+              if with_max else 0)
+    return p
 
 
 def order_complex(p):
@@ -458,7 +472,7 @@ def make_cube3():
                        if all(c in (x, "*") for x, c in zip(v, pat)))
              for pat in product("01*", repeat=3) if set(pat) != {"*"}]
     ids = {f: face_id(f) for f in faces + [frozenset()]}
-    # the strict order, TOP above every face; the constructor keeps covers
+    # the strict order, TOP above every face; the build keeps its covers
     order = [(ids[f], ids[g]) for f in ids for g in ids if f < g]
     order += [(ids[f], "TOP") for f in ids]
     return ps.GradedPoset(sorted(ids.values()) + ["TOP"], order)

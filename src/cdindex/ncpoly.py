@@ -173,10 +173,6 @@ class _WordPolynomial(_Polynomial):
     def coefficient(self, word):
         return self.terms.get(word, 0)
 
-    def is_homogeneous(self):
-        degrees = {self.word_degree(w) for w in self.terms}
-        return len(degrees) <= 1
-
     def map_words(self, images):
         """Apply the algebra map sending each letter to ``images[letter]``.
 

@@ -4,13 +4,18 @@ A poset is stored as a cover DAG over opaque string ids, with the order
 cached as one bitmask row per element (its strict up-set and down-set),
 built in one topological sweep that also settles the ranks.  The kernels
 downstream visit only the set bits of these rows and count with popcounts.
-A fresh poset is one constructor call, and one derived from another is one
-``_sub`` call on the parent's rows.  A down-set with a top adjoined, such as
-a subdivision's capped preimage, is never built: ``_below_top`` runs the
-near-Eulerian test on the parent's rows and a mask.  The sweep also
-keeps one mask per rank (``_levels``), which every per-rank read uses.  Two
-memo slots keep the Eulerian scan's mask of unbalanced interval tops
-(``_bad``: None until scanned, 0 when Eulerian), written only here, and
+Every poset is one ``_build`` from its ids and each element's ascending
+upper-cover index list, which sets every field.  A poset given as strings
+goes through the constructor's string intake, which makes those lists;
+every other constructor hands ``_build`` the lists as it makes them, and
+one derived from another is one ``_sub`` call on the parent's rows.  A
+down-set with a top adjoined, such as a subdivision's capped preimage, is
+never built: ``_below_top`` runs the near-Eulerian test on the parent's
+rows and a mask.  The sweep also keeps one mask per rank (``_levels``),
+which every per-rank read uses.  Two memo slots keep the Eulerian scan's
+mask of unbalanced interval tops (``_bad``: None until scanned, 0 when
+Eulerian), written here and by ``complexes.face_poset``, whose posets
+start with it filled as their intervals below the top are Boolean, and
 the cd-index (``_phi``), written by ``flagcd.cd_index``.
 Gradedness is verified eagerly but a failure is recorded, not raised:
 rank-dependent operations raise it.
@@ -47,31 +52,36 @@ class GradedPoset(_JsonText):
                  "max_elt", "_bad", "_phi")
 
     def __init__(self, elements, covers):
+        """The string intake: ids and (lower, upper) id pairs, checked and
+        read into each element's ascending upper-cover index list for
+        _build; a repeated pair counts once."""
         elements = tuple(str(e) for e in elements)
-        if len(set(elements)) != len(elements):
+        idx = dict(zip(elements, range(len(elements))))
+        if len(idx) != len(elements):
             raise DomainError("element ids are not unique")
-        self.elements = elements
-        self._idx = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-
-        pairs = set()
+        up_adj = [set() for _ in elements]
         for lo, hi in covers:
             lo, hi = str(lo), str(hi)
-            if lo not in self._idx or hi not in self._idx:
+            if lo not in idx or hi not in idx:
                 raise DomainError("cover (%s, %s) references unknown id" % (lo, hi))
             if lo == hi:
                 raise CycleDetected("cover loop at %s" % lo)
-            pairs.add((self._idx[lo], self._idx[hi]))
-        pairs = tuple(sorted(pairs))
+            up_adj[idx[lo]].add(idx[hi])
+        self._build(elements, [sorted(row) for row in up_adj])
 
+    def _build(self, elements, up_adj):
+        """Set every field from the ids and, per element, the ascending
+        indexes of the elements given as its upper covers; returns self."""
+        n = len(elements)
+        self.elements = elements = tuple(elements)
+        self._idx = dict(zip(elements, range(n)))
         # one topological sweep (Kahn): an element is reached once all its
         # lower covers are, so its strict down row and its rank (the longest
         # chain from a minimal element) are final and pass to its upper covers
-        up_adj = [[] for _ in range(n)]
         waiting = [0] * n
-        for lo, hi in pairs:
-            up_adj[lo].append(hi)
-            waiting[hi] += 1
+        for row in up_adj:
+            for j in row:
+                waiting[j] += 1
         order = [i for i in range(n) if not waiting[i]]
         dn, ranks = [0] * n, [0] * n
         for i in order:
@@ -96,15 +106,16 @@ class GradedPoset(_JsonText):
         self._levels = [0] * (max(ranks, default=-1) + 1)
         for i, r in enumerate(ranks):
             self._levels[r] |= 1 << i
+        pairs = [(lo, hi) for lo, row in enumerate(up_adj) for hi in row]
         self.is_ranked = all(ranks[hi] == ranks[lo] + 1 for lo, hi in pairs)
         if not self.is_ranked:
             # a given pair with an element strictly between its ends is
             # implied, not a cover; it spans two ranks or more, so a true
             # cover list never gets here
-            pairs = tuple((lo, hi) for lo, hi in pairs if not up[lo] & dn[hi])
+            pairs = [(lo, hi) for lo, hi in pairs if not up[lo] & dn[hi]]
             self.is_ranked = all(ranks[hi] == ranks[lo] + 1
                                  for lo, hi in pairs)
-        self.cover_pairs = pairs
+        self.cover_pairs = tuple(pairs)
         maximal = [i for i in range(n) if not up[i]]
         minimal = [i for i in range(n) if not dn[i]]
         self.is_graded = (self.is_ranked
@@ -113,6 +124,14 @@ class GradedPoset(_JsonText):
         self.max_elt = elements[maximal[0]] if len(maximal) == 1 else None
         self._bad = None  # _unbalanced_tops, once scanned
         self._phi = None  # flagcd.cd_index, once computed
+        return self
+
+    def _cover_lists(self):
+        """Each element's upper covers, as ascending index lists."""
+        rows = [[] for _ in self.elements]
+        for lo, hi in self.cover_pairs:
+            rows[lo].append(hi)
+        return rows
 
     # -- basic queries ---------------------------------------------------
 
@@ -143,19 +162,6 @@ class GradedPoset(_JsonText):
         """b covers a."""
         ia, ib = self.index(a), self.index(b)
         return bool(self._up[ia] >> ib & 1 and not self._up[ia] & self._dn[ib])
-
-    def up_set(self, a, strict=True):
-        """Elements above a, as ids."""
-        mask = self._up[self.index(a)]
-        if not strict:
-            mask |= 1 << self.index(a)
-        return self._ids(mask)
-
-    def down_set(self, a, strict=True):
-        mask = self._dn[self.index(a)]
-        if not strict:
-            mask |= 1 << self.index(a)
-        return self._ids(mask)
 
     def _ids(self, mask):
         return [self.elements[i] for i in self._bits(mask)]
@@ -188,10 +194,6 @@ class GradedPoset(_JsonText):
         if self.min_elt is None or self.max_elt is None:
             raise RequiresBounds("operation needs both a 0 and a 1 element")
 
-    def atoms(self):
-        self.require_bounds()
-        return self.level(1)
-
     def coatoms(self):
         self.require_bounds()
         return self.level(self.top_rank - 1)
@@ -206,20 +208,24 @@ class GradedPoset(_JsonText):
         """The subposet on mask keep in element order, b covering a when b is
         above a but outside the up-rows of the kept elements above a; when
         capped, a fresh maximum TOP is adjoined in the same build."""
-        els, up, bits = self.elements, self._up, self._bits
-        kept = [els[i] for i in bits(keep)]
-        top = _fresh(set(kept), "TOP") if capped else None
-        covers = []
-        for a in bits(keep):
+        up, bits = self._up, self._bits
+        kept = list(bits(keep))
+        at = {a: k for k, a in enumerate(kept)}  # monotone, so rows ascend
+        up_adj = []
+        for a in kept:
             above = up[a] & keep
-            ea = els[a]
-            if capped and not above:
-                covers.append((ea, top))
             beyond = 0
             for c in bits(above):
                 beyond |= up[c]
-            covers.extend((ea, els[b]) for b in bits(above & ~beyond))
-        return GradedPoset(kept + [top] if capped else kept, covers)
+            row = [at[b] for b in bits(above & ~beyond)]
+            if capped and not above:
+                row.append(len(kept))
+            up_adj.append(row)
+        names = [self.elements[a] for a in kept]
+        if capped:
+            names.append(_fresh(set(names), "TOP"))
+            up_adj.append([])
+        return _from_adj(names, up_adj)
 
     def interval(self, lo, hi):
         """The closed interval [lo, hi] as a fresh poset."""
@@ -250,9 +256,7 @@ class GradedPoset(_JsonText):
         walked up the cover lists from the minimum on an explicit stack."""
         self.require_bounds()
         els, top = self.elements, self._idx[self.max_elt]
-        up_adj = [[] for _ in els]
-        for lo, hi in self.cover_pairs:
-            up_adj[lo].append(hi)
+        up_adj = self._cover_lists()
         out = []
         stack = [(j,) for j in up_adj[self._idx[self.min_elt]] if j != top]
         while stack:
@@ -286,18 +290,6 @@ class GradedPoset(_JsonText):
         if self._bad is None:
             self._bad = _unbalanced(self._up, self._dn, self._ranks)
         return self._bad
-
-    def is_lattice(self):
-        """Any two elements have a least upper and greatest lower bound.
-        Only joins are checked: with a minimum, the common lower bounds of
-        any two elements are a nonempty set, and their join is the meet."""
-        self.require_bounds()
-        up, dn = self._up, self._dn
-        for a, b in itertools.combinations(range(len(self.elements)), 2):
-            above = (up[a] | 1 << a) & (up[b] | 1 << b)
-            if sum(not dn[i] & above for i in self._bits(above)) != 1:
-                return False
-        return True
 
     @staticmethod
     def _bits(mask):
@@ -333,10 +325,10 @@ class GradedPoset(_JsonText):
             len(self.elements), len(self.cover_pairs))
 
 
-def _unbalanced(up, dn, ranks):
-    """Mask of the elements t that top an interval [s, t], s < t, of the
-    closure rows up and dn with unequal counts of odd and even rank; the
-    rows are Eulerian when it is 0."""
+def _unbalanced(up, dn, ranks, tops=-1):
+    """Mask of the elements t in tops (all by default) that top an interval
+    [s, t], s < t, of the closure rows up and dn with unequal counts of odd
+    and even rank; the rows are Eulerian when the full scan gives 0."""
     # Only intervals of even length are scanned.  Let [s, t] have odd
     # length n, and let its proper subintervals be balanced, so that
     # mu(x, y) = (-1)^(rank y - rank x) on them.  With
@@ -348,13 +340,14 @@ def _unbalanced(up, dn, ranks):
     closed = [row | 1 << t for t, row in enumerate(dn)]
     bad = 0
     for s, row in enumerate(up):
-        tops, row = row & (even if even >> s & 1 else ~even), row | 1 << s
-        while tops:
-            top = tops & -tops
+        ends = row & tops & (even if even >> s & 1 else ~even)
+        row |= 1 << s
+        while ends:
+            top = ends & -ends
             mask = row & closed[top.bit_length() - 1]
             if mask.bit_count() != (mask & even).bit_count() << 1:
                 bad |= top
-            tops ^= top
+            ends ^= top
     return bad
 
 
@@ -385,6 +378,12 @@ def _poset_from_obj(obj):
     raise DomainError("input is neither a poset nor a complex")
 
 
+def _from_adj(elements, up_adj):
+    """A poset from its ids and each element's ascending upper-cover index
+    list: one _build, past the string intake."""
+    return GradedPoset.__new__(GradedPoset)._build(elements, up_adj)
+
+
 # -- fresh-id helpers -------------------------------------------------------
 
 
@@ -409,29 +408,24 @@ def join(p, q):
         raise MissingBounds("left factor needs a maximum")
     if q.min_elt is None:
         raise MissingBounds("right factor needs a minimum")
-    p_els = [e for e in p.elements if e != p.max_elt]
-    q_els = [e for e in q.elements if e != q.min_elt]
-    clash = set(p_els) & set(q_els)
-    p_name = (lambda e: e) if not clash else (lambda e: "L:" + e)
-    q_name = (lambda e: e) if not clash else (lambda e: "R:" + e)
-
-    covers = []
-    for lo, hi in p.cover_pairs:
-        a, b = p.elements[lo], p.elements[hi]
-        if a != p.max_elt and b != p.max_elt:
-            covers.append((p_name(a), p_name(b)))
-    for lo, hi in q.cover_pairs:
-        a, b = q.elements[lo], q.elements[hi]
-        if a != q.min_elt and b != q.min_elt:
-            covers.append((q_name(a), q_name(b)))
-    # the coatoms of P: strictly below the maximum alone; dually in Q
-    p_top_bit = 1 << p.index(p.max_elt)
-    q_bot_bit = 1 << q.index(q.min_elt)
-    p_top = [e for i, e in enumerate(p.elements) if p._up[i] == p_top_bit]
-    q_bot = [e for i, e in enumerate(q.elements) if q._dn[i] == q_bot_bit]
-    covers += [(p_name(a), q_name(b)) for a in p_top for b in q_bot]
-    return GradedPoset([p_name(e) for e in p_els] + [q_name(e) for e in q_els],
-                       covers)
+    top, bot = p._idx[p.max_elt], q._idx[q.min_elt]
+    p_els = [e for i, e in enumerate(p.elements) if i != top]
+    q_els = [e for j, e in enumerate(q.elements) if j != bot]
+    if set(p_els) & set(q_els):
+        p_els = ["L:" + e for e in p_els]
+        q_els = ["R:" + e for e in q_els]
+    # P keeps its indexes below its maximum, one less above it; Q follows,
+    # likewise without its minimum
+    at_q = lambda j: len(p_els) + j - (j > bot)
+    # the coatoms of P: strictly below the maximum alone; dually in Q; a
+    # coatom's only cover is the maximum, so its row is Q's atoms
+    atoms = [at_q(j) for j, row in enumerate(q._dn) if row == 1 << bot]
+    up_adj = [atoms if p._up[i] == 1 << top else
+              [h - (h > top) for h in row if h != top]
+              for i, row in enumerate(p._cover_lists()) if i != top]
+    up_adj += [[at_q(h) for h in row]
+               for j, row in enumerate(q._cover_lists()) if j != bot]
+    return _from_adj(p_els + q_els, up_adj)
 
 
 def suspension(p):
@@ -442,31 +436,28 @@ def suspension(p):
     u = _fresh(taken, "SUSP0")
     v = _fresh(taken | {u}, "SUSP1")
     top = _fresh(taken | {u, v}, "TOP")
-    b2 = GradedPoset(["0", u, v, top],
-                     [("0", u), ("0", v), (u, top), (v, top)])
-    return join(p, b2)
+    return join(p, _from_adj(["0", u, v, top], [[1, 2], [3], [3], []]))
 
 
 def pyramid(p):
-    """Pyr(P) = P x {0,1}, ordered componentwise."""
+    """Pyr(P) = P x {0,1}, ordered componentwise: element i of P is i on
+    the bottom copy and i + n on the top one."""
     if not p.is_ranked:
         raise NotGraded("pyramid needs a ranked poset")
-    name = lambda e, t: "%s:%s" % (t, e)
-    elements = [name(e, 0) for e in p.elements] + [name(e, 1) for e in p.elements]
-    covers = []
-    for lo, hi in p.cover_pairs:
-        a, b = p.elements[lo], p.elements[hi]
-        covers.append((name(a, 0), name(b, 0)))
-        covers.append((name(a, 1), name(b, 1)))
-    for e in p.elements:
-        covers.append((name(e, 0), name(e, 1)))
-    return GradedPoset(elements, covers)
+    n, rows = len(p), p._cover_lists()
+    elements = (["0:%s" % e for e in p.elements]
+                + ["1:%s" % e for e in p.elements])
+    up_adj = [row + [i + n] for i, row in enumerate(rows)]
+    up_adj += [[j + n for j in row] for row in rows]
+    return _from_adj(elements, up_adj)
 
 
 def dual(p):
     """Order-reversal of P."""
-    covers = [(p.elements[hi], p.elements[lo]) for lo, hi in p.cover_pairs]
-    return GradedPoset(p.elements, covers)
+    rows = [[] for _ in p.elements]
+    for lo, hi in p.cover_pairs:  # in lo order, so each row ascends
+        rows[hi].append(lo)
+    return _from_adj(p.elements, rows)
 
 
 def _below_coatom(p):
@@ -520,11 +511,12 @@ def _semisuspend(p):
     the maximum; return (Eulerian poset, coatom id)."""
     down = _below_coatom(p)
     tau = _fresh(set(p.elements), "TAU")
-    els, up = p.elements, p._up
-    covers = [(els[lo], els[hi]) for lo, hi in p.cover_pairs]
-    covers += [(els[i], tau) for i in p._bits(down) if not up[i] & down]
-    covers += [(tau, p.max_elt)]
-    q = GradedPoset(list(els) + [tau], covers)
+    rows = p._cover_lists()
+    for i in p._bits(down):
+        if not p._up[i] & down:
+            rows[i].append(len(rows))  # tau, the last index
+    rows.append([p._idx[p.max_elt]])
+    q = _from_adj(p.elements + (tau,), rows)
     q._bad = 0
     return q, tau
 
@@ -566,26 +558,19 @@ def interior_elements(p):
 
 
 def boolean_poset(n):
-    """The boolean algebra B_n on subsets of {1..n}."""
+    """The boolean algebra B_n on subsets of {1..n}, indexed by mask."""
     if n < 0:
         raise DomainError("boolean rank must be >= 0")
-    subsets = []
-    for mask in range(1 << n):
-        name = "{%s}" % ",".join(str(i + 1) for i in range(n) if mask >> i & 1)
-        subsets.append((mask, name))
-    covers = []
-    for mask, name in subsets:
-        for i in range(n):
-            if not (mask >> i & 1):
-                other = mask | 1 << i
-                covers.append((name, subsets[other][1]))
-    # subsets list is indexed by mask already
-    return GradedPoset([name for _, name in subsets], covers)
+    masks = range(1 << n)
+    names = ["{%s}" % ",".join(str(i + 1) for i in range(n) if mask >> i & 1)
+             for mask in masks]
+    return _from_adj(names, [[mask | 1 << i for i in range(n)
+                              if not mask >> i & 1] for mask in masks])
 
 
 def chain_poset(n):
     """A chain with n+1 elements (rank n)."""
     if n < 0:
         raise DomainError("chain length must be >= 0")
-    els = ["c%d" % i for i in range(n + 1)]
-    return GradedPoset(els, list(zip(els, els[1:])))
+    return _from_adj(["c%d" % i for i in range(n + 1)],
+                     [[i + 1] for i in range(n)] + [[]])

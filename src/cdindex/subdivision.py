@@ -70,10 +70,6 @@ class SubdivisionMap(ps._JsonText):
         except KeyError:
             raise FaceNotFound("element %r not in source" % (e,))
 
-    def preimage_ideal_ids(self, sigma):
-        """Source elements carried into the closed lower interval [0, sigma]."""
-        return self.source._ids(self._preimage[self.target.index(sigma)])
-
     def preimage_ideal(self, sigma):
         return self.source._sub(self._preimage[self.target.index(sigma)])
 
@@ -129,7 +125,9 @@ def from_vertex_carriers(source, target, vertex_carrier):
     if missing:
         raise DomainError("no carrier for source vertex %r" % missing[0])
     carrier = {}
-    for f in source.faces():
+    # in (size, sorted names) order, so the first failure is the same on
+    # every run
+    for f in sorted(source.faces(), key=lambda f: (len(f), sorted(f))):
         hull = frozenset().union(*map(vertex_carrier.get, f))
         if hull not in target.faces():
             raise DomainError("no target face contains %s" % sorted(hull))
@@ -317,19 +315,6 @@ class SkeletalFamily(Record):
     def n(self):
         return len(self.posets) - 1
 
-    def composed_carrier(self):
-        """Compose all skeletal maps, expressed on raw source/target ids."""
-        out = {}
-        tgt = self.subdivision.target
-        for e in self.subdivision.source.elements:
-            cur = _tag(NEW, e)
-            for i in range(self.n - 1, -1, -1):
-                cur = self.maps[i][cur]
-            kind, _, raw = cur.partition(":")
-            # only the preimage of the minimum stays new-tagged at level 0
-            out[e] = raw if kind == OLD else tgt.min_elt
-        return out
-
 
 def skeletal_family(m):
     """Materialize every skeletal poset and map of a validated subdivision.
@@ -347,11 +332,12 @@ def skeletal_family(m):
     src, tgt = m.source, m.target
     new = [_tag(NEW, e) for e in src.elements]
     old = [_tag(OLD, e) for e in tgt.elements]
-    covers = [(new[lo], new[hi]) for lo, hi in src.cover_pairs]
-    covers += [(old[lo], old[hi]) for lo, hi in tgt.cover_pairs]
-    covers += [(a, old[t]) for a, t in zip(new, m._image)]
-    pi = ps.GradedPoset(new + old, covers)
-    carried, shift, posets, maps = 0, len(src), [], []
+    shift = len(src)  # target element t is shift + t in Pi
+    up_adj = [row + [shift + t]
+              for row, t in zip(src._cover_lists(), m._image)]
+    up_adj += [[shift + h for h in row] for row in tgt._cover_lists()]
+    pi = ps._from_adj(new + old, up_adj)
+    carried, posets, maps = 0, [], []
     for i, level in enumerate(tgt._levels):
         step = {}  # the new elements carried to rank i, to their carriers
         for t in tgt._bits(level):

@@ -123,8 +123,8 @@ def h_poly_by_recursion(p):
 
 
 def preimage_ids_by_definition(m, sigma):
-    """Oracle for SubdivisionMap.preimage_ideal_ids: the source elements,
-    in source order, whose carrier lies at or below sigma."""
+    """Oracle for the preimage mask of sigma: the source elements, in source
+    order, whose carrier lies at or below sigma."""
     return [e for e in m.source.elements if m.target.le(m.carrier[e], sigma)]
 
 
@@ -139,7 +139,7 @@ def local_h_by_dual_intervals(m):
     rows = []
     for sigma in sigmas:
         acc = UniPolynomial.zero()
-        for tau in tgt.down_set(sigma, strict=False):
+        for tau in down_set(tgt, sigma, strict=False):
             sign = (-1) ** (tgt.rank(sigma) - tgt.rank(tau))
             gdual = g_by_recursion(cd.dual(tgt.interval(tau, sigma)))
             acc = acc + h_of[tau] * gdual * sign
@@ -372,6 +372,11 @@ def to_cd_by_reduction(p):
     return CdPolynomial(out)
 
 
+def is_homogeneous(poly):
+    """All words of poly have one degree."""
+    return len({poly.word_degree(w) for w in poly.terms}) <= 1
+
+
 def is_sparse(mask):
     """No two consecutive ranks."""
     return not mask & mask >> 1
@@ -510,8 +515,40 @@ def h_poly_by_adjoin_max(p):
     return cd.morphism_f(cd.ab_index(hat)).reverse(hat.top_rank - 1)
 
 
+def up_set(p, a, strict=True):
+    """The ids above a in p, and a itself unless strict, in element order."""
+    i = p.index(a)
+    return p._ids(p._up[i] | (0 if strict else 1 << i))
+
+
+def down_set(p, a, strict=True):
+    """The ids below a in p, and a itself unless strict, in element order."""
+    i = p.index(a)
+    return p._ids(p._dn[i] | (0 if strict else 1 << i))
+
+
+def atoms(p):
+    """The elements of rank 1 of a bounded graded poset."""
+    p.require_bounds()
+    return p.level(1)
+
+
+def is_lattice_by_joins(p):
+    """Any two elements of a bounded poset have a least upper and a greatest
+    lower bound.  Only joins are checked off the closure rows: with a
+    minimum, the common lower bounds of two elements are a nonempty set,
+    and their join is the meet."""
+    p.require_bounds()
+    up, dn = p._up, p._dn
+    for a, b in combinations(range(len(p.elements)), 2):
+        above = (up[a] | 1 << a) & (up[b] | 1 << b)
+        if sum(not dn[i] & above for i in p._bits(above)) != 1:
+            return False
+    return True
+
+
 def is_lattice_by_both_bounds(p):
-    """Oracle for GradedPoset.is_lattice: every two elements have a least
+    """Oracle for is_lattice_by_joins: every two elements have a least
     common upper bound and a greatest common lower bound, by ``le``."""
     for a, b in combinations(p.elements, 2):
         for le in (p.le, lambda x, y: p.le(y, x)):
@@ -527,7 +564,7 @@ def unbalanced_by_intervals(p):
     unequally many elements of even and odd rank."""
     bad = 0
     for s in p.elements:
-        for t in p.up_set(s):
+        for t in up_set(p, s):
             if (p.rank(t) - p.rank(s)) % 2 == 0 and sum(
                     (-1) ** p.rank(z) for z in p.elements
                     if p.le(s, z) and p.le(z, t)):
@@ -607,7 +644,7 @@ def semisuspend_by_build(p):
     tau = "TAU"
     while tau in p:
         tau += "'"
-    ups = {e: p.up_set(e) for e in p.elements}
+    ups = {e: up_set(p, e) for e in p.elements}
     qualify = [e for e in p.elements
                if len(ups[e]) == 2 and p.max_elt in ups[e]]
     covers = [(p.elements[lo], p.elements[hi]) for lo, hi in p.cover_pairs]
@@ -923,14 +960,27 @@ def proper_part_by_ids(p):
 
 def preimage_ideal_by_ids(m, sigma):
     """Oracle for SubdivisionMap.preimage_ideal: the source induced on the
-    preimage ids."""
-    return m.source.induced(m.preimage_ideal_ids(sigma))
+    preimage ids by their definition."""
+    return m.source.induced(preimage_ids_by_definition(m, sigma))
+
+
+def composed_carrier(fam):
+    """The skeletal maps of a family composed, on raw source and target
+    ids: only the preimage of the minimum stays new-tagged at level 0."""
+    m, out = fam.subdivision, {}
+    for e in m.source.elements:
+        cur = "new:" + e
+        for step in reversed(fam.maps):
+            cur = step[cur]
+        kind, _, raw = cur.partition(":")
+        out[e] = raw if kind == "old" else m.target.min_elt
+    return out
 
 
 def restrict_by_ids(m, face):
     """Oracle for restrict: both sides induced on id lists."""
     ideal = preimage_ideal_by_ids(m, face)
-    target = m.target.induced(m.target.down_set(face, strict=False))
+    target = m.target.induced(down_set(m.target, face, strict=False))
     return cd.SubdivisionMap(ideal, target,
                              {e: m(e) for e in ideal.elements})
 
@@ -1006,23 +1056,37 @@ def local_h_of_built_faces(m):
     solved = {}
     for sigma in sigmas:
         acc = h_of[sigma]
-        for tau in tgt.down_set(sigma, strict=True):
+        for tau in down_set(tgt, sigma, strict=True):
             acc = acc - solved[tau] * cd.g_poly(tgt.interval(tau, sigma))
         solved[sigma] = acc
     return tuple((s, solved[s]) for s in sigmas), h_of[tgt.max_elt]
 
 
 def count_builds(monkeypatch):
-    """A one-item list counting GradedPoset.__init__ runs from here on."""
+    """A one-item list counting GradedPoset._build runs from here on: one
+    per poset, through the string intake or not."""
     calls = [0]
-    init = cd.GradedPoset.__init__
+    build = cd.GradedPoset._build
 
     def counted(*args):
         calls[0] += 1
-        return init(*args)
+        return build(*args)
 
-    monkeypatch.setattr(cd.GradedPoset, "__init__", counted)
+    monkeypatch.setattr(cd.GradedPoset, "_build", counted)
     return calls
+
+
+BUILD_FIELDS = ("elements", "_idx", "cover_pairs", "_up", "_dn", "_ranks",
+                "_levels", "min_elt", "max_elt", "is_ranked", "is_graded")
+
+
+def fields_unlike_the_intake(p):
+    """The fields, memo slots aside, in which p differs from its rebuild
+    through the string intake, given its cover pairs as ids in reverse
+    order and the first one twice."""
+    els, pairs = p.elements, p.cover_pairs[::-1] + p.cover_pairs[-1:]
+    q = cd.GradedPoset(els, [(els[lo], els[hi]) for lo, hi in pairs])
+    return [f for f in BUILD_FIELDS if getattr(p, f) != getattr(q, f)]
 
 
 def same_build(p, q):

@@ -18,7 +18,8 @@ from conftest import (adjoin_max_by_cover_copy, betti_by_fractions,
                       octahedron_complex, outcome, polygon_cd,
                       polygon_lattice, rp2_complex, same_build,
                       shelling_step_by_closure, square_lattice,
-                      three_polytope_cd, torus_complex)
+                      three_polytope_cd, torus_complex, is_lattice_by_joins,
+                      fields_unlike_the_intake)
 
 
 def test_face_id_escapes_separators_in_vertex_names():
@@ -314,6 +315,28 @@ def random_complex(rng):
         [f for f in combinations(verts, size) if rng.random() < keep])
 
 
+def test_face_poset_is_its_string_intake_with_the_scanned_memo(rng):
+    # index lists against a rebuild from id pairs, and the Eulerian memo
+    # filled at the build against the full scan: 0 without a top, and with
+    # it 0 on spheres but not on balls, the torus, RP2 and many random
+    # complexes, pure or not
+    cases = complex_fixtures() + [random_complex(rng) for _ in range(100)]
+    cases += [cd.SimplicialComplex(given)
+              for given in random_facet_lists(rng, 100)]
+    bad = []
+    for k in cases:
+        for with_max in (False, True):
+            p = cd.face_poset(k, with_max)
+            assert fields_unlike_the_intake(p) == [], (k, with_max)
+            full = cd.poset._unbalanced(p._up, p._dn, p._ranks)
+            assert p._bad == full, (k, with_max)
+            if with_max:
+                bad.append(bool(full))
+                if k.is_pure() and cd.is_gorenstein(k):
+                    assert not full, k
+    assert 30 <= sum(bad) <= len(bad) - 30, sum(bad)
+
+
 def test_reduced_betti_matches_oracles_on_random_complexes():
     rng = random.Random(2003)
     for _ in range(300):
@@ -443,7 +466,7 @@ def test_generators():
     assert isomorphic(cd.face_poset(cd.make_polygon(4), with_max=True),
                             square_lattice())
     cube = cd.make_cube3()
-    assert cube.is_eulerian() and cube.is_lattice()
+    assert cube.is_eulerian() and is_lattice_by_joins(cube)
 
 
 def test_make_stacked_bipyramid():

@@ -15,7 +15,9 @@ from conftest import (adjoin_max_by_cover_copy, enumerate_chains,
                       proper_part_by_ids, random_eulerian,
                       random_graded_poset, random_near_eulerian,
                       random_relation, same_build, semisuspend_by_build,
-                      unbalanced_by_intervals, without_max_by_ids)
+                      unbalanced_by_intervals, without_max_by_ids, atoms,
+                      down_set, is_lattice_by_joins, up_set,
+                      fields_unlike_the_intake, rank45_pool)
 
 EULERIAN_POOL = [p for _, p in eulerian_pool() if len(p.elements) <= 32]
 
@@ -291,12 +293,12 @@ def test_dual():
 
 def test_lattice_ops():
     sq = cd.face_poset(cd.make_polygon(4), with_max=True)
-    assert sq.is_lattice()
+    assert is_lattice_by_joins(sq)
     two_edges = cd.GradedPoset(
         ["0", "a", "b", "e", "f", "1"],
         [("0", "a"), ("0", "b"), ("a", "e"), ("b", "e"),
          ("a", "f"), ("b", "f"), ("e", "1"), ("f", "1")])
-    assert not two_edges.is_lattice()
+    assert not is_lattice_by_joins(two_edges)
 
 
 def test_lattice_test_by_joins_matches_both_bounds(rng):
@@ -304,7 +306,7 @@ def test_lattice_test_by_joins_matches_both_bounds(rng):
     # checks joins only; the oracle checks joins and meets by le
     posets = [random_graded_poset(rng, max_width=3) for _ in range(120)]
     posets += [random_eulerian(rng, EULERIAN_POOL) for _ in range(10)]
-    verdicts = [p.is_lattice() for p in posets]
+    verdicts = [is_lattice_by_joins(p) for p in posets]
     assert verdicts == [is_lattice_by_both_bounds(p) for p in posets]
     assert 10 <= sum(verdicts) <= len(posets) - 10, sum(verdicts)
 
@@ -338,7 +340,7 @@ def test_eulerian_matches_mobius_oracle_on_fixtures(eulerian_fixtures):
         assert eulerian_by_mobius(p), name
         if p.top_rank >= 2 and len(p.elements) <= 32:
             # without an atom the poset is no longer Eulerian
-            broken = p.induced([e for e in p.elements if e != p.atoms()[0]])
+            broken = p.induced([e for e in p.elements if e != atoms(p)[0]])
             assert not broken.is_eulerian(), name
             assert not eulerian_by_mobius(broken), name
 
@@ -383,7 +385,7 @@ def test_eulerian_matches_mobius_oracle_randomized(rng):
             rng, EULERIAN_POOL)
         assert p.is_eulerian() == eulerian_by_mobius(p)
         # the ideal below a random element, by the lower Eulerian scan
-        ideal = p.induced(p.down_set(rng.choice(p.elements), strict=False))
+        ideal = p.induced(down_set(p, rng.choice(p.elements), strict=False))
         assert ideal.is_lower_eulerian() == eulerian_by_mobius(ideal)
     # the scan reads only even-length intervals: broken posets whose first
     # unbalanced interval has length 2, and length 4 or more
@@ -412,7 +414,7 @@ def test_unbalanced_mask_matches_the_interval_count(rng):
     posets += [random_near_eulerian(rng) for _ in range(20)]
     posets += [without_middle_element(rng, p) for p in posets[40:60]
                if p.top_rank >= 2 and len(p.elements) <= 40]
-    posets += [p.induced(p.down_set(rng.choice(p.elements), strict=False))
+    posets += [p.induced(down_set(p, rng.choice(p.elements), strict=False))
                for p in posets[:40]]
     nonzero = 0
     for p in posets:
@@ -480,7 +482,7 @@ def test_near_eulerian_boundary_complement_law():
         # the boundary is the ideal below the restored coatom, capped
         bd = cd.boundary(near)
         expected = cd.adjoin_max(
-            base.induced(base.down_set(coatom, strict=True)))
+            base.induced(down_set(base, coatom, strict=True)))
         assert isomorphic(bd, expected)
 
 
@@ -538,7 +540,7 @@ def intervals_inherit_the_verdict(p):
     """Every closed interval of a poset scanned balanced carries the
     Eulerian verdict, and a fresh scan of the interval agrees."""
     for s in p.elements:
-        for t in p.up_set(s, strict=False):
+        for t in up_set(p, s, strict=False):
             q = p.interval(s, t)
             assert q._bad == 0, (s, t)
             assert cd.poset._unbalanced(q._up, q._dn, q._ranks) == 0, (s, t)
@@ -565,10 +567,12 @@ def test_intervals_of_random_eulerian_inherit_the_verdict(rng):
 def test_intervals_of_lower_eulerian_down_sets_inherit_the_verdict(
         eulerian_fixtures):
     downs = [p.without_max() for _, p in eulerian_fixtures]
-    downs += [cd.face_poset(cd.make_simplex(3)),
-              cd.face_poset(cd.make_polygon(5))]
-    for p in downs:
-        assert p._bad is None
+    assert all(p._bad is None for p in downs)
+    # a face poset without a top starts balanced: its intervals are Boolean
+    faces = [cd.face_poset(cd.make_simplex(3)),
+             cd.face_poset(cd.make_polygon(5))]
+    assert all(p._bad == 0 for p in faces)
+    for p in downs + faces:
         assert p.is_lower_eulerian()
         intervals_inherit_the_verdict(p)
 
@@ -580,7 +584,7 @@ def test_intervals_of_non_eulerian_posets_stay_unknown(rng):
         if p.is_eulerian():
             continue
         for s in p.elements:
-            for t in p.up_set(s, strict=False):
+            for t in up_set(p, s, strict=False):
                 q = p.interval(s, t)
                 assert q._bad is None, (s, t)
                 # the interval is scanned on its own when asked
@@ -654,7 +658,7 @@ def test_near_eulerian_test_on_rows_matches_the_built_semisuspension(
             messages[got[2]] = messages.get(got[2], 0) + 1
             continue
         q, tau = want[1]
-        below = set(q.down_set(tau))
+        below = set(down_set(q, tau))
         assert set(p._ids(got[1])) == below, p.elements
         assert cd.interior_elements(p) == [e for e in p.elements
                                            if e not in below]
@@ -699,7 +703,7 @@ def test_constructor_matches_dfs_oracle_on_graded_posets(rng):
             == poset_fields_by_dfs(elements, pairs)
         assert p.is_graded and cover_names(p) == cover_names(q)
         # given by its full strict order, it is the same poset
-        order = [(a, b) for a in q.elements for b in q.up_set(a)]
+        order = [(a, b) for a in q.elements for b in up_set(q, a)]
         full = cd.GradedPoset(q.elements, order)
         assert (full.cover_pairs, full._up, full._dn, full._ranks) \
             == (q.cover_pairs, q._up, q._dn, q._ranks)
@@ -719,6 +723,37 @@ def test_constructor_errors(elements, pairs, error, message):
     with pytest.raises(error) as info:
         cd.GradedPoset(elements, pairs)
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_index_native_constructors_match_the_string_intake(
+        eulerian_fixtures, rng):
+    # every constructor past the intake, on the Eulerian fixtures, the
+    # rank 4 and 5 maps and random relations, against a rebuild of its
+    # output from id pairs
+    built = [cd.boolean_poset(n) for n in range(6)]
+    built += [cd.chain_poset(n) for n in range(5)]
+    for _, p in eulerian_fixtures:
+        built += [p.without_max(), p.proper_part(), cd.adjoin_max(p),
+                  cd.dual(p), cd.pyramid(p), cd.suspension(p),
+                  cd.join(p, cd.boolean_poset(2)),
+                  cd.join(cd.chain_poset(1), p),
+                  cd.semisuspension(cd.adjoin_max(p))]
+        built += [p.interval(p.min_elt, e) for e in p.elements]
+    for _, m in rank45_pool():
+        src, tgt = m.source, m.target
+        built += [src, tgt, cd.dual(src), cd.adjoin_max(src)]
+        built += [m.preimage_ideal(s) for s in tgt.elements]
+        built += [cd.restrict(m, s).target for s in tgt.elements]
+        built += cd.skeletal_family(m).posets
+    for _ in range(100):
+        p = cd.GradedPoset(*random_relation(rng))
+        built += [cd.dual(p), cd.adjoin_max(p),
+                  p.induced(rng.sample(p.elements, len(p) // 2))]
+        if p.is_ranked:
+            built.append(cd.pyramid(p))
+    for q in built:
+        assert fields_unlike_the_intake(q) == [], q
+    assert sum(not q.is_ranked for q in built) >= 50
 
 
 def maximal_chains_by_enumeration(p):

@@ -23,7 +23,7 @@ from conftest import (MorphismsByCoproduct, ab_words,
                       morphism_f_by_coproduct, outcome, polygon_cd,
                       polygon_lattice, random_graded_poset, rank45_pool,
                       square_lattice, subdivision_pool, three_polytope_cd,
-                      toric_h_by_psi, toric_h_by_recursion)
+                      toric_h_by_psi, toric_h_by_recursion, down_set)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -341,7 +341,7 @@ def test_local_h_pulls_each_face_off_one_dp_down_from_it(monkeypatch):
         assert rows == local_h_by_dual_intervals(m), name
         nonzero = {s for s, ell in rows if ell}
         pulled = [s for s, _ in rows
-                  if any(t in nonzero for t in tgt.down_set(s))]
+                  if any(t in nonzero for t in down_set(tgt, s))]
         assert dps == [(True,)] * len(pulled), name
         assert len(pulled) == len(tgt.elements) - 1, name
 
