@@ -17,17 +17,17 @@ _EXPORTS = {
                "coefficientwise_leq", "expand_cd", "parse_unipoly",
                "parse_word_poly", "substitute", "to_cd"),
     "poset": ("GradedPoset", "adjoin_max", "boolean_poset", "boundary",
-              "chain_poset", "dual", "interior_elements", "is_near_eulerian",
-              "join", "pyramid", "semisuspension", "suspension"),
+              "chain_poset", "dual", "face_poset", "interior_elements",
+              "is_near_eulerian", "join", "pyramid", "semisuspension",
+              "suspension"),
     "flagcd": ("FlagVector", "LocalIndex", "ab_index", "cd_index", "flag_f",
                "flag_h", "flag_polynomial", "local_index"),
     "complexes": ("HVector", "SimplicialComplex", "StackedPolytope",
-                  "barycentric_subdivision", "f_vector", "face_poset",
-                  "find_shelling", "flag_to_h", "h_vector", "is_gorenstein",
+                  "barycentric_subdivision", "f_vector", "find_shelling",
+                  "flag_to_h", "h_vector", "is_gorenstein",
                   "is_near_gorenstein", "link", "make_boundary_simplex",
-                  "make_cube3", "make_polygon", "make_simplex",
-                  "make_stacked", "order_complex", "reduced_betti", "star",
-                  "verify_shelling"),
+                  "make_cube3", "make_polygon", "make_simplex", "make_stacked",
+                  "order_complex", "reduced_betti", "star", "verify_shelling"),
     "subdivision": ("CdDecomposition", "SkeletalFamily", "SubdivisionMap",
                     "ValidationReport", "classify_flag", "decompose_cd",
                     "from_vertex_carriers", "identity_subdivision",

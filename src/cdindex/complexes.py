@@ -1,9 +1,9 @@
-"""Simplicial complexes: face posets, order complexes, star/link, classical
-f/h-vectors, rational reduced homology, Gorenstein predicates, shelling
-verification, and the standard generators.
+"""Simplicial complexes: order complexes, star/link, classical f/h-vectors,
+rational reduced homology, Gorenstein predicates, shelling verification,
+and the standard generators.
 
-A face poset, with or without its formal top, is one poset build off vertex
-bitmasks; a complex-form input is decoded straight to it, with its top.
+Face posets, their ids and the decode of a complex-form input are the
+poset module's; its ``face_poset`` and ``face_id`` are bound here too.
 
 Homology is rational: the boundary ranks over Q come from a sparse
 elimination of the +-1 boundary rows that stays in the integers.  The
@@ -20,24 +20,9 @@ import random
 from itertools import combinations, product
 
 from . import poset as ps
+from .poset import face_id, face_poset
 from .errors import (DomainError, FaceNotFound, NotPure, Record,
                      RequiresBounds, SearchCutoff)
-
-
-_ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,{}"})
-
-
-def _spell(name):
-    """A vertex name as face ids write it: a backslash before each
-    backslash, comma and brace, and the empty name as a backslash and 0,
-    which no escape writes, so that {""} is not the empty face's {}."""
-    return name.translate(_ESCAPE) if name else "\\0"
-
-
-def face_id(face):
-    """Canonical string id of a face: its sorted vertex names, spelled by
-    _spell, in braces."""
-    return "{%s}" % ",".join(map(_spell, sorted(face)))
 
 
 class SimplicialComplex(ps._JsonText):
@@ -98,70 +83,7 @@ class SimplicialComplex(ps._JsonText):
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(_json_facets(obj))
-
-
-def _json_facets(obj):
-    """The facet lists of a JSON complex, checked as the decoders need."""
-    facets = obj.get("facets") if isinstance(obj, dict) else None
-    if not (isinstance(facets, list)
-            and all(isinstance(f, list) for f in facets)):
-        raise DomainError('a complex is an object with a "facets" list '
-                          'of vertex lists')
-    ps._require_json_ids(facets, "facet vertex")
-    return facets
-
-
-def face_poset(k, with_max=False):
-    """Face poset of a complex, or of the one whose faces are the subsets
-    of the given vertex lists, in (size, sorted names) order: with vertex i
-    of n sorted names as the bit 1 << (n-1-i), (size, descending mask).
-    The faces are the submasks of the given sets taken largest first; those
-    not yet reached are the facets.  with_max adjoins TOP above the facets
-    (or the empty face) in the same build; ids have braces, so it is fresh."""
-    given = [{str(v) for v in f} for f in getattr(k, "facets", k)]
-    bit = {v: 1 << i
-           for i, v in enumerate(sorted(set().union(*given), reverse=True))}
-    escaped = {b: _spell(v) for v, b in bit.items()}
-    faces, facets = {0}, []
-    for f in sorted({sum(map(bit.get, f)) for f in given},
-                    key=int.bit_count, reverse=True):
-        if f not in faces:
-            facets.append(f)
-            sub = f
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & f
-    # a face is appended to its lower covers' rows as it gets its index, so
-    # every row ascends
-    at, elements, up_adj = {0: 0}, ["{}"], [[]]
-    order = sorted(faces, key=lambda f: (f.bit_count(), -f))
-    for j, f in enumerate(order[1:], 1):
-        last = f & -f
-        rest = f ^ last
-        elements.append(elements[at[rest]][:-1] + ("," if rest else "")
-                        + escaped[last] + "}")
-        at[f] = j
-        up_adj.append([])
-        up_adj[at[rest]].append(j)
-        while rest:
-            low = rest & -rest
-            up_adj[at[f ^ low]].append(j)
-            rest ^= low
-    if with_max:
-        for f in facets or [0]:
-            up_adj[at[f]].append(len(elements))
-        elements.append("TOP")
-        up_adj.append([])
-    p = ps._from_adj(elements, up_adj)
-    # The Eulerian memo, filled here: faces s < t span the Boolean interval
-    # of s with any subset of t \ s added, whose sizes are as often odd as
-    # even, since the sum of (-1)^|u| over subsets u of t \ s is 0.  So
-    # every interval is balanced but those ending at TOP, which alone are
-    # scanned; the full scan stays the tests' oracle.
-    p._bad = (ps._unbalanced(p._up, p._dn, p._ranks, 1 << len(faces))
-              if with_max else 0)
-    return p
+        return cls(ps._json_facets(obj))
 
 
 def order_complex(p):

@@ -8,15 +8,16 @@ Every poset is one ``_build`` from its ids and each element's ascending
 upper-cover index list, which sets every field.  A poset given as strings
 goes through the constructor's string intake, which makes those lists;
 every other constructor hands ``_build`` the lists as it makes them, and
-one derived from another is one ``_sub`` call on the parent's rows.  A
+a sub-poset of another is one ``_sub`` call on the parent's rows.  A
 down-set with a top adjoined, such as a subdivision's capped preimage, is
 never built: ``_below_top`` runs the near-Eulerian test on the parent's
 rows and a mask.  The sweep also keeps one mask per rank (``_levels``),
-which every per-rank read uses.  Two memo slots keep the Eulerian scan's
-mask of unbalanced interval tops (``_bad``: None until scanned, 0 when
-Eulerian), written here and by ``complexes.face_poset``, whose posets
-start with it filled as their intervals below the top are Boolean, and
-the cd-index (``_phi``), written by ``flagcd.cd_index``.
+which every per-rank read uses.  Face posets of complexes (a complex-form
+JSON input is decoded to one) and their ids are built here too.  Two memo
+slots keep the Eulerian scan's mask of unbalanced interval tops (``_bad``:
+None until scanned, 0 when Eulerian; written only here, and filled as a
+face poset is built, its intervals below the top being Boolean) and the
+cd-index (``_phi``), written by ``flagcd.cd_index``.
 Gradedness is verified eagerly but a failure is recorded, not raised:
 rank-dependent operations raise it.
 """
@@ -204,10 +205,9 @@ class GradedPoset(_JsonText):
         """Induced subposet; an id not in the poset raises DomainError."""
         return self._sub(sum(1 << i for i in {self.index(e) for e in ids}))
 
-    def _sub(self, keep, capped=False):
+    def _sub(self, keep):
         """The subposet on mask keep in element order, b covering a when b is
-        above a but outside the up-rows of the kept elements above a; when
-        capped, a fresh maximum TOP is adjoined in the same build."""
+        above a but outside the up-rows of the kept elements above a."""
         up, bits = self._up, self._bits
         kept = list(bits(keep))
         at = {a: k for k, a in enumerate(kept)}  # monotone, so rows ascend
@@ -217,15 +217,8 @@ class GradedPoset(_JsonText):
             beyond = 0
             for c in bits(above):
                 beyond |= up[c]
-            row = [at[b] for b in bits(above & ~beyond)]
-            if capped and not above:
-                row.append(len(kept))
-            up_adj.append(row)
-        names = [self.elements[a] for a in kept]
-        if capped:
-            names.append(_fresh(set(names), "TOP"))
-            up_adj.append([])
-        return _from_adj(names, up_adj)
+            up_adj.append([at[b] for b in bits(above & ~beyond)])
+        return _from_adj([self.elements[a] for a in kept], up_adj)
 
     def interval(self, lo, hi):
         """The closed interval [lo, hi] as a fresh poset."""
@@ -366,13 +359,11 @@ def _require_json_ids(groups, what):
 
 
 def _poset_from_obj(obj):
-    """A JSON poset, or a JSON complex as its face poset with a maximum.
-    The complexes module is imported only for a complex."""
+    """A JSON poset, or a JSON complex as its face poset with a maximum,
+    built here from the facet lists: no SimplicialComplex is made."""
     if isinstance(obj, dict):
         if "facets" in obj:
-            from . import complexes
-            return complexes.face_poset(complexes._json_facets(obj),
-                                        with_max=True)
+            return face_poset(_json_facets(obj), with_max=True)
         if "elements" in obj:
             return GradedPoset.from_json_obj(obj)
     raise DomainError("input is neither a poset nor a complex")
@@ -382,6 +373,88 @@ def _from_adj(elements, up_adj):
     """A poset from its ids and each element's ascending upper-cover index
     list: one _build, past the string intake."""
     return GradedPoset.__new__(GradedPoset)._build(elements, up_adj)
+
+
+# -- face posets ------------------------------------------------------------
+
+
+_ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,{}"})
+
+
+def _spell(name):
+    """A vertex name as face ids write it: a backslash before each
+    backslash, comma and brace, and the empty name as a backslash and 0,
+    which no escape writes, so that {""} is not the empty face's {}."""
+    return name.translate(_ESCAPE) if name else "\\0"
+
+
+def face_id(face):
+    """Canonical string id of a face: its sorted vertex names, spelled by
+    _spell, in braces."""
+    return "{%s}" % ",".join(map(_spell, sorted(face)))
+
+
+def _json_facets(obj):
+    """The facet lists of a JSON complex, checked as the decoders need."""
+    facets = obj.get("facets") if isinstance(obj, dict) else None
+    if not (isinstance(facets, list)
+            and all(isinstance(f, list) for f in facets)):
+        raise DomainError('a complex is an object with a "facets" list '
+                          'of vertex lists')
+    _require_json_ids(facets, "facet vertex")
+    return facets
+
+
+def face_poset(k, with_max=False):
+    """Face poset of a complex, or of the one whose faces are the subsets
+    of the given vertex lists, in (size, sorted names) order: with vertex i
+    of n sorted names as the bit 1 << (n-1-i), (size, descending mask).
+    The faces are the submasks of the given sets taken largest first; those
+    not yet reached are the facets.  with_max adjoins TOP above the facets
+    (or the empty face) in the same build; ids have braces, so it is fresh."""
+    given = [{str(v) for v in f} for f in getattr(k, "facets", k)]
+    bit = {v: 1 << i
+           for i, v in enumerate(sorted(set().union(*given), reverse=True))}
+    escaped = {b: _spell(v) for v, b in bit.items()}
+    faces, facets = {0}, []
+    for f in sorted({sum(map(bit.get, f)) for f in given},
+                    key=int.bit_count, reverse=True):
+        if f not in faces:
+            facets.append(f)
+            sub = f
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & f
+    # a face is appended to its lower covers' rows as it gets its index, so
+    # every row ascends
+    at, elements, up_adj = {0: 0}, ["{}"], [[]]
+    order = sorted(faces, key=lambda f: (f.bit_count(), -f))
+    for j, f in enumerate(order[1:], 1):
+        last = f & -f
+        rest = f ^ last
+        elements.append(elements[at[rest]][:-1] + ("," if rest else "")
+                        + escaped[last] + "}")
+        at[f] = j
+        up_adj.append([])
+        up_adj[at[rest]].append(j)
+        while rest:
+            low = rest & -rest
+            up_adj[at[f ^ low]].append(j)
+            rest ^= low
+    if with_max:
+        for f in facets or [0]:
+            up_adj[at[f]].append(len(elements))
+        elements.append("TOP")
+        up_adj.append([])
+    p = _from_adj(elements, up_adj)
+    # The Eulerian memo, filled here: faces s < t span the Boolean interval
+    # of s with any subset of t \ s added, whose sizes are as often odd as
+    # even, since the sum of (-1)^|u| over subsets u of t \ s is 0.  So
+    # every interval is balanced but those ending at TOP, which alone are
+    # scanned; the full scan stays the tests' oracle.
+    p._bad = (_unbalanced(p._up, p._dn, p._ranks, 1 << len(faces))
+              if with_max else 0)
+    return p
 
 
 # -- fresh-id helpers -------------------------------------------------------
@@ -399,7 +472,19 @@ def _fresh(taken, base):
 
 def adjoin_max(p):
     """Adjoin a new maximum above every maximal element (the P_1 operator)."""
-    return p._sub((1 << len(p)) - 1, capped=True)
+    return _adjoin(p, (1 << len(p)) - 1, "TOP", [])[0]
+
+
+def _adjoin(p, keep, base, covers):
+    """p with a fresh element, named from base, above the maximal elements
+    of mask keep and below the indexes covers, in one build; returns the
+    poset and the new id."""
+    rows = p._cover_lists()
+    for i in p._bits(keep):
+        if not p._up[i] & keep:
+            rows[i].append(len(rows))  # the new element, the last index
+    name = _fresh(set(p.elements), base)
+    return _from_adj(p.elements + (name,), rows + [covers]), name
 
 
 def join(p, q):
@@ -509,14 +594,7 @@ def _below_top(p, keep):
 def _semisuspend(p):
     """Adjoin the missing coatom above the maximal elements of D and below
     the maximum; return (Eulerian poset, coatom id)."""
-    down = _below_coatom(p)
-    tau = _fresh(set(p.elements), "TAU")
-    rows = p._cover_lists()
-    for i in p._bits(down):
-        if not p._up[i] & down:
-            rows[i].append(len(rows))  # tau, the last index
-    rows.append([p._idx[p.max_elt]])
-    q = _from_adj(p.elements + (tau,), rows)
+    q, tau = _adjoin(p, _below_coatom(p), "TAU", [p._idx[p.max_elt]])
     q._bad = 0
     return q, tau
 

@@ -116,11 +116,10 @@ def from_vertex_carriers(source, target, vertex_carrier):
     its vertex carriers, the least target face containing it.  The map runs
     between the bare face posets; see with_adjoined_tops for sphere bases.
     """
-    from .complexes import face_id, face_poset
     vertex_carrier = {str(v): frozenset(str(w) for w in f)
                       for v, f in vertex_carrier.items()}
-    src = face_poset(source, with_max=False)
-    tgt = face_poset(target, with_max=False)
+    src = ps.face_poset(source, with_max=False)
+    tgt = ps.face_poset(target, with_max=False)
     missing = sorted(set(source.vertices) - vertex_carrier.keys())
     if missing:
         raise DomainError("no carrier for source vertex %r" % missing[0])
@@ -131,7 +130,7 @@ def from_vertex_carriers(source, target, vertex_carrier):
         hull = frozenset().union(*map(vertex_carrier.get, f))
         if hull not in target.faces():
             raise DomainError("no target face contains %s" % sorted(hull))
-        carrier[face_id(f)] = face_id(hull)
+        carrier[ps.face_id(f)] = ps.face_id(hull)
     return SubdivisionMap(src, tgt, carrier)
 
 

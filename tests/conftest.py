@@ -986,10 +986,9 @@ def restrict_by_ids(m, face):
 
 
 def capped_preimage_by_build(m, sigma):
-    """The capped preimage of sigma as a poset: the preimage ideal with a
-    maximum adjoined, in one build from the source rows."""
-    return m.source._sub(m._preimage[m.target.index(sigma)],
-                         capped=True)
+    """The capped preimage of sigma as a poset: the preimage ideal, built
+    from the source rows, with a maximum adjoined."""
+    return cd.adjoin_max(m.source._sub(m._preimage[m.target.index(sigma)]))
 
 
 def basic_failures_by_le(m):

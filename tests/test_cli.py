@@ -503,6 +503,10 @@ LOAD_SETS = [
      ("subdivision", "complexes")),
     (["generate", "--shape", "boolean", "--n", "3"], 0, KERNELS),
     (["localh", "--input", "tetra.json"], 0, ("complexes",)),
+    # the poset module decodes a complex to its face poset
+    (["compute", "--input", "sphere.json", "--what", "cd"], 0,
+     ("complexes", "subdivision", "toric")),
+    (["decompose", "--input", "bary.json"], 0, ("complexes", "toric")),
     (["bogus"], 64, KERNELS + ("poset",)),
 ]
 
@@ -513,6 +517,12 @@ def test_a_request_loads_only_the_modules_it_runs(tmp_path, argv, want,
                                                    unloaded):
     (tmp_path / "square.json").write_text(square_lattice().to_json())
     (tmp_path / "tetra.json").write_text(tetra_subdivision().to_json())
+    k = cd.make_boundary_simplex(3)
+    oc, m = cd.barycentric_subdivision(k)
+    (tmp_path / "sphere.json").write_text(k.to_json())
+    (tmp_path / "bary.json").write_text(json.dumps(
+        {"source": oc.to_json_obj(), "target": k.to_json_obj(),
+         "carrier": m.carrier}))
     script = ("import sys\n"
               "from cdindex import cli\n"
               "code = cli.run(sys.argv[1:])\n"

@@ -799,7 +799,7 @@ def test_near_eulerian_test_on_a_down_set_matches_the_built_capped_poset(
                      for _ in range(len(closed)))
         for keep in sorted(keeps):
             got = outcome(cd.poset._below_top, p, keep)
-            hat = p._sub(keep, capped=True)
+            hat = cd.adjoin_max(p._sub(keep))
             want = outcome(cd.poset._below_coatom, hat)
             if got[0] == "value":
                 assert want[0] == "value", (p.elements, p._ids(keep))
