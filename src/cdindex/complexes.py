@@ -21,8 +21,7 @@ from itertools import combinations, product
 
 from . import poset as ps
 from .poset import face_id, face_poset
-from .errors import (DomainError, FaceNotFound, NotPure, Record,
-                     RequiresBounds, SearchCutoff)
+from .errors import DomainError, NotPure, Record, RequiresBounds, SearchCutoff
 
 
 class SimplicialComplex(ps._JsonText):
@@ -98,7 +97,7 @@ def star(k, face):
     """Subcomplex of all faces lying in a facet that contains ``face``."""
     face = frozenset(str(v) for v in face)
     if face not in k.faces():
-        raise FaceNotFound("face %s not in complex" % sorted(face))
+        raise DomainError("face %s not in complex" % sorted(face))
     return SimplicialComplex([f for f in k.facets if face <= f])
 
 
@@ -109,7 +108,7 @@ def link(k, face):
     if not face:
         return k
     if face not in k.faces():
-        raise FaceNotFound("face %s not in complex" % sorted(face))
+        raise DomainError("face %s not in complex" % sorted(face))
     facets = [f - face for f in k.facets if face <= f]
     return SimplicialComplex(facets)
 

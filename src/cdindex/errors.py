@@ -14,15 +14,7 @@ class NotGraded(CdindexError):
 
 
 class RequiresBounds(CdindexError):
-    """The operation needs both a minimum and a maximum element."""
-
-
-class RequiresMin(CdindexError):
-    """The operation needs a minimum element."""
-
-
-class MissingBounds(CdindexError):
-    """A constructive operator was given a poset without the bound it needs."""
+    """The poset lacks the minimum, the maximum or both that are needed."""
 
 
 class NotNearEulerian(CdindexError):
@@ -54,24 +46,16 @@ class NotPure(CdindexError):
     """The operation is defined for pure simplicial complexes only."""
 
 
-class FaceNotFound(CdindexError):
-    """A face or element id is absent from the complex or poset."""
-
-
 class DomainError(CdindexError):
-    """A numeric argument is outside the meaningful range."""
+    """An argument, such as an unknown id, is outside the meaningful domain."""
 
 
 class InvalidSubdivision(CdindexError):
-    """A subdivision map failed validation or an asserted identity."""
+    """A subdivision map is refused as invalid or fails an identity check."""
 
 
 class InvalidChain(CdindexError):
     """The given elements do not form a chain of the poset."""
-
-
-class ValidationRequired(CdindexError):
-    """The operation refuses to run on an unvalidated subdivision map."""
 
 
 class NotLowerEulerian(CdindexError):

@@ -26,8 +26,8 @@ from __future__ import annotations
 import itertools
 import json
 
-from .errors import (CycleDetected, DomainError, MissingBounds, NotGraded,
-                     NotNearEulerian, RequiresBounds, RequiresMin)
+from .errors import (CycleDetected, DomainError, NotGraded, NotNearEulerian,
+                     RequiresBounds)
 
 
 class _JsonText:
@@ -238,7 +238,7 @@ class GradedPoset(_JsonText):
 
     def without_max(self):
         if self.max_elt is None:
-            raise MissingBounds("poset has no maximum")
+            raise RequiresBounds("poset has no maximum")
         top = 1 << self._idx[self.max_elt]
         return self._sub(((1 << len(self)) - 1) & ~top)
 
@@ -274,7 +274,7 @@ class GradedPoset(_JsonText):
     def is_lower_eulerian(self):
         """All closed intervals are Eulerian and a minimum exists."""
         if self.min_elt is None:
-            raise RequiresMin("lower Eulerian test needs a minimum")
+            raise RequiresBounds("lower Eulerian test needs a minimum")
         self._need_ranked()
         return not self._unbalanced_tops()
 
@@ -490,9 +490,9 @@ def _adjoin(p, keep, base, covers):
 def join(p, q):
     """The join P * Q: remove 1 of P and 0 of Q, put Q on top of P."""
     if p.max_elt is None:
-        raise MissingBounds("left factor needs a maximum")
+        raise RequiresBounds("left factor needs a maximum")
     if q.min_elt is None:
-        raise MissingBounds("right factor needs a minimum")
+        raise RequiresBounds("right factor needs a minimum")
     top, bot = p._idx[p.max_elt], q._idx[q.min_elt]
     p_els = [e for i, e in enumerate(p.elements) if i != top]
     q_els = [e for j, e in enumerate(q.elements) if j != bot]
@@ -516,7 +516,7 @@ def join(p, q):
 def suspension(p):
     """P * B_2; adds two incomparable coatoms below a new maximum."""
     if p.max_elt is None or p.min_elt is None:
-        raise MissingBounds("suspension needs both bounds")
+        raise RequiresBounds("suspension needs both bounds")
     taken = set(p.elements)
     u = _fresh(taken, "SUSP0")
     v = _fresh(taken | {u}, "SUSP1")

@@ -10,14 +10,14 @@ mask that every later step reads.  No capped preimage (with a maximum
 adjoined) is built: after one Eulerian scan of the source, validation runs
 each face's near-Eulerian test on the source rows and the mask and keeps
 D, the elements below the restored coatom, and one sparse chain DP over
-the source gives every local cd-index, as sums over the preimage and D.
+the source gives every local cd-index, as sums over the preimage and D,
+and the source's cd-index.
 """
 from __future__ import annotations
 
 from . import poset as ps
-from .errors import (DomainError, FaceNotFound, InvalidChain,
-                     InvalidSubdivision, NotNearEulerian, Record,
-                     RequiresBounds, ValidationRequired)
+from .errors import (DomainError, InvalidChain, InvalidSubdivision,
+                     NotNearEulerian, Record, RequiresBounds)
 from .flagcd import (LocalIndex, _chain_vectors, _intervals_below, _local_cd,
                      _masked, flag_polynomial)
 from .ncpoly import CdPolynomial, _peel_cd
@@ -68,7 +68,7 @@ class SubdivisionMap(ps._JsonText):
         try:
             return self.carrier[e]
         except KeyError:
-            raise FaceNotFound("element %r not in source" % (e,))
+            raise DomainError("element %r not in source" % (e,))
 
     def preimage_ideal(self, sigma):
         return self.source._sub(self._preimage[self.target.index(sigma)])
@@ -257,7 +257,7 @@ def require_valid(m, kind="strong_eulerian"):
              else validate_strong_formal)
     report = check(m)
     if not report.ok:
-        raise ValidationRequired(
+        raise InvalidSubdivision(
             "%s validation failed: %s" % (kind, report.failures[:3]))
     return report
 
@@ -268,7 +268,7 @@ def require_valid(m, kind="strong_eulerian"):
 def restrict(m, face):
     """Restrict the map to the preimage of the closed interval below a face."""
     if face not in m.target:
-        raise FaceNotFound("target element %r not found" % (face,))
+        raise DomainError("target element %r not found" % (face,))
     ideal = m.preimage_ideal(face)
     ix = m.target.index(face)
     tgt = m.target._sub(m.target._dn[ix] | 1 << ix)
@@ -324,10 +324,7 @@ def skeletal_family(m):
     old elements of rank > i; maps[i-1] sends the new elements carried to
     rank i to their carriers and fixes the rest.
     """
-    report = validate_strong_eulerian(m)
-    if not report.ok:
-        raise InvalidSubdivision("skeletal decomposition needs a valid "
-                                 "strong Eulerian subdivision")
+    require_valid(m, "strong_eulerian")
     src, tgt = m.source, m.target
     new = [_tag(NEW, e) for e in src.elements]
     old = [_tag(OLD, e) for e in tgt.elements]
@@ -413,16 +410,13 @@ def decompose_cd(m):
                 "sides of a sphere's subdivision" % side)
     if not (tgt.is_eulerian() and src.is_eulerian()):
         raise InvalidSubdivision("decomposition needs Eulerian posets")
-    local, chains = _local_cds(m)
+    local, source_cd = _local_cds(m)
     upper = _upper_cds(tgt)
     rows = [DecompositionRow(s, local[s], upper[s]) for s in local]
-    n = src.top_rank - 1  # the source's flag f-vector, of the same DP
-    if n >= 0 and local[tgt.max_elt]:  # a point is its own top, with l = 1
+    if src.top_rank and local[tgt.max_elt]:  # a point is its own top, l = 1
         raise InvalidSubdivision("local cd-index of the top element must "
                                  "vanish, got %s" % local[tgt.max_elt])
     total = sum((r.contribution() for r in rows), CdPolynomial.zero())
-    source_cd = (_peel_cd(n, _masked(chains, n, (1 << len(src)) - 1))
-                 if n >= 0 else CdPolynomial.zero())  # Phi of a point is 0
     if total != source_cd:
         raise InvalidSubdivision(
             "decomposition total %s differs from the source cd-index %s"
@@ -453,9 +447,9 @@ def verify_rank_telescoping(fam, i):
 
 
 def _local_cds(m):
-    """(sigma -> l_sigma in (rank, id) order, the source's sparse chain
-    DP) after strong Eulerian validation, by that one DP read through each
-    preimage and D, both kept by validation."""
+    """(sigma -> l_sigma in (rank, id) order, Phi(source) or None without a
+    maximum) after strong Eulerian validation, by one sparse chain DP over
+    the source read through each preimage and D, both kept by validation."""
     src, tgt, out = m.source, m.target, {}
     chains = _chain_vectors(src._dn, src._levels)
     for ix, (keep, down) in m._cache["faces"].items():
@@ -463,7 +457,12 @@ def _local_cds(m):
         # the capped preimage of a minimum is a two-chain, with l = 1
         out[tgt.elements[ix]] = (_local_cd(chains, n, keep, down)[0] if n
                                  else CdPolynomial.one())
-    return out, chains
+    if src.max_elt is None:
+        return out, None
+    n = src.top_rank - 1
+    if n < 0:
+        return out, CdPolynomial.zero()
+    return out, _peel_cd(n, _masked(chains, n, (1 << len(src)) - 1))
 
 
 def _upper_cds(tgt):

@@ -14,7 +14,8 @@ recursions over lower intervals are test oracles in ``tests/conftest.py``.
 h_poly and local_h build no poset: h of a poset or of a capped preimage is
 f of its Psi, read off one dense chain DP over the poset or the source
 through the mask, and g of each [tau, sigma] off a DP down from sigma.
-Only local_h and verify_local_correspondence import the subdivision
+verify_local_correspondence reads Phi of the source, not Psi, off the DP
+of the local cd-indexes.  Only it and local_h import the subdivision
 module, when they run, so toric h and g of a poset never load it.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from .errors import NotLowerEulerian, Record, RequiresBounds
 from .flagcd import (_ab_of, _beta, _chain_vectors, _intervals_below,
                      _masked, ab_index, cd_index)
-from .ncpoly import UniPolynomial, expand_cd
+from .ncpoly import UniPolynomial
 
 
 def _require_lower_eulerian(p):
@@ -179,8 +180,7 @@ def morphism_g(p):
 class CorrespondenceReport(Record):
     __slots__ = (
         "rows",             # (sigma, f(local cd), local h) triples
-        "rows_agree",       # reported only: rows differ from rank 4 on
-        "top_identity",     # Psi(source) = sum local-cd * Phi(upper); None
+        "top_identity",     # Phi(source) = sum local-cd * Phi(upper); None
         "bottom_identity")  # toric h version; None when source unbounded
 
     def ok(self):
@@ -194,30 +194,29 @@ def verify_local_correspondence(m):
     Each row gives f of the local cd-index of the capped preimage beside
     the local h-polynomial.  They agree on the faces of rank 3 or less,
     but not in general beyond: at the top face of the barycentric
-    3-simplex f gives x + 11x^2 + x^3 and l gives x + 7x^2 + x^3.
-    rows_agree says whether they agree off a formal maximum, whose local
-    cd-index is zero while its h-row absorbs the balance of the
-    recursion.  The verdict reads only the summed identities, checked on
-    both levels when the source is bounded (they need its ab-index).
+    3-simplex f gives x + 11x^2 + x^3 and l gives x + 7x^2 + x^3.  The
+    verdict reads only the summed identities, checked on both levels when
+    the source is bounded, on its Phi off the DP of the local cd-indexes.
+    Validation found such a source Eulerian: the preimage of the top face
+    is all of it, and the near-Eulerian test refuses any unbalanced
+    interval in a preimage.  So Psi = expand(Phi), expand is injective and
+    f(Phi) = f(Psi): the identities on Phi are the ones on Psi.
     """
     from .subdivision import _local_cds, _upper_cds, require_valid
     require_valid(m, "strong_eulerian")
-    src, tgt = m.source, m.target
+    tgt = m.target
     table = local_h(m)
-    formal_top = tgt.max_elt if src.max_elt is not None else None
-    local = _local_cds(m)[0]
+    local, source_cd = _local_cds(m)
     rows = tuple((sigma, morphism_f(local[sigma]), ell)
                  for sigma, ell in table.rows)
-    agree = all(f == ell for sigma, f, ell in rows if sigma != formal_top)
 
     top = bottom = None
-    if src.max_elt is not None and src.min_elt is not None:
+    if source_cd is not None:
         upper = _upper_cds(tgt)
         phi_total = sum(local[sigma] * upper[sigma] for sigma in local)
         h_total = sum((ell * morphism_f(upper[sigma])
                        for sigma, ell in table.rows if sigma != tgt.max_elt),
                       UniPolynomial.zero())
-        psi_src = ab_index(src)
-        top = expand_cd(phi_total) == psi_src
-        bottom = h_total == morphism_f(psi_src)  # toric h of the source
-    return CorrespondenceReport(rows, agree, top, bottom)
+        top = phi_total == source_cd
+        bottom = h_total == morphism_f(source_cd)  # toric h of the source
+    return CorrespondenceReport(rows, top, bottom)

@@ -1,6 +1,7 @@
 """Module boundaries the library keeps: only the poset module writes a
-poset's fields, and the library's imports, those inside functions
-included, form no cycle."""
+poset's fields, the library's imports, those inside functions included,
+form no cycle, and the errors module defines every error type, each
+raised somewhere else."""
 import ast
 from graphlib import TopologicalSorter
 from pathlib import Path
@@ -86,3 +87,51 @@ def test_import_scan_reads_imports_inside_functions():
             "import json\nfrom json import loads\n")
     assert library_imports(ast.parse(text)) == {"poset", "ncpoly", "errors",
                                                 "subdivision"}
+
+
+def error_classes(trees):
+    """{class name: defining module} of the classes that derive, at any
+    depth, from CdindexError, over a {module: tree} dict."""
+    found, grew = {"CdindexError": "errors"}, True
+    while grew:
+        grew = False
+        for module, tree in trees.items():
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.ClassDef) and node.name not in found
+                        and any(isinstance(base, ast.Name)
+                                and base.id in found for base in node.bases)):
+                    found[node.name], grew = module, True
+    return found
+
+
+def raised_names(tree):
+    """The names raised in tree, as ``raise Name`` or ``raise Name(...)``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+    return out
+
+
+def test_each_error_is_defined_in_errors_and_raised_elsewhere():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    errors = error_classes(trees)
+    del errors["CdindexError"]
+    assert set(errors.values()) == {"errors"}
+    raised = set().union(*(raised_names(tree) for module, tree
+                           in trees.items() if module != "errors"))
+    assert sorted(set(errors) - raised) == []
+    assert len(errors) == 13
+
+
+def test_error_scans_follow_subclasses_and_raise_forms():
+    trees = {"errors": ast.parse("class CdindexError(Exception): pass\n"
+                                 "class A(CdindexError): pass\n"),
+             "m": ast.parse("class B(A): pass\nclass C(Exception): pass\n"
+                            "def f():\n    raise A('x')\n    raise B\n"
+                            "    raise\n")}
+    assert error_classes(trees) == {"CdindexError": "errors", "A": "errors",
+                                    "B": "m"}
+    assert raised_names(trees["m"]) == {"A", "B"}

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdindex as cd
-from cdindex.errors import (CycleDetected, DomainError, MissingBounds,
-                            NotGraded, NotNearEulerian, RequiresBounds,
-                            RequiresMin)
+from cdindex.errors import (CycleDetected, DomainError, NotGraded,
+                            NotNearEulerian, RequiresBounds)
 from conftest import (adjoin_max_by_cover_copy, enumerate_chains,
                       eulerian_by_mobius, eulerian_pool,
                       is_lattice_by_both_bounds, isomorphic, mobius_table,
@@ -89,7 +88,7 @@ def test_lower_eulerian():
     assert tri.is_lower_eulerian()
     assert cd.boolean_poset(3).is_lower_eulerian()
     no_min = cd.GradedPoset(["a", "b", "1"], [("a", "1"), ("b", "1")])
-    with pytest.raises(RequiresMin):
+    with pytest.raises(RequiresBounds):
         no_min.is_lower_eulerian()
 
 
@@ -279,7 +278,7 @@ def test_missing_bounds_are_named():
              (lambda: cd.suspension(no_min), "suspension needs both bounds"),
              (lambda: no_max.without_max(), "poset has no maximum")]
     for call, message in cases:
-        with pytest.raises(MissingBounds, match="^%s$" % message):
+        with pytest.raises(RequiresBounds, match="^%s$" % message):
             call()
 
 

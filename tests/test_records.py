@@ -33,9 +33,9 @@ RECORDS = [
     (cd.LocalHTable, ("rows", "total"), ((), UniPolynomial((1,))),
      "LocalHTable(rows=(), total=UniPolynomial(1))"),
     (CorrespondenceReport,
-     ("rows", "rows_agree", "top_identity", "bottom_identity"),
-     ((), True, None, False),
-     "CorrespondenceReport(rows=(), rows_agree=True, top_identity=None, "
+     ("rows", "top_identity", "bottom_identity"),
+     ((), None, False),
+     "CorrespondenceReport(rows=(), top_identity=None, "
      "bottom_identity=False)"),
     (cd.SkeletalFamily, ("subdivision", "posets", "maps"), ("m", (), ({},)),
      "SkeletalFamily(subdivision='m', posets=(), maps=({},))"),
