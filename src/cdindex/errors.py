@@ -51,7 +51,7 @@ class DomainError(CdindexError):
 
 
 class InvalidSubdivision(CdindexError):
-    """A subdivision map is refused as invalid or fails an identity check."""
+    """A subdivision map is refused as invalid."""
 
 
 class InvalidChain(CdindexError):

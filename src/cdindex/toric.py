@@ -14,9 +14,9 @@ recursions over lower intervals are test oracles in ``tests/conftest.py``.
 h_poly and local_h build no poset: h of a poset or of a capped preimage is
 f of its Psi, read off one dense chain DP over the poset or the source
 through the mask, and g of each [tau, sigma] off a DP down from sigma.
-verify_local_correspondence reads Phi of the source, not Psi, off the DP
-of the local cd-indexes.  Only it and local_h import the subdivision
-module, when they run, so toric h and g of a poset never load it.
+verify_local_correspondence reads Phi of the source, not Psi, off
+cd_index.  Only it and local_h import the subdivision module, when they
+run, so toric h and g of a poset never load it.
 """
 from __future__ import annotations
 
@@ -191,27 +191,31 @@ class CorrespondenceReport(Record):
 def verify_local_correspondence(m):
     """Map the cd-level decomposition onto the local h one.
 
-    Each row gives f of the local cd-index of the capped preimage beside
-    the local h-polynomial.  They agree on the faces of rank 3 or less,
-    but not in general beyond: at the top face of the barycentric
-    3-simplex f gives x + 11x^2 + x^3 and l gives x + 7x^2 + x^3.  The
-    verdict reads only the summed identities, checked on both levels when
-    the source is bounded, on its Phi off the DP of the local cd-indexes.
-    Validation found such a source Eulerian: the preimage of the top face
-    is all of it, and the near-Eulerian test refuses any unbalanced
-    interval in a preimage.  So Psi = expand(Phi), expand is injective and
-    f(Phi) = f(Psi): the identities on Phi are the ones on Psi.
+    Each row gives f of the local cd-index l of the capped preimage P of
+    sigma beside its local h-polynomial.  Let Q be the semisuspension of
+    P and D = [0, tau] below its restored coatom: l = Phi(Q) - Phi(D) c,
+    Psi(Q) = Psi(P) + Psi(D) b, and with h and g toric, f's letter rules give
+        f(Phi(Q)) = f(Psi(P)) + f(Psi(D) b) = h(P) + g(D),
+        f(Phi(D) c) = f(Psi(D) a + Psi(D) b) = (x - 1) h(D) + 2 g(D),
+        f(l) = h(P) - (x - 1) h(D) - g(D).
+    Local h, rev h(P) less l(tau) g([tau, sigma]) below, is another
+    quantity (x + 7x^2 + x^3 against f(l) = x + 11x^2 + x^3 at the top face
+    of the barycentric 3-simplex), so the verdict reads only the summed
+    identities, for a bounded source on its Phi from cd_index: validation
+    found it Eulerian (the top face's preimage is all of it, and no
+    preimage holds an unbalanced interval), so Psi = expand(Phi).
     """
     from .subdivision import _local_cds, _upper_cds, require_valid
     require_valid(m, "strong_eulerian")
     tgt = m.target
     table = local_h(m)
-    local, source_cd = _local_cds(m)
+    local = _local_cds(m)
     rows = tuple((sigma, morphism_f(local[sigma]), ell)
                  for sigma, ell in table.rows)
 
     top = bottom = None
-    if source_cd is not None:
+    if m.source.max_elt is not None:
+        source_cd = cd_index(m.source)
         upper = _upper_cds(tgt)
         phi_total = sum(local[sigma] * upper[sigma] for sigma in local)
         h_total = sum((ell * morphism_f(upper[sigma])

@@ -494,7 +494,7 @@ def telescoping_by_intervals(fam, i):
     tgt = m.target
     lhs = (cd.flag_polynomial(fam.posets[i])
            - cd.flag_polynomial(fam.posets[i - 1]))
-    local = cd.subdivision._local_cds(m)[0]
+    local = cd.subdivision._local_cds(m)
     rhs = 0
     for sigma in tgt.level(i):
         upper = cd.flag_polynomial(tgt.interval(sigma, tgt.max_elt))
@@ -1305,6 +1305,16 @@ def rank45_pool():
             ("bary_simplex4",
              cd.barycentric_subdivision(cd.make_simplex(4))[1]),
             ("bary_bd4", cd.with_adjoined_tops(bd4))]
+
+
+def correspondence_maps():
+    """The valid maps with a bounded Eulerian target: the subdivision pool
+    but bary_square, the rank 4 and 5 pool and the barycentric boundary
+    of the 3-simplex with formal tops."""
+    _, bd3 = cd.barycentric_subdivision(cd.make_boundary_simplex(3))
+    return ([(name, m) for name, m in subdivision_pool()
+             if name != "bary_square"]
+            + rank45_pool() + [("bary_bd3", cd.with_adjoined_tops(bd3))])
 
 
 def derangements_by_excedance(n):

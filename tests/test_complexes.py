@@ -539,7 +539,9 @@ def _intersection_facets(prev, facet):
 
 def test_stacked_upper_bound_spot_checks():
     """Spheres triangulated by a shellable ball with k cells are bounded by
-    the stacked polytope with the same k."""
+    the stacked polytope with the same k.  The family: the bipyramid over
+    an n-gon, n = 3..9, triangulated by the n tetrahedra {N, S, i, i + 1}
+    around its axis; n = 4 is the octahedron."""
     c = cd.CdPolynomial.monomial("c")
     simplex_d = cd.cd_index(cd.boolean_poset(4))
     simplex_d1 = cd.cd_index(cd.boolean_poset(3))
@@ -547,25 +549,19 @@ def test_stacked_upper_bound_spot_checks():
     def stacked_cd(k):
         return simplex_d * k - simplex_d1 * c * (k - 1)
 
-    cases = []
-    # bipyramid triangulated by three tetrahedra around an inner edge
-    t3 = cd.SimplicialComplex([["1", "2", "3", "4"], ["1", "2", "3", "5"],
-                               ["1", "2", "4", "5"]])
-    cases.append((cd.SimplicialComplex(
-        [["1", "3", "4"], ["2", "3", "4"], ["1", "3", "5"], ["2", "3", "5"],
-         ["1", "4", "5"], ["2", "4", "5"]]), t3, 3))
-    # octahedron triangulated by four tetrahedra around a diagonal
-    t4 = cd.SimplicialComplex([["1", "-1", "2", "3"], ["1", "-1", "3", "-2"],
-                               ["1", "-1", "-2", "-3"],
-                               ["1", "-1", "-3", "2"]])
-    cases.append((octahedron_complex(), t4, 4))
-    for sphere, ball, k in cases:
+    for n in range(3, 10):
+        rim = [(str(i), str((i + 1) % n)) for i in range(n)]
+        ball = cd.SimplicialComplex([["N", "S", a, b] for a, b in rim])
+        sphere = cd.SimplicialComplex([[pole, a, b] for pole in "NS"
+                                       for a, b in rim])
         order = cd.find_shelling(ball)
-        assert order is not None and cd.verify_shelling(ball, order)
+        assert order is not None and cd.verify_shelling(ball, order), n
         # the triangulation restricted to the boundary introduces no faces
-        assert all(f in ball.faces() for f in sphere.faces())
+        assert all(f in ball.faces() for f in sphere.faces()), n
         got = cd.cd_index(cd.face_poset(sphere, with_max=True))
-        assert coefficientwise_leq(got, stacked_cd(k)), k
+        # c^3 + (f2 - 2) cd + (f0 - 2) dc, with f0 = n + 2 and f2 = 2n
+        assert got == cd.CdPolynomial({"ccc": 1, "cd": 2 * n - 2, "dc": n})
+        assert coefficientwise_leq(got, stacked_cd(n)), n
 
 
 def test_complex_json_roundtrip():

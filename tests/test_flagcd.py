@@ -314,7 +314,7 @@ def test_masked_dp_matches_the_built_semisuspension():
     checked = 0
     for m in maps:
         assert cd.validate_strong_eulerian(m).ok
-        masked = _local_cds(m)[0]
+        masked = _local_cds(m)
         for sigma in m.target.elements:
             hat = capped_preimage_by_build(m, sigma)
             if len(hat.elements) == 2:

@@ -20,7 +20,8 @@ from conftest import (count_builds, decompose_rows_by_rebuild,
                       telescoping_by_rebuild,
                       tetra_subdivision, three_polytope_cd,
                       validate_strong_eulerian_by_build, atoms,
-                      composed_carrier, up_set, child_env)
+                      composed_carrier, up_set, child_env,
+                      correspondence_maps, subdivision_pool)
 
 
 def test_validate_strong_eulerian_fixtures(subdivision_fixtures):
@@ -182,14 +183,8 @@ def forged_valid(m):
 
 
 def test_checks_behind_validation_still_refuse_a_forged_verdict():
-    # validation rejects these maps, so only a planted verdict reaches the
-    # checks that stand behind it
-    m = tetra_subdivision()
-    broken = forged_valid(cd.SubdivisionMap(m.source, m.target,
-                                            {**m.carrier, "{1,3}": "{1}"}))
-    with pytest.raises(InvalidSubdivision, match="^skeletal poset at level "
-                       "1 is not graded of full rank$"):
-        cd.skeletal_family(broken)
+    # validation rejects this map, so only a planted verdict reaches the
+    # Eulerian test of the target that stands behind it
     three_atoms = cd.GradedPoset(
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"),
@@ -935,26 +930,53 @@ def test_vertex_carriers_fail_at_one_face_under_every_hash_seed():
     assert outs == {"no target face contains ['2']\n"}
 
 
-@pytest.mark.parametrize("face, extra, message", [
-    ("max", CdPolynomial.monomial("c"),
-     "local cd-index of the top element must vanish, got c"),
-    ("min", CdPolynomial.one(),
-     "decomposition total 2*c^3 + 6*cd + 5*dc differs from the source "
-     "cd-index c^3 + 4*cd + 3*dc"),
-])
-def test_decompose_asserts_its_two_identities(monkeypatch, face, extra,
-                                              message):
-    # a map that passes validation meets both identities, so the local
-    # indexes are forged after the fact
+def decomposition_maps():
+    """The maps of the subdivision, rank 4 and 5 and correspondence pools
+    with a bounded source and an Eulerian target.  The spheres among them,
+    the barycentric boundaries of the 3- and 4-simplex, have their tops
+    adjoined by with_adjoined_tops in the pools; the other members without
+    a source maximum are balls, whose topped targets are not Eulerian."""
+    maps = dict(subdivision_pool() + rank45_pool() + correspondence_maps())
+    return [(name, m) for name, m in maps.items()
+            if m.source.max_elt is not None and m.target.is_eulerian()]
+
+
+def decomposition_faults(maps):
+    """(name, theorem) for each theorem that a validated map breaks: the
+    decomposition total is Phi(source), the top face has local cd-index 0
+    above rank 0, and every skeletal poset is graded of full rank."""
+    faults = []
+    for name, m in maps:
+        decomposition = cd.decompose_cd(m)
+        if decomposition.total != cd.cd_index(m.source):
+            faults.append((name, "total"))
+        local = {row.sigma: row.local_cd for row in decomposition.rows}
+        if m.source.top_rank and local[m.target.max_elt]:
+            faults.append((name, "top"))
+        for i, p in enumerate(cd.skeletal_family(m).posets):
+            if not (p.is_graded and p.top_rank == m.target.top_rank):
+                faults.append((name, "skeletal %d" % i))
+    return faults
+
+
+def test_validated_maps_meet_the_decomposition_theorems(monkeypatch):
+    # validation is the only gate of decompose_cd and skeletal_family, so
+    # the theorems behind it are checked here, on every pool map they
+    # cover; a c planted on the bottom row breaks the total, and on the
+    # top row, whose upper interval has cd-index 0, breaks only the top
     import cdindex.subdivision as subdivision
+    maps = decomposition_maps()
+    assert sorted(name for name, _ in maps) == [
+        "bary_bd3", "bary_bd4", "hexagon", "identity_square", "tetra66"]
+    assert decomposition_faults(maps) == []
+    local_cds = subdivision._local_cds
+    for face, theorem in (("min", "total"), ("max", "top")):
+        def planted(m, face=face):
+            local = local_cds(m)
+            sigma = getattr(m.target, face + "_elt")
+            local[sigma] = local[sigma] + CdPolynomial.monomial("c")
+            return local
 
-    def forged(m, local_cds=subdivision._local_cds):
-        local, chains = local_cds(m)
-        sigma = getattr(m.target, face + "_elt")
-        local[sigma] = local[sigma] + extra
-        return local, chains
-
-    monkeypatch.setattr(subdivision, "_local_cds", forged)
-    with pytest.raises(InvalidSubdivision) as info:
-        cd.decompose_cd(tetra_subdivision())
-    assert str(info.value) == message
+        monkeypatch.setattr(subdivision, "_local_cds", planted)
+        assert decomposition_faults(maps) == [
+            (name, theorem) for name, _ in maps]

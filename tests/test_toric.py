@@ -13,7 +13,8 @@ from cdindex.ncpoly import (AbPolynomial, CdPolynomial, UniPolynomial,
                             expand_cd)
 from conftest import (MorphismsByCoproduct, ab_words,
                       barycentric_solid_triangle, capped_preimage_by_build,
-                      correspondence_rows_by_rebuild, count_builds,
+                      correspondence_maps, correspondence_rows_by_rebuild,
+                      count_builds,
                       decompose_rows_by_rebuild,
                       derangements_by_excedance, edge_with_points,
                       eulerian_by_mobius, eulerian_polynomial,
@@ -539,16 +540,6 @@ def test_verify_local_correspondence(subdivision_fixtures):
     assert checked_totals >= 3
 
 
-def correspondence_maps():
-    """The valid maps with a bounded Eulerian target: the subdivision pool
-    but bary_square, the rank 4 and 5 pool and the barycentric boundary
-    of the 3-simplex with formal tops."""
-    _, bd3 = cd.barycentric_subdivision(cd.make_boundary_simplex(3))
-    return ([(name, m) for name, m in subdivision_pool()
-             if name != "bary_square"]
-            + rank45_pool() + [("bary_bd3", cd.with_adjoined_tops(bd3))])
-
-
 def test_correspondence_rows_satisfy_the_boundary_identity():
     # with P the capped preimage of sigma, Q its semisuspension and
     # D = [0, tau] below the restored coatom tau, l = Phi(Q) - Phi(D) c and
@@ -596,17 +587,13 @@ def test_correspondence_identities_match_the_psi_route():
 def test_a_wrong_source_index_fails_both_identities(monkeypatch):
     # the identities are theorems on valid maps, so only a planted Phi(source)
     # shows that each verdict can read False
-    import cdindex.subdivision as subdivision
     m = dict(correspondence_maps())["bary_bd3"]
     assert cd.verify_local_correspondence(m).ok()
-    local_cds = subdivision._local_cds
 
-    def shifted(m):
-        local, source_cd = local_cds(m)
-        n = m.source.top_rank - 1
-        return local, source_cd + CdPolynomial.monomial("c" * n)
+    def shifted(p, cd_index=toric.cd_index):
+        return cd_index(p) + CdPolynomial.monomial("c" * (p.top_rank - 1))
 
-    monkeypatch.setattr(subdivision, "_local_cds", shifted)
+    monkeypatch.setattr(toric, "cd_index", shifted)
     report = cd.verify_local_correspondence(m)
     assert report.top_identity is False and report.bottom_identity is False
     assert not report.ok()
