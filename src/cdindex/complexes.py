@@ -1,6 +1,6 @@
-"""Simplicial complexes: order complexes, star/link, classical f/h-vectors,
-rational reduced homology, Gorenstein predicates, shelling verification,
-and the standard generators.
+"""Simplicial complexes as facet lists, faces derived on first read: order
+complexes, star/link, classical f/h-vectors, rational reduced homology,
+Gorenstein predicates, shelling verification, and the generators.
 
 Face posets, their ids and the decode of a complex-form input are the
 poset module's; its ``face_poset`` and ``face_id`` are bound here too.
@@ -17,34 +17,42 @@ run, so decoding or generating a complex loads neither.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from . import poset as ps
 from .poset import face_id, face_poset
 from .errors import DomainError, NotPure, Record, RequiresBounds, SearchCutoff
 
 
+def _closure_of(*facets):
+    """The faces of the given frozensets, as a new set with the empty face."""
+    out = {frozenset(), *facets}
+    for f in facets:
+        for k in range(1, len(f)):
+            out.update(map(frozenset, combinations(f, k)))
+    return out
+
+
 class SimplicialComplex(ps._JsonText):
     """Abstract simplicial complex given by its facet list.
 
-    The face set is closed downward and always contains the empty face.
-    Vertex names are strings; faces are frozensets of them.
+    Its face set, closed downward and with the empty face, is derived when
+    first read.  Vertex names are strings; faces are frozensets of them.
     """
 
     __slots__ = ("facets", "vertices", "_faces", "_betti")
 
     def __init__(self, facets):
-        given = {frozenset(str(v) for v in f) for f in facets}
-        # the strict subfaces of given sets; the given sets not among them
-        # are the facets
-        below = {frozenset()}
-        for f in given:
-            for k in range(1, len(f)):
-                below.update(map(frozenset, combinations(f, k)))
-        self.facets = tuple(sorted(given - below,
-                                   key=lambda f: (len(f), sorted(f))))
-        self._faces = frozenset(below | given)
+        given = sorted({frozenset(str(v) for v in f) for f in facets},
+                       key=lambda f: (len(f), sorted(f)), reverse=True)
+        kept = []
+        # largest first: a set is a facet unless a larger facet contains it
+        for _, same in groupby(given, len):
+            kept += [f for f in same
+                     if f and not (kept and any(f < g for g in kept))]
+        self.facets = tuple(reversed(kept))
         self.vertices = tuple(sorted({v for f in self.facets for v in f}))
+        self._faces = None  # the face set, once read
         self._betti = None  # _reduced_betti_all, once computed
 
     @property
@@ -53,18 +61,17 @@ class SimplicialComplex(ps._JsonText):
         return max((len(f) for f in self.facets), default=0) - 1
 
     def faces(self, dim=None):
+        if self._faces is None:
+            self._faces = frozenset(_closure_of(*self.facets))
         if dim is None:
             return self._faces
         return {f for f in self._faces if len(f) == dim + 1}
-
-    def has_face(self, face):
-        return frozenset(str(v) for v in face) in self._faces
 
     def is_pure(self):
         return len({len(f) for f in self.facets}) <= 1
 
     def __contains__(self, face):
-        return self.has_face(face)
+        return frozenset(str(v) for v in face) in self.faces()
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -280,14 +287,6 @@ def _shelling_step_ok(prev_faces, facet):
                      if facet - {v} in prev_faces) not in prev_faces
 
 
-def _closure_of(facet):
-    out = [frozenset()]
-    verts = sorted(facet)
-    for k in range(1, len(verts) + 1):
-        out.extend(frozenset(c) for c in combinations(verts, k))
-    return out
-
-
 def verify_shelling(k, order):
     """Check that the facet order is a shelling of the pure complex k."""
     if not k.is_pure():
@@ -297,7 +296,7 @@ def verify_shelling(k, order):
         raise DomainError("order is not a permutation of the facets")
     if not order:
         return True
-    prev = set(_closure_of(order[0]))
+    prev = _closure_of(order[0])
     for facet in order[1:]:
         if not _shelling_step_ok(prev, facet):
             return False
@@ -325,7 +324,7 @@ def find_shelling(k, max_nodes=10 ** 6):
     names = {f: sorted(f) for f in facets}
 
     for first in facets:
-        chosen, used, faces = [first], {first}, set(_closure_of(first))
+        chosen, used, faces = [first], {first}, _closure_of(first)
         added = []   # faces new with each facet after the first
         tries = []   # candidate iterator of each node entered
         while True:
@@ -353,7 +352,7 @@ def find_shelling(k, max_nodes=10 ** 6):
                     used.remove(chosen.pop())
             else:
                 break  # no order starts with `first`
-            added.append([x for x in _closure_of(f) if x not in faces])
+            added.append(_closure_of(f) - faces)
             chosen.append(f)
             used.add(f)
             faces.update(added[-1])

@@ -742,6 +742,19 @@ def facets_by_pairwise_filter(facets):
     return {f for f in norm if not any(f < g for g in norm)}
 
 
+def complex_by_subfaces(facets):
+    """Oracle for SimplicialComplex's facets and faces by the definition the
+    constructor once ran: enumerate every strict subface of every given set;
+    the given sets not among them are the facets, and the faces are the
+    given sets, their subfaces and the empty face."""
+    given = {frozenset(str(v) for v in f) for f in facets}
+    below = {frozenset()}
+    for f in given:
+        for k in range(1, len(f)):
+            below.update(map(frozenset, combinations(f, k)))
+    return given - below, below | given
+
+
 def shelling_step_by_closure(prev_faces, facet):
     """Oracle for the shelling step test: list the faces of facet already in
     prev_faces and check that they are a nonempty union of its ridges."""
@@ -1315,6 +1328,49 @@ def correspondence_maps():
     return ([(name, m) for name, m in subdivision_pool()
              if name != "bary_square"]
             + rank45_pool() + [("bary_bd3", cd.with_adjoined_tops(bd3))])
+
+
+def barycentric_of_poset(p):
+    """The barycentric subdivision of the boundary of a polytope whose face
+    lattice is p, onto that boundary, tops adjoined: the target is p without
+    its maximum, which need not be simplicial, the source the face poset of
+    the order complex of p, and each chain is carried to its top."""
+    base = p.without_max()
+    oc = cd.order_complex(p)
+    carrier = {face_id(f): max(f, key=base.rank, default=base.min_elt)
+               for f in oc.faces()}
+    return cd.with_adjoined_tops(
+        cd.SubdivisionMap(cd.face_poset(oc), base, carrier))
+
+
+def non_simplicial_maps():
+    """barycentric_of_poset over the square, the pentagon and the 3-cube,
+    the pyramid, suspension and dual of the square and the pentagon, the
+    dual of the cube (the octahedron) and one map of rank 5, over the
+    pyramid of the square pyramid.  The pyramid and suspension of the cube
+    are of rank 5 too, and left out: a rank-5 map takes about a second
+    with its oracles."""
+    square, pentagon = polygon_lattice(4), polygon_lattice(5)
+    lattices = [("square", square), ("pentagon", pentagon),
+                ("cube", cd.make_cube3()),
+                ("dual cube", cd.dual(cd.make_cube3())),
+                ("pyramid pyramid square", cd.pyramid(cd.pyramid(square)))]
+    for name, p in (("square", square), ("pentagon", pentagon)):
+        lattices += [("pyramid " + name, cd.pyramid(p)),
+                     ("suspension " + name, cd.suspension(p)),
+                     ("dual " + name, cd.dual(p))]
+    return [(name, barycentric_of_poset(p)) for name, p in lattices]
+
+
+def local_f_by_boundary(m, sigma):
+    """The row identity of the correspondence at sigma: with P the capped
+    preimage, Q its semisuspension and D = [0, tau] below the restored
+    coatom tau, f(l_sigma) = h(P) - (x - 1) h(D) - g(D)."""
+    capped = capped_preimage_by_build(m, sigma)
+    q, tau = semisuspend_by_build(capped)
+    below = q.interval(q.min_elt, tau)
+    return (cd.toric_h(capped) - X_MINUS_1 * cd.toric_h(below)
+            - cd.g_poly(below))
 
 
 def derangements_by_excedance(n):

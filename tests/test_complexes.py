@@ -1,6 +1,7 @@
 """Simplicial complexes: face posets, homology, shellings, generators."""
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,8 @@ from cdindex.errors import DomainError, NotPure, SearchCutoff
 from cdindex.ncpoly import UniPolynomial, coefficientwise_leq
 from cdindex.poset import _poset_from_obj
 from conftest import (adjoin_max_by_cover_copy, betti_by_fractions,
-                      betti_by_sympy, count_builds, cube3_by_cover_search,
+                      betti_by_sympy, complex_by_subfaces, count_builds,
+                      cube3_by_cover_search,
                       facets_by_pairwise_filter, find_shelling_by_recursion,
                       face_poset_by_frozensets, isomorphic,
                       octahedron_complex, outcome, polygon_cd,
@@ -200,6 +202,50 @@ def test_facets_match_pairwise_filter(rng):
                              for r in range(len(f) + 1)
                              for c in combinations(f, r)}
         assert k.vertices == tuple(sorted(set().union(*want)))
+
+
+def test_facets_and_faces_match_the_subface_definition(rng):
+    # families of several sizes at once, with nested and repeated sets, the
+    # empty set and single vertices, and names given as ints and strings;
+    # membership is asked before and after the faces are first read
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        given = []
+        for _ in range(rng.randint(0, 6)):
+            f = rng.sample(range(n), rng.randint(0, n))
+            given.append(f)
+            given += [f[:rng.randint(0, len(f))]
+                      for _ in range(rng.randint(0, 2))]
+            if rng.random() < 0.3:
+                given.append([str(v) for v in reversed(f)])
+        given += rng.choice(([], [[]], [[rng.randrange(n)]], [["0", 0]]))
+        rng.shuffle(given)
+        facets, faces = complex_by_subfaces(given)
+        probes = [rng.sample(range(n), rng.randint(0, min(n, 4)))
+                  for _ in range(8)]
+        k = cd.SimplicialComplex(given)
+        assert [p in k for p in probes] == [
+            frozenset(map(str, p)) in faces for p in probes]
+        assert set(k.facets) == facets and len(k.facets) == len(facets)
+        assert k.vertices == tuple(sorted(set().union(*facets)))
+        assert k.faces() == faces
+        assert cd.f_vector(k) == [sum(len(f) == i for f in faces)
+                                  for i in range(k.dim + 2)]
+        assert all(sorted(f) in k for f in faces)
+
+
+def test_a_complex_keeps_its_facets_and_derives_its_faces_once():
+    # one facet of 16 vertices has 2^16 faces, and building the complex
+    # enumerates none of them
+    names = [str(i) for i in range(16)]
+    tracemalloc.start()
+    try:
+        k = cd.SimplicialComplex([names])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    assert len(k.faces()) == 2 ** 16 and k.faces() is k.faces()
 
 
 def test_order_complex_b3_is_hexagon():
@@ -645,8 +691,8 @@ def test_find_shelling_of_1202_facets(capsys, tmp_path):
 
 def test_complex_membership_hash_and_repr():
     k = cd.SimplicialComplex([["a", "b", "c"], ["c", "d"]])
-    assert k.has_face(["a", "c"]) and ["d"] in k and [] in k
-    assert not k.has_face(["a", "d"]) and ["b", "d"] not in k
+    assert ["a", "c"] in k and ["d"] in k and [] in k
+    assert ["a", "d"] not in k and ["b", "d"] not in k
     assert hash(k) == hash(cd.SimplicialComplex([["d", "c"], ["c", "b", "a"]]))
     assert repr(k) == "SimplicialComplex(4 vertices, 2 facets, dim 2)"
 

@@ -21,8 +21,9 @@ from conftest import (MorphismsByCoproduct, ab_words,
                       f_by_letter_rules, g_by_recursion,
                       g_poly_by_psi, h_poly_by_adjoin_max,
                       h_poly_by_recursion, kappa, kappa_of,
-                      local_h_by_dual_intervals, local_h_of_built_faces,
-                      morphism_f_by_coproduct, outcome, polygon_cd,
+                      local_f_by_boundary, local_h_by_dual_intervals,
+                      local_h_of_built_faces, morphism_f_by_coproduct,
+                      non_simplicial_maps, outcome, polygon_cd,
                       polygon_lattice, random_graded_poset, rank45_pool,
                       semisuspend_by_build,
                       square_lattice, subdivision_pool, three_polytope_cd,
@@ -559,6 +560,29 @@ def test_correspondence_rows_satisfy_the_boundary_identity():
             rows += 1
     assert rows == 104
     assert flipped  # the sign of g(D) is seen
+
+
+def test_decomposition_holds_on_non_simplicial_targets():
+    # the barycentric subdivisions of polytope boundaries onto the boundary
+    # itself, whose faces need not be simplices: the decomposition, the
+    # local h-polynomials and the row identity of the correspondence hold
+    # as on simplicial targets
+    rows = 0
+    for name, m in non_simplicial_maps():
+        assert cd.validate_strong_eulerian(m).ok, name
+        assert cd.validate_strong_formal(m).ok, name
+        decomposition = cd.decompose_cd(m)
+        assert decomposition.total == cd.cd_index(m.source), name
+        assert cd.local_h(m).rows == local_h_by_dual_intervals(m), name
+        for sigma, f, _ in cd.verify_local_correspondence(m).rows:
+            if m.target.rank(sigma) >= 2:
+                assert f == local_f_by_boundary(m, sigma), (name, sigma)
+                rows += 1
+        # a sample, not a proof: no local cd-index here has a negative
+        # coefficient (Karu, Compositio 2006)
+        assert all(c >= 0 for row in decomposition.rows
+                   for c in row.local_cd.terms.values()), name
+    assert rows == 141
 
 
 def test_correspondence_identities_match_the_psi_route():
