@@ -103,9 +103,10 @@ def order_complex(p):
 def star(k, face):
     """Subcomplex of all faces lying in a facet that contains ``face``."""
     face = frozenset(str(v) for v in face)
-    if face not in k.faces():
+    facets = [f for f in k.facets if face <= f]
+    if face and not facets:
         raise DomainError("face %s not in complex" % sorted(face))
-    return SimplicialComplex([f for f in k.facets if face <= f])
+    return SimplicialComplex(facets)
 
 
 def link(k, face):
@@ -114,9 +115,9 @@ def link(k, face):
     face = frozenset(str(v) for v in face)
     if not face:
         return k
-    if face not in k.faces():
-        raise DomainError("face %s not in complex" % sorted(face))
     facets = [f - face for f in k.facets if face <= f]
+    if not facets:
+        raise DomainError("face %s not in complex" % sorted(face))
     return SimplicialComplex(facets)
 
 

@@ -9,10 +9,10 @@ adjoined off one sum over the mask; a fresh poset is the whole mask.  Down
 from an element top over the up-rows, ``_intervals_below`` reads Phi or
 Upsilon of every interval [t, top] off one DP, through the up-row of t.
 ``_peel_cd`` reads the cd-index of an Eulerian poset off the sparse rank
-sets, the only ones the sparse DP visits (Bayer-Billera 1985, Stanley
-1994), and the local cd-index Phi(Q) - Phi([0, tau]) c of a near-Eulerian
-poset off the same counts, over all and over the elements below tau;
-``to_cd`` serves the rest.  ``cd_index`` remembers Phi, off which
+sets without rank 1, the only ones the sparse DP visits (Bayer-Billera
+1985, Stanley 1994), and the local cd-index Phi(Q) - Phi([0, tau]) c of a
+near-Eulerian poset off the same counts, over all and over the elements
+below tau; ``to_cd`` serves the rest.  ``cd_index`` remembers Phi, off which
 ``ab_index`` of a poset known to be Eulerian lists beta by rank set; any
 other takes the dense 2^n DP, as ``flag_f`` does.
 """
@@ -22,6 +22,8 @@ from . import poset as ps
 from .errors import DomainError, NotNearEulerian, RankTooLarge, Record
 from .ncpoly import (AB_B, AB_C, AbPolynomial, CdPolynomial, _expand_masks,
                      _peel_cd, _sparse_masks, expand_cd, substitute, to_cd)
+
+_words = ("",)  # the 2^n ab-words of the last n given to _ab_of
 
 
 class FlagVector(Record):
@@ -58,8 +60,8 @@ class FlagVector(Record):
 
 
 def _chain_counts(p, sparse=False):
-    """(n, {mask: chain count}) over the rank sets of {1..n}, all or the
-    sparse ones, for p of proper rank n."""
+    """(n, {mask: chain count}) over all rank sets of {1..n}, or the sparse
+    ones of {2..n}, for p of proper rank n."""
     p.require_bounds()
     n = p.top_rank - 1
     if n < 0:
@@ -72,22 +74,22 @@ def _chain_vectors(dn, levels, sparse=True):
     """The chain DP by the down-rows dn over levels[1..n], the elements 1..n
     ranks from a base element, packed; up-rows give the dual's DP.
 
-    The rank sets of {1..n}, all or the sparse ones, take slots in
-    ``range(1 << n)`` or ``_sparse_masks`` order, tops rising, so that
-    slot(S + {r}) = ends[r - 1] + slot(S).  The integer of element i at
-    level r is 1 plus those below i at levels 1..r - gap (gap 2 when
-    sparse), shifted up ends[r - 1] fields, so its field at slot(S) counts
-    the chains through exactly S that end at i.  No field exceeds the
-    chains through its rank set, fewer than the product of (level size + 1):
-    at that width no sum carries.  Returns (integers, field bytes, masks)."""
+    The rank sets of {1..n}, or the sparse ones of {2..n} (the peel never
+    reads rank 1, so level 1 is skipped), take slots in mask order or
+    ``_sparse_masks(n - 1)`` order shifted a rank, tops rising: slot(S +
+    {r}) = ends[r - 1] + slot(S).  Element i at level r holds 1 plus those
+    below it at levels gap..r - gap (gap 2 when sparse), shifted up
+    ends[r - 1] fields: its field at slot(S) counts the chains through
+    exactly S ending at i, fewer than the product of (level size + 1) over
+    the kept levels, so no sum carries.  Returns (integers, bytes, masks)."""
     n, gap, bound = len(levels) - 1, 2 if sparse else 1, 1
     if n > 62:
         raise RankTooLarge("proper rank %d exceeds 62" % n)
-    for level in levels[1:]:
+    for level in levels[gap:]:
         bound *= level.bit_count() + 1
     width = (bound.bit_length() + 7) // 8
-    ends, reach, packed = [1], [0], [0] * len(dn)
-    for r in range(1, n + 1):
+    ends, reach, packed = [1] * gap, [0] * gap, [0] * len(dn)
+    for r in range(gap, n + 1):
         below, shift = reach[max(r - gap, 0)], 8 * width * ends[-1]
         ends.append(ends[-1] + ends[max(r - gap, 0)])
         reach.append(reach[-1] | levels[r])
@@ -98,7 +100,8 @@ def _chain_vectors(dn, levels, sparse=True):
                 acc += packed[bit.bit_length() - 1]
                 rest ^= bit
             packed[i] = acc << shift
-    return packed, width, _sparse_masks(n) if sparse else range(1 << n)
+    masks = [m << 1 for m in _sparse_masks(n - 1)] if sparse else range(1 << n)
+    return packed, width, masks
 
 
 def _masked(chains, n, keep):
@@ -170,11 +173,15 @@ def _ab_sum(p, vector):
 
 
 def _ab_of(n, values):
-    """Sum of values[S] u_S over the 2^n rank sets S, listed in mask order."""
-    words = [""]
-    for _ in range(n):
-        words = [w + "a" for w in words] + [w + "b" for w in words]
-    return AbPolynomial(dict(zip(words, values)))
+    """Sum of values[S] u_S over the 2^n rank sets S, listed in mask order;
+    the words are spelled once per n: ``_words`` keeps the last n's."""
+    global _words
+    if len(_words) != 1 << n:
+        words = [""]
+        for _ in range(n):
+            words = [w + "a" for w in words] + [w + "b" for w in words]
+        _words = tuple(words)
+    return AbPolynomial(dict(zip(_words, values)))
 
 
 def flag_polynomial(p):

@@ -8,9 +8,9 @@ theorems only for maps that pass it.  The constructor keeps the preimage
 of each face, the source elements carried into its closed down-set, as a
 mask that every later step reads.  No capped preimage (with a maximum
 adjoined) is built: after one Eulerian scan of the source, validation runs
-each face's near-Eulerian test on the source rows and the mask and keeps
-D, the elements below the restored coatom, and one sparse chain DP over
-the source gives every local cd-index, as sums over the preimage and D.
+each face's near-Eulerian test on the source rows and the mask and checks
+that D, below the restored coatom, is the preimage of the face's boundary;
+one sparse DP over the source gives every local cd-index off the two.
 verify_local_correspondence and the tests check the sum against cd_index.
 """
 from __future__ import annotations
@@ -168,8 +168,6 @@ def validate_strong_eulerian(m):
         failures += [(e, "only the source maximum may be carried by the "
                          "target maximum") for e in src._ids(wrong)]
     if not failures:
-        # faces[ix]: the D of target ix's preimage, for _local_cds
-        faces = m._cache["faces"] = {}
         for ix in _by_rank(tgt):
             sigma, keep = tgt.elements[ix], m._preimage[ix]
             rank = max(r for r, lv in enumerate(src._levels) if lv & keep)
@@ -178,10 +176,14 @@ def validate_strong_eulerian(m):
                                  % (rank, tgt._ranks[ix])))
                 continue
             try:  # one element, the preimage of the minimum, is skipped
-                faces[ix] = keep & (keep - 1) and ps._below_top(src, keep)
+                down = keep & (keep - 1) and ps._below_top(src, keep)
             except NotNearEulerian as exc:
                 failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
                                  % exc))
+                continue
+            if down != keep & ~m._carried[ix]:
+                failures.append((sigma, "preimage boundary is not the "
+                                 "preimage of the boundary"))
     report = ValidationReport("strong_eulerian", not failures, tuple(failures))
     m._cache["strong_eulerian"] = report
     return report
@@ -438,14 +440,14 @@ def verify_rank_telescoping(fam, i):
 
 def _local_cds(m):
     """sigma -> l_sigma in (rank, id) order, by one sparse chain DP over the
-    source read through each preimage and its D, kept by validation."""
+    source read through each preimage and D, the preimage of the boundary."""
     src, tgt, out = m.source, m.target, {}
     chains = _chain_vectors(src._dn, src._levels)
-    for ix, down in m._cache["faces"].items():
-        n, keep = tgt._ranks[ix], m._preimage[ix]
+    for ix in _by_rank(tgt):
+        n, keep, own = tgt._ranks[ix], m._preimage[ix], m._carried[ix]
         # the capped preimage of a minimum is a two-chain, with l = 1
-        out[tgt.elements[ix]] = (_local_cd(chains, n, keep, down)[0] if n
-                                 else CdPolynomial.one())
+        out[tgt.elements[ix]] = (_local_cd(chains, n, keep, keep & ~own)[0]
+                                 if n else CdPolynomial.one())
     return out
 
 

@@ -1048,10 +1048,17 @@ def validate_strong_eulerian_by_build(m):
             if len(hat.elements) == 2 and hat.top_rank == 1:
                 continue  # preimage of the minimum
             try:
-                cd.poset._below_coatom(hat)
+                down = cd.poset._below_coatom(hat)
             except NotNearEulerian as exc:
                 failures.append((sigma, "P1(preimage) is not near-Eulerian: %s"
                                  % exc))
+                continue
+            # D against the source elements carried strictly below sigma
+            boundary = {e for e in src.elements
+                        if tgt.le(m(e), sigma) and m(e) != sigma}
+            if set(hat._ids(down)) != boundary:
+                failures.append((sigma, "preimage boundary is not the "
+                                 "preimage of the boundary"))
     return ValidationReport("strong_eulerian", not failures, tuple(failures))
 
 
@@ -1280,6 +1287,17 @@ def edge_with_points(t):
     carriers = {"0": ["0"], "1": ["1"]}
     carriers.update({v: ["0", "1"] for v in verts[1:-1]})
     return cd.from_vertex_carriers(source, target, carriers)
+
+
+def edge_with_swapped_carriers():
+    """Map C: ``edge_with_points(1)`` with the carriers of {1} and {m1}
+    swapped, so the path's end goes to the open edge and its middle to the
+    vertex {1}.  Each preimage is near-Eulerian, but the edge's D is not
+    the preimage of its boundary, and strong formal sums fail."""
+    obj = edge_with_points(1).to_json_obj()
+    carrier = obj["carrier"]
+    carrier["{1}"], carrier["{m1}"] = carrier["{m1}"], carrier["{1}"]
+    return cd.SubdivisionMap.from_json_obj(obj)
 
 
 def barycentric_solid_triangle():

@@ -703,6 +703,23 @@ def test_link_of_an_absent_face_raises():
     assert str(info.value) == "face ['0', '2'] not in complex"
 
 
+def test_star_and_link_read_the_facets():
+    # the facets that contain the face answer both, so the 2^31 faces of
+    # the 30-simplex are never derived; an absent face has no such facet
+    k = cd.make_simplex(30)
+    assert cd.link(k, ["0"]).facets == (k.facets[0] - {"0"},)
+    assert cd.star(k, ["0", "7"]) == k
+    assert k._faces is None
+    for take in (cd.star, cd.link):
+        with pytest.raises(DomainError) as info:
+            take(k, ["0", "x"])
+        assert str(info.value) == "face ['0', 'x'] not in complex"
+    # the empty face: every facet, in the void complex too
+    void = cd.SimplicialComplex([])
+    assert cd.star(void, []).facets == () and cd.link(void, []) is void
+    assert cd.star(k, []) == k and cd.link(k, []) is k
+
+
 def test_flag_to_h_of_a_point_raises():
     with pytest.raises(DomainError) as info:
         cd.flag_to_h(cd.chain_poset(0))

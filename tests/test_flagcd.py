@@ -334,12 +334,13 @@ def test_sparse_chain_counts_are_flag_f_on_sparse_sets(eulerian_fixtures,
     posets = [p for _, p in eulerian_fixtures] + [cd.boolean_poset(8)]
     posets += [random_graded_poset(rng, max_levels=6, max_width=4)
                for _ in range(40)]
-    fib = [1, 2]  # the sparse subsets of {1..n} number F(n + 2)
+    fib = [1, 1]  # the sparse subsets of {2..n} number F(n + 1)
     for p in posets:
         n, sparse = _chain_counts(p, sparse=True)
         dense = cd.flag_f(p)
         assert n == dense.n
-        want = {m: v for m, v in dense.values.items() if is_sparse(m)}
+        want = {m: v for m, v in dense.values.items()
+                if is_sparse(m) and not m & 1}
         assert sparse == want
         while len(fib) <= n:
             fib.append(fib[-1] + fib[-2])
@@ -368,23 +369,28 @@ def test_packed_dp_matches_the_list_dp(rng):
                 packed = _chain_vectors(
                     p._dn, [level & p._up[low] for level in levels], sparse)
                 lists = chain_vectors_by_lists(p, low, n, sparse)
-                assert _masked(packed, n, everything) == lists[0]
+
+                def kept(f):  # the sparse DP skips the sets with rank 1
+                    return {m: v for m, v in f.items()
+                            if not (sparse and m & 1)}
+                assert _masked(packed, n, everything) == kept(lists[0])
                 for keep in keeps:
                     for k in range(n + 1):
                         got = _masked(packed, k, keep)
-                        assert got == masked_by_lists(lists, k, keep)
+                        assert got == kept(masked_by_lists(lists, k, keep))
                         reads += 1
     assert reads >= 2000
 
 
 def test_packed_dp_at_the_edges_of_its_field_width():
     # on ordinal sums of antichains f_S is the product of the level sizes
-    # in S; the fields are as wide as the product of (level size + 1), here
-    # at and one below a power of two, and so is the largest count, the
-    # product of all sizes
-    bounds, fulls = set(), set()
+    # in S; the fields are as wide as the product of (level size + 1), over
+    # the levels from 2 when sparse, here at and one below a power of two,
+    # and so is the largest count, the product of all sizes
+    bounds, sparse_bounds, fulls = set(), set(), set()
     for sizes in [(254,), (255,), (256,), (2, 84), (3, 63), (5, 51),
-                  (16, 16), (3,) * 8, (2, 4, 16, 256)]:
+                  (16, 16), (3,) * 8, (2, 4, 16, 256), (9, 254), (9, 255),
+                  (7, 2, 4, 16, 256), (5,) + (3,) * 8]:
         p, n = antichain_sum(sizes), len(sizes)
         want = {}
         for mask in range(1 << n):
@@ -393,14 +399,33 @@ def test_packed_dp_at_the_edges_of_its_field_width():
                 want[mask] *= sizes[r] if mask >> r & 1 else 1
         assert cd.flag_f(p).values == want, sizes
         assert _chain_counts(p, sparse=True) == (
-            n, {m: v for m, v in want.items() if is_sparse(m)}), sizes
+            n, {m: v for m, v in want.items()
+                if is_sparse(m) and not m & 1}), sizes
         bound = 1
-        for size in sizes:
+        for size in sizes[1:]:
             bound *= size + 1
-        bounds.add(bound)
+        sparse_bounds.add(bound)
+        bounds.add(bound * (sizes[0] + 1))
         fulls.add(want[(1 << n) - 1])
     assert {255, 256, 2 ** 16 - 1, 2 ** 16} <= bounds
+    assert {255, 256, 2 ** 16 - 1, 2 ** 16} <= sparse_bounds
     assert {255, 256} <= fulls
+
+
+def test_sparse_dp_skips_level_one():
+    # the peel never reads rank 1, so however wide level 1 is, the sparse
+    # counts, what the peel reads off them and the field width stay put,
+    # while the dense width grows with it
+    reads = []
+    for first in (1, 2, 3000):
+        p = antichain_sum((first, 3, 5, 2))
+        sparse = _chain_vectors(p._dn, p._levels[:5], True)
+        dense = _chain_vectors(p._dn, p._levels[:5], False)
+        counts = _chain_counts(p, sparse=True)
+        reads.append((sparse[1], len(sparse[2]), counts, _peel_cd(*counts)))
+        assert dense[1] == (((first + 1) * 72).bit_length() + 7) // 8
+    assert reads[0] == reads[1] == reads[2]
+    assert reads[0][:2] == (1, 5)  # 4 * 6 * 3 = 72 < 256; F(5) sets of {2..4}
 
 
 def test_peel_inverts_sparse_flag_f(rng):
@@ -627,3 +652,24 @@ def test_flag_f_rank_too_large():
     from cdindex.errors import RankTooLarge
     with pytest.raises(RankTooLarge):
         cd.flag_f(cd.chain_poset(64))
+    # the sparse DP refuses proper rank 63 on n, not on the 62 levels it
+    # keeps once level 1 is skipped
+    chain = cd.chain_poset(64)
+    with pytest.raises(RankTooLarge, match="proper rank 63 exceeds 62"):
+        _chain_counts(chain, sparse=True)
+    with pytest.raises(RankTooLarge, match="proper rank 63 exceeds 62"):
+        _chain_vectors(chain._dn, chain._levels[:64], True)
+
+
+def test_ab_of_keeps_the_words_of_the_last_rank():
+    # one slot: the words of n = 12 give way to those of n = 3, and a
+    # second call at n = 3 reuses the kept tuple
+    big = flagcd._ab_of(12, range(1 << 12))
+    assert len(flagcd._words) == 1 << 12
+    small = flagcd._ab_of(3, range(8))
+    words = flagcd._words
+    assert words == ("aaa", "baa", "aba", "bba", "aab", "bab", "abb", "bbb")
+    assert small == AbPolynomial({w: k for k, w in enumerate(words) if k})
+    assert big.terms["b" * 12] == (1 << 12) - 1
+    flagcd._ab_of(3, range(8))
+    assert flagcd._words is words

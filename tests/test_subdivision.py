@@ -21,7 +21,8 @@ from conftest import (count_builds, decompose_rows_by_rebuild,
                       tetra_subdivision, three_polytope_cd,
                       validate_strong_eulerian_by_build, atoms,
                       composed_carrier, up_set, child_env,
-                      correspondence_maps, subdivision_pool)
+                      correspondence_maps, edge_with_swapped_carriers,
+                      subdivision_pool)
 
 
 def test_validate_strong_eulerian_fixtures(subdivision_fixtures):
@@ -461,7 +462,8 @@ def test_validation_matches_the_build_route(subdivision_fixtures):
             messages[key] = messages.get(key, 0) + 1
     for why in ("semisuspension needs both bounds",
                 "semisuspension needs a graded poset",
-                "adjoining the missing coatom is not Eulerian"):
+                "adjoining the missing coatom is not Eulerian",
+                "preimage boundary is"):
         assert messages.get(why), why
 
 
@@ -563,11 +565,13 @@ def test_telescoping_reads_upper_intervals_off_dense_dps(
     assert most_faces >= 2
 
 
-def test_a_validated_map_onto_a_non_eulerian_target():
+def test_a_map_onto_a_non_eulerian_target_fails_the_boundary_check():
     # the triangle's face lattice onto 0 < a, b, c < e, f < 1, with e over
-    # a, b and c and f over a and b: strong Eulerian validation passes,
-    # but [0, e] has three atoms, and [c, 1] is a chain, so the telescoping
-    # reads Upsilon of upper intervals that have no cd-index
+    # a, b and c and f over a and b: every preimage is near-Eulerian, but
+    # at e, D = {0, v1, v2} is not the preimage {0, v1, v2, v3} of the
+    # boundary of e, so strong Eulerian validation fails there, as strong
+    # formal does at (v3, e), and the decomposition never reaches the
+    # non-Eulerian target
     src = cd.GradedPoset(
         ["0", "v1", "v2", "v3", "e13", "e32", "e21", "1"],
         [("0", "v1"), ("0", "v2"), ("0", "v3"), ("v1", "e13"),
@@ -580,20 +584,43 @@ def test_a_validated_map_onto_a_non_eulerian_target():
     m = cd.SubdivisionMap(src, tgt, {
         "0": "0", "v1": "a", "v2": "b", "v3": "c", "e13": "e", "e32": "e",
         "e21": "f", "1": "1"})
-    assert cd.validate_strong_eulerian(m).ok
+    want = (("e", "preimage boundary is not the preimage of the boundary"),)
+    assert cd.validate_strong_eulerian(m).failures == want
+    assert validate_strong_eulerian_by_build(m).failures == want
     assert src.is_eulerian() and not tgt.interval("0", "e").is_eulerian()
     assert not tgt.interval("c", "1").is_eulerian()
-    with pytest.raises(InvalidSubdivision,
-                       match="decomposition needs Eulerian posets"):
-        cd.decompose_cd(m)
-    fam = cd.skeletal_family(m)
-    verdicts = [cd.verify_rank_telescoping(fam, i) for i in (1, 2, 3)]
-    assert verdicts == [telescoping_by_intervals(fam, i) for i in (1, 2, 3)]
-    assert verdicts == [True, False, True]
+    for call in (cd.decompose_cd, cd.skeletal_family,
+                 cd.verify_local_correspondence):
+        with pytest.raises(InvalidSubdivision,
+                           match="strong_eulerian validation failed"):
+            call(m)
     assert [f for f, _ in cd.validate_strong_formal(m).failures] == [
         ("v3", "e")]
-    with pytest.raises(InvalidSubdivision, match="strong_formal"):
-        cd.verify_local_correspondence(m)
+
+
+def test_map_c_fails_both_validations_at_the_edge(capsys, tmp_path):
+    # the path 0 - m1 - 1 onto the edge {0, 1} with the carriers of {1}
+    # and {m1} swapped: near-Eulerian preimages everywhere, but the edge's
+    # D misses the path's end {1}, and the alternating sums at ({1}, {0,1})
+    # and ({m1}, {0,1}) come out swapped
+    m = edge_with_swapped_carriers()
+    want = (("{0,1}",
+             "preimage boundary is not the preimage of the boundary"),)
+    assert cd.validate_strong_eulerian(m).failures == want
+    assert validate_strong_eulerian_by_build(m).failures == want
+    assert cd.validate_strong_formal(m).failures == (
+        (("{1}", "{0,1}"), "alternating sum 0, want 1"),
+        (("{m1}", "{0,1}"), "alternating sum 1, want 0"))
+    path = tmp_path / "map_c.json"
+    path.write_text(m.to_json())
+    for prop in ("strong-eulerian", "strong-formal"):
+        assert run(["verify", "--property", prop, "--input", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(prop + ": FAIL\n"), out
+    run(["verify", "--property", "strong-eulerian", "--input", str(path)])
+    assert capsys.readouterr().out == (
+        "strong-eulerian: FAIL\n{0,1}: preimage boundary is not the "
+        "preimage of the boundary\n")
 
 
 def test_validation_scans_the_source_once(monkeypatch,
