@@ -4,6 +4,8 @@ Gorenstein predicates, shelling verification, and the generators.
 
 Face posets, their ids and the decode of a complex-form input are the
 poset module's; its ``face_poset`` and ``face_id`` are bound here too.
+A barycentric subdivision is the face poset of its base's chains, made
+once as masks off the base's up-rows and built by the same face loop.
 
 Homology is rational: the boundary ranks over Q come from a sparse
 elimination of the +-1 boundary rows that stays in the integers.  The
@@ -63,15 +65,15 @@ class SimplicialComplex(ps._JsonText):
     def faces(self, dim=None):
         if self._faces is None:
             self._faces = frozenset(_closure_of(*self.facets))
-        if dim is None:
-            return self._faces
-        return {f for f in self._faces if len(f) == dim + 1}
+        return (self._faces if dim is None
+                else {f for f in self._faces if len(f) == dim + 1})
 
     def is_pure(self):
         return len({len(f) for f in self.facets}) <= 1
 
     def __contains__(self, face):
-        return frozenset(str(v) for v in face) in self.faces()
+        face = frozenset(str(v) for v in face)
+        return not face or any(face <= f for f in self.facets)
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -123,8 +125,7 @@ def link(k, face):
 
 def f_vector(k):
     """[f_-1, f_0, ..., f_{d}] including the empty face count."""
-    d = k.dim
-    return [len(k.faces(i)) for i in range(-1, d + 1)]
+    return [len(k.faces(i)) for i in range(-1, k.dim + 1)]
 
 
 class HVector(Record):
@@ -141,18 +142,15 @@ class HVector(Record):
 
 
 def h_vector(k):
-    """h-vector via sum f_{i-1} (x-1)^{d-i} = sum h_i x^{d-i}."""
-    from .ncpoly import UniPolynomial
+    """h-vector via sum f_{i-1} (x-1)^{d-i} = sum h_i x^{d-i}, by Horner's
+    rule in x - 1 on coefficients kept lowest degree first."""
     if not k.is_pure():
         raise NotPure("h-vector needs a pure complex")
-    d = k.dim + 1
-    f = f_vector(k)
-    poly = UniPolynomial.zero()
-    for i in range(d + 1):
-        poly = poly + UniPolynomial((-1, 1)) ** (d - i) * f[i]
-    # poly = sum h_i x^{d-i}; read coefficients back off
-    h = tuple(poly[d - i] for i in range(d + 1))
-    return HVector(d, h)
+    poly = []
+    for f in f_vector(k):
+        poly = [a - b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += f
+    return HVector(k.dim + 1, tuple(reversed(poly)))
 
 
 def flag_to_h(p):
@@ -162,11 +160,8 @@ def flag_to_h(p):
     d = p.top_rank - 1
     if d < 0:
         raise DomainError("rank-0 poset has no order complex h-vector")
-    if d == 0:
-        return HVector(0, (1,))
-    fh = flag_h(p)
     h = [0] * (d + 1)
-    for mask, value in fh.values.items():
+    for mask, value in flag_h(p).values.items():
         h[mask.bit_count()] += value
     return HVector(d, tuple(h))
 
@@ -212,17 +207,12 @@ def _boundary_rank(upper, lower):
 
 def _reduced_betti_all(k):
     """Reduced rational Betti numbers as a dict over dims -1..dim."""
-    d = k.dim
-    faces_by_dim = {i: sorted(k.faces(i), key=sorted)
-                    for i in range(-1, d + 1)}
-    ranks = {i: _boundary_rank(faces_by_dim[i], faces_by_dim[i - 1])
-             for i in range(0, d + 1)}
-    ranks[d + 1] = 0
-    betti = {}
-    for i in range(-1, d + 1):
-        dim_ci = len(faces_by_dim.get(i, []))
-        betti[i] = dim_ci - ranks.get(i, 0) - ranks.get(i + 1, 0)
-    return betti
+    faces = [sorted(k.faces(i), key=sorted) for i in range(-1, k.dim + 1)]
+    # ranks[i]: the rank of the boundary map from faces[i] to faces[i - 1]
+    ranks = [0] + [_boundary_rank(upper, lower)
+                   for lower, upper in zip(faces, faces[1:])] + [0]
+    return {i - 1: len(f) - ranks[i] - ranks[i + 1]
+            for i, f in enumerate(faces)}
 
 
 def _betti(k):
@@ -234,21 +224,13 @@ def _betti(k):
 
 def reduced_betti(k):
     """Reduced rational Betti numbers in dimensions 0..dim."""
-    betti = _betti(k)
-    return [betti[i] for i in range(0, k.dim + 1)]
+    return [_betti(k)[i] for i in range(k.dim + 1)]
 
 
 def _is_homology_sphere(k, n):
     """k has the reduced rational homology of an n-sphere (n >= -1)."""
-    if k.dim != n:
-        return False
-    betti = _betti(k)
-    return all(v == (1 if i == n else 0) for i, v in betti.items())
-
-
-def _is_homology_trivial(k):
-    betti = _betti(k)
-    return all(v == 0 for v in betti.values())
+    return k.dim == n and all(v == (1 if i == n else 0)
+                              for i, v in _betti(k).items())
 
 
 def _links_ok(k, trivial):
@@ -256,7 +238,7 @@ def _links_ok(k, trivial):
     homology-trivial, that of any other face a homology sphere of dimension
     dim k - |face|."""
     n = k.dim
-    return all(_is_homology_trivial(link(k, f)) if f in trivial
+    return all(not any(_betti(link(k, f)).values()) if f in trivial
                else _is_homology_sphere(link(k, f), n - len(f))
                for f in sorted(k.faces(), key=lambda f: (len(f), sorted(f))))
 
@@ -272,9 +254,8 @@ def is_near_gorenstein(k, bd):
     """(k, bd) is a rational homology ball with boundary bd."""
     if not k.is_pure():
         raise NotPure("near-Gorenstein test needs a pure complex")
-    if bd.dim != k.dim - 1 or not is_gorenstein(bd):
-        return False
-    return _links_ok(k, bd.faces())
+    return (bd.dim == k.dim - 1 and is_gorenstein(bd)
+            and _links_ok(k, bd.faces()))
 
 
 # -- shelling ----------------------------------------------------------------
@@ -295,10 +276,8 @@ def verify_shelling(k, order):
     order = [frozenset(str(v) for v in f) for f in order]
     if sorted(order, key=sorted) != sorted(k.facets, key=sorted):
         raise DomainError("order is not a permutation of the facets")
-    if not order:
-        return True
-    prev = _closure_of(order[0])
-    for facet in order[1:]:
+    prev = set()  # without the empty face, so the first facet passes
+    for facet in order:
         if not _shelling_step_ok(prev, facet):
             return False
         prev.update(_closure_of(facet))
@@ -374,8 +353,7 @@ def make_boundary_simplex(d):
     """Boundary of the d-simplex: all proper faces."""
     if d < 1:
         raise DomainError("boundary needs dimension >= 1")
-    verts = [str(i) for i in range(d + 1)]
-    return SimplicialComplex(list(combinations(verts, d)))
+    return SimplicialComplex(combinations(map(str, range(d + 1)), d))
 
 
 def make_polygon(n):
@@ -421,36 +399,50 @@ def make_stacked(d, k, seed=0):
     simplices = [base]
     sphere = {frozenset(c) for c in combinations(sorted(base), d)}
     recent = sorted(sphere, key=sorted)
-    next_vertex = d + 1
-    for _ in range(k - 1):
+    for v in map(str, range(d + 1, d + k)):
         target = recent[rng.randrange(len(recent))]
-        v = str(next_vertex)
-        next_vertex += 1
-        new_simplex = target | {v}
-        simplices.append(new_simplex)
+        simplices.append(target | {v})
         sphere.remove(target)
-        created = [frozenset(t | {v})
-                   for t in (target - {u} for u in sorted(target))]
-        sphere.update(created)
-        recent = created
+        recent = [target - {u} | {v} for u in sorted(target)]
+        sphere.update(recent)
     return StackedPolytope(
         boundary=SimplicialComplex(sorted(sphere, key=sorted)),
         triangulation=SimplicialComplex(simplices),
         order=tuple(simplices))
 
 
-def barycentric_subdivision(k):
-    """Barycentric subdivision with its carrier map onto the base complex.
+def barycentric_subdivision(base):
+    """Barycentric subdivision with its carrier map onto the base.
 
-    Vertices of the subdivision are the nonempty faces of k; the carrier of
-    a chain is its maximal element.  Returns (complex, SubdivisionMap); the
-    map runs between the bare face posets.  For a sphere-style base, adjoin
-    formal maxima with subdivision.with_adjoined_tops before decomposing.
+    The base is a complex, read as its face poset, or a graded poset with a
+    minimum, whose other elements are the cells: a polytope lattice p goes
+    in as p.without_max().  Vertices of the subdivision are the cells, its
+    faces the chains of cells, each carried to its top and the empty chain
+    to the minimum.  Returns (complex, SubdivisionMap); the map runs between
+    the bare face posets.  For a sphere-style base, adjoin formal maxima
+    with subdivision.with_adjoined_tops before decomposing.
     """
     from .subdivision import SubdivisionMap
-    base = face_poset(k, with_max=False)
-    oc = order_complex(ps.adjoin_max(base))
-    sub = face_poset(oc, with_max=False)
-    carrier = {face_id(f): max(f, key=base.rank, default=base.min_elt)
-               for f in oc.faces()}
+    if isinstance(base, SimplicialComplex):
+        base = face_poset(base)
+    base.require_graded()
+    if base.min_elt is None:
+        raise RequiresBounds("barycentric subdivision needs a minimum")
+    els, up, bits = base.elements, base._up, base._bits
+    low = base._idx[base.min_elt]
+    # cell cells[i] is the bit 1 << i, so that the chains, as masks, are
+    # ordered and named as face_poset orders and names faces
+    cells = sorted(bits(up[low]), key=els.__getitem__, reverse=True)
+    bit = {c: 1 << i for i, c in enumerate(cells)}
+    above = [[(bit[c], c) for c in bits(row)] for row in up]
+    # each chain grows only above its top, so each is made once
+    chains = [(0, low)]
+    for f, t in chains:
+        chains += [(f | b, c) for b, c in above[t]]
+    top = dict(chains)
+    sub, at = ps._face_build(top, {bit[c]: ps._spell(els[c]) for c in cells})
+    carrier = {sub.elements[j]: els[top[f]] for f, j in at.items()}
+    # the chains through every rank are the maximal ones
+    oc = SimplicialComplex([els[cells[i]] for i in bits(f)] for f in top
+                           if f.bit_count() == base.top_rank)
     return oc, SubdivisionMap(sub, base, carrier)

@@ -397,9 +397,7 @@ class UniPolynomial(_Polynomial):
 
     def is_palindrome(self, n):
         """True when p equals its own degree-n reversal."""
-        if self.degree > n:
-            return False
-        return self == self.reverse(n)
+        return self.degree <= n and self == self.reverse(n)
 
     def to_json_obj(self):
         return list(self.coeffs)

@@ -13,11 +13,13 @@ down-set with a top adjoined, such as a subdivision's capped preimage, is
 never built: ``_below_top`` runs the near-Eulerian test on the parent's
 rows and a mask.  The sweep also keeps one mask per rank (``_levels``),
 which every per-rank read uses.  Face posets of complexes (a complex-form
-JSON input is decoded to one) and their ids are built here too.  Two memo
-slots keep the Eulerian scan's mask of unbalanced interval tops (``_bad``:
-None until scanned, 0 when Eulerian; written only here, and filled as a
-face poset is built, its intervals below the top being Boolean) and the
-cd-index (``_phi``), written by ``flagcd.cd_index``.
+JSON input is decoded to one) and their ids are built here too, by one
+loop over faces as vertex masks that also builds a barycentric subdivision
+from its chains.  Two memo slots keep the Eulerian scan's mask of
+unbalanced interval tops (``_bad``: None until scanned, 0 when Eulerian;
+written only here, and filled as a face poset is built, its intervals
+below the top being Boolean) and the cd-index (``_phi``), written by
+``flagcd.cd_index``.
 Gradedness is verified eagerly but a failure is recorded, not raised:
 rank-dependent operations raise it.
 """
@@ -425,6 +427,14 @@ def face_poset(k, with_max=False):
             while sub:
                 faces.add(sub)
                 sub = (sub - 1) & f
+    return _face_build(faces, escaped, (facets or [0]) if with_max else None)[0]
+
+
+def _face_build(faces, escaped, tops=None):
+    """The poset of faces, vertex masks closed under submasks, in (size,
+    descending mask) order, and each face's index: an id spells its bits by
+    escaped, lowest last, and covers each face one bit smaller.  TOP goes
+    above the masks tops, when given."""
     # a face is appended to its lower covers' rows as it gets its index, so
     # every row ascends
     at, elements, up_adj = {0: 0}, ["{}"], [[]]
@@ -441,8 +451,8 @@ def face_poset(k, with_max=False):
             low = rest & -rest
             up_adj[at[f ^ low]].append(j)
             rest ^= low
-    if with_max:
-        for f in facets or [0]:
+    if tops is not None:
+        for f in tops:
             up_adj[at[f]].append(len(elements))
         elements.append("TOP")
         up_adj.append([])
@@ -452,9 +462,9 @@ def face_poset(k, with_max=False):
     # even, since the sum of (-1)^|u| over subsets u of t \ s is 0.  So
     # every interval is balanced but those ending at TOP, which alone are
     # scanned; the full scan stays the tests' oracle.
-    p._bad = (_unbalanced(p._up, p._dn, p._ranks, 1 << len(faces))
-              if with_max else 0)
-    return p
+    p._bad = (0 if tops is None else
+              _unbalanced(p._up, p._dn, p._ranks, 1 << len(order)))
+    return p, at
 
 
 # -- fresh-id helpers -------------------------------------------------------

@@ -128,7 +128,7 @@ def from_vertex_carriers(source, target, vertex_carrier):
     # every run
     for f in sorted(source.faces(), key=lambda f: (len(f), sorted(f))):
         hull = frozenset().union(*map(vertex_carrier.get, f))
-        if hull not in target.faces():
+        if hull not in target:
             raise DomainError("no target face contains %s" % sorted(hull))
         carrier[ps.face_id(f)] = ps.face_id(hull)
     return SubdivisionMap(src, tgt, carrier)

@@ -9,14 +9,17 @@ import pytest
 import cdindex as cd
 from cdindex.cli import run
 from cdindex.complexes import _closure_of, _shelling_step_ok, face_id
-from cdindex.errors import DomainError, NotPure, SearchCutoff
+from cdindex.errors import (DomainError, NotGraded, NotPure, RequiresBounds,
+                            SearchCutoff)
 from cdindex.ncpoly import UniPolynomial, coefficientwise_leq
 from cdindex.poset import _poset_from_obj
-from conftest import (adjoin_max_by_cover_copy, betti_by_fractions,
-                      betti_by_sympy, complex_by_subfaces, count_builds,
+from conftest import (adjoin_max_by_cover_copy, barycentric_by_order_complex,
+                      betti_by_fractions, betti_by_sympy,
+                      complex_by_subfaces, count_builds,
                       cube3_by_cover_search,
                       facets_by_pairwise_filter, find_shelling_by_recursion,
                       face_poset_by_frozensets, isomorphic,
+                      non_simplicial_lattices,
                       octahedron_complex, outcome, polygon_cd,
                       polygon_lattice, rp2_complex, same_build,
                       shelling_step_by_closure, square_lattice,
@@ -207,7 +210,8 @@ def test_facets_match_pairwise_filter(rng):
 def test_facets_and_faces_match_the_subface_definition(rng):
     # families of several sizes at once, with nested and repeated sets, the
     # empty set and single vertices, and names given as ints and strings;
-    # membership is asked before and after the faces are first read
+    # membership, read off the facets, agrees with the definition and with
+    # the derived faces
     for _ in range(300):
         n = rng.randint(1, 9)
         given = []
@@ -232,6 +236,8 @@ def test_facets_and_faces_match_the_subface_definition(rng):
         assert cd.f_vector(k) == [sum(len(f) == i for f in faces)
                                   for i in range(k.dim + 2)]
         assert all(sorted(f) in k for f in faces)
+        assert [p in k for p in probes] == [
+            frozenset(map(str, p)) in k.faces() for p in probes]
 
 
 def test_a_complex_keeps_its_facets_and_derives_its_faces_once():
@@ -284,6 +290,66 @@ def test_barycentric_subdivision_edge_and_vertex():
     assert cd.f_vector(oc) == [1, 3, 2]
     ocv, _ = cd.barycentric_subdivision(cd.make_simplex(0))
     assert cd.f_vector(ocv) == [1, 1]
+
+
+def barycentric_bases():
+    """Named complexes and graded posets with a minimum to subdivide: the
+    simplices to dimension 5, three simplex boundaries, polygons, stacked
+    3-spheres, the empty complex and the polytope lattices without their
+    tops."""
+    bases = [("simplex %d" % d, cd.make_simplex(d)) for d in range(6)]
+    bases += [("boundary %d" % d, cd.make_boundary_simplex(d))
+              for d in (2, 3, 4)]
+    bases += [("polygon %d" % n, cd.make_polygon(n)) for n in (3, 4, 7)]
+    bases += [("stacked %d seed %d" % (k, s),
+               cd.make_stacked(3, k, seed=s).boundary)
+              for k in (2, 5, 8) for s in (0, 1)]
+    bases.append(("empty", cd.SimplicialComplex([])))
+    return bases + [(name, p.without_max())
+                    for name, p in non_simplicial_lattices()]
+
+
+def test_barycentric_subdivision_matches_the_order_complex_route(
+        monkeypatch):
+    for name, base in barycentric_bases():
+        want_oc, want = barycentric_by_order_complex(base)
+        calls = count_builds(monkeypatch)
+        oc, m = cd.barycentric_subdivision(base)
+        # the chains' face poset, and the base's for a complex
+        assert calls == [1 + isinstance(base, cd.SimplicialComplex)], name
+        monkeypatch.undo()
+        assert oc == want_oc, name
+        assert m.to_json() == want.to_json(), name
+        assert list(m.carrier.items()) == list(want.carrier.items()), name
+        assert same_build(m.source, want.source), name
+        assert m.source._bad == want.source._bad == 0, name
+        assert m.source.is_lower_eulerian(), name
+
+
+def test_barycentric_subdivision_refuses_what_is_not_graded_or_bottomed():
+    # a non-pure complex, a poset with two minima and one that is not
+    # graded, each refused with the error of its kind
+    with pytest.raises(NotGraded) as info:
+        cd.barycentric_subdivision(
+            cd.SimplicialComplex([["0", "1"], ["1", "2", "3"]]))
+    assert str(info.value) == "operation needs a graded poset"
+    two_minima = cd.GradedPoset(["a", "b", "1"], [("a", "1"), ("b", "1")])
+    with pytest.raises(RequiresBounds) as info:
+        cd.barycentric_subdivision(two_minima)
+    assert str(info.value) == "barycentric subdivision needs a minimum"
+    with pytest.raises(NotGraded):
+        cd.barycentric_subdivision(
+            cd.GradedPoset(["0", "a", "b", "c"], [("0", "a"), ("a", "b"),
+                                                  ("0", "c")]))
+
+
+def test_barycentric_subdivision_of_a_lattice_is_a_cone():
+    # with its maximum kept, the square's lattice is the solid square: its
+    # subdivision is the cone over the octagon from the barycenter TOP
+    oc, m = cd.barycentric_subdivision(square_lattice())
+    assert cd.f_vector(oc) == [1, 9, 16, 8]
+    assert m.target.max_elt in oc.vertices
+    assert cd.validate_strong_eulerian(m).ok
 
 
 def test_star_and_link():
@@ -718,6 +784,17 @@ def test_star_and_link_read_the_facets():
     void = cd.SimplicialComplex([])
     assert cd.star(void, []).facets == () and cd.link(void, []) is void
     assert cd.star(k, []) == k and cd.link(k, []) is k
+
+
+def test_membership_reads_the_facets():
+    # a face is in when some facet contains it, so asking the 30-simplex
+    # derives none of its 2^31 faces; the empty face is in every complex
+    k = cd.make_simplex(30)
+    assert ["0"] in k and [0, 30] in k and list(range(31)) in k
+    assert ["0", "x"] not in k and [31] not in k
+    assert k._faces is None
+    void = cd.SimplicialComplex([])
+    assert [] in void and [] in k and ["0"] not in void
 
 
 def test_flag_to_h_of_a_point_raises():

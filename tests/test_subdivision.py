@@ -1,6 +1,7 @@
 """Subdivision maps: validation, restriction, skeletal decomposition, and
 the cd-index decomposition."""
 import json
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ from cdindex.cli import run
 from cdindex.errors import InvalidChain, InvalidSubdivision, RequiresBounds
 from cdindex.ncpoly import CdPolynomial, coefficientwise_leq
 from cdindex.subdivision import ValidationReport, _basic_failures
-from conftest import (count_builds, decompose_rows_by_rebuild,
+from conftest import (carrier_mutants, count_builds,
+                      decompose_rows_by_rebuild,
                       enumerate_chains, hexagon_over_triangle, isomorphic,
                       local_h_of_built_faces, outcome, polygon_cd,
                       preimage_ideal_by_ids, preimage_ids_by_definition,
@@ -22,7 +24,7 @@ from conftest import (count_builds, decompose_rows_by_rebuild,
                       validate_strong_eulerian_by_build, atoms,
                       composed_carrier, up_set, child_env,
                       correspondence_maps, edge_with_swapped_carriers,
-                      subdivision_pool)
+                      non_simplicial_maps, subdivision_pool)
 
 
 def test_validate_strong_eulerian_fixtures(subdivision_fixtures):
@@ -596,6 +598,30 @@ def test_a_map_onto_a_non_eulerian_target_fails_the_boundary_check():
             call(m)
     assert [f for f, _ in cd.validate_strong_formal(m).failures] == [
         ("v3", "e")]
+
+
+def test_both_validations_agree_on_seeded_mutants():
+    # one or two carriers moved, or two of one rank swapped, on every map of
+    # every pool: strong Eulerian and strong formal give one verdict, and a
+    # split names the mutant with both failure lists
+    rng = random.Random(11)
+    maps = dict(subdivision_pool() + correspondence_maps()
+                + non_simplicial_maps())
+    verdicts, split = {True: 0, False: 0}, []
+    for name, m in maps.items():
+        for what, obj in carrier_mutants(rng, m, 40):
+            mutant = cd.SubdivisionMap.from_json_obj(obj)
+            eulerian = cd.validate_strong_eulerian(mutant)
+            formal = cd.validate_strong_formal(mutant)
+            verdicts[formal.ok] += 1
+            if eulerian.ok != formal.ok:
+                split.append("%s, %s: strong Eulerian %r, strong formal %r"
+                             % (name, what, eulerian.failures,
+                                formal.failures))
+    assert split == [], "\n".join(split)
+    # both verdicts are reached, the passing ones by moves that keep a
+    # valid map, such as swaps of two cells in one face
+    assert verdicts[True] >= 50 and verdicts[False] >= 500, verdicts
 
 
 def test_map_c_fails_both_validations_at_the_edge(capsys, tmp_path):

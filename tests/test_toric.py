@@ -582,7 +582,7 @@ def test_decomposition_holds_on_non_simplicial_targets():
         # coefficient (Karu, Compositio 2006)
         assert all(c >= 0 for row in decomposition.rows
                    for c in row.local_cd.terms.values()), name
-    assert rows == 141
+    assert rows == 162
 
 
 def test_correspondence_identities_match_the_psi_route():
