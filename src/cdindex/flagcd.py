@@ -6,8 +6,8 @@ integer, a field per rank set counting the chains that end there: the sum
 of the integers below it, shifted up.  A chain that ends in a down-set lies
 in it, so ``_masked`` reads the flag f-vector of a down-set with a top
 adjoined off one sum over the mask; a fresh poset is the whole mask.  Down
-from an element top over the up-rows, ``_intervals_below`` reads Phi or
-Upsilon of every interval [t, top] off one DP, through the up-row of t.
+from an element top over the up-rows, ``_intervals_below`` reads Phi of
+every interval [t, top] off one sparse DP, through the up-row of t.
 ``_peel_cd`` reads the cd-index of an Eulerian poset off the sparse rank
 sets without rank 1, the only ones the sparse DP visits (Bayer-Billera
 1985, Stanley 1994), and the local cd-index Phi(Q) - Phi([0, tau]) c of a
@@ -126,20 +126,19 @@ def _local_cd(chains, n, keep, down):
     return phi_q - bd_cd * CdPolynomial.monomial("c"), bd_cd
 
 
-def _intervals_below(p, top, ends, dense=False):
-    """Phi([t, top]) of each t in ends, [t, top] Eulerian, or Upsilon when
-    dense, off one chain DP down from top over the up-rows, each level
-    masked by the down-row of top: the index of the dual of [t, top], read
-    through the up-row of t, each word reversed; 0 for t = top."""
+def _intervals_below(p, top, ends):
+    """Phi([t, top]) of each t in ends, [t, top] Eulerian, off one sparse
+    chain DP down from top over the up-rows, each level masked by the
+    down-row of top: the cd-index of the dual of [t, top], read through the
+    up-row of t, each word reversed; 0 for t = top."""
     rank, below, out = p._ranks[top], p._dn[top], []
     spans = [rank - p._ranks[t] - 1 for t in ends]  # the proper ranks
     levels = p._levels[rank - max([0, *spans]):rank + 1][::-1]
-    chains = _chain_vectors(p._up, [lv & below for lv in levels], not dense)
-    cls = AbPolynomial if dense else CdPolynomial
-    read = (lambda k, f: _ab_of(k, f.values())) if dense else _peel_cd
+    chains = _chain_vectors(p._up, [lv & below for lv in levels], True)
     for k, t in zip(spans, ends):
-        dual = read(k, _masked(chains, k, p._up[t])) if k >= 0 else cls.zero()
-        out.append(cls({w[::-1]: c for w, c in dual.terms.items()}))
+        dual = (_peel_cd(k, _masked(chains, k, p._up[t])) if k >= 0
+                else CdPolynomial.zero())
+        out.append(CdPolynomial({w[::-1]: c for w, c in dual.terms.items()}))
     return out
 
 

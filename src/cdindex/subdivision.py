@@ -2,15 +2,14 @@
 decomposition, and the constructive cd-index decomposition.
 
 A subdivision map carries each element of the source poset to the minimal
-target element containing it.  Validation runs on first use and is cached
-on the map; decompose_cd and local_h run it, as their identities are
-theorems only for maps that pass it.  The constructor keeps the preimage
-of each face, the source elements carried into its closed down-set, as a
-mask that every later step reads.  No capped preimage (with a maximum
-adjoined) is built: after one Eulerian scan of the source, validation runs
-each face's near-Eulerian test on the source rows and the mask and checks
-that D, below the restored coatom, is the preimage of the face's boundary;
-one sparse DP over the source gives every local cd-index off the two.
+target element containing it.  decompose_cd and local_h validate the map
+once per call, as their identities are theorems only for maps that pass
+validation.  The constructor keeps the preimage of each face, the source
+elements carried into its closed down-set, as a mask that every later
+step reads.  No capped preimage (with a maximum adjoined) is built: after
+one Eulerian scan of the source, validation runs each face's near-Eulerian
+test on the source rows and the mask and checks that D, below the
+restored coatom, is the preimage of the face's boundary; one sparse DP over the source gives every local cd-index off the two.
 verify_local_correspondence and the tests check the sum against cd_index.
 """
 from __future__ import annotations
@@ -18,9 +17,8 @@ from __future__ import annotations
 from . import poset as ps
 from .errors import (DomainError, InvalidChain, InvalidSubdivision,
                      NotNearEulerian, Record, RequiresBounds)
-from .flagcd import (LocalIndex, _chain_vectors, _intervals_below, _local_cd,
-                     flag_polynomial)
-from .ncpoly import CdPolynomial
+from .flagcd import _chain_vectors, _intervals_below, _local_cd, flag_polynomial
+from .ncpoly import AB_B, AB_C, CdPolynomial, expand_cd, substitute
 
 
 class ValidationReport(Record):
@@ -36,7 +34,7 @@ class SubdivisionMap(ps._JsonText):
     """Order-preserving surjection source -> target with carrier data."""
 
     __slots__ = ("source", "target", "carrier", "_image", "_carried",
-                 "_preimage", "_cache")
+                 "_preimage")
 
     def __init__(self, source, target, carrier):
         self.source = source
@@ -62,7 +60,6 @@ class SubdivisionMap(ps._JsonText):
             carried[t] |= 1 << i
         self._preimage = [sum(carried[t] for t in target._bits(row | 1 << ix))
                           for ix, row in enumerate(target._dn)]
-        self._cache = {}
 
     def __call__(self, e):
         try:
@@ -123,6 +120,10 @@ def from_vertex_carriers(source, target, vertex_carrier):
     missing = sorted(set(source.vertices) - vertex_carrier.keys())
     if missing:
         raise DomainError("no carrier for source vertex %r" % missing[0])
+    unknown = sorted(vertex_carrier.keys() - source.vertices)
+    if unknown:
+        raise DomainError("carrier names unknown source vertex %r"
+                          % unknown[0])
     carrier = {}
     # in (size, sorted names) order, so the first failure is the same on
     # every run
@@ -153,8 +154,6 @@ def with_adjoined_tops(m):
 
 def validate_strong_eulerian(m):
     """Per-element check of the strong Eulerian subdivision conditions."""
-    if "strong_eulerian" in m._cache:
-        return m._cache["strong_eulerian"]
     failures = list(_basic_failures(m))
     src, tgt = m.source, m.target
     if not failures:
@@ -184,9 +183,7 @@ def validate_strong_eulerian(m):
             if down != keep & ~m._carried[ix]:
                 failures.append((sigma, "preimage boundary is not the "
                                  "preimage of the boundary"))
-    report = ValidationReport("strong_eulerian", not failures, tuple(failures))
-    m._cache["strong_eulerian"] = report
-    return report
+    return ValidationReport("strong_eulerian", not failures, tuple(failures))
 
 
 def _basic_failures(m):
@@ -218,8 +215,6 @@ def validate_strong_formal(m):
     elements y >= z with carrier(y) <= x must be 1 when carrier(z) = x and
     0 otherwise.
     """
-    if "strong_formal" in m._cache:
-        return m._cache["strong_formal"]
     failures = list(_basic_failures(m))
     src, tgt = m.source, m.target
     if not failures:
@@ -248,9 +243,7 @@ def validate_strong_formal(m):
                 if not strong:
                     failures.append(((z, x), "no element above witnesses the "
                                              "rank of the carrier"))
-    report = ValidationReport("strong_formal", not failures, tuple(failures))
-    m._cache["strong_formal"] = report
-    return report
+    return ValidationReport("strong_formal", not failures, tuple(failures))
 
 
 def require_valid(m, kind="strong_eulerian"):
@@ -397,7 +390,7 @@ def decompose_cd(m):
     cd-index of the source, a theorem for the maps that pass strong
     Eulerian validation.  A source or target without a maximum raises
     RequiresBounds naming it; validation has already failed one without a
-    minimum and found a bounded source Eulerian.
+    minimum and proved a bounded source and target Eulerian.
     """
     require_valid(m, "strong_eulerian")
     src, tgt = m.source, m.target
@@ -407,8 +400,8 @@ def decompose_cd(m):
                 "decomposition needs Eulerian posets, but the %s has no "
                 "maximum; with_adjoined_tops adjoins formal maxima to both "
                 "sides of a sphere's subdivision" % side)
-    if not tgt.is_eulerian():
-        raise InvalidSubdivision("decomposition needs Eulerian posets")
+    # validation proves the target Eulerian: see the proof in the tests'
+    # test_both_validations_agree_on_seeded_mutants
     local = _local_cds(m)
     upper = _upper_cds(tgt)
     rows = [DecompositionRow(s, local[s], upper[s]) for s in local]
@@ -429,13 +422,13 @@ def verify_rank_telescoping(fam, i):
     m = fam.subdivision
     if not validate_strong_eulerian(m).ok:
         return False
-    tgt = m.target
     lhs = flag_polynomial(fam.posets[i]) - flag_polynomial(fam.posets[i - 1])
-    local, faces = _local_cds(m), list(tgt._bits(tgt._levels[i]))
-    top, rhs = tgt._idx[tgt.max_elt], 0  # the lhs raised if there is no top
-    for ix, upper in zip(faces, _intervals_below(tgt, top, faces, True)):
-        rhs = LocalIndex(local[tgt.elements[ix]]).flag * upper + rhs
-    return lhs == rhs
+    # the lhs raised if there is no top; validation proves the target
+    # Eulerian, so Upsilon([sigma, 1]) is the image of Phi([sigma, 1])
+    local, upper = _local_cds(m), _upper_cds(m.target)
+    rhs = sum((local[s] * upper[s] for s in m.target.level(i)),
+              CdPolynomial.zero())
+    return lhs == substitute(expand_cd(rhs), AB_C, AB_B)
 
 
 def _local_cds(m):

@@ -1300,6 +1300,21 @@ def edge_with_swapped_carriers():
     return cd.SubdivisionMap.from_json_obj(obj)
 
 
+def three_atom_map():
+    """Map F: 0 < a1, a2, a3 below the two maxima p (over a1, a2) and q
+    (over a3), carried onto 0 < m1, m2, m3 < 1 with p and q to 1.  Every
+    alternating sum holds, so it passes strong formal validation, but the
+    target [0, 1] has three atoms and fails strong Eulerian validation."""
+    src = cd.GradedPoset(["0", "a1", "a2", "a3", "p", "q"],
+                         [("0", "a1"), ("0", "a2"), ("0", "a3"),
+                          ("a1", "p"), ("a2", "p"), ("a3", "q")])
+    tgt = cd.GradedPoset(["0", "m1", "m2", "m3", "1"],
+                         [("0", "m1"), ("0", "m2"), ("0", "m3"),
+                          ("m1", "1"), ("m2", "1"), ("m3", "1")])
+    return cd.SubdivisionMap(src, tgt, {"0": "0", "a1": "m1", "a2": "m2",
+                                        "a3": "m3", "p": "1", "q": "1"})
+
+
 def barycentric_solid_triangle():
     _, m = cd.barycentric_subdivision(cd.make_simplex(2))
     return m

@@ -824,12 +824,18 @@ def test_generators_refuse_out_of_range_sizes(make, args, message):
 
 
 def test_reduced_betti_through_a_pivot_whose_lead_is_not_one():
-    # the elimination keeps a row led by 2 whose other entries are odd, so
-    # a later row with the same lowest column is scaled before the pivot is
-    # taken off it; two independent loops survive
-    k = cd.SimplicialComplex([
+    # the first complex keeps a row led by 2 whose other entries are odd,
+    # and two independent loops survive; in the second, on vertices 0-7, a
+    # later row meets a kept row whose lead is not 1 and is scaled before
+    # the pivot is taken off it
+    loops = cd.SimplicialComplex([
         ["0", "1", "3"], ["0", "1", "6"], ["0", "3", "6"], ["0", "4", "7"],
         ["1", "2", "7"], ["1", "3", "4"], ["1", "4", "5"], ["2", "3", "7"],
         ["3", "4", "7"]])
-    assert cd.reduced_betti(k) == betti_by_fractions(k) \
-        == betti_by_sympy(k) == [0, 2, 0]
+    scaled = cd.SimplicialComplex([list(f) for f in (
+        "0123 0124 0127 0137 0145 0146 0156 0167 0236 0237 0245 0246 0247 "
+        "0257 0267 0346 0356 0357 0456 0467 1234 1237 1246 1346 1356 1457 "
+        "2345 2347 2356 2357 2467 2567 3456 3457 4567").split()])
+    for k, betti in ((loops, [0, 2, 0]), (scaled, [0, 0, 1, 3])):
+        assert cd.reduced_betti(k) == betti_by_fractions(k) \
+            == betti_by_sympy(k) == betti

@@ -568,9 +568,9 @@ def test_upper_intervals_of_a_validated_target_expand_phi(monkeypatch):
 
 def test_intervals_below_read_every_interval_off_one_dp(
         monkeypatch, eulerian_fixtures, rng):
-    # Phi and Upsilon of every [t, sigma] with t <= sigma, read off one DP
-    # down from sigma with the ends in any order, against the cd-index and
-    # the flag polynomial of the built interval; 0 at t = sigma
+    # Phi of every [t, sigma] with t <= sigma, read off one sparse DP down
+    # from sigma with the ends in any order, against the cd-index of the
+    # built interval; 0 at t = sigma
     posets = [p for _, p in eulerian_fixtures if len(p.elements) <= 32]
     randoms = [random_eulerian(rng) for _ in range(40)]
     posets += [p for p in randoms if len(p.elements) <= 40][:15]
@@ -586,14 +586,12 @@ def test_intervals_below_read_every_interval_off_one_dp(
             ends = [top, *p._bits(p._dn[top])]
             rng.shuffle(ends)
             uppers = [p.interval(p.elements[t], sigma) for t in ends]
-            for dense, want in ((False, cd.cd_index),
-                                (True, cd.flag_polynomial)):
-                calls[0] = 0
-                monkeypatch.setattr(flagcd, "_chain_vectors", counted)
-                got = flagcd._intervals_below(p, top, ends, dense)
-                monkeypatch.undo()
-                assert calls == [1], (p.elements, sigma)
-                assert got == [want(q) for q in uppers], (p.elements, sigma)
+            calls[0] = 0
+            monkeypatch.setattr(flagcd, "_chain_vectors", counted)
+            got = flagcd._intervals_below(p, top, ends)
+            monkeypatch.undo()
+            assert calls == [1], (p.elements, sigma)
+            assert got == [cd.cd_index(q) for q in uppers], (p.elements, sigma)
             pairs += len(ends)
     assert pairs >= 2000
 

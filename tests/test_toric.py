@@ -26,8 +26,8 @@ from conftest import (MorphismsByCoproduct, ab_words,
                       non_simplicial_maps, outcome, polygon_cd,
                       polygon_lattice, random_graded_poset, rank45_pool,
                       semisuspend_by_build,
-                      square_lattice, subdivision_pool, three_polytope_cd,
-                      toric_h_by_psi, toric_h_by_recursion, down_set)
+                      square_lattice, subdivision_pool, three_atom_map,
+                      three_polytope_cd, toric_h_by_psi, toric_h_by_recursion, down_set)
 
 ONE = UniPolynomial.one()
 X = UniPolynomial.x()
@@ -682,18 +682,9 @@ def test_local_h_table_row_of_an_absent_face_raises():
 def test_local_h_refuses_a_strong_formal_map_onto_a_non_eulerian_target(
         capsys, tmp_path):
     from cdindex.cli import run
-    # 0 < a1, a2, a3 below the two maxima p (over a1, a2) and q (over a3),
-    # carried onto 0 < m1, m2, m3 < 1 with p and q to 1: every alternating
-    # sum holds, but [0, 1] has three atoms
-    src = cd.GradedPoset(["0", "a1", "a2", "a3", "p", "q"],
-                         [("0", "a1"), ("0", "a2"), ("0", "a3"),
-                          ("a1", "p"), ("a2", "p"), ("a3", "q")])
-    tgt = cd.GradedPoset(["0", "m1", "m2", "m3", "1"],
-                         [("0", "m1"), ("0", "m2"), ("0", "m3"),
-                          ("m1", "1"), ("m2", "1"), ("m3", "1")])
-    m = cd.SubdivisionMap(src, tgt, {"0": "0", "a1": "m1", "a2": "m2",
-                                     "a3": "m3", "p": "1", "q": "1"})
-    assert cd.validate_strong_formal(m).ok and not tgt.is_eulerian()
+    # map F: every alternating sum holds, but [0, 1] has three atoms
+    m = three_atom_map()
+    assert cd.validate_strong_formal(m).ok and not m.target.is_eulerian()
     with pytest.raises(NotLowerEulerian) as info:
         cd.local_h(m)
     assert str(info.value) == "local h needs an Eulerian target"
